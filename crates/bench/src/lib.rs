@@ -1,25 +1,11 @@
-//! Benchmark support crate. The actual benchmarks live in `benches/`:
+//! Benchmark support crate. Its one benchmark is the `perfjson` binary
+//! (`src/bin/perfjson.rs`): simulator throughput per application ×
+//! platform cell — scalar vs bulk path, sequential vs sharded engines,
+//! each diagnostic layer on — written to `BENCH_simulator.json`.
 //!
-//! * `protocol` — HLRC data-plane primitives: diff creation/application,
-//!   cache tag lookups, resource arbitration.
-//! * `simulator` — scheduler hand-off latency, lock round-trips, barrier
-//!   episodes on each platform.
-//! * `applications` — small end-to-end application runs per platform
-//!   (these measure *simulator throughput*, i.e. wall-clock per simulated
-//!   run, not application performance — that is what the `figures`
-//!   binaries report in virtual cycles).
-
-/// Convenience: a boxed SVM platform at the paper's configuration.
-pub fn svm(n: usize) -> Box<dyn sim_core::Platform> {
-    svm_hlrc::SvmPlatform::boxed(svm_hlrc::SvmConfig::paper(n))
-}
-
-/// Convenience: a boxed CC-NUMA platform at the paper's configuration.
-pub fn dsm(n: usize) -> Box<dyn sim_core::Platform> {
-    cc_numa::DsmPlatform::boxed(cc_numa::DsmConfig::paper(n))
-}
-
-/// Convenience: a boxed SMP platform at the paper's configuration.
-pub fn smp(n: usize) -> Box<dyn sim_core::Platform> {
-    smp_bus::SmpPlatform::boxed(smp_bus::SmpConfig::paper(n))
-}
+//! The per-layer micro-costs the old `benches/` harnesses printed (diff
+//! create/apply, cache tag lookups, resource arbitration, scheduler
+//! hand-offs, lock and barrier round-trips per platform, small end-to-end
+//! runs) are rows of the `simbench` ledger at the repository root
+//! (`svm-hlrc.diff_*`, `cache.*`, `resource.serve_ns`, `sched.seq_*`,
+//! `<platform>.lock_handoff_ns` / `barrier16_ns`, `apps.*`).

@@ -99,10 +99,8 @@ pub struct DsmPlatform {
     nodes: Vec<Node>,
     directory: FxMap<u64, DirEnt>,
     line_mask: u64,
-    /// Shared event-trace sink for the run (None when tracing is off).
-    trace: Option<sim_core::TraceHandle>,
-    /// Shared interval-metrics sink for the run (None when metrics are off).
-    metrics: Option<sim_core::MetricsHandle>,
+    /// The run's protocol event stream (None when undiagnosed).
+    probe: Option<sim_core::ProbeHandle>,
 }
 
 impl DsmPlatform {
@@ -123,8 +121,7 @@ impl DsmPlatform {
             nodes,
             directory: FxMap::default(),
             line_mask,
-            trace: None,
-            metrics: None,
+            probe: None,
         }
     }
 
@@ -205,27 +202,19 @@ impl DsmPlatform {
         if remote {
             t.stats.counters.remote_fetches += 1;
             t.stats.counters.bytes_transferred += self.cfg.l2.line;
-            sim_core::trace::emit(
-                &self.trace,
+            // The caller charges `stall` from `now`; the home directory
+            // stands in as the serving side.
+            sim_core::probe::emit(
+                &self.probe,
                 t.timing_on,
-                pid,
-                *t.now,
-                sim_core::EventKind::RemoteMiss { line, home },
-            );
-            sim_core::trace::sample_fetch(&self.trace, t.timing_on, pid, stall);
-            sim_core::metrics::page_fetch(&self.metrics, t.timing_on, *t.now, line);
-            // Critical-path provenance: the caller charges `stall` from
-            // `now`, so the service interval is (now, now + stall]; the
-            // home directory stands in as the serving side.
-            sim_core::trace::emit_edge(
-                &self.trace,
-                t.timing_on,
-                sim_core::DepKind::RemoteMiss { line },
-                pid,
-                *t.now,
-                *t.now + stall,
-                home,
-                *t.now,
+                sim_core::ProtoEvent::RemoteMiss {
+                    pid,
+                    line,
+                    src: home,
+                    at: *t.now,
+                    stall,
+                    traced: true,
+                },
             );
         }
         stall
@@ -488,12 +477,8 @@ impl Platform for DsmPlatform {
         }
     }
 
-    fn set_trace(&mut self, trace: Option<sim_core::TraceHandle>) {
-        self.trace = trace;
-    }
-
-    fn set_metrics(&mut self, metrics: Option<sim_core::MetricsHandle>) {
-        self.metrics = metrics;
+    fn set_probe(&mut self, probe: Option<sim_core::ProbeHandle>) {
+        self.probe = probe;
     }
 }
 

@@ -1,77 +1,31 @@
 //! The page-level performance-debugging report the paper wishes real SVM
 //! systems provided (§6: "Incorporating the ability to deliver such
 //! information in real SVM systems would be very useful"): per-page fetch,
-//! diff, and invalidation counts for one application run.
-use apps::ocean::{self, OceanParams};
-use figures::{cli, header, Opts};
-use sim_core::{run_profiled, RunConfig};
+//! diff, and invalidation counts, and which data structure each page
+//! belongs to, for one application run.
+use apps::{App, AppSpec, OptClass, Platform};
+use figures::{cli, header};
+use sim_core::RunConfig;
 
 fn main() {
     let p = cli::parse(&[], &[]);
-    let opts = Opts {
-        scale: p.scale,
-        nprocs: p.nprocs,
-    };
     header(
         "Page profile",
         "per-page SVM protocol activity for Ocean (original version)",
         "the detailed simulator as performance-debugging tool (paper §6)",
     );
-    // Drive the app body directly so we can use run_profiled.
-    let params = OceanParams::at(opts.scale);
-    // Re-run through the app module but with a profiled platform: use the
-    // module's public pieces at this scale.
-    let platform = apps::Platform::Svm.boxed(opts.nprocs);
-    let (stats, profile) = run_profiled(
-        platform,
-        RunConfig::new(opts.nprocs).with_sharing_profile(),
-        |p| {
-            ocean_body_shim(p, &params);
-        },
+    let stats = AppSpec {
+        app: App::Ocean,
+        class: OptClass::Orig,
+    }
+    .run_cfg(
+        Platform::Svm,
+        p.nprocs,
+        p.scale,
+        RunConfig::new(p.nprocs).with_sharing_profile(),
     );
     println!("execution time: {} cycles", stats.total_cycles());
     println!();
-    println!("{}", profile.unwrap_or_else(|| "no profile".into()));
-    if let Some(sharing) = &stats.sharing {
-        println!("{}", sharing.report());
-    }
-}
-
-/// Minimal Ocean-original body for profiling (same access pattern as
-/// `apps::ocean` original version, reduced to the relaxation phase).
-fn ocean_body_shim(p: &mut sim_core::Proc, params: &OceanParams) {
-    use sim_core::Placement;
-    let n = params.n;
-    if p.pid() == 0 {
-        let g = p.alloc_shared((n * n * 8) as u64, 4096, Placement::RoundRobin);
-        for k in 0..n * n {
-            p.store(g + (k * 8) as u64, 8, ((k % 97) as f64 * 0.013).to_bits());
-        }
-    }
-    p.barrier(100);
-    p.start_timing();
-    let base = sim_core::HEAP_BASE;
-    let rows = n - 2;
-    let per = rows / p.nprocs();
-    let r0 = 1 + p.pid() * per;
-    let r1 = if p.pid() == p.nprocs() - 1 {
-        n - 2
-    } else {
-        r0 + per - 1
-    };
-    for _sweep in 0..2 * params.sweeps {
-        for i in r0..=r1 {
-            for j in 1..n - 1 {
-                let idx = |r: usize, c: usize| base + ((r * n + c) as u64) * 8;
-                let v = f64::from_bits(p.load(idx(i - 1, j), 8))
-                    + f64::from_bits(p.load(idx(i + 1, j), 8))
-                    + f64::from_bits(p.load(idx(i, j - 1), 8))
-                    + f64::from_bits(p.load(idx(i, j + 1), 8));
-                p.store(idx(i, j), 8, (0.25 * v).to_bits());
-                p.work(6);
-            }
-        }
-        p.barrier(0);
-    }
-    let _ = ocean::version_for(apps::OptClass::Orig);
+    let sharing = stats.sharing.expect("sharing profile was requested");
+    println!("{}", sharing.report());
 }

@@ -25,10 +25,11 @@
 #![allow(clippy::needless_range_loop)]
 use sim_core::cache::{Cache, LineState, Lookup};
 use sim_core::platform::{Platform, Timing};
+use sim_core::probe::{self, ProbeHandle, ProtoEvent};
 use sim_core::stats::{Bucket, ProcStats};
 use sim_core::util::{FxMap, FxSet};
 use sim_core::{Addr, PlacementMap, Resource};
-use svm_hlrc::{build_profile, Diff, PState, PageEntry, PageTrack, SvmConfig};
+use svm_hlrc::{Diff, PState, PageEntry, SvmConfig};
 
 /// One archived diff: who wrote it and what changed.
 struct ArchivedDiff {
@@ -85,14 +86,8 @@ pub struct TmkPlatform {
     intervals: Vec<Vec<Interval>>,
     log_base: Vec<u32>,
     lock_vc: FxMap<u32, Vec<u32>>,
-    /// Per-page protocol activity (shared tracker with `svm-hlrc`).
-    activity: FxMap<u64, PageTrack>,
-    /// Gather word-granularity sharing footprints (never affects timing).
-    profiling: bool,
-    /// Shared event-trace sink for the run (None when tracing is off).
-    trace: Option<sim_core::TraceHandle>,
-    /// Shared interval-metrics sink for the run (None when metrics are off).
-    metrics: Option<sim_core::MetricsHandle>,
+    /// The run's protocol event stream (None when undiagnosed).
+    probe: Option<ProbeHandle>,
 }
 
 impl TmkPlatform {
@@ -135,10 +130,7 @@ impl TmkPlatform {
             intervals: vec![Vec::new(); n],
             log_base: vec![0; n],
             lock_vc: FxMap::default(),
-            activity: FxMap::default(),
-            profiling: false,
-            trace: None,
-            metrics: None,
+            probe: None,
         }
     }
 
@@ -208,25 +200,9 @@ impl TmkPlatform {
         let base_wire = if had_copy { 0 } else { self.page_bytes() };
         let wire = base_wire
             + writers.len() as u64 * (suffix_runs * 8 + suffix_words * 4 + self.cfg.ctrl_msg_bytes);
-        let (profiling, wpp) = (self.profiling, self.cfg.words_per_page() as usize);
-        self.activity
-            .entry(page)
-            .or_default()
-            .record_fetch(pid, wire, profiling, wpp);
         // No home in this protocol: report the round-robin base-copy source
         // the full-page transfer would come from.
         let src = (page % self.cfg.nprocs as u64) as usize;
-        sim_core::trace::emit(
-            &self.trace,
-            t.timing_on,
-            pid,
-            t0,
-            sim_core::EventKind::PageFetchStart {
-                page: page << self.page_shift,
-                home: src,
-                bytes: wire,
-            },
-        );
         if t.timing_on {
             let ctrl = self.cfg.ctrl_msg_bytes * self.cfg.io_cyc_per_byte;
             let mut done = *t.now;
@@ -268,33 +244,21 @@ impl TmkPlatform {
             }
             t.advance_to(Bucket::DataWait, done);
         }
-        sim_core::trace::emit(
-            &self.trace,
+        // The fault stalled `pid` over (t0, now]; the round-robin base
+        // source stands in as the serving side.
+        probe::emit(
+            &self.probe,
             t.timing_on,
-            pid,
-            *t.now,
-            sim_core::EventKind::PageFetchDone {
+            ProtoEvent::PageFetch {
+                pid,
+                reader_node: pid,
                 page: page << self.page_shift,
                 home: src,
+                src,
                 bytes: wire,
+                t0,
+                t1: *t.now,
             },
-        );
-        sim_core::trace::sample_fetch(&self.trace, t.timing_on, pid, *t.now - t0);
-        sim_core::metrics::page_fetch(&self.metrics, t.timing_on, *t.now, page << self.page_shift);
-        // Critical-path provenance: the fault stalled `pid` over (t0, now];
-        // the round-robin base source stands in as the serving side.
-        sim_core::trace::emit_edge(
-            &self.trace,
-            t.timing_on,
-            sim_core::DepKind::PageFetch {
-                page: page << self.page_shift,
-                bytes: wire,
-            },
-            pid,
-            t0,
-            *t.now,
-            src,
-            t0,
         );
         self.nodes[pid]
             .pages
@@ -365,6 +329,54 @@ impl TmkPlatform {
         }
     }
 
+    /// Write-protect `pid`'s dirty copy of `page` and diff it against its
+    /// twin.
+    fn take_diff(&mut self, pid: usize, page: u64) -> Diff {
+        let entry = self.nodes[pid].pages.get_mut(&page).unwrap();
+        entry.state = PState::ReadOnly;
+        let twin = entry.twin.take().expect("dirty page without twin");
+        Diff::create(&twin, &entry.frame)
+    }
+
+    /// Archive `pid`'s `diff` of `page` into the page's chain, reporting it
+    /// created and (archival being this protocol's application) applied at
+    /// `at`. Wire cost 0: the chain is kept at the writer; bytes move at
+    /// the faulting reader's gather, accounted in `fetch_page`. Returns the
+    /// new chain length.
+    fn archive(
+        &mut self,
+        pid: usize,
+        page: u64,
+        diff: Diff,
+        at: u64,
+        span: Option<(u64, u64)>,
+        timing_on: bool,
+    ) -> u32 {
+        let base = page << self.page_shift;
+        probe::emit(
+            &self.probe,
+            timing_on,
+            ProtoEvent::DiffCreated {
+                pid,
+                writer_node: pid,
+                page: base,
+                at,
+                span,
+                word_runs: diff.runs(),
+                wire_bytes: 0,
+            },
+        );
+        let applied = ProtoEvent::DiffApplied {
+            pid,
+            page: base,
+            at,
+        };
+        probe::emit(&self.probe, timing_on, applied);
+        let log = self.log_entry(page);
+        log.chain.push(ArchivedDiff { writer: pid, diff });
+        log.chain.len() as u32
+    }
+
     /// Close `pid`'s interval: archive a diff per dirty page (kept at the
     /// writer — only local work at release time; this is where the
     /// protocol is *cheaper* than HLRC).
@@ -381,69 +393,20 @@ impl TmkPlatform {
             if !still_dirty {
                 continue;
             }
-            let entry = self.nodes[pid].pages.get_mut(&page).unwrap();
-            entry.state = PState::ReadOnly;
-            let twin = entry.twin.take().expect("dirty page without twin");
-            let diff = Diff::create(&twin, &entry.frame);
+            let diff = self.take_diff(pid, page);
             let scan = self.cfg.words_per_page() * self.cfg.diff_scan_per_word
                 + diff.len() as u64 * self.cfg.diff_scan_per_word;
             let diff_t0 = *t.now;
             t.charge(Bucket::HandlerCompute, scan);
-            // Critical-path provenance: the writer spent (diff_t0, now]
-            // creating and archiving this page's diff.
-            sim_core::trace::emit_edge(
-                &self.trace,
-                t.timing_on,
-                sim_core::DepKind::Diff {
-                    page: page << self.page_shift,
-                },
-                pid,
-                diff_t0,
-                *t.now,
-                pid,
-                diff_t0,
-            );
             t.stats.counters.diffs_created += 1;
             // Archival into the page chain *is* this protocol's diff
             // application — there is no home copy to patch — so the two
             // counters stay structurally equal.
             t.stats.counters.diffs_applied += 1;
-            let pbase = page << self.page_shift;
-            sim_core::trace::emit(
-                &self.trace,
-                t.timing_on,
-                pid,
-                *t.now,
-                sim_core::EventKind::DiffCreated { page: pbase },
-            );
-            sim_core::trace::emit(
-                &self.trace,
-                t.timing_on,
-                pid,
-                *t.now,
-                sim_core::EventKind::DiffApplied { page: pbase },
-            );
-            let (profiling, wpp) = (self.profiling, self.cfg.words_per_page() as usize);
-            // Wire cost 0: the chain is kept at the writer; bytes move at
-            // the faulting reader's gather, accounted in `fetch_page`.
-            self.activity
-                .entry(page)
-                .or_default()
-                .record_diff(pid, &diff, 0, profiling, wpp);
-            sim_core::metrics::page_diff(
-                &self.metrics,
-                t.timing_on,
-                *t.now,
-                page << self.page_shift,
-                pid as u16,
-                diff.words().map(|(w, _)| w),
-            );
-            // The writer's own copy reflects its diff.
-            let chain_len = {
-                let log = self.log_entry(page);
-                log.chain.push(ArchivedDiff { writer: pid, diff });
-                log.chain.len() as u32
-            };
+            // The writer spent (diff_t0, now] creating and archiving the
+            // diff; its own copy already reflects it.
+            let span = Some((diff_t0, *t.now));
+            let chain_len = self.archive(pid, page, diff, *t.now, span, t.timing_on);
             self.nodes[pid].applied.insert(page, chain_len);
         }
         self.intervals[pid].push(Interval { pages });
@@ -459,61 +422,24 @@ impl TmkPlatform {
             None => return,
             Some(PState::ReadWrite) => {
                 // Archive our local diff before dropping the copy.
-                let entry = self.nodes[g].pages.get_mut(&page).unwrap();
-                entry.state = PState::ReadOnly;
-                let twin = entry.twin.take().expect("dirty page without twin");
-                let diff = Diff::create(&twin, &entry.frame);
+                let diff = self.take_diff(g, page);
                 if timing_on {
                     acc.cycles += self.cfg.words_per_page() * self.cfg.diff_scan_per_word;
                 }
                 acc.archived += 1;
-                let (profiling, wpp) = (self.profiling, self.cfg.words_per_page() as usize);
-                self.activity
-                    .entry(page)
-                    .or_default()
-                    .record_diff(g, &diff, 0, profiling, wpp);
-                sim_core::metrics::page_diff(
-                    &self.metrics,
-                    timing_on,
-                    at,
-                    page << self.page_shift,
-                    g as u16,
-                    diff.words().map(|(w, _)| w),
-                );
-                let log = self.log_entry(page);
-                log.chain.push(ArchivedDiff { writer: g, diff });
-                let pbase = page << self.page_shift;
-                sim_core::trace::emit(
-                    &self.trace,
-                    timing_on,
-                    g,
-                    at,
-                    sim_core::EventKind::DiffCreated { page: pbase },
-                );
-                sim_core::trace::emit(
-                    &self.trace,
-                    timing_on,
-                    g,
-                    at,
-                    sim_core::EventKind::DiffApplied { page: pbase },
-                );
+                self.archive(g, page, diff, at, None, timing_on);
             }
             Some(PState::ReadOnly) => {}
         }
-        self.activity.entry(page).or_default().record_inval();
-        sim_core::metrics::page_inval(&self.metrics, timing_on, at, page << self.page_shift);
-        sim_core::trace::emit(
-            &self.trace,
-            timing_on,
-            g,
+        let base = page << self.page_shift;
+        let inval = ProtoEvent::Invalidation {
+            pid: g,
+            page: base,
             at,
-            sim_core::EventKind::Invalidation {
-                page: page << self.page_shift,
-            },
-        );
+        };
+        probe::emit(&self.probe, timing_on, inval);
         self.nodes[g].pages.remove(&page);
         self.nodes[g].applied.remove(&page);
-        let base = page << self.page_shift;
         let len = self.cfg.page_size;
         self.nodes[g].l1.invalidate_range(base, len);
         self.nodes[g].l2.invalidate_range(base, len);
@@ -845,7 +771,6 @@ impl Platform for TmkPlatform {
     }
 
     fn reset_timing(&mut self) {
-        self.activity.clear();
         for node in &mut self.nodes {
             node.handler.reset();
             node.io_in.reset();
@@ -854,55 +779,10 @@ impl Platform for TmkPlatform {
         }
     }
 
-    fn profile(&self) -> Option<String> {
-        if self.activity.is_empty() {
-            return None;
-        }
-        let mut pages: Vec<(&u64, &PageTrack)> = self.activity.iter().collect();
-        pages.sort_by_key(|(p, a)| (std::cmp::Reverse(a.fetches), **p));
-        let mut s = String::from(
-            "TMK page profile (hottest pages by remote fetches):\n             page_base          fetches  diff_words   diff_runs  wire_bytes  invalidations\n",
-        );
-        let total: u64 = pages.iter().map(|(_, a)| a.fetches).sum();
-        for (page, a) in pages.iter().take(16) {
-            s.push_str(&format!(
-                "{:#014x} {:>10} {:>11} {:>11} {:>11} {:>14}\n",
-                **page << self.page_shift,
-                a.fetches,
-                a.diff_words,
-                a.diff_runs,
-                a.wire_bytes,
-                a.invalidations
-            ));
-        }
-        let top: u64 = pages.iter().take(16).map(|(_, a)| a.fetches).sum();
-        s.push_str(&format!(
-            "{} pages active; top 16 pages account for {:.0}% of {} fetches\n",
-            pages.len(),
-            100.0 * top as f64 / total.max(1) as f64,
-            total
-        ));
-        Some(s)
-    }
-
-    fn set_sharing_profile(&mut self, on: bool) {
-        self.profiling = on;
-    }
-
-    fn set_trace(&mut self, trace: Option<sim_core::TraceHandle>) {
-        self.trace = trace;
-    }
-
-    fn set_metrics(&mut self, metrics: Option<sim_core::MetricsHandle>) {
-        self.metrics = metrics;
-    }
-
-    fn sharing_profile(&self) -> Option<sim_core::sharing::SharingProfile> {
-        Some(build_profile(
-            &self.activity,
-            self.page_shift,
-            self.page_bytes(),
-        ))
+    fn set_probe(&mut self, probe: Option<ProbeHandle>) {
+        self.probe = probe;
+        let page_bytes = self.page_bytes();
+        probe::emit(&self.probe, false, ProtoEvent::PageGeometry { page_bytes });
     }
 }
 

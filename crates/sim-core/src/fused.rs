@@ -444,7 +444,7 @@ pub(crate) fn replay_fused(
     platform: Box<dyn Platform>,
     cfg: &RunConfig,
     ends: Vec<(Receiver<Vec<Desc>>, Sender<Reply>)>,
-) -> (RunStats, Option<String>) {
+) -> RunStats {
     assert_eq!(ends.len(), cfg.nprocs);
     let mut inner = build_inner(platform, cfg);
     let mut machines: Vec<Machine> = ends

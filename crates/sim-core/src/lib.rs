@@ -49,6 +49,7 @@ pub(crate) mod fused;
 pub mod mem;
 pub mod metrics;
 pub mod platform;
+pub mod probe;
 pub mod resource;
 pub mod sched;
 pub mod shard;
@@ -71,16 +72,16 @@ pub use critpath::{
 pub use detector::{RaceDetector, RaceKind, RaceReport, VectorClock};
 pub use mem::FlatMem;
 pub use metrics::{
-    EventSeries, LockSeries, MetricsHandle, MetricsReport, MetricsSink, PageInterval, PageSeries,
-    PageTrajectory, ProcSample, ProcSeries,
+    EventSeries, LockSeries, MetricsReport, MetricsSink, PageInterval, PageSeries, PageTrajectory,
+    ProcSample, ProcSeries,
 };
 pub use platform::{NullPlatform, Platform, Timing};
+pub use probe::{Probe, ProbeHandle, ProtoEvent};
 pub use resource::Resource;
-pub use sched::{run, run_profiled, Proc, RunConfig, MAX_SHARDS, MAX_SHARD_BATCH};
+pub use sched::{run, Proc, RunConfig, MAX_SHARDS, MAX_SHARD_BATCH};
 pub use sharing::{LabelSharing, PageSharing, SharingClass, SharingProfile};
 pub use stats::{Bucket, Counter, ProcStats, RunStats, MAX_PHASES};
 pub use trace::{
-    AllocSpan, DepEdge, DepKind, Event, EventKind, ProcTrace, RunTrace, TraceHandle, TraceSink,
-    WaitHist,
+    AllocSpan, DepEdge, DepKind, Event, EventKind, ProcTrace, RunTrace, TraceSink, WaitHist,
 };
 pub use view::{GArr, Grid2, Grid4, Word};

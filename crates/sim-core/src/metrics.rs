@@ -21,18 +21,21 @@
 //! The whole-run [`crate::sharing::SharingClass`] cannot tell these apart;
 //! the ROADMAP's optimization advisor needs the distinction.
 //!
+//! All of it arrives as [`ProtoEvent`]s through the run's
+//! [`crate::probe::Probe`]; [`MetricsSink::on_event`] is the only entry.
+//!
 //! Like every other diagnostic layer, metrics are **off by default** and
-//! **invisible**: sampling never charges cycles and never perturbs
-//! scheduling, so a metrics-on run produces a `RunStats` bit-identical to
-//! the metrics-off run apart from the [`crate::RunStats::metrics`] field,
-//! and — because samples are taken inside the shared step API at virtual
-//! times all three engines reproduce exactly — reports are identical across
-//! the sequential, sharded-classic and fused engines (asserted in
-//! `tests/metrics.rs`). All buffers are fixed-capacity and drop-counted.
+//! **invisible** (the argument is in [`crate::probe`]): a metrics-on run
+//! produces a `RunStats` bit-identical to the metrics-off run apart from
+//! the [`crate::RunStats::metrics`] field, and — because samples are taken
+//! inside the shared step API at virtual times all three engines reproduce
+//! exactly — reports are identical across the sequential, sharded-classic
+//! and fused engines (asserted in `tests/metrics.rs`). All buffers are
+//! fixed-capacity and drop-counted.
 
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
 
+use crate::probe::ProtoEvent;
 use crate::util::FxMap;
 
 /// Default sampling interval in virtual cycles
@@ -44,9 +47,6 @@ pub const DEFAULT_INTERVAL: u64 = 1 << 16;
 /// pages, locks, event names). Override with
 /// [`crate::RunConfig::with_metrics_cap`].
 pub const DEFAULT_SERIES_CAP: usize = 1 << 12;
-
-/// Handle through which the scheduler and platforms record samples.
-pub type MetricsHandle = Arc<Mutex<MetricsSink>>;
 
 /// One cumulative per-processor snapshot. Consecutive samples differenced
 /// give per-interval rates; keeping the raw cumulative values makes the
@@ -283,11 +283,8 @@ struct SinkProc {
     last_iv: u64,
 }
 
-/// Shared, mutable metrics state while a run is in flight: one instance per
-/// metrics-on run, shared between the scheduler and the platform via
-/// [`MetricsHandle`] (the mutex is uncontended — everything already runs
-/// under the global scheduler lock — and exists only to keep the handle
-/// `Send`, mirroring [`crate::trace::TraceSink`]).
+/// Mutable metrics state while a run is in flight: one instance per
+/// metrics-on run, owned by the run's [`crate::probe::Probe`].
 pub struct MetricsSink {
     interval: u64,
     cap: usize,
@@ -532,6 +529,38 @@ impl MetricsSink {
         }
     }
 
+    /// Consume one protocol event: page and line activity, lock
+    /// hand-offs, per-processor samples and application counters. Called
+    /// by the probe only while the timed region is active.
+    pub(crate) fn on_event(&mut self, ev: &ProtoEvent<'_>) {
+        use ProtoEvent as P;
+        match *ev {
+            P::PageFetch { page, t1, .. } => self.page_fetch(t1, page),
+            P::RemoteMiss { line, at, .. } => self.page_fetch(at, line),
+            P::DiffCreated {
+                writer_node,
+                page,
+                at,
+                word_runs,
+                ..
+            } => {
+                let words = word_runs.iter().flat_map(|&(w, n)| w..w + n);
+                self.page_diff(at, page, writer_node as u16, words);
+            }
+            P::Invalidation { page, at, .. } => self.page_inval(at, page),
+            P::LockGrant {
+                pid, lock, t1, src, ..
+            } if src != pid => self.lock_handoff(t1, lock),
+            P::ProcSample {
+                pid,
+                sample,
+                forced,
+            } => self.sample_proc(pid, sample, forced),
+            P::AppCount { pid, name, at, n } => self.event(name, pid, at, n),
+            _ => {}
+        }
+    }
+
     /// Freeze into a [`MetricsReport`], attributing page addresses to
     /// allocation labels via `label_of`.
     pub fn into_report(self, label_of: impl Fn(u64) -> &'static str) -> MetricsReport {
@@ -605,49 +634,6 @@ impl MetricsSink {
             locks_dropped: self.locks_dropped,
             events,
             events_dropped: self.events_dropped,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Gated helpers for platform code (mirror `crate::trace::emit`): no-ops
-// unless metrics are on *and* the timed region is active, and never charge
-// cycles.
-
-/// Record a completed remote page/line fetch (platform code).
-#[inline]
-pub fn page_fetch(m: &Option<MetricsHandle>, timing_on: bool, now: u64, page: u64) {
-    if timing_on {
-        if let Some(h) = m {
-            h.lock().unwrap().page_fetch(now, page);
-        }
-    }
-}
-
-/// Record a flushed diff with its word footprint (platform code). The
-/// iterator is only consumed when metrics are live.
-#[inline]
-pub fn page_diff(
-    m: &Option<MetricsHandle>,
-    timing_on: bool,
-    now: u64,
-    page: u64,
-    writer: u16,
-    words: impl IntoIterator<Item = u32>,
-) {
-    if timing_on {
-        if let Some(h) = m {
-            h.lock().unwrap().page_diff(now, page, writer, words);
-        }
-    }
-}
-
-/// Record an applied invalidation (platform code).
-#[inline]
-pub fn page_inval(m: &Option<MetricsHandle>, timing_on: bool, now: u64, page: u64) {
-    if timing_on {
-        if let Some(h) = m {
-            h.lock().unwrap().page_inval(now, page);
         }
     }
 }

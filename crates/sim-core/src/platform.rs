@@ -180,45 +180,14 @@ pub trait Platform: Send {
     /// the paper measures.
     fn reset_timing(&mut self);
 
-    /// Optional human-readable diagnostic report (e.g. the SVM platform's
-    /// per-page hot-spot profile — the performance-debugging facility the
-    /// paper wishes real SVM systems offered). `None` if the platform has
-    /// nothing to report.
-    fn profile(&self) -> Option<String> {
-        None
-    }
-
-    /// Enable or disable word-granularity sharing profiling for the run
-    /// (called once, before any simulated processor starts). Platforms with
-    /// nothing to profile ignore it. Profiling must never charge cycles:
-    /// statistics stay bit-identical either way.
-    fn set_sharing_profile(&mut self, _on: bool) {}
-
-    /// Install (or remove, with `None`) the shared event-trace sink for the
-    /// run. Called once before any simulated processor starts (and once
-    /// with `None` at the end of the run, so the scheduler regains sole
-    /// ownership of the sink). Platforms emit protocol events —
-    /// page fetches, diffs, invalidations, remote misses — through the
-    /// handle via [`crate::trace::emit`]; emission must never charge
-    /// cycles: statistics stay bit-identical either way.
-    fn set_trace(&mut self, _trace: Option<crate::trace::TraceHandle>) {}
-
-    /// Install (or remove, with `None`) the shared interval-metrics sink
-    /// for the run (see [`crate::metrics`]). Same contract as
-    /// [`Platform::set_trace`]: called once before any simulated processor
-    /// starts and once with `None` at the end of the run; platforms record
-    /// per-page protocol rates — fetches, diff words with writer
-    /// footprints, invalidations — through the handle via the
-    /// [`crate::metrics`] helpers, and recording must never charge cycles:
-    /// statistics stay bit-identical either way.
-    fn set_metrics(&mut self, _metrics: Option<crate::metrics::MetricsHandle>) {}
-
-    /// The per-page sharing profile gathered since the last
-    /// [`Platform::reset_timing`], if this platform produces one. Labels are
-    /// attributed by the scheduler (the platform does not see the allocator).
-    fn sharing_profile(&self) -> Option<crate::sharing::SharingProfile> {
-        None
-    }
+    /// Install the run's protocol event stream (see [`crate::probe`]) — the
+    /// platform's one diagnostic hook. Called once, before any simulated
+    /// processor starts, with `None` when the run is undiagnosed. Platforms
+    /// report each protocol action — page fetch, diff, invalidation, remote
+    /// miss — with one [`crate::probe::emit`]; emitting cannot charge
+    /// cycles, so statistics stay bit-identical either way. Platforms with
+    /// nothing to report ignore it.
+    fn set_probe(&mut self, _probe: Option<crate::probe::ProbeHandle>) {}
 
     /// Called once after every simulated processor has finished, with the
     /// full statistics slice: the platform drains protocol counters that

@@ -21,6 +21,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use crate::alloc::{GlobalAlloc, Placement};
 use crate::detector::RaceDetector;
 use crate::platform::{Platform, Timing};
+use crate::probe::{self, Probe, ProbeHandle, ProtoEvent};
 use crate::shard::{Desc, Reply};
 use crate::stats::{Bucket, ProcStats, RunStats};
 use crate::util::FxMap;
@@ -381,13 +382,9 @@ pub(crate) struct Inner {
     /// Present iff `RunConfig::detect_races`: the happens-before analysis
     /// fed by every load/store and synchronization event below.
     detector: Option<RaceDetector>,
-    /// Present iff `RunConfig::trace`: the event sink shared with the
-    /// platform (which holds a clone of the handle for protocol events).
-    trace: Option<crate::trace::TraceHandle>,
-    /// Present iff `RunConfig::metrics > 0`: the interval metrics sink
-    /// shared with the platform (which holds a clone of the handle for
-    /// per-page protocol activity).
-    metrics: Option<crate::metrics::MetricsHandle>,
+    /// Present iff a stream-fed diagnostic layer (trace, metrics, sharing
+    /// profile) is on: the protocol event stream, shared with the platform.
+    probe: Option<ProbeHandle>,
 }
 
 struct Shared {
@@ -452,72 +449,27 @@ impl Inner {
         }
     }
 
-    /// Emit a trace event for `pid` at virtual time `ts`. No-op unless the
-    /// run is traced *and* the timed region is active; never touches clocks
-    /// or statistics (tracing is invisible).
+    /// Report a scheduler action on the protocol event stream (gated and
+    /// invisible — see [`crate::probe`]).
     #[inline]
-    fn emit(&self, pid: usize, ts: u64, kind: crate::trace::EventKind) {
-        if self.timing_on {
-            if let Some(h) = &self.trace {
-                h.lock().unwrap().push(pid, ts, kind);
-            }
-        }
+    fn emit(&self, ev: ProtoEvent<'_>) {
+        probe::emit(&self.probe, self.timing_on, ev);
     }
 
-    /// Record a dependency edge (same gating as `emit`; zero-length edges
-    /// are skipped by the sink). Never touches clocks or statistics.
-    #[inline]
-    fn emit_edge(
-        &self,
-        kind: crate::trace::DepKind,
-        dst: usize,
-        t0: u64,
-        t1: u64,
-        src: usize,
-        src_ts: u64,
-    ) {
-        if self.timing_on {
-            if let Some(h) = &self.trace {
-                h.lock().unwrap().push_edge(kind, dst, t0, t1, src, src_ts);
-            }
-        }
-    }
-
-    /// Record a lock-acquire wait sample for `pid` (same gating as `emit`).
-    #[inline]
-    fn sample_lock(&self, pid: usize, cycles: u64) {
-        if self.timing_on {
-            if let Some(h) = &self.trace {
-                h.lock().unwrap().sample_lock(pid, cycles);
-            }
-        }
-    }
-
-    /// Record a barrier-wait sample for `pid` (same gating as `emit`).
-    #[inline]
-    fn sample_barrier(&self, pid: usize, cycles: u64) {
-        if self.timing_on {
-            if let Some(h) = &self.trace {
-                h.lock().unwrap().sample_barrier(pid, cycles);
-            }
-        }
-    }
-
-    /// Offer the metrics sink a cumulative per-proc counter snapshot at
-    /// `pid`'s current clock. `forced` samples (phase/barrier/timing
-    /// boundaries) are always kept; unforced ticks are kept only when the
-    /// clock has rolled into a new interval, so the sink stays O(intervals),
-    /// not O(operations). Same gating as `emit`: no-op unless the run
-    /// records metrics and the timed region is active; never touches clocks
-    /// or statistics (metrics are invisible).
+    /// Offer the stream a cumulative per-proc counter snapshot at `pid`'s
+    /// current clock. `forced` samples (phase/barrier/timing boundaries)
+    /// are always kept; unforced ticks are kept only when the clock has
+    /// rolled into a new interval, so the consumer stays O(intervals), not
+    /// O(operations). Skipped before the snapshot is built unless the
+    /// metrics engine is listening and the timed region is active.
     #[inline]
     fn metrics_push(&self, pid: usize, forced: bool) {
-        if !self.timing_on {
+        let Some(p) = &self.probe else { return };
+        if !self.timing_on || !p.sampling() {
             return;
         }
-        let Some(h) = &self.metrics else { return };
         let s = &self.stats[pid];
-        let snap = crate::metrics::ProcSample {
+        let sample = crate::metrics::ProcSample {
             interval: 0, // overwritten by the sink from `ts`
             ts: self.clocks[pid],
             compute: s.get(Bucket::Compute),
@@ -526,18 +478,14 @@ impl Inner {
             barrier_wait: s.get(Bucket::BarrierWait),
             remote_fetches: s.counters.remote_fetches,
         };
-        h.lock().unwrap().sample_proc(pid, snap, forced);
-    }
-
-    /// Record a lock handoff (ownership transferred between processors) at
-    /// virtual time `now`. Same gating as `emit`.
-    #[inline]
-    fn metrics_lock_handoff(&self, now: u64, lock: u32) {
-        if self.timing_on {
-            if let Some(h) = &self.metrics {
-                h.lock().unwrap().lock_handoff(now, lock);
-            }
-        }
+        p.emit(
+            true,
+            ProtoEvent::ProcSample {
+                pid,
+                sample,
+                forced,
+            },
+        );
     }
 
     /// Count `n` occurrences of the named application-level event for `pid`
@@ -545,11 +493,8 @@ impl Inner {
     /// touches no clocks, statistics or statuses, so it is invisible to the
     /// simulation and identical across engines.
     pub(crate) fn op_metric_event(&mut self, pid: usize, name: &'static str, n: u64) {
-        if self.timing_on {
-            if let Some(h) = &self.metrics {
-                h.lock().unwrap().event(name, pid, self.clocks[pid], n);
-            }
-        }
+        let at = self.clocks[pid];
+        self.emit(ProtoEvent::AppCount { pid, name, at, n });
     }
 
     pub(crate) fn describe(&self) -> String {
@@ -629,9 +574,17 @@ impl Inner {
             self.stats[pid].set_phase(phase);
             let new = self.stats[pid].phase(); // saturated when out of range
             if new != old {
-                let ts = self.clocks[pid];
-                self.emit(pid, ts, crate::trace::EventKind::PhaseEnd { phase: old });
-                self.emit(pid, ts, crate::trace::EventKind::PhaseBegin { phase: new });
+                let at = self.clocks[pid];
+                self.emit(ProtoEvent::PhaseEnd {
+                    pid,
+                    at,
+                    phase: old,
+                });
+                self.emit(ProtoEvent::PhaseBegin {
+                    pid,
+                    at,
+                    phase: new,
+                });
                 self.metrics_push(pid, true);
             }
         }
@@ -753,11 +706,11 @@ impl Inner {
     /// protocol and availability stalls) or join the FCFS wait queue.
     pub(crate) fn op_lock(&mut self, pid: usize, id: u32) -> Step {
         self.stats[pid].counters.lock_acquires += 1;
-        self.emit(
+        self.emit(ProtoEvent::LockRequest {
             pid,
-            self.clocks[pid],
-            crate::trace::EventKind::LockAcquireStart { lock: id as u64 },
-        );
+            lock: id,
+            at: self.clocks[pid],
+        });
         let arrival = {
             let mut t = Timing {
                 pid,
@@ -782,38 +735,26 @@ impl Inner {
                 self.alloc.map(),
                 timing_on,
             );
-            let mut waited = 0;
-            if self.timing_on && resume > self.clocks[pid] {
-                let d = resume - self.clocks[pid];
-                let t0 = self.clocks[pid];
-                self.stats[pid].add(Bucket::LockWait, d);
+            let t0 = self.clocks[pid];
+            let (mut src, mut src_ts) = (pid, t0);
+            if self.timing_on && resume > t0 {
+                self.stats[pid].add(Bucket::LockWait, resume - t0);
                 self.clocks[pid] = resume;
-                waited = d;
                 // The lock was free but the acquire still stalled (protocol
                 // round trips, or paying off the previous holder's
-                // `avail_at`): a handoff edge from the last releaser if one
-                // exists, else intrinsic to this processor.
-                let (src, src_ts) = last_release.unwrap_or((pid, t0));
-                self.emit_edge(
-                    crate::trace::DepKind::LockHandoff { lock: id as u64 },
-                    pid,
-                    t0,
-                    resume,
-                    src,
-                    src_ts,
-                );
-                // Ownership moved between processors iff the stall was paid
-                // to a *different* last releaser.
-                if src != pid {
-                    self.metrics_lock_handoff(resume, id);
-                }
+                // `avail_at`): enabled by the last releaser if one exists
+                // (a hand-off iff that is a different processor), else
+                // intrinsic to this processor.
+                (src, src_ts) = last_release.unwrap_or((pid, t0));
             }
-            self.emit(
+            self.emit(ProtoEvent::LockGrant {
                 pid,
-                self.clocks[pid],
-                crate::trace::EventKind::LockAcquireGranted { lock: id as u64 },
-            );
-            self.sample_lock(pid, waited);
+                lock: id,
+                t0,
+                t1: self.clocks[pid],
+                src,
+                src_ts,
+            });
             self.metrics_push(pid, false);
             if let Some(det) = self.detector.as_mut() {
                 det.on_acquire(pid, id);
@@ -840,11 +781,11 @@ impl Inner {
             };
             self.platform.release(&mut t, id)
         };
-        self.emit(
+        self.emit(ProtoEvent::LockRelease {
             pid,
-            self.clocks[pid],
-            crate::trace::EventKind::LockRelease { lock: id as u64 },
-        );
+            lock: id,
+            at: self.clocks[pid],
+        });
         if let Some(det) = self.detector.as_mut() {
             det.on_release(pid, id);
         }
@@ -882,26 +823,17 @@ impl Inner {
             if self.timing_on {
                 let waited = resume - self.blocked_at[w.pid];
                 self.stats[w.pid].add(Bucket::LockWait, waited);
-                self.emit(
-                    w.pid,
-                    resume,
-                    crate::trace::EventKind::LockAcquireGranted { lock: id as u64 },
-                );
-                self.sample_lock(w.pid, waited);
-                // Handoff provenance: the waiter's resume was enabled by
-                // this release at `release_ts` on the releaser's timeline.
-                self.emit_edge(
-                    crate::trace::DepKind::LockHandoff { lock: id as u64 },
-                    w.pid,
-                    self.blocked_at[w.pid],
-                    resume,
-                    pid,
-                    release_ts,
-                );
-                // A waiter grant is always an ownership transfer from the
-                // releasing processor.
-                self.metrics_lock_handoff(resume, id);
             }
+            // The waiter's resume was enabled by this release at
+            // `release_ts` on the releaser's timeline: always a hand-off.
+            self.emit(ProtoEvent::LockGrant {
+                pid: w.pid,
+                lock: id,
+                t0: self.blocked_at[w.pid],
+                t1: resume,
+                src: pid,
+                src_ts: release_ts,
+            });
             self.clocks[w.pid] = resume;
             self.metrics_push(w.pid, false);
             self.make_ready(w.pid);
@@ -929,11 +861,11 @@ impl Inner {
             self.platform.barrier_arrive(&mut t, id)
         };
         self.blocked_at[pid] = self.clocks[pid];
-        self.emit(
+        self.emit(ProtoEvent::BarrierEnter {
             pid,
-            self.clocks[pid],
-            crate::trace::EventKind::BarrierEnter { barrier: id as u64 },
-        );
+            barrier: id,
+            at: self.clocks[pid],
+        });
         let bar = self.barriers.entry(id).or_default();
         bar.arrivals.push((pid, t_arr));
         if bar.arrivals.len() == nprocs {
@@ -965,21 +897,15 @@ impl Inner {
                 if self.timing_on {
                     let waited = resume - self.blocked_at[q];
                     self.stats[q].add(Bucket::BarrierWait, waited);
-                    self.emit(
-                        q,
-                        resume,
-                        crate::trace::EventKind::BarrierExit { barrier: id as u64 },
-                    );
-                    self.sample_barrier(q, waited);
-                    self.emit_edge(
-                        crate::trace::DepKind::BarrierRelease { barrier: id as u64 },
-                        q,
-                        self.blocked_at[q],
-                        resume,
-                        last,
-                        last_ts,
-                    );
                 }
+                self.emit(ProtoEvent::BarrierExit {
+                    pid: q,
+                    barrier: id,
+                    t0: self.blocked_at[q],
+                    t1: resume,
+                    last,
+                    last_ts,
+                });
                 self.clocks[q] = resume;
                 self.metrics_push(q, true);
                 if q != pid {
@@ -1014,20 +940,18 @@ impl Inner {
                     self.make_ready(q);
                 }
             }
-            // Restart the trace so it covers exactly the timed region, and
-            // open each processor's current phase at virtual time zero.
-            if let Some(h) = &self.trace {
-                h.lock().unwrap().reset();
+            // Restart every consumer so reports cover the window that
+            // begins here; open each processor's current phase and anchor
+            // its series with a zero sample at virtual time zero.
+            if let Some(p) = &self.probe {
+                p.reset();
                 for q in 0..nprocs {
                     let phase = self.stats[q].phase();
-                    self.emit(q, 0, crate::trace::EventKind::PhaseBegin { phase });
-                }
-            }
-            // Restart the metrics series likewise, anchoring every
-            // processor with a zero sample at virtual time zero.
-            if let Some(h) = &self.metrics {
-                h.lock().unwrap().reset();
-                for q in 0..nprocs {
+                    self.emit(ProtoEvent::PhaseBegin {
+                        pid: q,
+                        at: 0,
+                        phase,
+                    });
                     self.metrics_push(q, true);
                 }
             }
@@ -1062,20 +986,22 @@ impl Inner {
             for q in 0..nprocs {
                 if self.timing_on {
                     let d = max - self.clocks[q];
-                    self.emit_edge(
-                        crate::trace::DepKind::Settle,
-                        q,
-                        self.clocks[q],
-                        max,
+                    self.emit(ProtoEvent::Settle {
+                        pid: q,
+                        t0: self.clocks[q],
+                        t1: max,
                         straggler,
-                        max,
-                    );
+                    });
                     self.clocks[q] = max;
                     self.stats[q].add(Bucket::BarrierWait, d);
                     // Close each processor's open phase at the settle point
                     // so phase spans cover the whole timed region.
                     let phase = self.stats[q].phase();
-                    self.emit(q, max, crate::trace::EventKind::PhaseEnd { phase });
+                    self.emit(ProtoEvent::PhaseEnd {
+                        pid: q,
+                        at: max,
+                        phase,
+                    });
                     // Final sample at the settle point so every series ends
                     // with the run totals.
                     self.metrics_push(q, true);
@@ -1658,27 +1584,14 @@ pub fn run<F>(platform: Box<dyn Platform>, cfg: RunConfig, body: F) -> RunStats
 where
     F: Fn(&mut Proc) + Sync,
 {
-    run_profiled(platform, cfg, body).0
-}
-
-/// Like [`run`], but also returns the platform's diagnostic report (see
-/// [`Platform::profile`]) gathered at the end of the run.
-pub fn run_profiled<F>(
-    platform: Box<dyn Platform>,
-    cfg: RunConfig,
-    body: F,
-) -> (RunStats, Option<String>)
-where
-    F: Fn(&mut Proc) + Sync,
-{
     // The sharded engine requires the platform to certify (via the
     // min-cross-node-latency hook) that all cross-processor interactions
     // are mediated by replayed protocol actions; platforms that do not
     // fall back to the classic engine.
     if cfg.shards > 1 && platform.min_cross_node_latency().is_some() {
-        run_sharded_profiled(platform, cfg, body)
+        run_sharded(platform, cfg, body)
     } else {
-        run_classic_profiled(platform, cfg, body)
+        run_classic(platform, cfg, body)
     }
 }
 
@@ -1692,23 +1605,8 @@ pub(crate) fn build_inner(mut platform: Box<dyn Platform>, cfg: &RunConfig) -> I
         "platform and RunConfig disagree on processor count"
     );
     assert!(nprocs >= 1);
-    platform.set_sharing_profile(cfg.sharing_profile);
-    let trace_handle = cfg.trace.then(|| {
-        Arc::new(Mutex::new(crate::trace::TraceSink::new(
-            nprocs,
-            cfg.trace_cap,
-            cfg.edge_cap,
-        )))
-    });
-    platform.set_trace(trace_handle.clone());
-    let metrics_handle = (cfg.metrics > 0).then(|| {
-        Arc::new(Mutex::new(crate::metrics::MetricsSink::new(
-            nprocs,
-            cfg.metrics,
-            cfg.metrics_cap,
-        )))
-    });
-    platform.set_metrics(metrics_handle.clone());
+    let probe = Probe::for_run(cfg);
+    platform.set_probe(probe.clone());
     Inner {
         platform,
         alloc: GlobalAlloc::new(nprocs),
@@ -1732,77 +1630,44 @@ pub(crate) fn build_inner(mut platform: Box<dyn Platform>, cfg: &RunConfig) -> I
         detector: cfg
             .detect_races
             .then(|| RaceDetector::new(nprocs, cfg.label.clone())),
-        trace: trace_handle,
-        metrics: metrics_handle,
+        probe,
     }
 }
 
-/// Harvest a completed run's `Inner` into `RunStats` + platform profile:
-/// platform finalization, sharing-profile labelling, race reports, and
-/// trace extraction. Shared by both engines.
-pub(crate) fn collect_stats(mut inner: Inner, cfg: &RunConfig) -> (RunStats, Option<String>) {
+/// Harvest a completed run's `Inner` into `RunStats`: platform
+/// finalization, race reports, and the frozen diagnostic consumers with
+/// page addresses attributed to allocation labels. Shared by both engines.
+pub(crate) fn collect_stats(mut inner: Inner, cfg: &RunConfig) -> RunStats {
     inner.platform.finalize(&mut inner.stats);
-    let profile = inner.platform.profile();
-    let sharing = cfg.sharing_profile.then(|| {
-        let mut prof = inner.platform.sharing_profile().unwrap_or_default();
-        for p in &mut prof.pages {
-            p.label = inner.alloc.label_of(p.page_base);
-        }
-        prof
-    });
     let races = inner
         .detector
         .map(RaceDetector::into_reports)
         .unwrap_or_default();
-    // Drop the platform's clone of the trace handle so the sink can be
-    // unwrapped and frozen into the RunStats.
-    inner.platform.set_trace(None);
-    let trace = inner.trace.take().map(|h| {
-        let Ok(sink) = Arc::try_unwrap(h) else {
-            panic!("platform released its trace handle")
-        };
-        sink.into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .into_trace(
+    let sinks = inner.probe.map(|p| p.finish()).unwrap_or_default();
+    let alloc = &inner.alloc;
+    let label_of = |addr| alloc.label_of(addr);
+    RunStats {
+        sharing: sinks.sharing.map(|s| s.into_profile(label_of)),
+        trace: sinks.trace.map(|t| {
+            t.into_trace(
                 cfg.label.clone(),
                 cfg.phase_names.clone(),
                 &inner.clocks,
-                inner.alloc.labeled_spans(),
+                alloc.labeled_spans(),
             )
-    });
-    // Same unwrap-and-freeze dance for the metrics sink.
-    inner.platform.set_metrics(None);
-    let alloc = &inner.alloc;
-    let metrics = inner.metrics.take().map(|h| {
-        let Ok(sink) = Arc::try_unwrap(h) else {
-            panic!("platform released its metrics handle")
-        };
-        sink.into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .into_report(|addr| alloc.label_of(addr))
-    });
-    (
-        RunStats {
-            procs: inner.stats,
-            clocks: inner.clocks,
-            races,
-            sharing,
-            trace,
-            metrics,
-            phase_names: cfg.phase_names.clone(),
-        },
-        profile,
-    )
+        }),
+        metrics: sinks.metrics.map(|m| m.into_report(label_of)),
+        procs: inner.stats,
+        clocks: inner.clocks,
+        races,
+        phase_names: cfg.phase_names.clone(),
+    }
 }
 
 /// The classic engine: one OS thread per simulated processor, exactly one
 /// running at a time, every simulated event priced inline. Both the
 /// `shards = 1` oracle and the replay half of the sharded engine.
-fn run_classic_profiled<F>(
-    platform: Box<dyn Platform>,
-    cfg: RunConfig,
-    body: F,
-) -> (RunStats, Option<String>)
+fn run_classic<F>(platform: Box<dyn Platform>, cfg: RunConfig, body: F) -> RunStats
 where
     F: Fn(&mut Proc) + Sync,
 {
@@ -1893,11 +1758,7 @@ where
 /// bit-identical to `shards = 1` for data-race-free programs — see
 /// [`crate::shard`] for the full argument and `tests/shard_equivalence.rs`
 /// for the proof harness.
-fn run_sharded_profiled<F>(
-    platform: Box<dyn Platform>,
-    cfg: RunConfig,
-    body: F,
-) -> (RunStats, Option<String>)
+fn run_sharded<F>(platform: Box<dyn Platform>, cfg: RunConfig, body: F) -> RunStats
 where
     F: Fn(&mut Proc) + Sync,
 {
@@ -2004,7 +1865,7 @@ where
             }))
         } else {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_classic_profiled(platform, cfg, move |p: &mut Proc| {
+                run_classic(platform, cfg, move |p: &mut Proc| {
                     let (rx, reply_tx) = slots[p.pid()]
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner)

@@ -11,11 +11,19 @@
 //! sharing (the race detector proves it is not a race; here it is surfaced
 //! as cost, not error).
 //!
-//! Profiles are produced by the page-based platforms (`svm-hlrc`, `lrc-tmk`)
-//! when a run is configured with
-//! [`RunConfig::with_sharing_profile`](crate::RunConfig::with_sharing_profile),
-//! and attached to [`RunStats::sharing`](crate::RunStats). The profiler never
-//! charges cycles: statistics are bit-identical with it on or off.
+//! When a run is configured with
+//! [`RunConfig::with_sharing_profile`](crate::RunConfig::with_sharing_profile)
+//! a [`SharingTracker`] consumes the page events the page-based platforms
+//! (`svm-hlrc`, `lrc-tmk`) report on the protocol event stream
+//! ([`crate::probe`]), and the frozen profile is attached to
+//! [`RunStats::sharing`](crate::RunStats). Like every consumer of the
+//! stream it cannot charge cycles: statistics are bit-identical with it on
+//! or off. Its window runs from `start_timing` to the **end of the run** —
+//! unlike the tracer and the metrics engine it also sees the
+//! post-`stop_timing` verification read-back (DESIGN.md §8).
+
+use crate::probe::ProtoEvent;
+use crate::util::FxMap;
 
 /// How a page was shared during the profiled region, judged from the
 /// word-granularity write footprints of the diffs it generated.
@@ -106,6 +114,143 @@ impl LabelSharing {
             0.0
         } else {
             self.false_diff_words as f64 / self.diff_words as f64
+        }
+    }
+}
+
+/// Per-word diff-ownership sentinel: written by more than one node.
+const MULTI: u16 = u16::MAX;
+
+/// Live activity record for one protocol page.
+#[derive(Default)]
+struct PageTrack {
+    fetches: u64,
+    diff_words: u64,
+    diff_runs: u64,
+    wire_bytes: u64,
+    invalidations: u64,
+    /// Nodes that diffed the page, ascending.
+    writers: Vec<u32>,
+    /// Nodes that fetched the page, ascending.
+    readers: Vec<u32>,
+    /// Per word: diffing node + 1 (0 = never diffed, [`MULTI`] = several).
+    /// Grown to the highest diffed word.
+    owner: Vec<u16>,
+    /// Two nodes diffed the same word: genuine communication.
+    overlap: bool,
+}
+
+fn insert_sorted(v: &mut Vec<u32>, x: u32) {
+    if let Err(i) = v.binary_search(&x) {
+        v.insert(i, x);
+    }
+}
+
+impl PageTrack {
+    fn record_diff(&mut self, writer: usize, word_runs: &[(u32, u32)], wire: u64) {
+        self.diff_runs += word_runs.len() as u64;
+        self.wire_bytes += wire;
+        insert_sorted(&mut self.writers, writer as u32);
+        let me = writer as u16 + 1;
+        for &(first, n) in word_runs {
+            self.diff_words += n as u64;
+            let end = (first + n) as usize;
+            if self.owner.len() < end {
+                self.owner.resize(end, 0);
+            }
+            for o in &mut self.owner[first as usize..end] {
+                if *o == 0 {
+                    *o = me;
+                } else if *o != me {
+                    *o = MULTI;
+                    self.overlap = true;
+                }
+            }
+        }
+    }
+
+    fn classify(&self) -> SharingClass {
+        match self.writers.len() {
+            0 => SharingClass::ReadShared,
+            1 => SharingClass::SingleWriter,
+            _ if self.overlap => SharingClass::TrueSharing,
+            _ => SharingClass::FalseSharing,
+        }
+    }
+}
+
+/// The sharing-profile consumer of the protocol event stream: per-page
+/// traffic counters plus word-granularity write footprints, keyed by page
+/// base address.
+#[derive(Default)]
+pub struct SharingTracker {
+    page_bytes: u64,
+    pages: FxMap<u64, PageTrack>,
+}
+
+impl SharingTracker {
+    /// Consume one protocol event. Called by the probe for every event,
+    /// inside the timed region or not.
+    pub(crate) fn on_event(&mut self, ev: &ProtoEvent<'_>) {
+        use ProtoEvent as P;
+        match *ev {
+            P::PageGeometry { page_bytes } => self.page_bytes = page_bytes,
+            P::PageFetch {
+                reader_node,
+                page,
+                bytes,
+                ..
+            } => {
+                let t = self.pages.entry(page).or_default();
+                t.fetches += 1;
+                t.wire_bytes += bytes;
+                insert_sorted(&mut t.readers, reader_node as u32);
+            }
+            P::DiffCreated {
+                writer_node,
+                page,
+                word_runs,
+                wire_bytes,
+                ..
+            } => {
+                self.pages
+                    .entry(page)
+                    .or_default()
+                    .record_diff(writer_node, word_runs, wire_bytes)
+            }
+            P::Invalidation { page, .. } => self.pages.entry(page).or_default().invalidations += 1,
+            _ => {}
+        }
+    }
+
+    /// Forget all page activity (called at `start_timing`).
+    pub(crate) fn reset(&mut self) {
+        self.pages.clear();
+    }
+
+    /// Freeze into a [`SharingProfile`], attributing pages to allocation
+    /// labels via `label_of`.
+    pub(crate) fn into_profile(self, label_of: impl Fn(u64) -> &'static str) -> SharingProfile {
+        let mut pages: Vec<PageSharing> = self
+            .pages
+            .into_iter()
+            .map(|(page_base, t)| PageSharing {
+                page_base,
+                label: label_of(page_base),
+                fetches: t.fetches,
+                diff_words: t.diff_words,
+                diff_runs: t.diff_runs,
+                wire_bytes: t.wire_bytes,
+                invalidations: t.invalidations,
+                class: t.classify(),
+                writers: t.writers,
+                readers: t.readers,
+            })
+            .collect();
+        pages.sort_by_key(|p| p.page_base);
+        SharingProfile {
+            page_bytes: self.page_bytes,
+            pages,
         }
     }
 }
@@ -315,5 +460,93 @@ mod tests {
         let json = prof.to_json();
         assert!(json.contains("\"label\": \"grid\""));
         assert!(json.contains("\"false_share\": 1.0000"));
+    }
+
+    fn diff(writer_node: usize, page: u64, word_runs: &[(u32, u32)]) -> ProtoEvent<'_> {
+        ProtoEvent::DiffCreated {
+            pid: writer_node,
+            writer_node,
+            page,
+            at: 0,
+            span: None,
+            word_runs,
+            wire_bytes: 12,
+        }
+    }
+
+    fn fetch(reader_node: usize, page: u64) -> ProtoEvent<'static> {
+        ProtoEvent::PageFetch {
+            pid: reader_node,
+            reader_node,
+            page,
+            home: 0,
+            src: 0,
+            bytes: 4096,
+            t0: 0,
+            t1: 1,
+        }
+    }
+
+    fn profile_of(events: &[ProtoEvent<'_>]) -> SharingProfile {
+        let mut t = SharingTracker::default();
+        t.on_event(&ProtoEvent::PageGeometry { page_bytes: 4096 });
+        for e in events {
+            t.on_event(e);
+        }
+        t.into_profile(|_| "")
+    }
+
+    #[test]
+    fn tracker_classifies_by_word_footprint() {
+        let prof = profile_of(&[
+            // Disjoint words from two nodes: false sharing.
+            diff(0, 0x1000, &[(0, 2)]),
+            diff(1, 0x1000, &[(8, 1)]),
+            // A common word: true sharing.
+            diff(0, 0x2000, &[(4, 1)]),
+            diff(2, 0x2000, &[(3, 2)]),
+            // One writer, twice: single-writer.
+            diff(3, 0x3000, &[(0, 1)]),
+            diff(3, 0x3000, &[(5, 1)]),
+            // Fetched only: read-shared.
+            fetch(1, 0x4000),
+            fetch(2, 0x4000),
+        ]);
+        let classes: Vec<SharingClass> = prof.pages.iter().map(|p| p.class).collect();
+        assert_eq!(
+            classes,
+            [
+                SharingClass::FalseSharing,
+                SharingClass::TrueSharing,
+                SharingClass::SingleWriter,
+                SharingClass::ReadShared
+            ]
+        );
+        let p = &prof.pages[0];
+        assert_eq!((p.diff_words, p.diff_runs, p.wire_bytes), (3, 2, 24));
+        assert_eq!(p.writers, [0, 1]);
+        assert_eq!(prof.pages[3].readers, [1, 2]);
+        assert_eq!(prof.pages[3].fetches, 2);
+    }
+
+    #[test]
+    fn tracker_sorts_pages_and_reset_keeps_geometry() {
+        let mut t = SharingTracker::default();
+        t.on_event(&ProtoEvent::PageGeometry { page_bytes: 8192 });
+        t.on_event(&fetch(0, 0x9000));
+        t.reset();
+        for page in [0x5000, 0x2000, 0x9000] {
+            t.on_event(&ProtoEvent::Invalidation {
+                pid: 0,
+                page,
+                at: 0,
+            });
+        }
+        let prof = t.into_profile(|_| "grid");
+        let bases: Vec<u64> = prof.pages.iter().map(|p| p.page_base).collect();
+        assert_eq!(bases, [0x2000, 0x5000, 0x9000]);
+        assert_eq!(prof.page_bytes, 8192);
+        assert_eq!(prof.pages[2].fetches, 0, "reset must drop earlier activity");
+        assert_eq!(prof.pages[0].label, "grid");
     }
 }

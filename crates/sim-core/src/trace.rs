@@ -4,10 +4,12 @@
 //! simulated processor records virtual-time-stamped [`Event`]s into a
 //! bounded per-proc buffer: phase transitions, lock and barrier episodes,
 //! page fetches, diff creation/application, invalidations and remote
-//! misses. The scheduler emits the synchronization events from its central
-//! hooks; the platform crates emit the protocol events from their pricing
-//! paths. All timestamps are virtual cycles — no host clocks — so traces
-//! are bit-identical across repeated runs.
+//! misses. The tracer is a consumer of the protocol event stream
+//! ([`crate::probe`]): [`TraceSink::on_event`] turns each
+//! [`ProtoEvent`] the scheduler and the platform crates report into trace
+//! events, a dependency edge and a wait sample. All timestamps are virtual
+//! cycles — no host clocks — so traces are bit-identical across repeated
+//! runs.
 //!
 //! Tracing is **off by default** and **invisible**: a traced run produces a
 //! `RunStats` identical to the untraced run apart from the
@@ -23,7 +25,8 @@
 //! for terminals ([`RunTrace::ascii_timeline`]).
 
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+
+use crate::probe::ProtoEvent;
 
 /// Default per-processor event-buffer capacity (events beyond this are
 /// counted, not stored). Override with [`crate::RunConfig::with_trace_cap`].
@@ -317,10 +320,8 @@ impl WaitHist {
     }
 }
 
-/// Shared, mutable trace state while a run is in flight. One instance per
-/// traced run, shared between the scheduler and the platform via
-/// [`TraceHandle`]; the mutex is uncontended (everything already runs under
-/// the global scheduler lock) and exists only to keep the handle `Send`.
+/// Mutable trace state while a run is in flight. One instance per traced
+/// run, owned by the run's [`crate::probe::Probe`].
 #[derive(Debug)]
 pub struct TraceSink {
     cap: usize,
@@ -340,9 +341,6 @@ struct SinkProc {
     lock: WaitHist,
     barrier: WaitHist,
 }
-
-/// Handle through which the scheduler and platforms append events.
-pub type TraceHandle = Arc<Mutex<TraceSink>>;
 
 impl TraceSink {
     /// Create a sink for `nprocs` processors with a per-proc event cap of
@@ -414,22 +412,114 @@ impl TraceSink {
         }
     }
 
-    /// Record a page-fetch / remote-miss service latency for `pid`.
-    #[inline]
-    pub fn sample_fetch(&mut self, pid: usize, cycles: u64) {
-        self.procs[pid].fetch.record(cycles);
-    }
-
-    /// Record a lock-acquire wait for `pid`.
-    #[inline]
-    pub fn sample_lock(&mut self, pid: usize, cycles: u64) {
-        self.procs[pid].lock.record(cycles);
-    }
-
-    /// Record a barrier wait for `pid`.
-    #[inline]
-    pub fn sample_barrier(&mut self, pid: usize, cycles: u64) {
-        self.procs[pid].barrier.record(cycles);
+    /// Consume one protocol event: the trace events, dependency edge and
+    /// wait-histogram sample it stands for. Called by the probe only while
+    /// the timed region is active.
+    pub(crate) fn on_event(&mut self, ev: &ProtoEvent<'_>) {
+        use ProtoEvent as P;
+        match *ev {
+            P::PageFetch {
+                pid,
+                page,
+                home,
+                src,
+                bytes,
+                t0,
+                t1,
+                ..
+            } => {
+                self.push(pid, t0, EventKind::PageFetchStart { page, home, bytes });
+                self.push(pid, t1, EventKind::PageFetchDone { page, home, bytes });
+                self.procs[pid].fetch.record(t1 - t0);
+                // The serving node's stand-in processor is provenance only.
+                self.push_edge(DepKind::PageFetch { page, bytes }, pid, t0, t1, src, t0);
+            }
+            P::DiffCreated {
+                pid,
+                page,
+                at,
+                span,
+                ..
+            } => {
+                let (t0, t1) = span.unwrap_or((at, at));
+                self.push_edge(DepKind::Diff { page }, pid, t0, t1, pid, t0);
+                self.push(pid, t1, EventKind::DiffCreated { page });
+            }
+            P::DiffApplied { pid, page, at } => self.push(pid, at, EventKind::DiffApplied { page }),
+            P::Invalidation { pid, page, at } => {
+                self.push(pid, at, EventKind::Invalidation { page })
+            }
+            P::RemoteMiss {
+                pid,
+                line,
+                src,
+                at,
+                stall,
+                traced,
+            } => {
+                if traced {
+                    self.push(pid, at, EventKind::RemoteMiss { line, home: src });
+                }
+                self.procs[pid].fetch.record(stall);
+                // The caller charges `stall` from `at`.
+                self.push_edge(DepKind::RemoteMiss { line }, pid, at, at + stall, src, at);
+            }
+            P::PhaseBegin { pid, at, phase } => self.push(pid, at, EventKind::PhaseBegin { phase }),
+            P::PhaseEnd { pid, at, phase } => self.push(pid, at, EventKind::PhaseEnd { phase }),
+            P::LockRequest { pid, lock, at } => {
+                self.push(pid, at, EventKind::LockAcquireStart { lock: lock as u64 })
+            }
+            P::LockGrant {
+                pid,
+                lock,
+                t0,
+                t1,
+                src,
+                src_ts,
+            } => {
+                let lock = lock as u64;
+                self.push_edge(DepKind::LockHandoff { lock }, pid, t0, t1, src, src_ts);
+                self.push(pid, t1, EventKind::LockAcquireGranted { lock });
+                self.procs[pid].lock.record(t1 - t0);
+            }
+            P::LockRelease { pid, lock, at } => {
+                self.push(pid, at, EventKind::LockRelease { lock: lock as u64 })
+            }
+            P::BarrierEnter { pid, barrier, at } => self.push(
+                pid,
+                at,
+                EventKind::BarrierEnter {
+                    barrier: barrier as u64,
+                },
+            ),
+            P::BarrierExit {
+                pid,
+                barrier,
+                t0,
+                t1,
+                last,
+                last_ts,
+            } => {
+                let barrier = barrier as u64;
+                self.push(pid, t1, EventKind::BarrierExit { barrier });
+                self.procs[pid].barrier.record(t1 - t0);
+                self.push_edge(
+                    DepKind::BarrierRelease { barrier },
+                    pid,
+                    t0,
+                    t1,
+                    last,
+                    last_ts,
+                );
+            }
+            P::Settle {
+                pid,
+                t0,
+                t1,
+                straggler,
+            } => self.push_edge(DepKind::Settle, pid, t0, t1, straggler, t1),
+            P::PageGeometry { .. } | P::ProcSample { .. } | P::AppCount { .. } => {}
+        }
     }
 
     /// Clear all buffers and histograms (called at `start_timing` so the
@@ -488,49 +578,6 @@ impl TraceSink {
                     }
                 })
                 .collect(),
-        }
-    }
-}
-
-/// Convenience emitter for platform code: no-op unless tracing is on *and*
-/// the timed region is active (keeping warm-up traffic out of the trace).
-#[inline]
-pub fn emit(tr: &Option<TraceHandle>, timing_on: bool, pid: usize, ts: u64, kind: EventKind) {
-    if timing_on {
-        if let Some(h) = tr {
-            h.lock().unwrap().push(pid, ts, kind);
-        }
-    }
-}
-
-/// Convenience fetch-latency sampler for platform code (same gating as
-/// [`emit`]).
-#[inline]
-pub fn sample_fetch(tr: &Option<TraceHandle>, timing_on: bool, pid: usize, cycles: u64) {
-    if timing_on {
-        if let Some(h) = tr {
-            h.lock().unwrap().sample_fetch(pid, cycles);
-        }
-    }
-}
-
-/// Convenience dependency-edge emitter for platform code (same gating as
-/// [`emit`]; zero-length edges are skipped by the sink).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn emit_edge(
-    tr: &Option<TraceHandle>,
-    timing_on: bool,
-    kind: DepKind,
-    dst: usize,
-    t0: u64,
-    t1: u64,
-    src: usize,
-    src_ts: u64,
-) {
-    if timing_on && t1 > t0 {
-        if let Some(h) = tr {
-            h.lock().unwrap().push_edge(kind, dst, t0, t1, src, src_ts);
         }
     }
 }

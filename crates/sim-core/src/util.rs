@@ -5,7 +5,7 @@
 //! We re-implement the well-known Fx hash function (as used by rustc) rather
 //! than pulling in an extra dependency; protocol page tables and directories
 //! are looked up on every simulated memory access, and SipHash is measurably
-//! too slow there (see `benches/` in the `bench` crate).
+//! too slow there.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -88,10 +88,8 @@ pub struct SmpPlatform {
     bus: Resource,
     snoop: FxMap<u64, SnoopEnt>,
     line_mask: u64,
-    /// Shared event-trace sink for the run (None when tracing is off).
-    trace: Option<sim_core::TraceHandle>,
-    /// Shared interval-metrics sink for the run (None when metrics are off).
-    metrics: Option<sim_core::MetricsHandle>,
+    /// The run's protocol event stream (None when undiagnosed).
+    probe: Option<sim_core::ProbeHandle>,
 }
 
 impl SmpPlatform {
@@ -109,8 +107,7 @@ impl SmpPlatform {
             bus: Resource::new(),
             snoop: FxMap::default(),
             line_mask,
-            trace: None,
-            metrics: None,
+            probe: None,
         }
     }
 
@@ -136,22 +133,15 @@ impl SmpPlatform {
     fn service_miss(&mut self, t: &mut Timing, line: u64, write: bool) -> u64 {
         let pid = t.pid;
         let ent = *self.snoop.entry(line).or_default();
-        let mut stall;
+        let stall;
         let mut src = pid;
         if let Some(owner) = ent.owner {
             let owner = owner as usize;
             if owner != pid {
                 src = owner;
                 // Cache-to-cache: one line transfer on the bus. The closest
-                // thing a snooping bus has to a "remote" miss — trace it
-                // with the supplying cache as the home.
-                sim_core::trace::emit(
-                    &self.trace,
-                    t.timing_on,
-                    pid,
-                    *t.now,
-                    sim_core::EventKind::RemoteMiss { line, home: owner },
-                );
+                // thing a snooping bus has to a "remote" miss — traced with
+                // the supplying cache as the home.
                 stall = self.bus_txn(t, self.cfg.bus_line);
                 if write {
                     self.caches[owner].0.set_state(line, LineState::Invalid);
@@ -186,25 +176,21 @@ impl SmpPlatform {
             }
         }
         self.snoop.insert(line, ent);
-        if t.timing_on {
-            stall += 0;
-        }
         t.stats.counters.bytes_transferred += self.cfg.l2.line;
-        // Every bus-serviced miss is a data-latency sample on this platform.
-        sim_core::trace::sample_fetch(&self.trace, t.timing_on, t.pid, stall);
-        sim_core::metrics::page_fetch(&self.metrics, t.timing_on, *t.now, line);
-        // Critical-path provenance: the caller charges `stall` from `now`,
-        // so the service interval is (now, now + stall]; the supplying
-        // cache (if any) is the serving side, otherwise memory (self).
-        sim_core::trace::emit_edge(
-            &self.trace,
+        // Every bus-serviced miss is a data-latency sample on this platform,
+        // charged by the caller from `now`; the supplying cache (if any) is
+        // the serving side, otherwise memory (self).
+        sim_core::probe::emit(
+            &self.probe,
             t.timing_on,
-            sim_core::DepKind::RemoteMiss { line },
-            pid,
-            *t.now,
-            *t.now + stall,
-            src,
-            *t.now,
+            sim_core::ProtoEvent::RemoteMiss {
+                pid,
+                line,
+                src,
+                at: *t.now,
+                stall,
+                traced: src != pid,
+            },
         );
         stall
     }
@@ -447,12 +433,8 @@ impl Platform for SmpPlatform {
         self.bus.reset();
     }
 
-    fn set_trace(&mut self, trace: Option<sim_core::TraceHandle>) {
-        self.trace = trace;
-    }
-
-    fn set_metrics(&mut self, metrics: Option<sim_core::MetricsHandle>) {
-        self.metrics = metrics;
+    fn set_probe(&mut self, probe: Option<sim_core::ProbeHandle>) {
+        self.probe = probe;
     }
 }
 

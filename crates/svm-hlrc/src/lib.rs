@@ -29,14 +29,13 @@
 #![allow(clippy::needless_range_loop)]
 mod config;
 mod page;
-mod track;
 
 pub use config::SvmConfig;
 pub use page::{Diff, DiffWords, PState, PageEntry};
-pub use track::{build_profile, PageTrack};
 
 use sim_core::cache::{Cache, LineState, Lookup};
 use sim_core::platform::{Platform, Timing};
+use sim_core::probe::{self, ProbeHandle, ProtoEvent};
 use sim_core::stats::{Bucket, ProcStats};
 use sim_core::util::{FxMap, FxSet};
 use sim_core::{Addr, PlacementMap, Resource};
@@ -83,10 +82,6 @@ pub struct SvmPlatform {
     nodes: Vec<Node>,
     /// Per-processor cache hierarchies.
     caches: Vec<(Cache, Cache)>,
-    activity: FxMap<u64, PageTrack>,
-    /// Word-granularity sharing footprints requested for this run (see
-    /// [`sim_core::sharing`]); counters in `activity` are always on.
-    profiling: bool,
     /// Closed-interval counts (vector timestamp component per processor).
     vt: Vec<u32>,
     /// `vc[g][r]`: how many of r's intervals processor g has consumed.
@@ -97,10 +92,8 @@ pub struct SvmPlatform {
     log_base: Vec<u32>,
     /// Vector clock at the last release of each lock.
     lock_vc: FxMap<u32, Vec<u32>>,
-    /// Shared event-trace sink for the run (None when tracing is off).
-    trace: Option<sim_core::TraceHandle>,
-    /// Shared interval-metrics sink for the run (None when metrics are off).
-    metrics: Option<sim_core::MetricsHandle>,
+    /// The run's protocol event stream (None when undiagnosed).
+    probe: Option<ProbeHandle>,
 }
 
 impl SvmPlatform {
@@ -137,15 +130,12 @@ impl SvmPlatform {
             page_shift,
             nodes,
             caches,
-            activity: FxMap::default(),
-            profiling: false,
             vt: vec![0; nn],
             vc: vec![vec![0; nn]; nn],
             logs: vec![Vec::new(); nn],
             log_base: vec![0; nn],
             lock_vc: FxMap::default(),
-            trace: None,
-            metrics: None,
+            probe: None,
         }
     }
 
@@ -196,17 +186,6 @@ impl SvmPlatform {
         self.home_frame_entry(home, page);
         let t0 = *t.now;
         let wire = self.page_bytes() + self.cfg.ctrl_msg_bytes;
-        sim_core::trace::emit(
-            &self.trace,
-            t.timing_on,
-            t.pid,
-            t0,
-            sim_core::EventKind::PageFetchStart {
-                page: page << self.page_shift,
-                home,
-                bytes: wire,
-            },
-        );
         // Timing: trap, request message, home service, page transfer.
         t.charge(Bucket::DataWait, self.cfg.fault_trap);
         if t.timing_on {
@@ -224,34 +203,6 @@ impl SvmPlatform {
             let done = in_end + self.page_bytes() / 2 * self.cfg.memcpy_cyc_per_2bytes;
             t.advance_to(Bucket::DataWait, done);
         }
-        sim_core::trace::emit(
-            &self.trace,
-            t.timing_on,
-            t.pid,
-            *t.now,
-            sim_core::EventKind::PageFetchDone {
-                page: page << self.page_shift,
-                home,
-                bytes: wire,
-            },
-        );
-        sim_core::trace::sample_fetch(&self.trace, t.timing_on, t.pid, *t.now - t0);
-        // Critical-path provenance: the fetch stalled `t.pid` over
-        // (t0, now]; the serving side is the home node (its first proc
-        // stands in for the node in the edge record).
-        sim_core::trace::emit_edge(
-            &self.trace,
-            t.timing_on,
-            sim_core::DepKind::PageFetch {
-                page: page << self.page_shift,
-                bytes: wire,
-            },
-            t.pid,
-            t0,
-            *t.now,
-            home * self.cfg.procs_per_node,
-            t0,
-        );
         // State: install a read-only copy of the home frame.
         let entry = PageEntry::copy_of(&self.nodes[home].pages[&page].frame);
         self.nodes[nd].pages.insert(page, entry);
@@ -265,12 +216,22 @@ impl SvmPlatform {
         }
         t.stats.counters.remote_fetches += 1;
         t.stats.counters.bytes_transferred += wire;
-        let (profiling, words) = (self.profiling, self.cfg.words_per_page() as usize);
-        self.activity
-            .entry(page)
-            .or_default()
-            .record_fetch(nd, wire, profiling, words);
-        sim_core::metrics::page_fetch(&self.metrics, t.timing_on, *t.now, page << self.page_shift);
+        // The fetch stalled `t.pid` over (t0, now]; the home node's first
+        // processor stands in for it on the critical path.
+        probe::emit(
+            &self.probe,
+            t.timing_on,
+            ProtoEvent::PageFetch {
+                pid: t.pid,
+                reader_node: nd,
+                page: base,
+                home,
+                src: home * self.cfg.procs_per_node,
+                bytes: wire,
+                t0,
+                t1: *t.now,
+            },
+        );
     }
 
     /// Processor ids hosted by node `nd`.
@@ -372,21 +333,24 @@ impl SvmPlatform {
     }
 
     /// Flush one dirty page's diff to its home: state transfer plus cost
-    /// bookkeeping. Returns `(local_cycles, arrival_at_home)` — the cycles
-    /// the flushing processor spends, and when the diff lands at the home.
-    /// `now` is the flusher's clock *after* `local_cycles` so far.
-    /// `diff_at` is the virtual time the interval metrics attribute the
-    /// diff to (the invalidation path prices with `now = 0` but knows the
-    /// real consumption time).
+    /// bookkeeping. Returns `(local_cycles, applied_at_home, wire_bytes)` —
+    /// the cycles the flushing node spends, when the diff has been applied
+    /// at the home, and what it cost on the wire. `pid` is the processor
+    /// the diff is attributed to (its node flushes) and `at` the virtual
+    /// time of the flush. At an interval close the flusher pays on its own
+    /// clock, which reads `at`; when a write notice forces the flush the
+    /// grant absorbs the cost and resources are priced from time 0.
     fn flush_page(
         &mut self,
-        nd: usize,
+        pid: usize,
         page: u64,
         home: usize,
-        now: u64,
+        at: u64,
+        on_own_clock: bool,
         timing_on: bool,
-        diff_at: u64,
     ) -> (u64, u64, u64) {
+        let nd = self.node_of(pid);
+        let now = if on_own_clock { at } else { 0 };
         let scan = self.cfg.words_per_page() * self.cfg.diff_scan_per_word;
         let entry = self.nodes[nd].pages.get_mut(&page).unwrap();
         debug_assert_eq!(entry.state, PState::ReadWrite);
@@ -400,19 +364,6 @@ impl SvmPlatform {
         let nwords = diff.len() as u64;
         let nruns = diff.run_count() as u64;
         let wire_bytes = diff.wire_bytes() + self.cfg.ctrl_msg_bytes;
-        let (profiling, words) = (self.profiling, self.cfg.words_per_page() as usize);
-        self.activity
-            .entry(page)
-            .or_default()
-            .record_diff(nd, &diff, wire_bytes, profiling, words);
-        sim_core::metrics::page_diff(
-            &self.metrics,
-            timing_on,
-            diff_at,
-            page << self.page_shift,
-            nd as u16,
-            diff.words().map(|(w, _)| w),
-        );
         // Apply to home frame (state). The applier is remote: count the
         // application at the home via its debt counter, drained at finalize.
         self.home_frame_entry(home, page);
@@ -426,30 +377,46 @@ impl SvmPlatform {
             self.caches[q].0.invalidate_range(base, len);
             self.caches[q].1.invalidate_range(base, len);
         }
-        if !timing_on {
-            return (0, now, 0);
+        let mut priced = (0, now, 0);
+        if timing_on {
+            let local = scan + nwords * self.cfg.diff_scan_per_word + nruns * 8;
+            let (_, send_end) = self.nodes[nd]
+                .io_out
+                .serve(now + local, wire_bytes * self.cfg.io_cyc_per_byte);
+            let arr = send_end + self.cfg.wire_latency;
+            let apply = self.cfg.handler_cost + nwords * self.cfg.diff_apply_per_word + nruns * 8;
+            let (_, in_end) = self.nodes[home]
+                .io_in
+                .serve(arr, wire_bytes * self.cfg.io_cyc_per_byte);
+            let (_, applied) = self.nodes[home].handler.serve(in_end, apply);
+            self.nodes[home].debt += apply;
+            // Attribute the application to the home node's first processor,
+            // at the virtual time the home handler finished applying it.
+            probe::emit(
+                &self.probe,
+                timing_on,
+                ProtoEvent::DiffApplied {
+                    pid: home * self.cfg.procs_per_node,
+                    page: base,
+                    at: applied,
+                },
+            );
+            priced = (local, applied, wire_bytes);
         }
-        let local = scan + nwords * self.cfg.diff_scan_per_word + nruns * 8;
-        let (_, send_end) = self.nodes[nd]
-            .io_out
-            .serve(now + local, wire_bytes * self.cfg.io_cyc_per_byte);
-        let arr = send_end + self.cfg.wire_latency;
-        let apply = self.cfg.handler_cost + nwords * self.cfg.diff_apply_per_word + nruns * 8;
-        let (_, in_end) = self.nodes[home]
-            .io_in
-            .serve(arr, wire_bytes * self.cfg.io_cyc_per_byte);
-        let (_, applied) = self.nodes[home].handler.serve(in_end, apply);
-        self.nodes[home].debt += apply;
-        // Attribute the application to the home node's first processor, at
-        // the virtual time the home handler finished applying it.
-        sim_core::trace::emit(
-            &self.trace,
+        probe::emit(
+            &self.probe,
             timing_on,
-            home * self.cfg.procs_per_node,
-            applied,
-            sim_core::EventKind::DiffApplied { page: base },
+            ProtoEvent::DiffCreated {
+                pid,
+                writer_node: nd,
+                page: base,
+                at,
+                span: on_own_clock.then_some((at, at + priced.0)),
+                word_runs: diff.runs(),
+                wire_bytes,
+            },
         );
-        (local, applied, wire_bytes)
+        priced
     }
 
     /// Close `pid`'s current interval: flush all dirty pages home and log
@@ -469,37 +436,13 @@ impl SvmPlatform {
             if still_dirty {
                 let home =
                     t.placement.home_of(page << self.page_shift, t.pid) / self.cfg.procs_per_node;
-                let diff_t0 = *t.now;
                 let (local, applied, bytes) =
-                    self.flush_page(nd, page, home, *t.now, t.timing_on, *t.now);
+                    self.flush_page(t.pid, page, home, *t.now, true, t.timing_on);
                 t.charge(Bucket::HandlerCompute, local);
-                // Critical-path provenance: the flusher spent (diff_t0, now]
-                // creating this page's diff.
-                sim_core::trace::emit_edge(
-                    &self.trace,
-                    t.timing_on,
-                    sim_core::DepKind::Diff {
-                        page: page << self.page_shift,
-                    },
-                    t.pid,
-                    diff_t0,
-                    *t.now,
-                    t.pid,
-                    diff_t0,
-                );
                 all_applied = all_applied.max(applied);
                 t.stats.counters.bytes_transferred += bytes;
                 if nd != home {
                     t.stats.counters.diffs_created += 1;
-                    sim_core::trace::emit(
-                        &self.trace,
-                        t.timing_on,
-                        t.pid,
-                        *t.now,
-                        sim_core::EventKind::DiffCreated {
-                            page: page << self.page_shift,
-                        },
-                    );
                 }
             }
         }
@@ -530,19 +473,10 @@ impl SvmPlatform {
         match state {
             None => {}
             Some(PState::ReadWrite) => {
-                let (local, _, _) = self.flush_page(g, page, home, 0, timing_on, at);
+                let (local, _, _) = self.flush_page(toucher, page, home, at, false, timing_on);
                 // The flusher here is the invalidated node, whose statistics
                 // this path cannot reach: accrue and drain at finalize.
                 self.nodes[g].diffs_created_debt += 1;
-                sim_core::trace::emit(
-                    &self.trace,
-                    timing_on,
-                    toucher,
-                    at,
-                    sim_core::EventKind::DiffCreated {
-                        page: page << self.page_shift,
-                    },
-                );
                 acc.cycles += local;
                 self.nodes[g].pages.remove(&page);
                 acc.cycles += self.cfg.inval_per_page;
@@ -554,20 +488,18 @@ impl SvmPlatform {
                 acc.invals += 1;
             }
         }
+        let base = page << self.page_shift;
         if state.is_some() {
-            self.activity.entry(page).or_default().record_inval();
-            sim_core::metrics::page_inval(&self.metrics, timing_on, at, page << self.page_shift);
-            sim_core::trace::emit(
-                &self.trace,
+            probe::emit(
+                &self.probe,
                 timing_on,
-                toucher,
-                at,
-                sim_core::EventKind::Invalidation {
-                    page: page << self.page_shift,
+                ProtoEvent::Invalidation {
+                    pid: toucher,
+                    page: base,
+                    at,
                 },
             );
         }
-        let base = page << self.page_shift;
         let len = self.cfg.page_size;
         for q in self.node_procs(g) {
             self.caches[q].0.invalidate_range(base, len);
@@ -922,7 +854,6 @@ impl Platform for SvmPlatform {
     }
 
     fn reset_timing(&mut self) {
-        self.activity.clear();
         for node in &mut self.nodes {
             node.handler.reset();
             node.io_in.reset();
@@ -933,58 +864,10 @@ impl Platform for SvmPlatform {
         }
     }
 
-    fn profile(&self) -> Option<String> {
-        if self.activity.is_empty() {
-            return None;
-        }
-        // The page-level performance-debugging report the paper says real
-        // SVM systems should provide: the hottest pages by fetch count,
-        // with their diff and invalidation volume.
-        let mut pages: Vec<(&u64, &PageTrack)> = self.activity.iter().collect();
-        pages.sort_by_key(|(p, a)| (std::cmp::Reverse(a.fetches), **p));
-        let mut s = String::from(
-            "SVM page profile (hottest pages by remote fetches):\n             page_base          fetches  diff_words   diff_runs  wire_bytes  invalidations\n",
-        );
-        let total: u64 = pages.iter().map(|(_, a)| a.fetches).sum();
-        for (page, a) in pages.iter().take(16) {
-            s.push_str(&format!(
-                "{:#014x} {:>10} {:>11} {:>11} {:>11} {:>14}\n",
-                **page << self.page_shift,
-                a.fetches,
-                a.diff_words,
-                a.diff_runs,
-                a.wire_bytes,
-                a.invalidations
-            ));
-        }
-        let top: u64 = pages.iter().take(16).map(|(_, a)| a.fetches).sum();
-        s.push_str(&format!(
-            "{} pages active; top 16 pages account for {:.0}% of {} fetches\n",
-            pages.len(),
-            100.0 * top as f64 / total.max(1) as f64,
-            total
-        ));
-        Some(s)
-    }
-
-    fn set_sharing_profile(&mut self, on: bool) {
-        self.profiling = on;
-    }
-
-    fn set_trace(&mut self, trace: Option<sim_core::TraceHandle>) {
-        self.trace = trace;
-    }
-
-    fn set_metrics(&mut self, metrics: Option<sim_core::MetricsHandle>) {
-        self.metrics = metrics;
-    }
-
-    fn sharing_profile(&self) -> Option<sim_core::sharing::SharingProfile> {
-        Some(track::build_profile(
-            &self.activity,
-            self.page_shift,
-            self.page_bytes(),
-        ))
+    fn set_probe(&mut self, probe: Option<ProbeHandle>) {
+        self.probe = probe;
+        let page_bytes = self.page_bytes();
+        probe::emit(&self.probe, false, ProtoEvent::PageGeometry { page_bytes });
     }
 
     fn finalize(&mut self, stats: &mut [ProcStats]) {

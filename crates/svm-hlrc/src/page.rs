@@ -111,6 +111,12 @@ impl Diff {
         }
     }
 
+    /// The `(first word index, words in run)` runs, ascending — the
+    /// footprint diagnostics consume.
+    pub fn runs(&self) -> &[(u32, u32)] {
+        &self.runs
+    }
+
     /// Number of differing words.
     pub fn len(&self) -> usize {
         self.data.len() / 4

@@ -45,9 +45,9 @@ fn scattered_multiwriter_readback() {
 
 #[test]
 fn page_profile_records_activity() {
-    let (_, profile) = sim_core::run_profiled(
+    let stats = sim_core::run(
         SvmPlatform::boxed(SvmConfig::paper(2)),
-        RunConfig::new(2),
+        RunConfig::new(2).with_sharing_profile(),
         |p| {
             if p.pid() == 0 {
                 p.alloc_shared(PAGE_SIZE, 8, Placement::Node(0));
@@ -62,16 +62,15 @@ fn page_profile_records_activity() {
             p.barrier(2);
         },
     );
-    let profile = profile.expect("SVM must produce a profile");
-    assert!(profile.contains("page profile"), "{profile}");
+    let profile = stats.sharing.expect("SVM must produce a profile");
+    assert_eq!(profile.page_bytes, PAGE_SIZE);
     // The written page must show a nonzero diff word count.
-    let line = profile
-        .lines()
-        .find(|l| l.starts_with("0x"))
-        .expect("at least one page line");
-    let fields: Vec<&str> = line.split_whitespace().collect();
-    let diff_words: u64 = fields[2].parse().unwrap();
-    assert!(diff_words > 0, "diff words missing: {profile}");
+    let page = profile
+        .pages
+        .iter()
+        .find(|p| p.page_base == HEAP_BASE)
+        .expect("the written page is profiled");
+    assert!(page.diff_words > 0, "diff words missing: {profile:?}");
 }
 
 #[test]
