@@ -54,10 +54,9 @@ pub mod sweep {
     //! Every cell of a figure sweep (one `app x class x platform x nprocs`
     //! simulation) is independent and deterministic, so cells can run
     //! concurrently on the host without changing any result. A simulated
-    //! run spawns one OS thread per simulated processor, but the cooperative
-    //! scheduler lets exactly one of them execute at a time, so each cell
-    //! occupies ~one host core and the right pool size is the host's
-    //! available parallelism.
+    //! run executes all of its simulated processors, one at a time, on the
+    //! host thread that called it, so each cell occupies one host core and
+    //! the right pool size is the host's available parallelism.
 
     use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -1,6 +1,6 @@
 //! Differential check of the fused replay engine on the TreadMarks-style (TMK) platform:
 //! a sharded run — under both the fused (single-thread event-loop) replay
-//! engine and the classic (thread-per-processor) one — must produce
+//! engine and the classic (coroutine-per-processor) one — must produce
 //! bit-identical `RunStats`, traces included, to the sequential oracle.
 //!
 //! The cross-platform grid lives in `tests/shard_equivalence.rs`; this is

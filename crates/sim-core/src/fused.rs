@@ -4,46 +4,43 @@
 //! ## Why fuse?
 //!
 //! The sharded engine's replay side (see [`crate::shard`]) originally ran
-//! the *unmodified* classic scheduler: one OS thread per simulated
-//! processor, each op acquiring the global scheduler mutex, every quantum
-//! hand-off a condvar wakeup and an OS context switch. That machinery
-//! exists so arbitrary application code — with its real call stack — can
-//! suspend mid-computation. But a replay interpreter has no application
-//! stack: its entire continuation is "which descriptor comes next plus at
-//! most one partially-consumed bulk operation". That continuation fits in
-//! a small enum, so the interpreters can be coroutine-style state machines
-//! multiplexed onto a single host thread: no mutex per op, no condvar
-//! wakeups, no OS context switch per hand-off.
+//! the *unmodified* classic scheduler: a full execution context per
+//! simulated processor (an OS thread then, a 16 MiB coroutine stack now).
+//! That machinery exists so arbitrary application code — with its real
+//! call stack — can suspend mid-computation. But a replay interpreter has
+//! no application stack: its entire continuation is "which descriptor
+//! comes next plus at most one partially-consumed bulk operation". That
+//! continuation fits in a small enum, so the interpreters can be stackless
+//! state machines in one loop: a hand-off is an index assignment.
 //!
 //! ## Bit-identity argument
 //!
 //! The loop drives the *same* scheduler state ([`Inner`]) through the
 //! *same* reentrant step API (`Inner::op_*`) as the classic engine; the
 //! only thing replaced is how the returned [`Step`] is realized. The
-//! classic engine parks and wakes OS threads such that exactly one
-//! processor runs at a time, chosen as: keep the current processor until
+//! classic engine switches coroutines such that exactly one processor
+//! runs at a time, chosen as: keep the current processor until
 //! an op requests a yield check and some ready processor has fallen more
 //! than a quantum behind (then switch to the min-clock ready processor),
 //! or until it blocks (then dispatch the min-clock ready processor). The
 //! event loop below implements precisely that policy on machine indices
-//! instead of threads — same transitions, same FCFS resource pricing
+//! instead of coroutines — same transitions, same FCFS resource pricing
 //! order, same trace/edge/sharing/detector hook sequence, and therefore
 //! bit-identical `RunStats`. `tests/shard_equivalence.rs` runs the full
 //! differential grid against both replay engines.
 //!
 //! A machine whose descriptor batch runs dry blocks on its channel *while
-//! holding the turn* — exactly as the classic interpreter thread does on
-//! `recv`. This is deterministic (virtual time must advance through this
+//! holding the turn* — exactly as the classic interpreter does on `recv`. This is deterministic (virtual time must advance through this
 //! processor; which host thread produces the bytes does not matter) and
 //! deadlock-free (round-trip replies owed by this machine are sent before
 //! the receive, and every other generation thread keeps streaming
 //! independently).
 
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, Sender};
 
 use crate::addr::Addr;
 use crate::platform::Platform;
-use crate::sched::{build_inner, collect_stats, Inner, RunConfig, Step};
+use crate::sched::{build_inner, collect_stats, panic_message, Inner, RunConfig, Step};
 use crate::shard::{Desc, Reply};
 use crate::stats::RunStats;
 
@@ -106,8 +103,6 @@ struct Machine {
     /// generation side's value plane; replay only prices the accesses).
     scratch: Vec<u64>,
     bulk: bool,
-    n_recvs: u64,
-    n_blocked: u64,
 }
 
 /// Panic payload for the no-runnable-processor case, so the outer wrapper
@@ -123,14 +118,12 @@ impl Machine {
             st: MState::Idle,
             scratch: Vec::new(),
             bulk,
-            n_recvs: 0,
-            n_blocked: 0,
         }
     }
 
     /// Advance this machine by one scheduler entry: finish an owed reply
     /// or a bulk chunk, else consume the next descriptor. Mirrors exactly
-    /// one `Proc`-method mutex acquisition of the classic interpreter.
+    /// one `Proc`-method scheduler entry of the classic interpreter.
     fn step(&mut self, inner: &mut Inner, pid: usize) -> Action {
         match std::mem::replace(&mut self.st, MState::Idle) {
             MState::Idle => {}
@@ -162,18 +155,9 @@ impl Machine {
         let d = match self.batch.next() {
             Some(d) => d,
             None => {
-                let batch = match self.rx.try_recv() {
-                    Ok(b) => b,
-                    Err(TryRecvError::Empty) => {
-                        self.n_blocked += 1;
-                        match self.rx.recv() {
-                            Ok(b) => b,
-                            Err(_) => return Action::Finished,
-                        }
-                    }
-                    Err(TryRecvError::Disconnected) => return Action::Finished,
+                let Ok(batch) = self.rx.recv() else {
+                    return Action::Finished;
                 };
-                self.n_recvs += 1;
                 self.batch = batch.into_iter();
                 match self.batch.next() {
                     Some(d) => d,
@@ -457,14 +441,6 @@ pub(crate) fn replay_fused(
     }));
     match looped {
         Ok(()) => {
-            if std::env::var_os("SIM_SHARD_DEBUG").is_some() {
-                for (pid, m) in machines.iter().enumerate() {
-                    eprintln!(
-                        "[fused] p{pid}: {} batches, {} blocked recvs",
-                        m.n_recvs, m.n_blocked
-                    );
-                }
-            }
             // Close the channels before harvesting; the generation threads
             // have all exited (their streams were drained to completion).
             drop(machines);
@@ -477,11 +453,7 @@ pub(crate) fn replay_fused(
             if let Some(d) = payload.downcast_ref::<DeadlockMsg>() {
                 panic!("simulated processor panicked: {}", d.0);
             }
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "simulated processor panicked".into());
+            let msg = panic_message(&*payload);
             panic!("simulated processor panicked: p{}: {msg}", cur.get());
         }
     }

@@ -12,9 +12,9 @@
 //!
 //! ## Execution model
 //!
-//! Each simulated processor is an OS thread, but **exactly one thread runs at
-//! a time**: a cooperative scheduler hands the "turn" to the runnable
-//! processor with the minimum virtual clock. Cache hits advance only the
+//! Each simulated processor is a stackful coroutine on the calling host
+//! thread, and **exactly one runs at a time**: a cooperative scheduler hands
+//! the "turn" to the runnable processor with the minimum virtual clock. Cache hits advance only the
 //! local clock without a hand-off; a run-ahead quantum bounds virtual-time
 //! skew. Because all supported applications are data-race-free at the word
 //! level, bounded skew can only perturb timings (never results), and the
@@ -43,6 +43,7 @@ pub mod addr;
 pub mod advisor;
 pub mod alloc;
 pub mod cache;
+pub(crate) mod coro;
 pub mod critpath;
 pub mod detector;
 pub(crate) mod fused;

@@ -1,24 +1,27 @@
 //! The cooperative, deterministic, min-virtual-time scheduler and the
 //! [`Proc`] handle applications program against.
 //!
-//! Each simulated processor is an OS thread, but exactly one thread runs at
-//! a time. The running thread performs simulated events (memory accesses,
-//! synchronization) against the shared scheduler state under a single mutex,
-//! then — at yield points — hands the turn to the runnable processor with
-//! the minimum virtual clock. Lock queueing and barrier membership are
-//! implemented here, generically; the pluggable [`Platform`] prices the
-//! protocol actions (see [`crate::platform`]).
+//! Each simulated processor is a stackful coroutine ([`crate::coro`]); all
+//! of them live on the host thread that called [`run`], and exactly one runs
+//! at a time. The running processor performs simulated events (memory
+//! accesses, synchronization) against the shared scheduler state — no lock,
+//! it holds the turn — then, at yield points, switches directly to the
+//! runnable processor with the minimum virtual clock. Lock queueing and
+//! barrier membership are implemented here, generically; the pluggable
+//! [`Platform`] prices the protocol actions (see [`crate::platform`]).
 //!
 //! ## Determinism
 //!
 //! Every scheduling decision is a pure function of virtual state (clocks,
-//! statuses), taken by the currently running thread while holding the global
-//! mutex. Repeated runs therefore produce bit-identical statistics, which the
-//! integration tests assert.
+//! statuses), taken by the currently running processor. Repeated runs
+//! therefore produce bit-identical statistics, which the integration tests
+//! assert.
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::cell::RefMut;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::alloc::{GlobalAlloc, Placement};
+use crate::coro;
 use crate::detector::RaceDetector;
 use crate::platform::{Platform, Timing};
 use crate::probe::{self, Probe, ProbeHandle, ProtoEvent};
@@ -84,9 +87,9 @@ pub struct RunConfig {
     /// Replay engine for sharded runs (`shards > 1`). `true` (the default)
     /// selects the fused engine ([`crate::fused`]): every replay
     /// interpreter is a stackless state machine driven by one host
-    /// thread's virtual-time event loop — no scheduler mutex, no condvar
-    /// hand-offs. `false` falls back to the classic replay side (one OS
-    /// thread per simulated processor). Both are bit-identical to the
+    /// thread's virtual-time event loop. `false` falls back to the classic
+    /// replay side (the sequential engine, one coroutine per simulated
+    /// processor, running the interpreters). Both are bit-identical to the
     /// sequential oracle; `SIM_SHARD_FUSED=0` in the environment flips the
     /// default for A/B timing.
     pub shard_fused: bool,
@@ -213,7 +216,7 @@ impl RunConfig {
 
     /// Select the replay side of the sharded engine: `true` = the fused
     /// single-threaded event loop (default), `false` = the classic
-    /// thread-per-processor scheduler. No effect when `shards = 1`.
+    /// coroutine-per-processor scheduler. No effect when `shards = 1`.
     pub fn with_shard_fused(mut self, fused: bool) -> Self {
         self.shard_fused = fused;
         self
@@ -370,7 +373,9 @@ pub(crate) struct Inner {
     timing_on: bool,
     pub(crate) quantum: u64,
     pub(crate) ndone: usize,
-    poisoned: Option<String>,
+    /// The deadlock report, set by the processor that found nobody
+    /// runnable just before it panics with the same text.
+    deadlock: Option<String>,
     /// Min-clock index over `Ready` processors: entries are
     /// `(clock, pid)`, pushed by [`Inner::make_ready`] and discarded
     /// lazily when popped stale (status or clock moved on). Replaces the
@@ -387,19 +392,12 @@ pub(crate) struct Inner {
     probe: Option<ProbeHandle>,
 }
 
-struct Shared {
-    inner: Mutex<Inner>,
-    cvs: Vec<Condvar>,
-}
-
-impl Shared {
-    /// Lock the scheduler state. Mutex poisoning is ignored: the run has
-    /// its own poison protocol (`Inner::poisoned`), set before any panic
-    /// that unwinds while parked threads remain.
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
+/// The sequential engine's processors — one coroutine each, all on the
+/// host thread that called [`run`] — and the scheduler state they share.
+/// No lock guards the state: only the processor holding the turn runs, and
+/// it borrows the state for the length of one operation (see
+/// [`crate::coro`] for the invariant and who checks it).
+type Shared = coro::Set<Inner>;
 
 impl Inner {
     /// Mark `pid` runnable and index it: the only way a processor enters
@@ -512,7 +510,7 @@ impl Inner {
     //
     // Every simulated operation is a non-blocking state transition on
     // `Inner`, shared verbatim by both engines: the classic scheduler
-    // calls them under its global mutex and then parks OS threads per the
+    // calls them holding the turn and then switches coroutines per the
     // returned `Step`, while the fused event loop ([`crate::fused`]) owns
     // the `Inner` outright and just switches state machines. One
     // implementation of the transitions — clock advance, FCFS lock
@@ -1031,12 +1029,13 @@ impl Inner {
 
 /// A simulated processor handle: the API applications program against.
 ///
-/// **Host-lock caveat:** every method on `Proc` may suspend the calling OS
-/// thread to schedule a different simulated processor. Never invoke a
-/// `Proc` method while holding a host-side lock (e.g. a `std::sync::Mutex`
-/// used to extract results) that another simulated processor might also
-/// take — acquire such locks only around plain host code, after the
-/// simulated values have been read into locals.
+/// **Host-lock caveat:** every method on `Proc` may suspend the calling
+/// simulated processor to run a different one — on the same host thread.
+/// Never invoke a `Proc` method while holding a host-side lock (e.g. a
+/// `std::sync::Mutex` used to extract results) that another simulated
+/// processor might also take: it would wait for itself. Acquire such locks
+/// only around plain host code, after the simulated values have been read
+/// into locals.
 pub struct Proc {
     pid: usize,
     nprocs: usize,
@@ -1054,7 +1053,7 @@ enum Backend {
 }
 
 /// Chunk size (words) for the slice convenience wrappers: big enough to
-/// amortize a lock round-trip, small enough to live on the stack.
+/// amortize a scheduler entry, small enough to live on the stack.
 const SLICE_CHUNK: usize = 1024;
 
 impl Proc {
@@ -1101,7 +1100,7 @@ impl Proc {
             }
             return;
         }
-        let mut g = self.shared().lock();
+        let mut g = self.shared().state();
         let step = g.op_work(self.pid, cycles);
         self.step_end(g, step);
     }
@@ -1121,7 +1120,7 @@ impl Proc {
             }
             return;
         }
-        let mut g = self.shared().lock();
+        let mut g = self.shared().state();
         g.op_metric_event(self.pid, name, n);
     }
 
@@ -1134,7 +1133,7 @@ impl Proc {
             ctx.emit(Desc::SetPhase(phase));
             return;
         }
-        let mut g = self.shared().lock();
+        let mut g = self.shared().state();
         g.op_set_phase(self.pid, phase);
     }
 
@@ -1165,7 +1164,7 @@ impl Proc {
                 Reply::Sync => unreachable!("alloc answered without an address"),
             }
         }
-        let mut g = self.shared().lock();
+        let mut g = self.shared().state();
         g.op_alloc(self.pid, label, bytes, align, placement)
     }
 
@@ -1176,7 +1175,7 @@ impl Proc {
             ctx.emit(Desc::Load { addr, len });
             return ctx.plane.load(addr, len);
         }
-        let mut g = self.shared().lock();
+        let mut g = self.shared().state();
         let v = g.op_load(self.pid, addr, len);
         self.maybe_yield(g);
         v
@@ -1190,7 +1189,7 @@ impl Proc {
             ctx.emit(Desc::Store { addr, len, val });
             return;
         }
-        let mut g = self.shared().lock();
+        let mut g = self.shared().state();
         g.op_store(self.pid, addr, len, val);
         self.maybe_yield(g);
     }
@@ -1221,7 +1220,7 @@ impl Proc {
 
     // ---- bulk operations ----
     //
-    // One scheduler-lock round-trip per *batch* instead of per word. The
+    // One scheduler entry per *batch* instead of per word. The
     // platform walks its tag arrays / page tables per line-or-page run and
     // stops at the first word that exhausts the yield budget (see
     // `Inner::yield_budget`); the race detector is still fed per word. The
@@ -1251,7 +1250,7 @@ impl Proc {
         }
         let mut done = 0;
         while done < out.len() {
-            let mut g = self.shared().lock();
+            let mut g = self.shared().state();
             let base = addr + done as u64 * stride;
             done += g.op_load_chunk(self.pid, base, stride, len, &mut out[done..]);
             self.maybe_yield(g);
@@ -1278,7 +1277,7 @@ impl Proc {
         }
         let mut done = 0;
         while done < vals.len() {
-            let mut g = self.shared().lock();
+            let mut g = self.shared().state();
             let base = addr + done as u64 * stride;
             done += g.op_store_chunk(self.pid, base, stride, len, &vals[done..]);
             self.maybe_yield(g);
@@ -1372,7 +1371,7 @@ impl Proc {
         }
         let mut left = count;
         while left > 0 {
-            let mut g = self.shared().lock();
+            let mut g = self.shared().state();
             match g.op_work_fused_chunk(self.pid, per_elem, left) {
                 None => return, // timing off: nothing to charge, nothing can yield
                 Some(k) => left -= k,
@@ -1392,7 +1391,7 @@ impl Proc {
             ctx.roundtrip(Desc::Lock(id));
             return;
         }
-        let mut g = self.shared().lock();
+        let mut g = self.shared().state();
         let step = g.op_lock(self.pid, id);
         self.step_end(g, step);
     }
@@ -1406,7 +1405,7 @@ impl Proc {
             ctx.emit(Desc::Unlock(id));
             return;
         }
-        let mut g = self.shared().lock();
+        let mut g = self.shared().state();
         let step = g.op_unlock(self.pid, id);
         self.step_end(g, step);
     }
@@ -1417,7 +1416,7 @@ impl Proc {
             ctx.roundtrip(Desc::Barrier(id));
             return;
         }
-        let mut g = self.shared().lock();
+        let mut g = self.shared().state();
         let step = g.op_barrier(self.pid, id);
         self.step_end(g, step);
     }
@@ -1431,7 +1430,7 @@ impl Proc {
             ctx.timing = true;
             return;
         }
-        let mut g = self.shared().lock();
+        let mut g = self.shared().state();
         let step = g.op_start_timing(self.pid);
         self.step_end(g, step);
     }
@@ -1445,7 +1444,7 @@ impl Proc {
             ctx.timing = false;
             return;
         }
-        let mut g = self.shared().lock();
+        let mut g = self.shared().state();
         let step = g.op_stop_timing(self.pid);
         self.step_end(g, step);
     }
@@ -1456,7 +1455,7 @@ impl Proc {
             // The generation-side mirror: exact, because timing only
             // toggles at all-processor rendezvous this thread round-trips.
             Backend::Gen(ctx) => ctx.timing,
-            Backend::Classic(_) => self.shared().lock().timing_on,
+            Backend::Classic(_) => self.shared().state().timing_on,
         }
     }
 
@@ -1471,20 +1470,23 @@ impl Proc {
                 "Proc::now is not available under the sharded engine \
                  (virtual time is computed by replay, behind this thread)"
             ),
-            Backend::Classic(_) => self.shared().lock().clocks[self.pid],
+            Backend::Classic(_) => self.shared().state().clocks[self.pid],
         }
     }
 
     // ---- scheduling internals ----
     //
-    // The OS-thread half of the classic engine: an op method (above)
-    // already performed the state transition under the mutex; these park
-    // and wake host threads to realize the `Step` it returned.
+    // The coroutine half of the sequential engine: an op method (above)
+    // already performed the state transition; these realize the `Step` it
+    // returned by switching to another processor's coroutine. The borrow
+    // of the scheduler state always ends *before* the switch — the
+    // processor switched to borrows it next (`coro::Set::switch_to`
+    // asserts this).
 
-    /// Realize an op's `Step` on this OS thread: keep running, offer the
-    /// turn, or give it up entirely.
+    /// Realize an op's `Step`: keep running, offer the turn, or give it up
+    /// entirely.
     #[inline]
-    fn step_end(&self, g: MutexGuard<'_, Inner>, step: Step) {
+    fn step_end(&self, g: RefMut<'_, Inner>, step: Step) {
         match step {
             Step::Run => drop(g),
             Step::MaybeYield => self.maybe_yield(g),
@@ -1495,77 +1497,72 @@ impl Proc {
     /// Hand the turn over if some runnable processor has fallen more than a
     /// quantum behind this one.
     #[inline]
-    fn maybe_yield(&self, mut g: MutexGuard<'_, Inner>) {
+    fn maybe_yield(&self, mut g: RefMut<'_, Inner>) {
         let pid = self.pid;
         let quantum = g.quantum;
         if let Some((next, clk)) = g.min_ready() {
             if g.clocks[pid] > clk + quantum {
                 g.make_ready(pid);
                 g.set_running(next);
-                self.shared().cvs[next].notify_one();
-                self.wait_for_turn(g);
+                drop(g);
+                self.shared().switch_to(next);
                 return;
             }
         }
         drop(g);
     }
 
-    /// The op already marked this processor non-runnable (Blocked): wake a
-    /// successor and park until rescheduled.
-    fn suspend(&self, mut g: MutexGuard<'_, Inner>) {
-        self.dispatch_next(&mut g);
-        self.wait_for_turn(g);
+    /// The op already marked this processor non-runnable (Blocked): run a
+    /// successor until someone makes this one runnable and switches back.
+    fn suspend(&self, mut g: RefMut<'_, Inner>) {
+        let next = self.dispatch_next(&mut g);
+        drop(g);
+        self.shared().switch_to(next);
     }
 
-    /// Pick and wake the next runnable processor (caller already gave up the
-    /// turn). Panics on deadlock.
-    fn dispatch_next(&self, g: &mut MutexGuard<'_, Inner>) {
+    /// Pick the next runnable processor (caller already gave up the turn)
+    /// and mark it running; the driver's slot when every processor is done.
+    /// Panics on deadlock.
+    fn dispatch_next(&self, g: &mut Inner) -> usize {
         if let Some((next, _)) = g.min_ready() {
             g.set_running(next);
-            self.shared().cvs[next].notify_one();
-        } else if g.ndone < g.status.len() {
-            let all_done_or_blocked = g
+            return next;
+        }
+        if g.ndone < g.status.len() {
+            // Nobody is ready and the caller is blocked or done, so
+            // everyone left is blocked for good.
+            debug_assert!(g
                 .status
                 .iter()
-                .all(|&s| s == Status::Blocked || s == Status::Done);
-            if all_done_or_blocked {
-                let msg = format!(
-                    "simulated deadlock: no runnable processor\n{}",
-                    g.describe()
-                );
-                g.poisoned = Some(msg.clone());
-                for cv in &self.shared().cvs {
-                    cv.notify_one();
-                }
-                panic!("{msg}");
-            }
+                .all(|&s| s == Status::Blocked || s == Status::Done));
+            let msg = format!(
+                "simulated deadlock: no runnable processor\n{}",
+                g.describe()
+            );
+            g.deadlock = Some(msg.clone());
+            panic!("{msg}");
         }
+        self.shared().driver()
     }
 
-    /// Park until scheduled (status == Running) or the run is poisoned.
-    fn wait_for_turn(&self, mut g: MutexGuard<'_, Inner>) {
-        let pid = self.pid;
-        loop {
-            if let Some(msg) = &g.poisoned {
-                let msg = msg.clone();
-                drop(g);
-                panic!("{msg}");
-            }
-            if g.status[pid] == Status::Running {
-                return;
-            }
-            g = self.shared().cvs[pid]
-                .wait(g)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Called when the body returns: mark Done and dispatch.
-    fn finish(&self) {
-        let mut g = self.shared().lock();
+    /// Called when the body returns: mark Done and pick the successor. The
+    /// caller — the coroutine's entry — returns that successor to
+    /// [`coro::Set::drive`] instead of switching to it here, so that this
+    /// handle and its `Arc` are dropped before the coroutine's last switch.
+    fn finish(&self) -> usize {
+        let mut g = self.shared().state();
         g.op_finish(self.pid);
-        self.dispatch_next(&mut g);
+        self.dispatch_next(&mut g)
     }
+}
+
+/// The message of a caught panic, as `panic!` produced it.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "simulated processor panicked".into())
 }
 
 /// Execute `body` on `cfg.nprocs` simulated processors over `platform` and
@@ -1626,7 +1623,7 @@ pub(crate) fn build_inner(mut platform: Box<dyn Platform>, cfg: &RunConfig) -> I
         timing_on: false,
         quantum: cfg.quantum,
         ndone: 0,
-        poisoned: None,
+        deadlock: None,
         detector: cfg
             .detect_races
             .then(|| RaceDetector::new(nprocs, cfg.label.clone())),
@@ -1664,89 +1661,45 @@ pub(crate) fn collect_stats(mut inner: Inner, cfg: &RunConfig) -> RunStats {
     }
 }
 
-/// The classic engine: one OS thread per simulated processor, exactly one
-/// running at a time, every simulated event priced inline. Both the
-/// `shards = 1` oracle and the replay half of the sharded engine.
+/// The sequential engine: one coroutine per simulated processor, all on the
+/// calling host thread, exactly one running at a time, every simulated
+/// event priced inline. Both the `shards = 1` oracle and the classic replay
+/// half of the sharded engine.
 fn run_classic<F>(platform: Box<dyn Platform>, cfg: RunConfig, body: F) -> RunStats
 where
     F: Fn(&mut Proc) + Sync,
 {
     let nprocs = cfg.nprocs;
     let bulk = cfg.bulk;
-    let shared = Arc::new(Shared {
-        inner: Mutex::new(build_inner(platform, &cfg)),
-        cvs: (0..nprocs).map(|_| Condvar::new()).collect(),
+    let shared = Arc::new(Shared::new(nprocs, build_inner(platform, &cfg)));
+
+    // Processor 0 starts with the turn (see `build_inner`). A panic inside a
+    // simulated processor (an application assertion, a detected deadlock)
+    // comes back as `Err` once every other processor has been unwound out
+    // of the call it was suspended in, its destructors run.
+    let outcome = shared.drive(0, &|pid| {
+        let mut proc = Proc {
+            pid,
+            nprocs,
+            bulk,
+            backend: Backend::Classic(Arc::clone(&shared)),
+        };
+        body(&mut proc);
+        proc.finish()
     });
 
-    let scope_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        std::thread::scope(|s| {
-            for pid in 0..nprocs {
-                let shared = Arc::clone(&shared);
-                let body = &body;
-                std::thread::Builder::new()
-                    .name(format!("simproc-{pid}"))
-                    .stack_size(16 << 20)
-                    .spawn_scoped(s, move || {
-                        let mut proc = Proc {
-                            pid,
-                            nprocs,
-                            bulk,
-                            backend: Backend::Classic(shared),
-                        };
-                        // Wait to be scheduled for the first time.
-                        {
-                            let g = proc.shared().lock();
-                            proc.wait_for_turn(g);
-                        }
-                        // A panic inside a simulated processor (e.g. an
-                        // application assertion) must not strand the other
-                        // parked threads: poison the run so everyone unwinds.
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            body(&mut proc)
-                        }));
-                        match result {
-                            Ok(()) => proc.finish(),
-                            Err(payload) => {
-                                let msg = payload
-                                    .downcast_ref::<String>()
-                                    .cloned()
-                                    .or_else(|| {
-                                        payload.downcast_ref::<&str>().map(|s| s.to_string())
-                                    })
-                                    .unwrap_or_else(|| "simulated processor panicked".into());
-                                let mut g = proc.shared().lock();
-                                if g.poisoned.is_none() {
-                                    g.poisoned = Some(format!("p{pid}: {msg}"));
-                                }
-                                for cv in proc.shared().cvs.iter() {
-                                    cv.notify_one();
-                                }
-                                drop(g);
-                                std::panic::resume_unwind(payload);
-                            }
-                        }
-                    })
-                    .expect("spawn simulated processor");
-            }
-        });
-    }));
-    if scope_result.is_err() {
-        // Re-panic with the first simulated processor's message (std's
-        // scope reports only "a scoped thread panicked").
-        let msg = shared
-            .lock()
-            .poisoned
-            .clone()
-            .unwrap_or_else(|| "unknown panic".into());
+    let mut inner = Arc::try_unwrap(shared)
+        .ok()
+        .expect("every simulated processor dropped its handle")
+        .into_state();
+    if let Err((pid, payload)) = outcome {
+        // A deadlock is nobody's fault in particular: no `p{pid}` prefix.
+        let msg = inner
+            .deadlock
+            .take()
+            .unwrap_or_else(|| format!("p{pid}: {}", panic_message(&*payload)));
         panic!("simulated processor panicked: {msg}");
     }
-
-    let inner = Arc::try_unwrap(shared)
-        .ok()
-        .expect("all processor threads exited")
-        .inner
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
     collect_stats(inner, &cfg)
 }
 
@@ -1829,12 +1782,7 @@ where
                             // re-raises it through the classic poison
                             // protocol, producing the same outer panic a
                             // non-sharded run would.
-                            let msg = payload
-                                .downcast_ref::<String>()
-                                .cloned()
-                                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                                .unwrap_or_else(|| "simulated processor panicked".into());
-                            ctx.batch.push(Desc::Poison(msg));
+                            ctx.batch.push(Desc::Poison(panic_message(&*payload)));
                         }
                     }
                     ctx.flush_quiet();
@@ -1872,20 +1820,10 @@ where
                         .take()
                         .expect("interpreter body entered twice");
                     let mut scratch: Vec<u64> = Vec::new();
-                    let (mut n_recvs, mut n_blocked) = (0u64, 0u64);
-                    loop {
-                        let batch = match rx.try_recv() {
-                            Ok(b) => b,
-                            Err(std::sync::mpsc::TryRecvError::Empty) => {
-                                n_blocked += 1;
-                                match rx.recv() {
-                                    Ok(b) => b,
-                                    Err(_) => break,
-                                }
-                            }
-                            Err(std::sync::mpsc::TryRecvError::Disconnected) => break,
-                        };
-                        n_recvs += 1;
+                    // Blocks while holding the turn when the stream runs dry:
+                    // virtual time cannot advance past this processor anyway,
+                    // and its generation thread runs on regardless.
+                    while let Ok(batch) = rx.recv() {
                         for d in batch {
                             match d {
                                 Desc::Work(c) => p.work(c),
@@ -1943,14 +1881,6 @@ where
                             }
                         }
                     }
-                    if std::env::var_os("SIM_SHARD_DEBUG").is_some() {
-                        eprintln!(
-                            "[shard] p{}: {} batches, {} blocked recvs",
-                            p.pid(),
-                            n_recvs,
-                            n_blocked
-                        );
-                    }
                 })
             }))
         };
@@ -1972,6 +1902,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coro::tests::CountDrop;
     use crate::platform::NullPlatform;
     use crate::HEAP_BASE;
 
@@ -2168,6 +2099,65 @@ mod tests {
                 p.barrier(0);
             }
         });
+    }
+
+    /// The panic `run` ends with.
+    fn run_panic_message(f: impl FnOnce() -> RunStats) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the run must panic");
+        panic_message(&*payload)
+    }
+
+    #[test]
+    fn panic_unwinds_every_suspended_processor() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let n = 4;
+        let (drops, at_barrier) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let msg = run_panic_message(|| {
+            null_run(n, |p| {
+                let _guard = CountDrop(&drops);
+                p.start_timing();
+                if p.pid() == 0 {
+                    // Long enough to yield to 1..n, who all reach the
+                    // barrier and block there before p0 gets the turn back.
+                    p.work(10_000);
+                    assert_eq!(at_barrier.load(Ordering::Relaxed), n - 1);
+                    panic!("boom");
+                }
+                at_barrier.fetch_add(1, Ordering::Relaxed);
+                p.barrier(0);
+            })
+        });
+        assert_eq!(msg, "simulated processor panicked: p0: boom");
+        assert_eq!(drops.load(Ordering::Relaxed), n, "one drop per guard");
+
+        // Nothing of the poisoned run lingers on this host thread.
+        let stats = null_run(n, |p| {
+            p.start_timing();
+            p.work(5);
+            p.barrier(0);
+        });
+        assert_eq!(stats.total_cycles(), 5);
+    }
+
+    #[test]
+    fn deadlock_unwinds_every_suspended_processor() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let drops = AtomicUsize::new(0);
+        let msg = run_panic_message(|| {
+            // The kernel of `deadlock_is_detected`.
+            null_run(2, |p| {
+                let _guard = CountDrop(&drops);
+                p.start_timing();
+                p.lock(0); // p1 blocks here forever...
+                p.barrier(0); // ...because p0 waits here holding the lock
+            })
+        });
+        assert!(
+            msg.starts_with("simulated processor panicked: simulated deadlock: no runnable"),
+            "{msg}"
+        );
+        assert_eq!(drops.load(Ordering::Relaxed), 2, "one drop per guard");
     }
 
     // The env parse helpers are tested on string inputs (not by mutating the

@@ -71,9 +71,9 @@ fn concurrent_writers_on_one_page_never_lose_updates() {
             p.barrier(1 + epoch);
         }
         // NB: perform the simulated load *before* taking the host-side
-        // mutex — Proc operations may suspend the calling OS thread to
-        // schedule another simulated processor, and that processor might
-        // itself be blocked on the host mutex.
+        // mutex — Proc operations may suspend the calling simulated
+        // processor to run another one, and that processor might itself
+        // try to take the host mutex.
         let v = p.load(mine, 8);
         sums.lock().unwrap()[p.pid()] = v;
         p.barrier(100);

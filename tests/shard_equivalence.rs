@@ -189,7 +189,7 @@ fn stress_body(seed: u64, words: u64, iters: u64) -> impl Fn(&mut sim_core::Proc
     }
 }
 
-/// The fused (single-thread event-loop) and classic (thread-per-processor)
+/// The fused (single-thread event-loop) and classic (coroutine-per-processor)
 /// replay engines, explicitly selected, against the sequential oracle with
 /// every diagnostic layer stacked: the engines must be mutually — and
 /// oracle- — bit-identical on every platform.
