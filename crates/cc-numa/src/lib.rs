@@ -18,7 +18,7 @@
 // iterator adaptors in this numeric code.
 #![allow(clippy::needless_range_loop)]
 use sim_core::cache::{Cache, CacheGeom, LineState, Lookup};
-use sim_core::platform::{Platform, Timing};
+use sim_core::platform::{HitWindow, Platform, Timing};
 use sim_core::stats::{Bucket, ProcStats};
 use sim_core::util::FxMap;
 use sim_core::{Addr, FlatMem, PlacementMap, Resource};
@@ -313,101 +313,12 @@ impl Platform for DsmPlatform {
         self.mem.store(addr, len, val);
     }
 
-    // Bulk fast path: a word whose L1 line is present with sufficient
-    // permission (any valid state for reads, Exclusive/Modified for writes
-    // — a Shared write needs a directory upgrade) costs exactly Compute 1
-    // and touches nothing but the L1 LRU state, so a run of k such words in
-    // one line batches to counters + Compute k + one `hit_run` + k backing-
-    // memory moves. Other words fall back to the scalar path.
-    fn load_bulk(
-        &mut self,
-        t: &mut Timing,
-        addr: Addr,
-        stride: u64,
-        len: u8,
-        out: &mut [u64],
-        budget: u64,
-    ) -> usize {
-        let pid = t.pid;
-        let l1_line = self.nodes[pid].l1.geom().line;
-        let mut done = 0usize;
-        while done < out.len() {
-            let a = addr + done as u64 * stride;
-            if self.nodes[pid].l1.state_of(a) == LineState::Invalid {
-                out[done] = self.load(t, a, len);
-                done += 1;
-                if *t.now > budget {
-                    break;
-                }
-                continue;
-            }
-            let line_end = self.nodes[pid].l1.line_base(a) + l1_line;
-            let mut k = (out.len() - done) as u64;
-            if stride > 0 {
-                k = k.min((line_end - a).div_ceil(stride));
-            }
-            if t.timing_on {
-                k = k.min(budget.saturating_sub(*t.now).saturating_add(1));
-            }
-            t.stats.counters.accesses += k;
-            t.charge(Bucket::Compute, k);
-            self.nodes[pid].l1.hit_run(a, false, k);
-            for i in 0..k {
-                out[done + i as usize] = self.mem.load(a + i * stride, len);
-            }
-            done += k as usize;
-            if *t.now > budget {
-                break;
-            }
-        }
-        done
-    }
-
-    fn store_bulk(
-        &mut self,
-        t: &mut Timing,
-        addr: Addr,
-        stride: u64,
-        len: u8,
-        vals: &[u64],
-        budget: u64,
-    ) -> usize {
-        let pid = t.pid;
-        let l1_line = self.nodes[pid].l1.geom().line;
-        let mut done = 0usize;
-        while done < vals.len() {
-            let a = addr + done as u64 * stride;
-            if !matches!(
-                self.nodes[pid].l1.state_of(a),
-                LineState::Exclusive | LineState::Modified
-            ) {
-                self.store(t, a, len, vals[done]);
-                done += 1;
-                if *t.now > budget {
-                    break;
-                }
-                continue;
-            }
-            let line_end = self.nodes[pid].l1.line_base(a) + l1_line;
-            let mut k = (vals.len() - done) as u64;
-            if stride > 0 {
-                k = k.min((line_end - a).div_ceil(stride));
-            }
-            if t.timing_on {
-                k = k.min(budget.saturating_sub(*t.now).saturating_add(1));
-            }
-            t.stats.counters.accesses += k;
-            t.charge(Bucket::Compute, k);
-            self.nodes[pid].l1.hit_run(a, true, k);
-            for i in 0..k {
-                self.mem.store(a + i * stride, len, vals[done + i as usize]);
-            }
-            done += k as usize;
-            if *t.now > budget {
-                break;
-            }
-        }
-        done
+    // A word whose L1 line is present with sufficient permission (a Shared
+    // write needs a directory upgrade) touches nothing but the L1's LRU
+    // state: no directory, no remote cache.
+    #[inline]
+    fn hit_window(&mut self, pid: usize, addr: Addr, write: bool) -> Option<HitWindow<'_>> {
+        HitWindow::flat(&mut self.nodes[pid].l1, &mut self.mem, addr, write)
     }
 
     fn acquire_request(&mut self, t: &mut Timing, lock: u32) -> u64 {

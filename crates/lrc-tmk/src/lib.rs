@@ -15,20 +15,23 @@
 //!   multi-writer pages cost one round-trip **per writer** instead of one
 //!   fetch from the home.
 //!
-//! The crate reuses the data-plane primitives (`Diff`, `PageEntry`) from
-//! `svm-hlrc`, and is exercised by the same application suite through
-//! `apps::Platform::Tmk` — every run is verified against the sequential
-//! references, so this is a real working protocol, not a cost model.
+//! The protocol is a *data policy* over the machine it shares with HLRC:
+//! this crate owns page tables, diff chains, the gathering fault and chain
+//! GC, and runs them on `svm_hlrc::machine::Machine` — nodes, network
+//! interfaces, caches, the vector-time write-notice log and the pricing of
+//! every synchronisation message — with `svm-hlrc`'s data-plane primitives
+//! (`Diff`, `PageEntry`). It is exercised by the same application suite
+//! through `apps::Platform::Tmk` — every run is verified against the
+//! sequential references, so this is a real working protocol, not a cost
+//! model.
 
-// Indexed loops over fixed coordinate dimensions are clearer than
-// iterator adaptors in this numeric code.
-#![allow(clippy::needless_range_loop)]
-use sim_core::cache::{Cache, LineState, Lookup};
-use sim_core::platform::{Platform, Timing};
+use sim_core::mem::{load_le, store_le};
+use sim_core::platform::{HitWindow, Platform, Timing};
 use sim_core::probe::{self, ProbeHandle, ProtoEvent};
 use sim_core::stats::{Bucket, ProcStats};
 use sim_core::util::{FxMap, FxSet};
-use sim_core::{Addr, PlacementMap, Resource};
+use sim_core::{Addr, PlacementMap};
+use svm_hlrc::machine::Machine;
 use svm_hlrc::{Diff, PState, PageEntry, SvmConfig};
 
 /// One archived diff: who wrote it and what changed.
@@ -44,23 +47,13 @@ struct PageLog {
     chain: Vec<ArchivedDiff>,
 }
 
+/// One node's protocol state; resources and caches are the [`Machine`]'s.
+#[derive(Default)]
 struct Node {
     pages: FxMap<u64, PageEntry>,
     /// How many chain entries of each page this node has applied.
     applied: FxMap<u64, u32>,
     write_set: FxSet<u64>,
-    l1: Cache,
-    l2: Cache,
-    handler: Resource,
-    io_in: Resource,
-    io_out: Resource,
-    debt: u64,
-}
-
-/// Write-notice interval (pages dirtied between releases).
-#[derive(Clone)]
-struct Interval {
-    pages: Vec<u64>,
 }
 
 #[derive(Default, Clone, Copy)]
@@ -74,18 +67,22 @@ struct Acc {
     archived: u64,
 }
 
-/// The non-home-based LRC platform. Reuses [`SvmConfig`] — the machine is
-/// identical; only the protocol differs.
+impl Acc {
+    /// Fold the episode into the invalidated node's counters.
+    fn count(&self, stats: &mut ProcStats) {
+        stats.counters.invalidations += self.invals;
+        stats.counters.diffs_created += self.archived;
+        stats.counters.diffs_applied += self.archived;
+    }
+}
+
+/// The non-home-based LRC platform: the diff-chain data policy over the LRC
+/// [`Machine`] it shares with HLRC (and so [`SvmConfig`] — the machine is
+/// identical; only the protocol differs).
 pub struct TmkPlatform {
-    cfg: SvmConfig,
-    page_shift: u32,
+    m: Machine,
     nodes: Vec<Node>,
     logs_by_page: FxMap<u64, PageLog>,
-    vt: Vec<u32>,
-    vc: Vec<Vec<u32>>,
-    intervals: Vec<Vec<Interval>>,
-    log_base: Vec<u32>,
-    lock_vc: FxMap<u32, Vec<u32>>,
     /// The run's protocol event stream (None when undiagnosed).
     probe: Option<ProbeHandle>,
 }
@@ -96,40 +93,19 @@ impl TmkPlatform {
     /// at 1.
     ///
     /// # Panics
-    /// If [`SvmConfig::validate`] rejects the configuration or
-    /// `procs_per_node` is not 1.
+    /// If [`Machine::new`] rejects the configuration or `procs_per_node`
+    /// is not 1.
     pub fn new(cfg: SvmConfig) -> Self {
-        cfg.validate();
+        let m = Machine::new(cfg);
         assert_eq!(
-            cfg.procs_per_node, 1,
+            m.cfg.procs_per_node, 1,
             "TmkPlatform models one processor per node; procs_per_node = {} is not supported",
-            cfg.procs_per_node
+            m.cfg.procs_per_node
         );
-        let n = cfg.nprocs;
-        let page_shift = cfg.page_shift();
-        let nodes = (0..n)
-            .map(|_| Node {
-                pages: FxMap::default(),
-                applied: FxMap::default(),
-                write_set: FxSet::default(),
-                l1: Cache::new(cfg.l1),
-                l2: Cache::new(cfg.l2),
-                handler: Resource::new(),
-                io_in: Resource::new(),
-                io_out: Resource::new(),
-                debt: 0,
-            })
-            .collect();
         Self {
-            cfg,
-            page_shift,
-            nodes,
+            nodes: m.nics.iter().map(|_| Node::default()).collect(),
+            m,
             logs_by_page: FxMap::default(),
-            vt: vec![0; n],
-            vc: vec![vec![0; n]; n],
-            intervals: vec![Vec::new(); n],
-            log_base: vec![0; n],
-            lock_vc: FxMap::default(),
             probe: None,
         }
     }
@@ -139,18 +115,8 @@ impl TmkPlatform {
         Box::new(Self::new(cfg))
     }
 
-    fn page_bytes(&self) -> u64 {
-        self.cfg.page_size
-    }
-
-    #[inline]
-    fn apply_debt(&mut self, t: &mut Timing) {
-        let d = std::mem::take(&mut self.nodes[t.pid].debt);
-        t.charge(Bucket::HandlerCompute, d);
-    }
-
     fn log_entry(&mut self, page: u64) -> &mut PageLog {
-        let ps = self.cfg.page_size as usize;
+        let ps = self.m.cfg.page_size as usize;
         self.logs_by_page.entry(page).or_insert_with(|| PageLog {
             base: vec![0u8; ps].into_boxed_slice(),
             chain: Vec::new(),
@@ -175,84 +141,66 @@ impl TmkPlatform {
         // State first: compute the fresh contents and remember how much of
         // the chain we now reflect.
         let contents = self.current_contents(page);
-        let chain_len = self.log_entry(page).chain.len() as u32;
+        let chain = &self.logs_by_page[&page].chain;
         // Cost: if the node has never had this page, it also needs a full
         // copy of the base from *some* writer/creator; otherwise only the
         // chain suffix it is missing.
         let already = *self.nodes[pid].applied.get(&page).unwrap_or(&0);
         let had_copy = self.nodes[pid].pages.contains_key(&page);
-        t.charge(Bucket::DataWait, self.cfg.fault_trap);
+        let cfg = &self.m.cfg;
+        t.charge(Bucket::DataWait, cfg.fault_trap);
         // Distinct writers in the missing suffix (pure reads over the chain,
         // so computing this outside the timing check changes nothing).
         let mut writers: Vec<usize> = Vec::new();
         let mut suffix_words = 0u64;
         let mut suffix_runs = 0u64;
-        {
-            let log = self.logs_by_page.get(&page).unwrap();
-            for a in log.chain.iter().skip(already as usize) {
-                if a.writer != pid && !writers.contains(&a.writer) {
-                    writers.push(a.writer);
-                }
-                suffix_words += a.diff.len() as u64;
-                suffix_runs += a.diff.run_count() as u64;
+        for a in chain.iter().skip(already as usize) {
+            if a.writer != pid && !writers.contains(&a.writer) {
+                writers.push(a.writer);
             }
+            suffix_words += a.diff.len() as u64;
+            suffix_runs += a.diff.run_count() as u64;
         }
-        let base_wire = if had_copy { 0 } else { self.page_bytes() };
-        let wire = base_wire
-            + writers.len() as u64 * (suffix_runs * 8 + suffix_words * 4 + self.cfg.ctrl_msg_bytes);
+        let chain_len = chain.len() as u32;
+        let page_bytes = cfg.page_size;
+        let suffix_bytes = suffix_runs * 8 + suffix_words * 4 + cfg.ctrl_msg_bytes;
+        let base_wire = if had_copy { 0 } else { page_bytes };
+        let wire = base_wire + writers.len() as u64 * suffix_bytes;
         // No home in this protocol: report the round-robin base-copy source
         // the full-page transfer would come from.
-        let src = (page % self.cfg.nprocs as u64) as usize;
+        let src = (page % cfg.nprocs as u64) as usize;
         if t.timing_on {
-            let ctrl = self.cfg.ctrl_msg_bytes * self.cfg.io_cyc_per_byte;
+            let io = cfg.io_cyc_per_byte;
+            let svc = cfg.handler_cost + suffix_words * cfg.diff_scan_per_word;
+            let apply = suffix_words * cfg.diff_apply_per_word + suffix_runs * 8;
             let mut done = *t.now;
             if !had_copy {
                 // Full page transfer from one node (round robin choice).
-                let (_, req_out) = self.nodes[pid].io_out.serve(*t.now, ctrl);
-                let arr = req_out + self.cfg.wire_latency;
-                let (_, svc) = self.nodes[src].handler.serve(arr, self.cfg.handler_cost);
-                if src != pid {
-                    self.nodes[src].debt += self.cfg.handler_cost;
-                }
-                let pg = self.page_bytes() * self.cfg.io_cyc_per_byte;
-                let (_, out_end) = self.nodes[src].io_out.serve(svc, pg);
-                let (_, in_end) = self.nodes[pid]
-                    .io_in
-                    .serve(out_end + self.cfg.wire_latency, pg);
-                done = done.max(in_end + self.page_bytes() / 2);
+                let pg = page_bytes * io;
+                let in_end = self.m.round_trip(pid, *t.now, src, cfg.handler_cost, pg);
+                done = done.max(in_end + page_bytes / 2);
             }
             // One request/response round trip per distinct writer, all
             // issued in sequence (TreadMarks pipelines some of this; we
             // charge the conservative serial cost for requests and let the
             // responses overlap at the I/O bus).
             for w in writers {
-                let (_, req_out) = self.nodes[pid].io_out.serve(done, ctrl);
-                let arr = req_out + self.cfg.wire_latency;
-                let svc_dur = self.cfg.handler_cost + suffix_words * self.cfg.diff_scan_per_word;
-                let (_, svc) = self.nodes[w].handler.serve(arr, svc_dur);
-                self.nodes[w].debt += svc_dur;
-                let bytes = (suffix_runs * 8 + suffix_words * 4 + self.cfg.ctrl_msg_bytes)
-                    * self.cfg.io_cyc_per_byte;
-                let (_, out_end) = self.nodes[w].io_out.serve(svc, bytes);
-                let (_, in_end) = self.nodes[pid]
-                    .io_in
-                    .serve(out_end + self.cfg.wire_latency, bytes);
-                let applied_at =
-                    in_end + suffix_words * self.cfg.diff_apply_per_word + suffix_runs * 8;
-                done = done.max(applied_at);
-                t.stats.counters.bytes_transferred += bytes / self.cfg.io_cyc_per_byte;
+                let in_end = self.m.round_trip(pid, done, w, svc, suffix_bytes * io);
+                done = done.max(in_end + apply);
+                t.stats.counters.bytes_transferred += suffix_bytes;
             }
             t.advance_to(Bucket::DataWait, done);
         }
         // The fault stalled `pid` over (t0, now]; the round-robin base
         // source stands in as the serving side.
+        let base = page << self.m.page_shift;
         probe::emit(
             &self.probe,
             t.timing_on,
             ProtoEvent::PageFetch {
                 pid,
                 reader_node: pid,
-                page: page << self.page_shift,
+                page: base,
                 home: src,
                 src,
                 bytes: wire,
@@ -264,14 +212,9 @@ impl TmkPlatform {
             .pages
             .insert(page, PageEntry::copy_of(&contents));
         self.nodes[pid].applied.insert(page, chain_len);
-        let base = page << self.page_shift;
-        let len = self.page_bytes();
-        self.nodes[pid].l1.invalidate_range(base, len);
-        self.nodes[pid].l2.invalidate_range(base, len);
+        self.m.drop_page_lines(pid, base);
         t.stats.counters.remote_fetches += 1;
-        if !had_copy {
-            t.stats.counters.bytes_transferred += self.page_bytes();
-        }
+        t.stats.counters.bytes_transferred += base_wire;
     }
 
     fn ensure_readable(&mut self, t: &mut Timing, page: u64) {
@@ -279,12 +222,8 @@ impl TmkPlatform {
             return;
         }
         // First touch anywhere: cheap zero-fill only if no diffs exist yet.
-        let virgin = self
-            .logs_by_page
-            .get(&page)
-            .is_none_or(|l| l.chain.is_empty());
-        if virgin && !self.logs_by_page.contains_key(&page) {
-            let ps = self.cfg.page_size;
+        if !self.logs_by_page.contains_key(&page) {
+            let ps = self.m.cfg.page_size;
             self.nodes[t.pid].pages.insert(page, PageEntry::zeroed(ps));
             self.nodes[t.pid].applied.insert(page, 0);
         } else {
@@ -294,39 +233,26 @@ impl TmkPlatform {
 
     fn ensure_writable(&mut self, t: &mut Timing, page: u64) {
         self.ensure_readable(t, page);
-        let pid = t.pid;
-        let needs_twin = self.nodes[pid].pages[&page].state == PState::ReadOnly;
-        if needs_twin {
+        let cfg = &self.m.cfg;
+        let e = self.nodes[t.pid].pages.get_mut(&page).unwrap();
+        if e.state == PState::ReadOnly {
             t.charge(
                 Bucket::HandlerCompute,
-                self.cfg.fault_trap + self.page_bytes() / 2 * self.cfg.memcpy_cyc_per_2bytes,
+                cfg.fault_trap + cfg.page_size / 2 * cfg.memcpy_cyc_per_2bytes,
             );
-            let e = self.nodes[pid].pages.get_mut(&page).unwrap();
             e.twin = Some(e.frame.clone());
             e.state = PState::ReadWrite;
-            self.nodes[pid].write_set.insert(page);
+            self.nodes[t.pid].write_set.insert(page);
             t.stats.counters.twins_created += 1;
         }
     }
 
-    fn cache_access(&mut self, t: &mut Timing, addr: Addr, write: bool) {
-        let node = &mut self.nodes[t.pid];
-        match node.l1.access(addr, write) {
-            Lookup::Hit => {}
-            _ => match node.l2.access(addr, write) {
-                Lookup::Hit | Lookup::UpgradeMiss => {
-                    t.charge(Bucket::CacheStall, self.cfg.l2_hit);
-                    node.l1.fill(addr, LineState::Modified);
-                    t.stats.counters.cache_misses += 1;
-                }
-                Lookup::Miss { .. } => {
-                    t.charge(Bucket::CacheStall, self.cfg.mem_latency);
-                    node.l2.fill(addr, LineState::Modified);
-                    node.l1.fill(addr, LineState::Modified);
-                    t.stats.counters.cache_misses += 1;
-                }
-            },
-        }
+    /// The bytes of `pid`'s copy of the (mapped) page from `addr` on.
+    #[inline]
+    fn frame_at(&mut self, pid: usize, addr: Addr) -> &mut [u8] {
+        let off = (addr & (self.m.cfg.page_size - 1)) as usize;
+        let page = addr >> self.m.page_shift;
+        &mut self.nodes[pid].pages.get_mut(&page).unwrap().frame[off..]
     }
 
     /// Write-protect `pid`'s dirty copy of `page` and diff it against its
@@ -352,7 +278,7 @@ impl TmkPlatform {
         span: Option<(u64, u64)>,
         timing_on: bool,
     ) -> u32 {
-        let base = page << self.page_shift;
+        let base = page << self.m.page_shift;
         probe::emit(
             &self.probe,
             timing_on,
@@ -394,8 +320,8 @@ impl TmkPlatform {
                 continue;
             }
             let diff = self.take_diff(pid, page);
-            let scan = self.cfg.words_per_page() * self.cfg.diff_scan_per_word
-                + diff.len() as u64 * self.cfg.diff_scan_per_word;
+            let cfg = &self.m.cfg;
+            let scan = (cfg.words_per_page() + diff.len() as u64) * cfg.diff_scan_per_word;
             let diff_t0 = *t.now;
             t.charge(Bucket::HandlerCompute, scan);
             t.stats.counters.diffs_created += 1;
@@ -409,10 +335,7 @@ impl TmkPlatform {
             let chain_len = self.archive(pid, page, diff, *t.now, span, t.timing_on);
             self.nodes[pid].applied.insert(page, chain_len);
         }
-        self.intervals[pid].push(Interval { pages });
-        self.vt[pid] += 1;
-        let me = pid;
-        self.vc[me][me] = self.vt[me];
+        self.m.close_interval(pid, pages);
     }
 
     /// Invalidate a page at `g` on receipt of a write notice.
@@ -424,14 +347,14 @@ impl TmkPlatform {
                 // Archive our local diff before dropping the copy.
                 let diff = self.take_diff(g, page);
                 if timing_on {
-                    acc.cycles += self.cfg.words_per_page() * self.cfg.diff_scan_per_word;
+                    acc.cycles += self.m.cfg.words_per_page() * self.m.cfg.diff_scan_per_word;
                 }
                 acc.archived += 1;
                 self.archive(g, page, diff, at, None, timing_on);
             }
             Some(PState::ReadOnly) => {}
         }
-        let base = page << self.page_shift;
+        let base = page << self.m.page_shift;
         let inval = ProtoEvent::Invalidation {
             pid: g,
             page: base,
@@ -440,33 +363,17 @@ impl TmkPlatform {
         probe::emit(&self.probe, timing_on, inval);
         self.nodes[g].pages.remove(&page);
         self.nodes[g].applied.remove(&page);
-        let len = self.cfg.page_size;
-        self.nodes[g].l1.invalidate_range(base, len);
-        self.nodes[g].l2.invalidate_range(base, len);
-        acc.cycles += self.cfg.inval_per_page;
+        self.m.drop_page_lines(g, base);
+        acc.cycles += self.m.cfg.inval_per_page;
         acc.invals += 1;
     }
 
+    /// Bring `g` up to vector time `upto`, invalidating at `g` every page
+    /// the consumed intervals notify.
     fn consume_notices(&mut self, g: usize, upto: &[u32], at: u64, timing_on: bool) -> Acc {
         let mut acc = Acc::default();
-        for r in 0..self.cfg.nprocs {
-            if r == g {
-                self.vc[g][r] = self.vc[g][r].max(upto[r].min(self.vt[r]));
-                continue;
-            }
-            let from = self.vc[g][r];
-            let to = upto[r].min(self.vt[r]);
-            if to <= from {
-                continue;
-            }
-            for idx in from..to {
-                let li = (idx - self.log_base[r]) as usize;
-                let pages: Vec<u64> = self.intervals[r][li].pages.clone();
-                for page in pages {
-                    self.invalidate_page(g, page, at, timing_on, &mut acc);
-                }
-            }
-            self.vc[g][r] = to;
+        for page in self.m.take_notices(g, upto) {
+            self.invalidate_page(g, page, at, timing_on, &mut acc);
         }
         acc
     }
@@ -479,23 +386,18 @@ impl TmkPlatform {
     /// surviving copies equal base+chain and folding is safe.
     fn gc_chains(&mut self) {
         const GC_THRESHOLD: usize = 8;
-        let pages: Vec<u64> = self
-            .logs_by_page
-            .iter()
-            .filter(|(_, l)| l.chain.len() >= GC_THRESHOLD)
-            .map(|(p, _)| *p)
-            .collect();
-        for page in pages {
-            let log = self.logs_by_page.get_mut(&page).unwrap();
-            let chain = std::mem::take(&mut log.chain);
-            for a in &chain {
+        for (page, log) in &mut self.logs_by_page {
+            if log.chain.len() < GC_THRESHOLD {
+                continue;
+            }
+            for a in std::mem::take(&mut log.chain) {
                 a.diff.apply(&mut log.base);
             }
             // Applied counters now refer to a folded chain: reset them for
             // every node still holding a copy (their frames equal base).
             for node in &mut self.nodes {
-                if node.pages.contains_key(&page) {
-                    node.applied.insert(page, 0);
+                if node.pages.contains_key(page) {
+                    node.applied.insert(*page, 0);
                 }
             }
         }
@@ -504,174 +406,43 @@ impl TmkPlatform {
 
 impl Platform for TmkPlatform {
     fn nprocs(&self) -> usize {
-        self.cfg.nprocs
+        self.m.cfg.nprocs
     }
 
     fn min_cross_node_latency(&self) -> Option<u64> {
         // TreadMarks-style LRC: uniprocessor nodes, so the cheapest
         // cross-processor interaction is one message over the wire.
-        Some(self.cfg.wire_latency)
+        Some(self.m.cfg.wire_latency)
     }
 
     fn load(&mut self, t: &mut Timing, addr: Addr, len: u8) -> u64 {
-        self.apply_debt(t);
+        self.m.apply_debt(t);
         t.stats.counters.accesses += 1;
         t.charge(Bucket::Compute, 1);
-        let page = addr >> self.page_shift;
-        self.ensure_readable(t, page);
-        self.cache_access(t, addr, false);
-        let off = (addr & (self.cfg.page_size - 1)) as usize;
-        let frame = &self.nodes[t.pid].pages[&page].frame;
-        let mut w = [0u8; 8];
-        w[..len as usize].copy_from_slice(&frame[off..off + len as usize]);
-        u64::from_le_bytes(w)
+        self.ensure_readable(t, addr >> self.m.page_shift);
+        self.m.cache_access(t, addr, false);
+        load_le(self.frame_at(t.pid, addr), len)
     }
 
     fn store(&mut self, t: &mut Timing, addr: Addr, len: u8, val: u64) {
-        self.apply_debt(t);
+        self.m.apply_debt(t);
         t.stats.counters.accesses += 1;
         t.charge(Bucket::Compute, 1);
-        let page = addr >> self.page_shift;
-        self.ensure_writable(t, page);
-        self.cache_access(t, addr, true);
-        let off = (addr & (self.cfg.page_size - 1)) as usize;
-        let frame = &mut self.nodes[t.pid].pages.get_mut(&page).unwrap().frame;
-        frame[off..off + len as usize].copy_from_slice(&val.to_le_bytes()[..len as usize]);
+        self.ensure_writable(t, addr >> self.m.page_shift);
+        self.m.cache_access(t, addr, true);
+        store_le(self.frame_at(t.pid, addr), len, val);
     }
 
-    // Bulk fast path, as in `svm-hlrc`: a word is fast when no interrupt
-    // debt is pending, the page is already mapped at this processor (for
-    // stores: ReadWrite, so no fault or twin), and the word's L1 line is
-    // present with sufficient permission — then k words in one line batch to
-    // counters + Compute k + one `hit_run` + k frame moves, identical to k
-    // scalar iterations. Other words fall back to scalar `load`/`store`.
-    fn load_bulk(
-        &mut self,
-        t: &mut Timing,
-        addr: Addr,
-        stride: u64,
-        len: u8,
-        out: &mut [u64],
-        budget: u64,
-    ) -> usize {
-        let pid = t.pid;
-        let l1_line = self.nodes[pid].l1.geom().line;
-        let mut done = 0usize;
-        while done < out.len() {
-            let a = addr + done as u64 * stride;
-            let page = a >> self.page_shift;
-            let fast = self.nodes[pid].debt == 0
-                && self.nodes[pid].pages.contains_key(&page)
-                && self.nodes[pid].l1.state_of(a) != LineState::Invalid;
-            if !fast {
-                out[done] = self.load(t, a, len);
-                done += 1;
-                if *t.now > budget {
-                    break;
-                }
-                continue;
-            }
-            let line_end = self.nodes[pid].l1.line_base(a) + l1_line;
-            let mut k = (out.len() - done) as u64;
-            if stride > 0 {
-                k = k.min((line_end - a).div_ceil(stride));
-            }
-            if t.timing_on {
-                k = k.min(budget.saturating_sub(*t.now).saturating_add(1));
-            }
-            t.stats.counters.accesses += k;
-            t.charge(Bucket::Compute, k);
-            self.nodes[pid].l1.hit_run(a, false, k);
-            let page_base = page << self.page_shift;
-            let frame = &self.nodes[pid].pages[&page].frame;
-            for i in 0..k {
-                let off = (a + i * stride - page_base) as usize;
-                let mut b = [0u8; 8];
-                b[..len as usize].copy_from_slice(&frame[off..off + len as usize]);
-                out[done + i as usize] = u64::from_le_bytes(b);
-            }
-            done += k as usize;
-            if *t.now > budget {
-                break;
-            }
-        }
-        done
-    }
-
-    fn store_bulk(
-        &mut self,
-        t: &mut Timing,
-        addr: Addr,
-        stride: u64,
-        len: u8,
-        vals: &[u64],
-        budget: u64,
-    ) -> usize {
-        let pid = t.pid;
-        let l1_line = self.nodes[pid].l1.geom().line;
-        let mut done = 0usize;
-        while done < vals.len() {
-            let a = addr + done as u64 * stride;
-            let page = a >> self.page_shift;
-            let fast = self.nodes[pid].debt == 0
-                && self.nodes[pid]
-                    .pages
-                    .get(&page)
-                    .is_some_and(|e| e.state == PState::ReadWrite)
-                && matches!(
-                    self.nodes[pid].l1.state_of(a),
-                    LineState::Exclusive | LineState::Modified
-                );
-            if !fast {
-                self.store(t, a, len, vals[done]);
-                done += 1;
-                if *t.now > budget {
-                    break;
-                }
-                continue;
-            }
-            let line_end = self.nodes[pid].l1.line_base(a) + l1_line;
-            let mut k = (vals.len() - done) as u64;
-            if stride > 0 {
-                k = k.min((line_end - a).div_ceil(stride));
-            }
-            if t.timing_on {
-                k = k.min(budget.saturating_sub(*t.now).saturating_add(1));
-            }
-            t.stats.counters.accesses += k;
-            t.charge(Bucket::Compute, k);
-            self.nodes[pid].l1.hit_run(a, true, k);
-            let page_base = page << self.page_shift;
-            let frame = &mut self.nodes[pid].pages.get_mut(&page).unwrap().frame;
-            for i in 0..k {
-                let off = (a + i * stride - page_base) as usize;
-                frame[off..off + len as usize]
-                    .copy_from_slice(&vals[done + i as usize].to_le_bytes()[..len as usize]);
-            }
-            done += k as usize;
-            if *t.now > budget {
-                break;
-            }
-        }
-        done
+    #[inline]
+    fn hit_window(&mut self, pid: usize, addr: Addr, write: bool) -> Option<HitWindow<'_>> {
+        let e = self.nodes[pid]
+            .pages
+            .get_mut(&(addr >> self.m.page_shift))?;
+        self.m.hit_window(pid, addr, write, e)
     }
 
     fn acquire_request(&mut self, t: &mut Timing, lock: u32) -> u64 {
-        self.apply_debt(t);
-        t.charge(Bucket::LockWait, self.cfg.handler_cost);
-        if !t.timing_on {
-            return *t.now;
-        }
-        let ctrl = self.cfg.ctrl_msg_bytes * self.cfg.io_cyc_per_byte;
-        let (_, out_end) = self.nodes[t.pid].io_out.serve(*t.now, ctrl);
-        let mgr = self.cfg.lock_manager(lock);
-        let (_, mgr_end) = self.nodes[mgr]
-            .handler
-            .serve(out_end + self.cfg.wire_latency, self.cfg.handler_cost);
-        if mgr != t.pid {
-            self.nodes[mgr].debt += self.cfg.handler_cost;
-        }
-        mgr_end + self.cfg.wire_latency
+        self.m.lock_request(t, lock)
     }
 
     fn acquire_grant(
@@ -683,41 +454,23 @@ impl Platform for TmkPlatform {
         _placement: &mut PlacementMap,
         timing_on: bool,
     ) -> u64 {
-        let upto = match self.lock_vc.get(&lock) {
-            Some(v) => v.clone(),
-            None => vec![0; self.cfg.nprocs],
-        };
+        let upto = self.m.lock_time(lock);
         let acc = self.consume_notices(pid, &upto, grant_at, timing_on);
-        stats.counters.invalidations += acc.invals;
-        stats.counters.diffs_created += acc.archived;
-        stats.counters.diffs_applied += acc.archived;
-        if !timing_on {
-            return grant_at;
-        }
-        grant_at + self.cfg.wire_latency + self.cfg.handler_cost + acc.cycles
+        acc.count(stats);
+        self.m.lock_grant(grant_at, acc.cycles, timing_on)
     }
 
     fn release(&mut self, t: &mut Timing, lock: u32) -> u64 {
-        self.apply_debt(t);
+        self.m.apply_debt(t);
         self.close_interval(t);
-        t.charge(Bucket::LockWait, self.cfg.handler_cost);
-        self.lock_vc.insert(lock, self.vc[t.pid].clone());
+        self.m.lock_release(t, lock);
         *t.now
     }
 
     fn barrier_arrive(&mut self, t: &mut Timing, barrier: u32) -> u64 {
-        self.apply_debt(t);
+        self.m.apply_debt(t);
         self.close_interval(t);
-        if !t.timing_on {
-            return *t.now;
-        }
-        let ctrl = self.cfg.ctrl_msg_bytes * self.cfg.io_cyc_per_byte;
-        let (_, out_end) = self.nodes[t.pid].io_out.serve(*t.now, ctrl);
-        let mgr = self.cfg.barrier_manager(barrier);
-        let (_, mgr_end) = self.nodes[mgr]
-            .handler
-            .serve(out_end + self.cfg.wire_latency, self.cfg.handler_cost);
-        mgr_end
+        self.m.barrier_arrive(t, barrier, *t.now)
     }
 
     fn barrier_release(
@@ -728,60 +481,23 @@ impl Platform for TmkPlatform {
         _placement: &mut PlacementMap,
         timing_on: bool,
     ) -> Vec<u64> {
-        let n = self.cfg.nprocs;
-        let mgr = self.cfg.barrier_manager(barrier);
-        let vt = self.vt.clone();
-        let mut resumes = vec![0u64; n];
-        let start = arrivals.iter().copied().max().unwrap_or(0);
-        let merge_end = start
-            + if timing_on {
-                n as u64 * self.cfg.barrier_merge_per_proc
-            } else {
-                0
-            };
-        let mut send_cursor = merge_end;
-        let mut mgr_acc = Acc::default();
-        for q in 0..n {
-            let acc = self.consume_notices(q, &vt, merge_end, timing_on);
-            stats[q].counters.invalidations += acc.invals;
-            stats[q].counters.diffs_created += acc.archived;
-            stats[q].counters.diffs_applied += acc.archived;
-            if q == mgr {
-                mgr_acc = acc;
-                continue;
-            }
-            if timing_on {
-                let ctrl = self.cfg.ctrl_msg_bytes * self.cfg.io_cyc_per_byte;
-                let (_, out_end) = self.nodes[mgr].io_out.serve(send_cursor, ctrl);
-                send_cursor = out_end;
-                resumes[q] = out_end + self.cfg.wire_latency + self.cfg.handler_cost + acc.cycles;
-            }
+        let mut fan = self.m.barrier_merge(barrier, arrivals, timing_on);
+        for (q, stats) in stats.iter_mut().enumerate() {
+            let acc = self.consume_notices(q, &fan.upto, fan.at, timing_on);
+            acc.count(stats);
+            fan.release(&mut self.m, q, acc.cycles);
         }
-        resumes[mgr] = send_cursor + mgr_acc.cycles;
-        // GC: fold chains and release interval logs.
         self.gc_chains();
-        for p in 0..n {
-            self.log_base[p] = self.vt[p];
-            self.intervals[p].clear();
-        }
-        if !timing_on {
-            return arrivals.to_vec();
-        }
-        resumes
+        fan.finish(&mut self.m, arrivals)
     }
 
     fn reset_timing(&mut self) {
-        for node in &mut self.nodes {
-            node.handler.reset();
-            node.io_in.reset();
-            node.io_out.reset();
-            node.debt = 0;
-        }
+        self.m.reset_timing();
     }
 
     fn set_probe(&mut self, probe: Option<ProbeHandle>) {
         self.probe = probe;
-        let page_bytes = self.page_bytes();
+        let page_bytes = self.m.cfg.page_size;
         probe::emit(&self.probe, false, ProtoEvent::PageGeometry { page_bytes });
     }
 }

@@ -248,6 +248,7 @@ impl Cache {
     }
 
     /// Current state of the line containing `a`.
+    #[inline]
     pub fn state_of(&self, a: Addr) -> LineState {
         let set = self.set_of(a);
         let tag = self.tag_of(a);
@@ -257,6 +258,15 @@ impl Cache {
             }
         }
         LineState::Invalid
+    }
+
+    /// Whether [`Cache::access`] would report a plain hit: the line is
+    /// present and, for a write, owned (a write to a Shared line is an
+    /// upgrade miss).
+    #[inline]
+    pub fn would_hit(&self, a: Addr, write: bool) -> bool {
+        let state = self.state_of(a);
+        state != LineState::Invalid && !(write && state == LineState::Shared)
     }
 
     /// Change the state of the line containing `a` if present. Setting
@@ -325,8 +335,10 @@ mod tests {
     fn write_to_shared_is_upgrade_miss() {
         let mut c = small();
         c.fill(0x40, LineState::Shared);
+        assert!(c.would_hit(0x40, false) && !c.would_hit(0x40, true));
         assert_eq!(c.access(0x40, true), Lookup::UpgradeMiss);
         c.set_state(0x40, LineState::Modified);
+        assert!(c.would_hit(0x40, true) && !c.would_hit(0x60, false));
         assert_eq!(c.access(0x40, true), Lookup::Hit);
         assert_eq!(c.state_of(0x40), LineState::Modified);
     }

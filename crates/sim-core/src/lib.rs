@@ -76,7 +76,7 @@ pub use metrics::{
     EventSeries, LockSeries, MetricsReport, MetricsSink, PageInterval, PageSeries, PageTrajectory,
     ProcSample, ProcSeries,
 };
-pub use platform::{NullPlatform, Platform, Timing};
+pub use platform::{HitWindow, NullPlatform, Platform, Timing};
 pub use probe::{Probe, ProbeHandle, ProtoEvent};
 pub use resource::Resource;
 pub use sched::{run, Proc, RunConfig, MAX_SHARDS, MAX_SHARD_BATCH};

@@ -23,32 +23,61 @@ impl FlatMem {
         Self::default()
     }
 
+    /// The `len` host bytes backing `[addr, addr + len)`, grown (zeroed) on
+    /// demand — also what a flat-memory platform's
+    /// [`crate::Platform::hit_window`] lends the bulk loop.
     #[inline]
-    fn index(&mut self, addr: Addr, len: usize) -> usize {
+    pub fn window(&mut self, addr: Addr, len: usize) -> &mut [u8] {
         assert!(addr >= HEAP_BASE, "access below heap base: {addr:#x}");
         let off = (addr - HEAP_BASE) as usize;
         if off + len > self.data.len() {
             self.data.resize((off + len).next_power_of_two(), 0);
         }
-        off
+        &mut self.data[off..off + len]
     }
 
     /// Load up to 8 bytes, little-endian, zero-extended into a u64.
     #[inline]
     pub fn load(&mut self, addr: Addr, len: u8) -> u64 {
-        debug_assert!(matches!(len, 1 | 2 | 4 | 8));
-        let off = self.index(addr, len as usize);
-        let mut w = [0u8; 8];
-        w[..len as usize].copy_from_slice(&self.data[off..off + len as usize]);
-        u64::from_le_bytes(w)
+        load_le(self.window(addr, len as usize), len)
     }
 
     /// Store the low `len` bytes of `val`, little-endian.
     #[inline]
     pub fn store(&mut self, addr: Addr, len: u8, val: u64) {
-        debug_assert!(matches!(len, 1 | 2 | 4 | 8));
-        let off = self.index(addr, len as usize);
-        self.data[off..off + len as usize].copy_from_slice(&val.to_le_bytes()[..len as usize]);
+        store_le(self.window(addr, len as usize), len, val);
+    }
+}
+
+/// Read the `len`-byte (1/2/4/8) little-endian word at the start of `bytes`,
+/// zero-extended; every platform's data plane moves words through this
+/// pair. The 8- and 4-byte cases are fixed-width on purpose: a
+/// variable-length `copy_from_slice` cost LU's one-word bulk runs (column
+/// reads, stride over a line: 16 of its 18 runs per inner product) several
+/// percent of host time.
+#[inline]
+pub fn load_le(bytes: &[u8], len: u8) -> u64 {
+    debug_assert!(matches!(len, 1 | 2 | 4 | 8));
+    match len {
+        8 => u64::from_le_bytes(*bytes.first_chunk().expect("8-byte word in bounds")),
+        4 => u32::from_le_bytes(*bytes.first_chunk().expect("4-byte word in bounds")) as u64,
+        _ => {
+            let mut w = [0u8; 8];
+            w[..len as usize].copy_from_slice(&bytes[..len as usize]);
+            u64::from_le_bytes(w)
+        }
+    }
+}
+
+/// Write the low `len` bytes of `val`, little-endian, at the start of
+/// `bytes` (the store-side twin of [`load_le`]).
+#[inline]
+pub fn store_le(bytes: &mut [u8], len: u8, val: u64) {
+    debug_assert!(matches!(len, 1 | 2 | 4 | 8));
+    match len {
+        8 => *bytes.first_chunk_mut().expect("8-byte word in bounds") = val.to_le_bytes(),
+        4 => *bytes.first_chunk_mut().expect("4-byte word in bounds") = (val as u32).to_le_bytes(),
+        _ => bytes[..len as usize].copy_from_slice(&val.to_le_bytes()[..len as usize]),
     }
 }
 

@@ -1,0 +1,404 @@
+//! The machine both lazy-release-consistency protocols run on.
+//!
+//! HLRC ([`crate::SvmPlatform`]) and TreadMarks (`lrc-tmk`) differ in their
+//! *data policy* — where a page's current contents live, what a fault
+//! fetches, where a diff goes — and in nothing else. [`Machine`] is the
+//! rest, a plain struct each protocol owns one of: the nodes' network
+//! interfaces and caches, the vector-time write-notice log, and the price
+//! of every synchronisation message. A protocol keeps its page tables,
+//! fetch, twin, flush-home or archive-in-chain, invalidation, chain GC and
+//! counter attribution, and composes its `Platform` methods from these.
+//!
+//! Nothing here may know which protocol is calling: where the two differ
+//! (HLRC emits `Invalidation` after unmapping and drops cache lines even
+//! for an unmapped page, TreadMarks emits before and returns early;
+//! TreadMarks' base-copy fetch ignores `memcpy_cyc_per_2bytes`) the piece
+//! stays in the protocol's crate.
+
+use crate::page::{PState, PageEntry};
+use crate::SvmConfig;
+use sim_core::cache::{Cache, LineState, Lookup};
+use sim_core::platform::{HitWindow, Timing};
+use sim_core::stats::Bucket;
+use sim_core::util::FxMap;
+use sim_core::{Addr, Resource};
+
+/// One node's network interface: its FCFS protocol resources and the
+/// interrupt time it owes.
+#[derive(Default)]
+pub struct Nic {
+    /// The protocol handler (one message at a time).
+    pub handler: Resource,
+    /// Inbound I/O bus.
+    pub io_in: Resource,
+    /// Outbound I/O bus.
+    pub io_out: Resource,
+    /// Protocol processing performed on this node's behalf by incoming
+    /// requests; charged to its clock at its next own event (interrupt
+    /// dilation).
+    pub debt: u64,
+}
+
+/// Nodes, caches, write-notice log and synchronisation pricing shared by the
+/// LRC protocols.
+pub struct Machine {
+    /// The configuration in use.
+    pub cfg: SvmConfig,
+    /// log2 of the protocol page size.
+    pub page_shift: u32,
+    /// Per-node network interfaces.
+    pub nics: Vec<Nic>,
+    /// Per-processor cache hierarchies, `(L1, L2)`.
+    pub caches: Vec<(Cache, Cache)>,
+    /// Closed-interval counts (vector timestamp component per node).
+    vt: Vec<u32>,
+    /// `vc[g][r]`: how many of r's intervals node g has consumed.
+    vc: Vec<Vec<u32>>,
+    /// Un-garbage-collected intervals — the pages a node dirtied between
+    /// two releases — per node; `logs[r][i]` is interval `log_base[r] + i`.
+    logs: Vec<Vec<Vec<u64>>>,
+    log_base: Vec<u32>,
+    /// Vector clock at the last release of each lock.
+    lock_vc: FxMap<u32, Vec<u32>>,
+}
+
+impl Machine {
+    /// Build the machine.
+    ///
+    /// # Panics
+    /// If [`SvmConfig::validate`] rejects the node grouping, or the
+    /// protocol page size is out of range.
+    pub fn new(cfg: SvmConfig) -> Self {
+        cfg.validate();
+        assert!(
+            cfg.page_size.is_power_of_two() && (1024..=16384).contains(&cfg.page_size),
+            "protocol page size must be a power of two in [1K, 16K]"
+        );
+        let nn = cfg.nnodes();
+        Self {
+            page_shift: cfg.page_shift(),
+            nics: (0..nn).map(|_| Nic::default()).collect(),
+            caches: (0..cfg.nprocs)
+                .map(|_| (Cache::new(cfg.l1), Cache::new(cfg.l2)))
+                .collect(),
+            vt: vec![0; nn],
+            vc: vec![vec![0; nn]; nn],
+            logs: vec![Vec::new(); nn],
+            log_base: vec![0; nn],
+            lock_vc: FxMap::default(),
+            cfg,
+        }
+    }
+
+    /// Processor ids hosted by node `nd`.
+    pub fn node_procs(&self, nd: usize) -> std::ops::Range<usize> {
+        nd * self.cfg.procs_per_node..(nd + 1) * self.cfg.procs_per_node
+    }
+
+    /// Charge any protocol work done on this node's behalf since its last
+    /// own event (handler interrupts dilate the application).
+    #[inline]
+    pub fn apply_debt(&mut self, t: &mut Timing) {
+        let nd = self.cfg.node_of(t.pid);
+        let d = std::mem::take(&mut self.nics[nd].debt);
+        t.charge(Bucket::HandlerCompute, d);
+    }
+
+    /// Charge the local cache hierarchy for an access.
+    pub fn cache_access(&mut self, t: &mut Timing, addr: Addr, write: bool) {
+        let caches = &mut self.caches[t.pid];
+        match caches.0.access(addr, write) {
+            Lookup::Hit => {}
+            _ => match caches.1.access(addr, write) {
+                Lookup::Hit | Lookup::UpgradeMiss => {
+                    t.charge(Bucket::CacheStall, self.cfg.l2_hit);
+                    caches.0.fill(addr, LineState::Modified);
+                    t.stats.counters.cache_misses += 1;
+                }
+                Lookup::Miss { .. } => {
+                    t.charge(Bucket::CacheStall, self.cfg.mem_latency);
+                    caches.1.fill(addr, LineState::Modified);
+                    caches.0.fill(addr, LineState::Modified);
+                    t.stats.counters.cache_misses += 1;
+                }
+            },
+        }
+        if write {
+            self.invalidate_siblings(t.pid, addr);
+        }
+    }
+
+    /// Intra-node hardware coherence: a write by one processor of an SMP
+    /// node invalidates the line in its siblings' caches.
+    fn invalidate_siblings(&mut self, pid: usize, addr: Addr) {
+        if self.cfg.procs_per_node > 1 {
+            for q in self.node_procs(self.cfg.node_of(pid)) {
+                if q != pid {
+                    self.caches[q].0.set_state(addr, LineState::Invalid);
+                    self.caches[q].1.set_state(addr, LineState::Invalid);
+                }
+            }
+        }
+    }
+
+    /// Drop every cached line of the page at `base` from the caches of node
+    /// `nd`'s processors: the page's contents changed under them.
+    pub fn drop_page_lines(&mut self, nd: usize, base: Addr) {
+        for q in self.node_procs(nd) {
+            self.caches[q].0.invalidate_range(base, self.cfg.page_size);
+            self.caches[q].1.invalidate_range(base, self.cfg.page_size);
+        }
+    }
+
+    /// An LRC platform's `Platform::hit_window`, given `e`, the entry of
+    /// `addr`'s page in the table of `pid`'s node (unmapped is the caller's
+    /// `None`). A word is free when the scalar path would do no protocol
+    /// work for it: no interrupt debt pending, write permission for a store
+    /// (ReadWrite, so no fault or twin) and the line in L1 with sufficient
+    /// permission. Lines never straddle pages, so the rest of the frame
+    /// covers the rest of the line. Takes the entry so the caller's one
+    /// page-table `get_mut` per run serves both check and window (a second
+    /// lookup cost LU's one-word runs measurably); page table and caches
+    /// are disjoint fields, which lets both borrows live in the result.
+    #[inline]
+    pub fn hit_window<'a>(
+        &'a mut self,
+        pid: usize,
+        addr: Addr,
+        write: bool,
+        e: &'a mut PageEntry,
+    ) -> Option<HitWindow<'a>> {
+        if self.nics[self.cfg.node_of(pid)].debt != 0
+            || (write && e.state != PState::ReadWrite)
+            || !self.caches[pid].0.would_hit(addr, write)
+        {
+            return None;
+        }
+        if write {
+            // The scalar path repeats this per word; once per run is
+            // identical.
+            self.invalidate_siblings(pid, addr);
+        }
+        let off = (addr & (self.cfg.page_size - 1)) as usize;
+        Some(HitWindow {
+            l1: &mut self.caches[pid].0,
+            bytes: &mut e.frame[off..],
+        })
+    }
+
+    /// Close node `nd`'s current interval, logging `pages` as its write
+    /// notices.
+    pub fn close_interval(&mut self, nd: usize, pages: Vec<u64>) {
+        self.logs[nd].push(pages);
+        self.vt[nd] += 1;
+        self.vc[nd][nd] = self.vt[nd];
+    }
+
+    /// The vector time of `lock`'s last release (zero if never released):
+    /// how far its next holder has to catch up.
+    pub fn lock_time(&self, lock: u32) -> Vec<u32> {
+        let never = || vec![0; self.nics.len()];
+        self.lock_vc.get(&lock).cloned().unwrap_or_else(never)
+    }
+
+    /// Advance node `g`'s view of every node `r` to `upto[r]` and return the
+    /// pages of the other nodes' intervals it thereby consumes, in log order
+    /// (writer by writer, oldest first) — one flat list per consumer. The
+    /// caller invalidates them; invalidation never reads the log, so
+    /// collecting first is equivalent to interleaving.
+    pub fn take_notices(&mut self, g: usize, upto: &[u32]) -> Vec<u64> {
+        let mut pages = Vec::new();
+        for (r, &to) in upto.iter().enumerate() {
+            let (from, to) = (self.vc[g][r], to.min(self.vt[r]));
+            if to <= from {
+                continue;
+            }
+            if r != g {
+                let base = self.log_base[r];
+                for interval in &self.logs[r][(from - base) as usize..(to - base) as usize] {
+                    pages.extend_from_slice(interval);
+                }
+            }
+            self.vc[g][r] = to;
+        }
+        pages
+    }
+
+    /// Un-garbage-collected intervals over all nodes.
+    #[cfg(test)]
+    pub(crate) fn log_len(&self) -> usize {
+        self.logs.iter().map(Vec::len).sum()
+    }
+
+    /// Price a control message leaving node `from` at `at` for node `to`'s
+    /// protocol handler, which spends `service` cycles on it; returns when
+    /// the handler is done.
+    fn ctrl_msg(&mut self, from: usize, at: u64, to: usize, service: u64) -> u64 {
+        let ctrl = self.cfg.ctrl_msg_bytes * self.cfg.io_cyc_per_byte;
+        let (_, out_end) = self.nics[from].io_out.serve(at, ctrl);
+        let arrive = out_end + self.cfg.wire_latency;
+        self.nics[to].handler.serve(arrive, service).1
+    }
+
+    /// Price a request node `from` sends at `at` and node `to`'s handler
+    /// services for `service` cycles (an interrupt: `to`'s debt, unless it
+    /// is the requester itself) before replying with data that occupies an
+    /// I/O bus for `reply` cycles — a page or diff fetch. Returns when the
+    /// reply has crossed `from`'s inbound bus.
+    pub fn round_trip(&mut self, from: usize, at: u64, to: usize, service: u64, reply: u64) -> u64 {
+        let svc_end = self.ctrl_msg(from, at, to, service);
+        if to != from {
+            self.nics[to].debt += service;
+        }
+        let (_, out_end) = self.nics[to].io_out.serve(svc_end, reply);
+        let arrive = out_end + self.cfg.wire_latency;
+        self.nics[from].io_in.serve(arrive, reply).1
+    }
+
+    /// `t.pid` asks for `lock`: local send overhead, a message to the
+    /// lock's manager, and the manager's forward to the last owner (3-hop
+    /// protocol). Returns when the request reaches the owner.
+    pub fn lock_request(&mut self, t: &mut Timing, lock: u32) -> u64 {
+        self.apply_debt(t);
+        t.charge(Bucket::LockWait, self.cfg.handler_cost);
+        if !t.timing_on {
+            return *t.now;
+        }
+        let nd = self.cfg.node_of(t.pid);
+        let mgr = self.cfg.lock_manager(lock);
+        if mgr == nd && self.cfg.procs_per_node > 1 {
+            // Intra-node request: a bus interaction, not a network message.
+            return *t.now + self.cfg.intra_node_cost;
+        }
+        let mgr_end = self.ctrl_msg(nd, *t.now, mgr, self.cfg.handler_cost);
+        if mgr != nd {
+            self.nics[mgr].debt += self.cfg.handler_cost;
+        }
+        mgr_end + self.cfg.wire_latency
+    }
+
+    /// When a grantee resumes after being granted a lock at `grant_at` and
+    /// spending `cycles` consuming the write notices that came with it.
+    pub fn lock_grant(&self, grant_at: u64, cycles: u64, timing_on: bool) -> u64 {
+        if !timing_on {
+            return grant_at;
+        }
+        grant_at + self.cfg.wire_latency + self.cfg.handler_cost + cycles
+    }
+
+    /// `t.pid`, its interval closed, releases `lock`: local overhead, and
+    /// the lock remembers the releaser's vector time for its next holder.
+    pub fn lock_release(&mut self, t: &mut Timing, lock: u32) {
+        t.charge(Bucket::LockWait, self.cfg.handler_cost);
+        let nd = self.cfg.node_of(t.pid);
+        self.lock_vc.insert(lock, self.vc[nd].clone());
+    }
+
+    /// `t.pid`, its interval closed and its diffs landed by `applied`,
+    /// notifies `barrier`'s manager. Returns when the manager has the
+    /// arrival.
+    pub fn barrier_arrive(&mut self, t: &Timing, barrier: u32, applied: u64) -> u64 {
+        if !t.timing_on {
+            return *t.now;
+        }
+        let nd = self.cfg.node_of(t.pid);
+        let mgr = self.cfg.barrier_manager(barrier);
+        let send_start = applied.max(*t.now);
+        if mgr == nd && self.cfg.procs_per_node > 1 {
+            return send_start + self.cfg.intra_node_cost;
+        }
+        self.ctrl_msg(nd, send_start, mgr, self.cfg.handler_cost)
+    }
+
+    /// Everyone has arrived at `barrier` (`arrivals[pid]` = arrival at the
+    /// manager): the manager merges the interval information and starts
+    /// the release fan-out.
+    pub fn barrier_merge(&self, barrier: u32, arrivals: &[u64], timing_on: bool) -> Fanout {
+        let start = arrivals.iter().copied().max().unwrap_or(0);
+        let merge = self.cfg.nprocs as u64 * self.cfg.barrier_merge_per_proc;
+        let at = start + if timing_on { merge } else { 0 };
+        Fanout {
+            at,
+            upto: self.vt.clone(),
+            mgr: self.cfg.barrier_manager(barrier),
+            cursor: at,
+            mgr_cycles: 0,
+            resumes: vec![0; self.cfg.nprocs],
+            timing_on,
+        }
+    }
+
+    /// Reset resource clocks and interrupt debt for the start of the timed
+    /// region.
+    pub fn reset_timing(&mut self) {
+        for nic in &mut self.nics {
+            nic.handler.reset();
+            nic.io_in.reset();
+            nic.io_out.reset();
+            nic.debt = 0;
+        }
+    }
+}
+
+/// A barrier manager's release fan-out, begun by [`Machine::barrier_merge`].
+/// The protocol walks the nodes in order: for each it consumes the node's
+/// write notices up to [`Fanout::upto`] at time [`Fanout::at`], then calls
+/// [`Fanout::release`] with what that cost; [`Fanout::finish`] after the
+/// last. Consume-then-release *per node* is load-bearing: `Resource::serve`
+/// is FCFS and order-dependent, and a flush forced by an invalidation at
+/// the manager's node serves the same `io_out` the release messages leave
+/// through — so never all consumes first, then all sends.
+pub struct Fanout {
+    /// When the manager finished merging: the time notices are consumed at.
+    pub at: u64,
+    /// The merged vector time every node is brought up to.
+    pub upto: Vec<u32>,
+    mgr: usize,
+    /// When the manager's `io_out` finished the latest release message.
+    cursor: u64,
+    mgr_cycles: u64,
+    resumes: Vec<u64>,
+    timing_on: bool,
+}
+
+impl Fanout {
+    /// Node `nd` spent `cycles` consuming its notices: send it its release
+    /// message (the manager's own node just remembers the work).
+    pub fn release(&mut self, m: &mut Machine, nd: usize, cycles: u64) {
+        if nd == self.mgr {
+            self.mgr_cycles = cycles;
+        } else if self.timing_on {
+            let ctrl = m.cfg.ctrl_msg_bytes * m.cfg.io_cyc_per_byte;
+            self.cursor = m.nics[self.mgr].io_out.serve(self.cursor, ctrl).1;
+            let resume = self.cursor + m.cfg.wire_latency + m.cfg.handler_cost + cycles;
+            self.resume_node(m, nd, resume);
+        }
+    }
+
+    /// Node `nd`'s processors resume from `at`, one bus hop per sibling
+    /// apart (the intra-node release fan-out).
+    fn resume_node(&mut self, m: &Machine, nd: usize, at: u64) {
+        for (k, q) in m.node_procs(nd).enumerate() {
+            self.resumes[q] = at + k as u64 * (m.cfg.intra_node_cost / 4);
+        }
+    }
+
+    /// End the episode: each processor's resume time.
+    pub fn finish(mut self, m: &mut Machine, arrivals: &[u64]) -> Vec<u64> {
+        // The manager node resumes after finishing all its sends plus its
+        // own invalidation work — the paper's "barrier manager" imbalance.
+        self.resume_node(m, self.mgr, self.cursor + self.mgr_cycles);
+        // After a barrier everyone has consumed everything: collect the
+        // log, timed or not (an untimed initialisation phase must not leave
+        // it growing).
+        for r in 0..m.nics.len() {
+            m.log_base[r] = m.vt[r];
+            m.logs[r].clear();
+        }
+        if self.timing_on {
+            self.resumes
+        } else {
+            arrivals.to_vec()
+        }
+    }
+}

@@ -150,11 +150,13 @@ fn barnes_runs_on_every_platform() {
 // be *bit-identical* in simulated time to the word-at-a-time scalar path:
 // same clocks, same per-phase bucket breakdowns, same protocol counters,
 // same race reports. One test per application sweeps every optimization
-// class x the three study platforms x detector on/off.
+// class x the five platform configurations above x detector on/off — the
+// only check of each platform's `hit_window` predicate, so TreadMarks and
+// the sibling-invalidating multi-processor SVM nodes are included.
 
 fn assert_scalar_bulk_identical(app: App) {
     for class in OptClass::ALL {
-        for pf in apps::Platform::ALL {
+        for pf in PLATFORMS {
             for detect in [false, true] {
                 let spec = AppSpec { app, class };
                 let mk = || {
