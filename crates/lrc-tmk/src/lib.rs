@@ -178,6 +178,8 @@ impl TmkPlatform {
                 // Full page transfer from one node (round robin choice).
                 let pg = page_bytes * io;
                 let in_end = self.m.round_trip(pid, *t.now, src, cfg.handler_cost, pg);
+                // Copy-in at a flat cycle per 2 bytes: unlike HLRC's fetch,
+                // not scaled by `memcpy_cyc_per_2bytes`.
                 done = done.max(in_end + page_bytes / 2);
             }
             // One request/response round trip per distinct writer, all
@@ -342,6 +344,8 @@ impl TmkPlatform {
     fn invalidate_page(&mut self, g: usize, page: u64, at: u64, timing_on: bool, acc: &mut Acc) {
         let state = self.nodes[g].pages.get(&page).map(|e| e.state);
         match state {
+            // Not mapped: nothing to do, cached lines included (HLRC drops
+            // them even then — one of the reasons this is not shared code).
             None => return,
             Some(PState::ReadWrite) => {
                 // Archive our local diff before dropping the copy.
@@ -488,7 +492,7 @@ impl Platform for TmkPlatform {
             fan.release(&mut self.m, q, acc.cycles);
         }
         self.gc_chains();
-        fan.finish(&mut self.m, arrivals)
+        fan.finish(&mut self.m)
     }
 
     fn reset_timing(&mut self) {

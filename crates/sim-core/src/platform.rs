@@ -472,15 +472,12 @@ mod tests {
     const LINES: [Addr; 3] = [B, B + 64, B + 128];
 
     fn table(resident: &[Addr], windows: bool) -> Table {
-        let geom = CacheGeom {
-            size: 1024,
-            line: 64,
-            ways: 2,
-        };
-        let (mut l1, mem, asked) = (Cache::new(geom), FlatMem::new(), Vec::new());
+        let (size, line, ways) = (1024, 64, 2);
+        let mut l1 = Cache::new(CacheGeom { size, line, ways });
         for &a in resident {
             l1.fill(a, LineState::Exclusive);
         }
+        let (mem, asked) = (FlatMem::new(), Vec::new());
         Table {
             l1,
             mem,

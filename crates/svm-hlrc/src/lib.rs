@@ -362,6 +362,7 @@ impl SvmPlatform {
                 },
             );
         }
+        // Mapped or not (TreadMarks returns early instead: not shared code).
         self.m.drop_page_lines(g, base);
     }
 
@@ -476,7 +477,7 @@ impl Platform for SvmPlatform {
             stats[nd * self.m.cfg.procs_per_node].counters.invalidations += acc.invals;
             fan.release(&mut self.m, nd, acc.cycles);
         }
-        fan.finish(&mut self.m, arrivals)
+        fan.finish(&mut self.m)
     }
 
     fn reset_timing(&mut self) {

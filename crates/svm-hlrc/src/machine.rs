@@ -323,7 +323,7 @@ impl Machine {
             mgr: self.cfg.barrier_manager(barrier),
             cursor: at,
             mgr_cycles: 0,
-            resumes: vec![0; self.cfg.nprocs],
+            resumes: arrivals.to_vec(),
             timing_on,
         }
     }
@@ -331,12 +331,7 @@ impl Machine {
     /// Reset resource clocks and interrupt debt for the start of the timed
     /// region.
     pub fn reset_timing(&mut self) {
-        for nic in &mut self.nics {
-            nic.handler.reset();
-            nic.io_in.reset();
-            nic.io_out.reset();
-            nic.debt = 0;
-        }
+        self.nics.fill_with(Nic::default);
     }
 }
 
@@ -383,11 +378,13 @@ impl Fanout {
         }
     }
 
-    /// End the episode: each processor's resume time.
-    pub fn finish(mut self, m: &mut Machine, arrivals: &[u64]) -> Vec<u64> {
+    /// End the episode: each processor's resume time (its arrival, untimed).
+    pub fn finish(mut self, m: &mut Machine) -> Vec<u64> {
         // The manager node resumes after finishing all its sends plus its
         // own invalidation work — the paper's "barrier manager" imbalance.
-        self.resume_node(m, self.mgr, self.cursor + self.mgr_cycles);
+        if self.timing_on {
+            self.resume_node(m, self.mgr, self.cursor + self.mgr_cycles);
+        }
         // After a barrier everyone has consumed everything: collect the
         // log, timed or not (an untimed initialisation phase must not leave
         // it growing).
@@ -395,10 +392,6 @@ impl Fanout {
             m.log_base[r] = m.vt[r];
             m.logs[r].clear();
         }
-        if self.timing_on {
-            self.resumes
-        } else {
-            arrivals.to_vec()
-        }
+        self.resumes
     }
 }
