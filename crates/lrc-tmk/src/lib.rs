@@ -144,7 +144,9 @@ impl TmkPlatform {
         let chain = &self.logs_by_page[&page].chain;
         // Cost: if the node has never had this page, it also needs a full
         // copy of the base from *some* writer/creator; otherwise only the
-        // chain suffix it is missing.
+        // chain suffix it is missing. (As things stand a faulting node
+        // never has either — DESIGN.md §8 — so this is always base + whole
+        // chain; changing that changes `RunStats`.)
         let already = *self.nodes[pid].applied.get(&page).unwrap_or(&0);
         let had_copy = self.nodes[pid].pages.contains_key(&page);
         let cfg = &self.m.cfg;
@@ -212,9 +214,11 @@ impl TmkPlatform {
         );
         self.nodes[pid]
             .pages
-            .insert(page, PageEntry::copy_of(&contents));
+            .insert(page, PageEntry::read_only(contents));
         self.nodes[pid].applied.insert(page, chain_len);
-        self.m.drop_page_lines(pid, base);
+        // Unmapped until now, so no line of the page is cached here
+        // (`machine`'s invariant): nothing to drop.
+        debug_assert!(!self.m.caches_page(pid, base));
         t.stats.counters.remote_fetches += 1;
         t.stats.counters.bytes_transferred += base_wire;
     }
@@ -344,8 +348,8 @@ impl TmkPlatform {
     fn invalidate_page(&mut self, g: usize, page: u64, at: u64, timing_on: bool, acc: &mut Acc) {
         let state = self.nodes[g].pages.get(&page).map(|e| e.state);
         match state {
-            // Not mapped: nothing to do, cached lines included (HLRC drops
-            // them even then — one of the reasons this is not shared code).
+            // Not mapped: nothing to do, cached lines included — a node
+            // caches lines only of pages it maps (`machine`'s invariant).
             None => return,
             Some(PState::ReadWrite) => {
                 // Archive our local diff before dropping the copy.
@@ -670,6 +674,68 @@ mod tests {
             .clocks
         };
         assert_eq!(go(), go());
+    }
+
+    /// A platform driven through the trait by hand, timed, so that a test
+    /// can look inside it between operations.
+    struct Rig {
+        p: TmkPlatform,
+        alloc: sim_core::GlobalAlloc,
+        clocks: Vec<u64>,
+        stats: Vec<ProcStats>,
+    }
+
+    impl Rig {
+        fn new(n: usize) -> Self {
+            Self {
+                p: TmkPlatform::new(SvmConfig::paper(n)),
+                alloc: sim_core::GlobalAlloc::new(n),
+                clocks: vec![0; n],
+                stats: vec![ProcStats::default(); n],
+            }
+        }
+
+        fn on<R>(&mut self, pid: usize, f: impl FnOnce(&mut TmkPlatform, &mut Timing) -> R) -> R {
+            let mut t = Timing {
+                pid,
+                now: &mut self.clocks[pid],
+                stats: &mut self.stats[pid],
+                placement: self.alloc.map(),
+                timing_on: true,
+            };
+            f(&mut self.p, &mut t)
+        }
+
+        fn barrier(&mut self) {
+            let arrivals: Vec<u64> = (0..self.clocks.len())
+                .map(|pid| self.on(pid, |p, t| p.barrier_arrive(t, 0)))
+                .collect();
+            let (p, map) = (&mut self.p, self.alloc.map());
+            self.clocks = p.barrier_release(0, &arrivals, &mut self.stats, map, true);
+        }
+    }
+
+    #[test]
+    fn lines_are_cached_only_while_the_page_is_mapped() {
+        // p1 fetches, caches, loses and refetches a page p0 keeps writing.
+        let mut r = Rig::new(2);
+        let a = r.alloc.alloc(PAGE_SIZE, 8, Placement::RoundRobin, 0);
+        let page = a >> r.p.m.page_shift;
+        let check = |r: &Rig, mapped: bool| {
+            assert_eq!(r.p.nodes[1].pages.contains_key(&page), mapped);
+            assert_eq!(r.p.m.caches_page(1, a), mapped);
+        };
+        r.on(0, |p, t| p.store(t, a, 8, 7));
+        r.barrier();
+        check(&r, false);
+        assert_eq!(r.on(1, |p, t| p.load(t, a, 8)), 7);
+        check(&r, true);
+        r.on(0, |p, t| p.store(t, a, 8, 8));
+        r.barrier();
+        check(&r, false);
+        assert_eq!(r.on(1, |p, t| p.load(t, a, 8)), 8);
+        check(&r, true);
+        assert_eq!(r.stats[1].counters.remote_fetches, 2);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! * Every page has a **home** node (from the allocator's placement map);
 //!   the home copy is kept up to date by applying **diffs** at releases.
 //! * A node's first write to a page in an interval creates a **twin**; at a
-//!   release, the dirty page is compared against the twin word-by-word and
-//!   the resulting diff is sent to the home.
+//!   release, the dirty page is compared against the twin and the resulting
+//!   word-granularity diff is sent to the home.
 //! * Intervals carry **write notices**; vector timestamps order them. An
 //!   acquiring processor invalidates every page written in intervals that
 //!   causally precede the acquire; the next access faults and fetches the
@@ -141,10 +141,10 @@ impl SvmPlatform {
         // State: install a read-only copy of the home frame.
         let entry = PageEntry::copy_of(&self.home_frame_entry(home, page).frame);
         self.nodes[nd].pages.insert(page, entry);
-        // The stale copy's cached lines no longer describe memory contents —
-        // for every processor of the node.
+        // The page was unmapped until now, so none of the node's processors
+        // caches a line of it (`machine`'s invariant): nothing to drop.
         let base = page << self.m.page_shift;
-        self.m.drop_page_lines(nd, base);
+        debug_assert!(!self.m.caches_page(nd, base));
         t.stats.counters.remote_fetches += 1;
         t.stats.counters.bytes_transferred += wire;
         // The fetch stalled `t.pid` over (t0, now]; the home node's first
@@ -361,9 +361,14 @@ impl SvmPlatform {
                     at,
                 },
             );
+            // The stale copy's cached lines no longer describe memory
+            // contents — for every processor of the node.
+            self.m.drop_page_lines(g, base);
+        } else {
+            // Never mapped here, or unmapped by an earlier notice: no lines
+            // to drop (`machine`'s invariant), as in TreadMarks.
+            debug_assert!(!self.m.caches_page(g, base));
         }
-        // Mapped or not (TreadMarks returns early instead: not shared code).
-        self.m.drop_page_lines(g, base);
     }
 
     /// Bring node `g` up to vector time `upto`, invalidating at `g` every
@@ -406,8 +411,13 @@ impl Platform for SvmPlatform {
         t.stats.counters.accesses += 1;
         t.charge(Bucket::Compute, 1);
         let page = addr >> self.m.page_shift;
-        let home = self.home_of(t.placement, page, t.pid);
-        self.ensure_readable(t, page, home);
+        // The home matters only to a fault: resolve it (a search over the
+        // allocation regions) off the mapped path.
+        let nd = self.m.cfg.node_of(t.pid);
+        if !self.nodes[nd].pages.contains_key(&page) {
+            let home = self.home_of(t.placement, page, t.pid);
+            self.ensure_readable(t, page, home);
+        }
         self.m.cache_access(t, addr, false);
         load_le(self.frame_at(t.pid, addr), len)
     }
@@ -417,8 +427,11 @@ impl Platform for SvmPlatform {
         t.stats.counters.accesses += 1;
         t.charge(Bucket::Compute, 1);
         let page = addr >> self.m.page_shift;
-        let home = self.home_of(t.placement, page, t.pid);
-        self.ensure_writable(t, page, home);
+        let nd = self.m.cfg.node_of(t.pid);
+        if self.nodes[nd].pages.get(&page).map(|e| e.state) != Some(PState::ReadWrite) {
+            let home = self.home_of(t.placement, page, t.pid);
+            self.ensure_writable(t, page, home);
+        }
         self.m.cache_access(t, addr, true);
         store_le(self.frame_at(t.pid, addr), len, val);
     }
@@ -790,6 +803,96 @@ mod tests {
             p.barrier_release(0, &arrivals, &mut stats, alloc.map(), false);
             assert_eq!(p.m.log_len(), 0, "round {round}");
         }
+    }
+
+    /// A platform driven through the trait by hand, timed, so that a test
+    /// can look inside it between operations.
+    struct Rig {
+        p: SvmPlatform,
+        alloc: sim_core::GlobalAlloc,
+        clocks: Vec<u64>,
+        stats: Vec<ProcStats>,
+    }
+
+    impl Rig {
+        fn new(cfg: SvmConfig) -> Self {
+            let n = cfg.nprocs;
+            Self {
+                p: SvmPlatform::new(cfg),
+                alloc: sim_core::GlobalAlloc::new(n),
+                clocks: vec![0; n],
+                stats: vec![ProcStats::default(); n],
+            }
+        }
+
+        fn on<R>(&mut self, pid: usize, f: impl FnOnce(&mut SvmPlatform, &mut Timing) -> R) -> R {
+            let mut t = Timing {
+                pid,
+                now: &mut self.clocks[pid],
+                stats: &mut self.stats[pid],
+                placement: self.alloc.map(),
+                timing_on: true,
+            };
+            f(&mut self.p, &mut t)
+        }
+
+        fn barrier(&mut self) {
+            let arrivals: Vec<u64> = (0..self.clocks.len())
+                .map(|pid| self.on(pid, |p, t| p.barrier_arrive(t, 0)))
+                .collect();
+            let (p, map) = (&mut self.p, self.alloc.map());
+            self.clocks = p.barrier_release(0, &arrivals, &mut self.stats, map, true);
+        }
+    }
+
+    #[test]
+    fn lines_are_cached_only_while_the_page_is_mapped() {
+        // Two nodes of two processors; the page is homed at node 0 and
+        // nodes[1] = {p2, p3} fetch, cache, lose and refetch it.
+        let mut r = Rig::new(SvmConfig::paper_smp_nodes(4, 2));
+        let a = r.alloc.alloc(PAGE_SIZE, 8, Placement::Node(0), 0);
+        let page = a >> r.p.m.page_shift;
+        let check = |r: &Rig, mapped: bool| {
+            assert_eq!(r.p.nodes[1].pages.contains_key(&page), mapped);
+            assert_eq!(r.p.m.caches_page(1, a), mapped);
+        };
+        check(&r, false);
+        r.on(2, |p, t| p.load(t, a, 8));
+        check(&r, true);
+        // The sibling's caches count too: p3 alone holds this line.
+        r.on(3, |p, t| p.load(t, a + 1024, 8));
+        r.on(0, |p, t| p.store(t, a, 8, 7));
+        r.barrier();
+        check(&r, false);
+        assert!(r.p.m.caches_page(0, a), "the home copy is never unmapped");
+        // A notice for a page the node no longer maps: nothing to drop.
+        r.on(0, |p, t| p.store(t, a, 8, 8));
+        r.barrier();
+        check(&r, false);
+        assert_eq!(r.on(3, |p, t| p.load(t, a, 8)), 8);
+        check(&r, true);
+        assert_eq!(r.stats[2].counters.remote_fetches, 1);
+        assert_eq!(r.stats[3].counters.remote_fetches, 1);
+    }
+
+    #[test]
+    fn first_touch_home_is_resolved_by_the_first_fault() {
+        // The home is looked up only on the fault path; the first access to
+        // a page anywhere is a fault, so first touch still decides it.
+        let mut r = Rig::new(SvmConfig::paper(4));
+        let a = r.alloc.alloc(PAGE_SIZE, 8, Placement::FirstTouch, 0);
+        r.on(3, |p, t| p.load(t, a, 8));
+        r.on(3, |p, t| p.load(t, a + 8, 8)); // mapped: no lookup
+        r.on(1, |p, t| p.store(t, a, 8, 5));
+        r.barrier();
+        assert_eq!(r.alloc.map().home_of_resolved(a), Some(3));
+        // p1 fetched from, twinned against and flushed its diff to node 3.
+        assert_eq!(r.stats[3].counters.remote_fetches, 0);
+        assert_eq!(r.stats[1].counters.remote_fetches, 1);
+        assert_eq!(r.stats[1].counters.twins_created, 1);
+        assert_eq!(r.stats[1].counters.diffs_created, 1);
+        assert_eq!(r.on(3, |p, t| p.load(t, a, 8)), 5);
+        assert_eq!(r.stats[3].counters.remote_fetches, 0, "home reads in place");
     }
 
     #[test]

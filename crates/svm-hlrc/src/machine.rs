@@ -10,10 +10,18 @@
 //! counter attribution, and composes its `Platform` methods from these.
 //!
 //! Nothing here may know which protocol is calling: where the two differ
-//! (HLRC emits `Invalidation` after unmapping and drops cache lines even
-//! for an unmapped page, TreadMarks emits before and returns early;
+//! (HLRC emits `Invalidation` after unmapping, TreadMarks before;
 //! TreadMarks' base-copy fetch ignores `memcpy_cyc_per_2bytes`) the piece
 //! stays in the protocol's crate.
+//!
+//! **Cached lines ⊆ mapped pages.** A node's processors cache lines only of
+//! pages mapped at that node, and the home's copy, once touched, is never
+//! unmapped: a line enters a cache only through [`Machine::cache_access`],
+//! which a protocol reaches only with the page in the node's table, and a
+//! protocol's only unmap drops the page's lines from the node's caches. So
+//! a fault, and a write notice for a page the node does not map, have no
+//! lines to drop — both protocols skip the sweep there and `debug_assert!`
+//! [`Machine::caches_page`] false instead.
 
 use crate::page::{PState, PageEntry};
 use crate::SvmConfig;
@@ -148,6 +156,20 @@ impl Machine {
             self.caches[q].0.invalidate_range(base, self.cfg.page_size);
             self.caches[q].1.invalidate_range(base, self.cfg.page_size);
         }
+    }
+
+    /// Does any processor of node `nd` hold, in L1 or L2, a line of the page
+    /// at `base`? False for every page `nd` does not map (the module's
+    /// invariant). A probe per line per cache, like dropping the page's
+    /// lines: for assertions and tests.
+    pub fn caches_page(&self, nd: usize, base: Addr) -> bool {
+        let holds = |c: &Cache| {
+            (base..base + self.cfg.page_size)
+                .step_by(c.geom().line as usize)
+                .any(|a| c.state_of(a) != LineState::Invalid)
+        };
+        self.node_procs(nd)
+            .any(|q| holds(&self.caches[q].0) || holds(&self.caches[q].1))
     }
 
     /// An LRC platform's `Platform::hit_window`, given `e`, the entry of
