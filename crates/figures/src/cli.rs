@@ -1,59 +1,87 @@
-//! cli — shared argument parsing for the cell-selecting figure binaries.
+//! cli — the one argument parser of the `figures` binary.
 //!
-//! The `fig*` binaries take only `--scale`/`--procs` (see
-//! [`crate::parse_args`]); the diagnostic tools (`trace`, `sharing`,
-//! `pagemap`, `critpath`, ...) additionally select an application cell and
-//! may define tool-specific flags. This module factors the cell-selection
-//! boilerplate those tools used to duplicate: every tool gets
-//! `--scale test|default|paper --procs N --app NAME --class orig|pa|ds|alg
-//! --platform svm|tmk|dsm|smp` for free and declares its extra flags by
-//! name.
+//! Every subcommand reads `--scale test|default|paper` and `--procs N`. A
+//! subcommand's [`Flags`] say what else it reads: the cell selection
+//! (`--app NAME --class orig|pa|ds|alg --platform svm|tmk|dsm|smp`) and
+//! its own value flags and switches, by name. Anything else on the command
+//! line is an error, returned as one line naming the argument — the binary
+//! prints it with the usage table and exits 2.
 
-use apps::{App, OptClass, Platform, Scale};
+use apps::{App, AppSpec, OptClass, Platform, Scale};
+use sim_core::{RunConfig, RunStats};
+
+/// What one subcommand reads beyond `--scale` and `--procs`.
+#[derive(Clone, Copy, Debug)]
+pub struct Flags {
+    /// Reads the cell selection `--app` / `--class` / `--platform`.
+    pub cell: bool,
+    /// Flags that take one value.
+    pub values: &'static [&'static str],
+    /// Bare switches.
+    pub switches: &'static [&'static str],
+}
+
+impl Flags {
+    /// `--scale` and `--procs` only.
+    pub const NONE: Flags = Flags {
+        cell: false,
+        values: &[],
+        switches: &[],
+    };
+}
 
 /// Parse a `--scale` value.
-pub fn parse_scale(s: &str) -> Scale {
+pub fn parse_scale(s: &str) -> Result<Scale, String> {
     match s.to_ascii_lowercase().as_str() {
-        "test" => Scale::Test,
-        "default" => Scale::Default,
-        "paper" => Scale::Paper,
-        other => panic!("unknown scale {other} (test|default|paper)"),
+        "test" => Ok(Scale::Test),
+        "default" => Ok(Scale::Default),
+        "paper" => Ok(Scale::Paper),
+        other => Err(format!("unknown scale {other} (test|default|paper)")),
+    }
+}
+
+/// The `--scale` spelling of a scale.
+pub fn scale_name(s: Scale) -> &'static str {
+    match s {
+        Scale::Test => "test",
+        Scale::Default => "default",
+        Scale::Paper => "paper",
     }
 }
 
 /// Parse a `--class` value.
-pub fn parse_class(s: &str) -> OptClass {
+pub fn parse_class(s: &str) -> Result<OptClass, String> {
     match s.to_ascii_lowercase().as_str() {
-        "orig" => OptClass::Orig,
-        "pa" | "p/a" | "padalign" => OptClass::PadAlign,
-        "ds" | "datastruct" => OptClass::DataStruct,
-        "alg" | "algorithm" => OptClass::Algorithm,
-        other => panic!("unknown class {other} (orig|pa|ds|alg)"),
+        "orig" => Ok(OptClass::Orig),
+        "pa" | "p/a" | "padalign" => Ok(OptClass::PadAlign),
+        "ds" | "datastruct" => Ok(OptClass::DataStruct),
+        "alg" | "algorithm" => Ok(OptClass::Algorithm),
+        other => Err(format!("unknown class {other} (orig|pa|ds|alg)")),
     }
 }
 
 /// Parse a `--platform` value.
-pub fn parse_platform(s: &str) -> Platform {
+pub fn parse_platform(s: &str) -> Result<Platform, String> {
     match s.to_ascii_lowercase().as_str() {
-        "svm" => Platform::Svm,
-        "tmk" => Platform::Tmk,
-        "dsm" => Platform::Dsm,
-        "smp" => Platform::Smp,
-        other => panic!("unknown platform {other} (svm|tmk|dsm|smp)"),
+        "svm" => Ok(Platform::Svm),
+        "tmk" => Ok(Platform::Tmk),
+        "dsm" => Ok(Platform::Dsm),
+        "smp" => Ok(Platform::Smp),
+        other => Err(format!("unknown platform {other} (svm|tmk|dsm|smp)")),
     }
 }
 
 /// Parse a `--app` value by (case-insensitive) application name.
-pub fn parse_app(s: &str) -> App {
+pub fn parse_app(s: &str) -> Result<App, String> {
     let name = s.to_ascii_lowercase();
-    *App::ALL
-        .iter()
+    App::ALL
+        .into_iter()
         .find(|a| a.name().to_ascii_lowercase() == name)
-        .unwrap_or_else(|| panic!("unknown app {name}"))
+        .ok_or_else(|| format!("unknown app {name}"))
 }
 
-/// Parsed command line: the standard cell selection plus any
-/// tool-declared extra flags.
+/// Parsed command line: scale, processor count, the cell selection and
+/// the subcommand's own flags.
 #[derive(Clone, Debug)]
 pub struct Parsed {
     /// Problem scale preset.
@@ -70,7 +98,7 @@ pub struct Parsed {
 }
 
 impl Parsed {
-    /// Value of a tool-declared value flag (e.g. `extra("--out")`), if given.
+    /// Value of a subcommand value flag (e.g. `extra("--out")`), if given.
     pub fn extra(&self, flag: &str) -> Option<&str> {
         self.extras
             .iter()
@@ -78,21 +106,65 @@ impl Parsed {
             .and_then(|(_, v)| v.as_deref())
     }
 
-    /// Whether a tool-declared boolean flag was given.
+    /// Whether a subcommand switch was given.
     pub fn has(&self, flag: &str) -> bool {
         self.extras.iter().any(|(f, _)| f == flag)
     }
+
+    /// Numeric value of a subcommand value flag, `default` when not given.
+    pub fn num<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
+        match self.extra(flag) {
+            Some(v) => v.parse().map_err(|_| format!("{flag} {v}: not a number")),
+            None => Ok(default),
+        }
+    }
+
+    /// A metrics sampling period in cycles: [`Parsed::num`], but zero (the
+    /// engine's "off") is a mistake where the subcommand needs the engine.
+    pub fn period(&self, flag: &str, default: u64) -> Result<u64, String> {
+        match self.num(flag, default)? {
+            0 => Err(format!("{flag} 0: the sampling period must be nonzero")),
+            n => Ok(n),
+        }
+    }
+
+    /// `--procs` must fit every platform the subcommand is about to run
+    /// on: the hardware-coherent models track sharers in a 32-bit mask.
+    pub fn check_procs(&self, platforms: &[Platform]) -> Result<(), String> {
+        match platforms
+            .iter()
+            .find(|pf| matches!(pf, Platform::Dsm | Platform::Smp))
+        {
+            Some(pf) if self.nprocs > 32 => Err(format!(
+                "--procs {}: {} models at most 32 processors",
+                self.nprocs,
+                pf.name()
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    /// Run one application cell at the parsed scale and processor count,
+    /// with `layers` switching diagnostic layers on over the default
+    /// configuration (`|c| c` for a plain run).
+    pub fn run(
+        &self,
+        app: App,
+        class: OptClass,
+        platform: Platform,
+        layers: impl FnOnce(RunConfig) -> RunConfig,
+    ) -> RunStats {
+        AppSpec { app, class }.run_cfg(
+            platform,
+            self.nprocs,
+            self.scale,
+            layers(RunConfig::new(self.nprocs)),
+        )
+    }
 }
 
-/// Parse `std::env::args`. `value_flags` are tool flags that take one
-/// value; `bool_flags` are bare switches. Anything else (beyond the
-/// standard cell selection) is an error.
-pub fn parse(value_flags: &[&str], bool_flags: &[&str]) -> Parsed {
-    parse_from(std::env::args().skip(1).collect(), value_flags, bool_flags)
-}
-
-/// [`parse`] on an explicit argument vector (testable).
-pub fn parse_from(args: Vec<String>, value_flags: &[&str], bool_flags: &[&str]) -> Parsed {
+/// Parse a subcommand's arguments (everything after its name).
+pub fn parse(args: &[String], flags: &Flags) -> Result<Parsed, String> {
     let mut p = Parsed {
         scale: Scale::Default,
         nprocs: 16,
@@ -101,68 +173,63 @@ pub fn parse_from(args: Vec<String>, value_flags: &[&str], bool_flags: &[&str]) 
         platform: Platform::Svm,
         extras: Vec::new(),
     };
-    fn take<'a>(args: &'a [String], i: &mut usize) -> &'a str {
-        *i += 1;
-        args.get(*i)
-            .unwrap_or_else(|| panic!("{} needs a value", args[*i - 1]))
-    }
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => p.scale = parse_scale(take(&args, &mut i)),
-            "--procs" => p.nprocs = take(&args, &mut i).parse().expect("--procs N"),
-            "--app" => p.app = parse_app(take(&args, &mut i)),
-            "--class" => p.class = parse_class(take(&args, &mut i)),
-            "--platform" => p.platform = parse_platform(take(&args, &mut i)),
-            other if value_flags.contains(&other) => {
-                let flag = other.to_string();
-                let val = take(&args, &mut i).to_string();
-                p.extras.push((flag, Some(val)));
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let flag = arg.as_str();
+        let mut value = || {
+            it.next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        let named = |e: String| format!("{flag}: {e}");
+        match flag {
+            "--scale" => p.scale = parse_scale(value()?).map_err(named)?,
+            "--procs" => {
+                let v = value()?;
+                p.nprocs = match v.parse() {
+                    Ok(0) => return Err("--procs 0: at least one processor".to_string()),
+                    Ok(n) => n,
+                    Err(_) => return Err(format!("--procs {v}: not a number")),
+                }
             }
-            other if bool_flags.contains(&other) => {
-                p.extras.push((other.to_string(), None));
+            "--app" if flags.cell => p.app = parse_app(value()?).map_err(named)?,
+            "--class" if flags.cell => p.class = parse_class(value()?).map_err(named)?,
+            "--platform" if flags.cell => p.platform = parse_platform(value()?).map_err(named)?,
+            _ if flags.values.contains(&flag) => {
+                let v = value()?.to_string();
+                p.extras.push((flag.to_string(), Some(v)));
             }
-            other => panic!("unknown argument {other}"),
+            _ if flags.switches.contains(&flag) => p.extras.push((flag.to_string(), None)),
+            _ => return Err(format!("unknown argument {flag}")),
         }
-        i += 1;
     }
-    p
-}
-
-/// Print the shared phase-table-overflow warning when per-phase cycle
-/// attribution overflowed its table (the totals stay exact; only the
-/// per-phase split undercounts). Returns the overflow count so JSON
-/// emitters can record it. Used by the `metrics`, `trace` and `advisor`
-/// binaries so the wording stays in one place.
-pub fn warn_phase_overflows(stats: &sim_core::RunStats) -> u64 {
-    let overflows: u64 = stats.procs.iter().map(|q| q.phase_overflows()).sum();
-    if overflows > 0 {
-        println!(
-            "warning: {overflows} phase-attributed cycle updates overflowed the \
-             phase table; per-phase breakdowns undercount (raise the phase cap \
-             or set fewer phases)"
-        );
-    }
-    overflows
+    Ok(p)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn v(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
+    const TOOL: Flags = Flags {
+        cell: true,
+        values: &["--out"],
+        switches: &["--what-if"],
+    };
+
+    fn parse_strs(args: &[&str], flags: &Flags) -> Result<Parsed, String> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        parse(&args, flags)
     }
 
     #[test]
     fn defaults_and_standard_flags() {
-        let p = parse_from(v(&[]), &[], &[]);
+        let p = parse_strs(&[], &Flags::NONE).unwrap();
         assert_eq!(p.nprocs, 16);
         assert_eq!(p.app, App::Ocean);
         assert_eq!(p.class, OptClass::Orig);
         assert_eq!(p.platform, Platform::Svm);
-        let p = parse_from(
-            v(&[
+        let p = parse_strs(
+            &[
                 "--scale",
                 "test",
                 "--procs",
@@ -173,10 +240,10 @@ mod tests {
                 "ds",
                 "--platform",
                 "tmk",
-            ]),
-            &[],
-            &[],
-        );
+            ],
+            &TOOL,
+        )
+        .unwrap();
         assert!(matches!(p.scale, Scale::Test));
         assert_eq!(p.nprocs, 4);
         assert_eq!(p.app, App::Lu);
@@ -186,29 +253,66 @@ mod tests {
 
     #[test]
     fn extra_value_and_bool_flags() {
-        let p = parse_from(
-            v(&["--out", "x.json", "--what-if", "--procs", "2"]),
-            &["--out"],
-            &["--what-if"],
-        );
+        let p = parse_strs(&["--out", "x.json", "--what-if", "--procs", "2"], &TOOL).unwrap();
         assert_eq!(p.extra("--out"), Some("x.json"));
         assert!(p.has("--what-if"));
         assert!(!p.has("--json"));
         assert_eq!(p.extra("--json"), None);
         assert_eq!(p.nprocs, 2);
+        assert_eq!(p.num("--top", 8usize), Ok(8));
     }
 
     #[test]
-    #[should_panic(expected = "unknown argument")]
-    fn undeclared_flag_is_rejected() {
-        parse_from(v(&["--bogus"]), &[], &[]);
+    fn mistakes_are_one_line_naming_the_argument() {
+        let err = |args: &[&str], flags: &Flags| parse_strs(args, flags).unwrap_err();
+        assert_eq!(err(&["--bogus"], &TOOL), "unknown argument --bogus");
+        // A flag the subcommand does not read is unknown to it.
+        assert_eq!(
+            err(&["--app", "lu"], &Flags::NONE),
+            "unknown argument --app"
+        );
+        assert_eq!(err(&["--out", "x"], &Flags::NONE), "unknown argument --out");
+        assert_eq!(err(&["--procs"], &Flags::NONE), "--procs needs a value");
+        assert_eq!(err(&["--out"], &TOOL), "--out needs a value");
+        assert_eq!(
+            err(&["--procs", "0"], &Flags::NONE),
+            "--procs 0: at least one processor"
+        );
+        assert_eq!(
+            err(&["--procs", "four"], &Flags::NONE),
+            "--procs four: not a number"
+        );
+        assert_eq!(
+            err(&["--scale", "huge"], &Flags::NONE),
+            "--scale: unknown scale huge (test|default|paper)"
+        );
+        assert_eq!(err(&["--app", "doom"], &TOOL), "--app: unknown app doom");
+        let p = parse_strs(&["--out", "x"], &TOOL).unwrap();
+        assert_eq!(p.num("--out", 1usize), Err("--out x: not a number".into()));
+        assert_eq!(
+            p.period("--top", 0),
+            Err("--top 0: the sampling period must be nonzero".into())
+        );
+    }
+
+    #[test]
+    fn procs_must_fit_the_hardware_platforms() {
+        let p = parse_strs(&["--procs", "33"], &Flags::NONE).unwrap();
+        assert_eq!(p.check_procs(&[Platform::Svm, Platform::Tmk]), Ok(()));
+        assert_eq!(
+            p.check_procs(&[Platform::Svm, Platform::Dsm]),
+            Err("--procs 33: DSM models at most 32 processors".into())
+        );
+        let p = parse_strs(&["--procs", "32"], &Flags::NONE).unwrap();
+        assert_eq!(p.check_procs(&[Platform::Smp]), Ok(()));
     }
 
     #[test]
     fn class_and_platform_aliases() {
-        assert_eq!(parse_class("P/A"), OptClass::PadAlign);
-        assert_eq!(parse_class("algorithm"), OptClass::Algorithm);
-        assert_eq!(parse_platform("SMP"), Platform::Smp);
-        assert_eq!(parse_app("Radix"), App::Radix);
+        assert_eq!(parse_class("P/A"), Ok(OptClass::PadAlign));
+        assert_eq!(parse_class("algorithm"), Ok(OptClass::Algorithm));
+        assert_eq!(parse_platform("SMP"), Ok(Platform::Smp));
+        assert_eq!(parse_app("Radix"), Ok(App::Radix));
+        assert_eq!(scale_name(parse_scale("Paper").unwrap()), "paper");
     }
 }

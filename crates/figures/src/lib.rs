@@ -1,51 +1,33 @@
 //! # figures — the experiment harness
 //!
-//! One binary per figure/table of the paper (`fig02` … `fig17`, `table1`),
-//! each of which re-runs the corresponding experiment on the simulated
-//! platforms and prints the paper's series next to our measured values.
+//! One binary, `figures <name> [flags]`, driven by one table
+//! ([`experiments::TABLE`]): every figure and table of the paper
+//! (`fig02` … `fig17`, `table1`), the studies beyond it (`protocols`,
+//! `smp_nodes`, `kvstore`, the ablations) and the diagnostic tools
+//! (`sharing`, `trace`, `critpath`, `metrics`, `advisor`, `pagemap`) are
+//! rows of it. Each re-runs its experiment on the simulated platforms and
+//! prints the paper's series next to our measured values.
 //!
 //! ```text
-//! cargo run --release -p figures --bin fig02 [-- --scale test|default|paper --procs N]
+//! cargo run --release -p figures -- fig02 [--scale test|default|paper --procs N]
 //! ```
 //!
-//! Shared functionality lives here: argument parsing, a baseline cache (the
-//! paper's speedup metric divides by the uniprocessor time of the *original*
-//! version on the same platform), breakdown-table rendering, and the figure
-//! header format.
+//! Shared functionality lives here: the parallel sweep driver, a baseline
+//! cache (the paper's speedup metric divides by the uniprocessor time of
+//! the *original* version on the same platform) and breakdown-table
+//! rendering. [`cli`] is the one argument parser.
 
 use apps::{App, AppSpec, OptClass, Platform, Scale};
-use sim_core::{Bucket, RunStats, RunTrace};
+use sim_core::{Bucket, RunStats};
 use std::collections::HashMap;
 
 pub mod cli;
+pub mod experiments;
+mod tools;
 
-/// Wait-latency histograms of a traced run as JSON: merged and per-proc
-/// fetch/lock/barrier [`sim_core::WaitHist`] buckets. Shared by
-/// `trace --json` and `critpath --json`.
-pub fn wait_hists_json(tr: &RunTrace) -> String {
-    fn triple(f: &sim_core::WaitHist, l: &sim_core::WaitHist, b: &sim_core::WaitHist) -> String {
-        format!(
-            "\"fetch\": {}, \"lock\": {}, \"barrier\": {}",
-            f.to_json(),
-            l.to_json(),
-            b.to_json()
-        )
-    }
-    let (f, l, b) = tr.merged_hists();
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"merged\": {{{}}},\n", triple(&f, &l, &b)));
-    s.push_str("  \"procs\": [\n");
-    for (pid, p) in tr.procs.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"pid\": {}, {}}}{}\n",
-            pid,
-            triple(&p.fetch_wait, &p.lock_wait, &p.barrier_wait),
-            if pid + 1 < tr.procs.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}");
-    s
-}
+/// The four platform families, page-based first — what the diagnostic
+/// tools sweep ([`Platform::ALL`] is the paper's three).
+pub const FAMILIES: [Platform; 4] = [Platform::Svm, Platform::Tmk, Platform::Dsm, Platform::Smp];
 
 pub mod sweep {
     //! Parallel sweep driver: run independent simulation cells on a pool of
@@ -65,6 +47,17 @@ pub mod sweep {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
+    }
+
+    /// [`parallel_map`] announced on stderr — how every experiment runs
+    /// its independent cells.
+    pub fn run<T: Sync, R: Send>(cells: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        eprintln!(
+            "  [sweep] {} cells on up to {} host threads...",
+            cells.len(),
+            host_threads()
+        );
+        parallel_map(cells, f)
     }
 
     /// Apply `f` to every item on a scoped thread pool and return the
@@ -108,68 +101,30 @@ pub mod sweep {
     }
 }
 
-/// Command-line options shared by all figure binaries.
-#[derive(Clone, Copy, Debug)]
-pub struct Opts {
-    /// Problem scale preset.
-    pub scale: Scale,
-    /// Processor count for parallel runs (paper: 16).
-    pub nprocs: usize,
-}
-
-impl Default for Opts {
-    fn default() -> Self {
-        Self {
-            scale: Scale::Default,
-            nprocs: 16,
-        }
-    }
-}
-
-/// Parse `--scale` and `--procs` from `std::env::args`.
-pub fn parse_args() -> Opts {
-    let mut opts = Opts::default();
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                opts.scale = match args.get(i).map(String::as_str) {
-                    Some("test") => Scale::Test,
-                    Some("default") => Scale::Default,
-                    Some("paper") => Scale::Paper,
-                    other => panic!("unknown scale {other:?} (test|default|paper)"),
-                };
-            }
-            "--procs" => {
-                i += 1;
-                opts.nprocs = args[i].parse().expect("--procs N");
-            }
-            other => panic!("unknown argument {other}"),
-        }
-        i += 1;
-    }
-    opts
-}
-
-/// Runs experiments and caches uniprocessor baselines (one per
-/// app × platform, always the `Orig` optimization class, per the paper's
-/// speedup definition).
-#[derive(Default)]
+/// Runs experiments at one scale and processor count and caches
+/// uniprocessor baselines (one per app × platform, always the `Orig`
+/// optimization class, per the paper's speedup definition).
 pub struct Runner {
+    scale: Scale,
+    nprocs: usize,
     baselines: HashMap<(App, Platform), u64>,
     parallel: HashMap<(App, OptClass, Platform), RunStats>,
 }
 
 impl Runner {
-    /// Fresh runner.
-    pub fn new() -> Self {
-        Self::default()
+    /// Fresh runner for `nprocs`-processor runs at `scale`.
+    pub fn new(scale: Scale, nprocs: usize) -> Self {
+        Self {
+            scale,
+            nprocs,
+            baselines: HashMap::new(),
+            parallel: HashMap::new(),
+        }
     }
 
     /// Uniprocessor cycles of the original version (cached).
-    pub fn baseline(&mut self, app: App, platform: Platform, opts: Opts) -> u64 {
+    pub fn baseline(&mut self, app: App, platform: Platform) -> u64 {
+        let scale = self.scale;
         *self.baselines.entry((app, platform)).or_insert_with(|| {
             eprintln!(
                 "  [baseline] {} on {} (1 proc)...",
@@ -180,19 +135,14 @@ impl Runner {
                 app,
                 class: OptClass::Orig,
             }
-            .run(platform, 1, opts.scale)
+            .run(platform, 1, scale)
             .total_cycles()
         })
     }
 
     /// Parallel run statistics (cached).
-    pub fn parallel(
-        &mut self,
-        app: App,
-        class: OptClass,
-        platform: Platform,
-        opts: Opts,
-    ) -> &RunStats {
+    pub fn parallel(&mut self, app: App, class: OptClass, platform: Platform) -> &RunStats {
+        let (scale, nprocs) = (self.scale, self.nprocs);
         self.parallel
             .entry((app, class, platform))
             .or_insert_with(|| {
@@ -201,9 +151,9 @@ impl Runner {
                     app.name(),
                     class.label(),
                     platform.name(),
-                    opts.nprocs
+                    nprocs
                 );
-                AppSpec { app, class }.run(platform, opts.nprocs, opts.scale)
+                AppSpec { app, class }.run(platform, nprocs, scale)
             })
     }
 
@@ -212,7 +162,7 @@ impl Runner {
     /// pool (see [`sweep`]). Afterwards [`Runner::baseline`],
     /// [`Runner::parallel`] and [`Runner::speedup`] hit the cache. Results
     /// are identical to running the cells one by one.
-    pub fn prefetch(&mut self, cells: &[(App, OptClass, Platform)], opts: Opts) {
+    pub fn prefetch(&mut self, cells: &[(App, OptClass, Platform)]) {
         let mut jobs: Vec<(App, Option<OptClass>, Platform)> = Vec::new();
         for &(app, class, pf) in cells {
             let base = (app, None, pf);
@@ -227,18 +177,14 @@ impl Runner {
         if jobs.is_empty() {
             return;
         }
-        eprintln!(
-            "  [sweep] {} cells on up to {} host threads...",
-            jobs.len(),
-            sweep::host_threads()
-        );
-        let results = sweep::parallel_map(&jobs, |&(app, class, pf)| match class {
+        let (scale, nprocs) = (self.scale, self.nprocs);
+        let results = sweep::run(&jobs, |&(app, class, pf)| match class {
             None => AppSpec {
                 app,
                 class: OptClass::Orig,
             }
-            .run(pf, 1, opts.scale),
-            Some(class) => AppSpec { app, class }.run(pf, opts.nprocs, opts.scale),
+            .run(pf, 1, scale),
+            Some(class) => AppSpec { app, class }.run(pf, nprocs, scale),
         });
         for ((app, class, pf), stats) in jobs.into_iter().zip(results) {
             match class {
@@ -253,20 +199,11 @@ impl Runner {
     }
 
     /// Speedup per the paper's metric.
-    pub fn speedup(&mut self, app: App, class: OptClass, platform: Platform, opts: Opts) -> f64 {
-        let base = self.baseline(app, platform, opts);
-        let t = self.parallel(app, class, platform, opts).total_cycles();
+    pub fn speedup(&mut self, app: App, class: OptClass, platform: Platform) -> f64 {
+        let base = self.baseline(app, platform);
+        let t = self.parallel(app, class, platform).total_cycles();
         base as f64 / t as f64
     }
-}
-
-/// Print the standard figure header.
-pub fn header(fig: &str, caption: &str, paper_note: &str) {
-    println!("==========================================================================");
-    println!("{fig}: {caption}");
-    println!("--------------------------------------------------------------------------");
-    println!("Paper: {paper_note}");
-    println!("==========================================================================");
 }
 
 /// Render a per-processor execution-time breakdown (the paper's stacked-bar
@@ -308,35 +245,6 @@ pub fn breakdown_table(stats: &RunStats) -> String {
     s
 }
 
-/// Render one breakdown figure (figs 3-15): run the experiment and print
-/// the table plus headline counters.
-pub fn breakdown_figure(
-    fig: &str,
-    caption: &str,
-    paper_note: &str,
-    app: App,
-    class: OptClass,
-    platform: Platform,
-) {
-    let opts = parse_args();
-    header(fig, caption, paper_note);
-    let mut r = Runner::new();
-    // Baseline and parallel run are independent cells: overlap them.
-    r.prefetch(&[(app, class, platform)], opts);
-    let base = r.baseline(app, platform, opts);
-    let stats = r.parallel(app, class, platform, opts);
-    println!("{}", breakdown_table(stats));
-    let c = stats.sum_counters();
-    println!(
-        "counters: remote_fetches={} lock_acquires={} barriers={} diffs_created={} diffs_applied={} invalidations={}",
-        c.remote_fetches, c.lock_acquires, c.barriers, c.diffs_created, c.diffs_applied, c.invalidations
-    );
-    println!(
-        "speedup vs uniprocessor original: {:.2}",
-        base as f64 / stats.total_cycles() as f64
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,62 +259,43 @@ mod tests {
 
     #[test]
     fn prefetch_matches_serial_runs() {
-        let opts = Opts {
-            scale: Scale::Test,
-            nprocs: 2,
-        };
         let cells = [
             (App::Lu, OptClass::Orig, Platform::Svm),
             (App::Radix, OptClass::Algorithm, Platform::Smp),
         ];
-        let mut swept = Runner::new();
-        swept.prefetch(&cells, opts);
-        let mut serial = Runner::new();
+        let mut swept = Runner::new(Scale::Test, 2);
+        swept.prefetch(&cells);
+        let mut serial = Runner::new(Scale::Test, 2);
         for &(app, class, pf) in &cells {
             assert_eq!(
-                swept.parallel(app, class, pf, opts),
-                serial.parallel(app, class, pf, opts),
+                swept.parallel(app, class, pf),
+                serial.parallel(app, class, pf),
                 "{app:?}/{class:?}/{pf:?}"
             );
-            assert_eq!(
-                swept.baseline(app, pf, opts),
-                serial.baseline(app, pf, opts)
-            );
+            assert_eq!(swept.baseline(app, pf), serial.baseline(app, pf));
         }
     }
 
     #[test]
     fn runner_caches_baselines() {
-        let mut r = Runner::new();
-        let opts = Opts {
-            scale: Scale::Test,
-            nprocs: 2,
-        };
-        let a = r.baseline(App::Radix, Platform::Smp, opts);
-        let b = r.baseline(App::Radix, Platform::Smp, opts);
+        let mut r = Runner::new(Scale::Test, 2);
+        let a = r.baseline(App::Radix, Platform::Smp);
+        let b = r.baseline(App::Radix, Platform::Smp);
         assert_eq!(a, b);
         assert!(a > 0);
     }
 
     #[test]
     fn speedup_is_finite_and_positive() {
-        let mut r = Runner::new();
-        let opts = Opts {
-            scale: Scale::Test,
-            nprocs: 2,
-        };
-        let s = r.speedup(App::Lu, OptClass::DataStruct, Platform::Dsm, opts);
+        let mut r = Runner::new(Scale::Test, 2);
+        let s = r.speedup(App::Lu, OptClass::DataStruct, Platform::Dsm);
         assert!(s.is_finite() && s > 0.0, "speedup {s}");
     }
 
     #[test]
     fn breakdown_table_mentions_every_processor() {
-        let mut r = Runner::new();
-        let opts = Opts {
-            scale: Scale::Test,
-            nprocs: 4,
-        };
-        let stats = r.parallel(App::Ocean, OptClass::Algorithm, Platform::Svm, opts);
+        let mut r = Runner::new(Scale::Test, 4);
+        let stats = r.parallel(App::Ocean, OptClass::Algorithm, Platform::Svm);
         let t = breakdown_table(stats);
         assert!(t.contains("\n   3 "), "table:\n{t}");
         assert!(t.contains("execution time"));

@@ -22,27 +22,26 @@
 //!    without the layers and the timed `RunStats` must be bit-identical.
 //!
 //! ```text
-//! cargo run --release -p figures --bin advisor [-- --scale test|default|paper \
+//! cargo run --release -p figures -- advisor [--scale test|default|paper \
 //!     --procs N --app ocean --class orig|pa|ds|alg --platform svm|tmk|dsm|smp \
 //!     --metrics INTERVAL_CYCLES --json BENCH_advisor.json --strict]
 //! ```
 
-use apps::{App, AppSpec, Platform};
-use figures::{cli, header, sweep};
+use super::{phase_overflows, warn_phase_overflows};
+use crate::cli::{Flags, Parsed};
+use crate::experiments::Experiment;
+use crate::{sweep, FAMILIES};
+use apps::{App, Platform};
 use sim_core::advisor::{advise, AdvisorReport};
-use sim_core::{metrics, RunConfig};
+use sim_core::{metrics, Family};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Platforms swept (all four families; page-based first).
-const PLATFORMS: [Platform; 4] = [Platform::Svm, Platform::Tmk, Platform::Dsm, Platform::Smp];
-
-fn layered_cfg(nprocs: usize, interval: u64) -> RunConfig {
-    RunConfig::new(nprocs)
-        .with_sharing_profile()
-        .with_trace()
-        .with_metrics(interval)
-}
+pub const FLAGS: Flags = Flags {
+    cell: true,
+    values: &["--json", "--metrics"],
+    switches: &["--strict"],
+};
 
 /// Assert every rule invariant the advisor promises.
 fn check_invariants(rep: &AdvisorReport, what: &str) {
@@ -90,78 +89,61 @@ struct Cell {
     rep: AdvisorReport,
     host_secs: f64,
     dropped: u64,
+    phase_overflows: u64,
 }
 
-fn main() {
-    let p = cli::parse(&["--json", "--metrics"], &["--strict"]);
-    let interval: u64 = p
-        .extra("--metrics")
-        .map(|v| v.parse().expect("--metrics INTERVAL_CYCLES"))
-        .unwrap_or(metrics::DEFAULT_INTERVAL);
-    let strict = p.has("--strict");
+impl Cell {
+    /// Recommendations of one tier.
+    fn count(&self, fam: Family) -> usize {
+        self.rep.recs.iter().filter(|r| r.family == fam).count()
+    }
+}
 
-    header(
-        "Optimization advisor",
-        &format!(
-            "ranked restructuring recommendations at class {} with {} processors",
-            p.class.label(),
-            p.nprocs
-        ),
-        "fuses the sharing profile, critical-path what-ifs and interval \
-         trajectories into typed recommendations with upper-bound speedups \
-         (pure post-hoc analysis: timed results are untouched)",
-    );
+pub fn run(e: &Experiment, p: &Parsed) -> Result<(), String> {
+    let interval = p.period("--metrics", metrics::DEFAULT_INTERVAL)?;
+    let strict = p.has("--strict");
+    e.begin(p, &FAMILIES)?;
 
     let cells: Vec<(App, Platform)> = App::ALL
         .iter()
-        .flat_map(|&a| PLATFORMS.iter().map(move |&pf| (a, pf)))
+        .flat_map(|&a| FAMILIES.map(|pf| (a, pf)))
         .collect();
-    eprintln!(
-        "  [sweep] {} cells on up to {} host threads...",
-        cells.len(),
-        sweep::host_threads()
-    );
-    let analyzed: Vec<Cell> = cells
-        .iter()
-        .cloned()
-        .zip(sweep::parallel_map(&cells, |&(app, pf)| {
-            let t0 = Instant::now();
-            let spec = AppSpec {
-                app,
-                class: p.class,
-            };
-            let stats = spec.run_cfg(pf, p.nprocs, p.scale, layered_cfg(p.nprocs, interval));
-            let rep = advise(&stats);
-            let host_secs = t0.elapsed().as_secs_f64();
-            let what = format!("{}/{}", app.name(), pf.name());
-            check_invariants(&rep, &what);
-            let tr = stats.trace.as_ref().expect("trace was requested");
-            let m = stats.metrics.as_ref().expect("metrics were requested");
-            let dropped = tr.dropped_events() + tr.edges_dropped + m.total_dropped();
-            if strict {
-                assert_eq!(dropped, 0, "--strict: {what} dropped diagnostics");
-                // Invisibility: the advisor only reads reports other layers
-                // produced; the timed run must be bit-identical without them.
-                let mut layered = stats.clone();
-                layered.sharing = None;
-                layered.trace = None;
-                layered.metrics = None;
-                let plain = spec.run_cfg(pf, p.nprocs, p.scale, RunConfig::new(p.nprocs));
-                assert_eq!(
-                    layered, plain,
-                    "--strict: {what} diagnostics perturbed the run"
-                );
-            }
-            (rep, host_secs, dropped)
-        }))
-        .map(|((app, pf), (rep, host_secs, dropped))| Cell {
+    let analyzed: Vec<Cell> = sweep::run(&cells, |&(app, pf)| {
+        let t0 = Instant::now();
+        let stats = p.run(app, p.class, pf, |c| {
+            c.with_sharing_profile().with_trace().with_metrics(interval)
+        });
+        let rep = advise(&stats);
+        let host_secs = t0.elapsed().as_secs_f64();
+        let what = format!("{}/{}", app.name(), pf.name());
+        check_invariants(&rep, &what);
+        let tr = stats.trace.as_ref().expect("trace was requested");
+        let m = stats.metrics.as_ref().expect("metrics were requested");
+        let dropped = tr.dropped_events() + tr.edges_dropped + m.total_dropped();
+        let phase_overflows = phase_overflows(&stats);
+        if strict {
+            assert_eq!(dropped, 0, "--strict: {what} dropped diagnostics");
+            // Invisibility: the advisor only reads reports other layers
+            // produced; the timed run must be bit-identical without them.
+            let mut layered = stats;
+            layered.sharing = None;
+            layered.trace = None;
+            layered.metrics = None;
+            let plain = p.run(app, p.class, pf, |c| c);
+            assert_eq!(
+                layered, plain,
+                "--strict: {what} diagnostics perturbed the run"
+            );
+        }
+        Cell {
             app,
             pf,
             rep,
             host_secs,
             dropped,
-        })
-        .collect();
+            phase_overflows,
+        }
+    });
 
     println!(
         "{:<7} {:<4} {:>12} {:>5} {:>5} {:>5} {:>5}  top recommendation",
@@ -170,16 +152,15 @@ fn main() {
     let mut dropped_anywhere = 0u64;
     for c in &analyzed {
         dropped_anywhere += c.dropped;
-        let count = |fam| c.rep.recs.iter().filter(|r| r.family == fam).count();
         println!(
             "{:<7} {:<4} {:>12} {:>5} {:>5} {:>5} {:>5}  {}",
             c.app.name(),
             c.pf.name(),
             c.rep.end,
             c.rep.recs.len(),
-            count(sim_core::Family::PadAlign),
-            count(sim_core::Family::DataStruct),
-            count(sim_core::Family::Algorithm),
+            c.count(Family::PadAlign),
+            c.count(Family::DataStruct),
+            c.count(Family::Algorithm),
             c.rep
                 .recs
                 .first()
@@ -202,21 +183,7 @@ fn main() {
         .expect("selected cell swept");
     println!();
     print!("{}", sel.rep.report());
-    {
-        // The selected cell's phase-overflow state (shared warning with the
-        // metrics and trace binaries).
-        let stats = AppSpec {
-            app: p.app,
-            class: p.class,
-        }
-        .run_cfg(
-            p.platform,
-            p.nprocs,
-            p.scale,
-            layered_cfg(p.nprocs, interval),
-        );
-        cli::warn_phase_overflows(&stats);
-    }
+    warn_phase_overflows(sel.phase_overflows);
 
     if let Some(path) = p.extra("--json") {
         let mut j = String::from("{\n");
@@ -226,14 +193,13 @@ fn main() {
         j.push_str("  \"cells\": [\n");
         for (i, c) in analyzed.iter().enumerate() {
             let mut fams = String::new();
-            for fam in sim_core::Family::ALL {
-                let n = c.rep.recs.iter().filter(|r| r.family == fam).count();
+            for fam in Family::ALL {
                 let _ = write!(
                     fams,
                     "{}\"{}\": {}",
                     if fams.is_empty() { "" } else { ", " },
                     fam.label(),
-                    n
+                    c.count(fam)
                 );
             }
             let _ = writeln!(
@@ -258,4 +224,5 @@ fn main() {
         std::fs::write(path, &j).expect("write advisor json");
         eprintln!("[advisor] wrote {path}");
     }
+    Ok(())
 }

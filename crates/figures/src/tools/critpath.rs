@@ -21,40 +21,33 @@
 //!    shared wait-latency histogram buckets.
 //!
 //! The reconstructed path length must equal the end-to-end virtual time in
-//! every cell — the binary asserts this invariant unconditionally. With
+//! every cell — the tool asserts this invariant unconditionally. With
 //! `--strict` it additionally requires that no trace events or dependency
 //! edges were dropped (CI runs this at test scale).
 //!
 //! ```text
-//! cargo run --release -p figures --bin critpath [-- --scale test|default|paper \
+//! cargo run --release -p figures -- critpath [--scale test|default|paper \
 //!     --procs N --app ocean --class orig|pa|ds|alg --platform svm|tmk|dsm|smp \
 //!     --what-if --top 8 --json BENCH_critpath.json --strict]
 //! ```
 
-use apps::{AppSpec, OptClass, Platform, Scale};
-use figures::{cli, header, sweep, wait_hists_json};
+use super::wait_hists_json;
+use crate::cli::{self, Flags, Parsed};
+use crate::experiments::Experiment;
+use crate::{sweep, FAMILIES};
+use apps::{OptClass, Platform};
 use sim_core::critpath::{analyze, what_if_report, CritPath, PathCat};
-use sim_core::{RunConfig, RunTrace};
+use sim_core::RunTrace;
 use std::fmt::Write as _;
 
-/// Platforms swept by the composition table (all four families).
-const PLATFORMS: [Platform; 4] = [Platform::Svm, Platform::Tmk, Platform::Dsm, Platform::Smp];
+pub const FLAGS: Flags = Flags {
+    cell: true,
+    values: &["--json", "--top"],
+    switches: &["--what-if", "--strict"],
+};
 
-fn scale_name(s: Scale) -> &'static str {
-    match s {
-        Scale::Test => "test",
-        Scale::Default => "default",
-        Scale::Paper => "paper",
-    }
-}
-
-fn run_cell(p: &cli::Parsed, class: OptClass, pf: Platform) -> (RunTrace, CritPath) {
-    let stats = AppSpec { app: p.app, class }.run_cfg(
-        pf,
-        p.nprocs,
-        p.scale,
-        RunConfig::new(p.nprocs).with_trace(),
-    );
+fn run_cell(p: &Parsed, class: OptClass, pf: Platform) -> (RunTrace, CritPath) {
+    let stats = p.run(p.app, class, pf, |c| c.with_trace());
     let tr = stats.trace.expect("tracing was requested");
     let cp = analyze(&tr);
     // The defining invariant: the reconstructed path telescopes exactly to
@@ -79,41 +72,18 @@ fn run_cell(p: &cli::Parsed, class: OptClass, pf: Platform) -> (RunTrace, CritPa
     (tr, cp)
 }
 
-fn main() {
-    let p = cli::parse(&["--json", "--top"], &["--what-if", "--strict"]);
-    let top: usize = p
-        .extra("--top")
-        .map(|t| t.parse().expect("--top N"))
-        .unwrap_or(8);
-
-    header(
-        "Critical-path analysis",
-        &format!(
-            "{} with {} processors — slack attribution over every class x platform",
-            p.app.name(),
-            p.nprocs
-        ),
-        "which dependences bound execution, per restructuring step and \
-         platform; what-if projections give upper-bound speedups from \
-         removing one resource (analysis is post-hoc on the trace: timed \
-         results are untouched)",
-    );
+pub fn run(e: &Experiment, p: &Parsed) -> Result<(), String> {
+    let top: usize = p.num("--top", 8)?;
+    e.begin(p, &FAMILIES)?;
 
     // Every class x platform cell is an independent deterministic run.
     let cells: Vec<(OptClass, Platform)> = OptClass::ALL
         .iter()
-        .flat_map(|&c| PLATFORMS.iter().map(move |&pf| (c, pf)))
+        .flat_map(|&c| FAMILIES.map(|pf| (c, pf)))
         .collect();
-    eprintln!(
-        "  [sweep] {} cells on up to {} host threads...",
-        cells.len(),
-        sweep::host_threads()
-    );
-    let analyzed: Vec<((OptClass, Platform), (RunTrace, CritPath))> = cells
-        .iter()
-        .cloned()
-        .zip(sweep::parallel_map(&cells, |&(c, pf)| run_cell(&p, c, pf)))
-        .collect();
+    let runs = sweep::run(&cells, |&(c, pf)| run_cell(p, c, pf));
+    let analyzed: Vec<((OptClass, Platform), (RunTrace, CritPath))> =
+        cells.into_iter().zip(runs).collect();
 
     let mut dropped_anywhere = 0u64;
     println!(
@@ -177,7 +147,7 @@ fn main() {
         let mut j = String::from("{\n");
         let _ = writeln!(j, "  \"app\": \"{}\",", p.app.name());
         let _ = writeln!(j, "  \"nprocs\": {},", p.nprocs);
-        let _ = writeln!(j, "  \"scale\": \"{}\",", scale_name(p.scale));
+        let _ = writeln!(j, "  \"scale\": \"{}\",", cli::scale_name(p.scale));
         j.push_str("  \"cells\": [\n");
         for (i, ((class, pf), (tr, cp))) in analyzed.iter().enumerate() {
             let mut cats = String::new();
@@ -227,4 +197,5 @@ fn main() {
         std::fs::write(path, &j).expect("write critpath json");
         eprintln!("[critpath] wrote {path}");
     }
+    Ok(())
 }

@@ -11,15 +11,22 @@
 //! apart from the report itself (asserted in `tests/metrics.rs`).
 //!
 //! ```text
-//! cargo run --release -p figures --bin metrics [-- --scale test|default|paper \
+//! cargo run --release -p figures -- metrics [--scale test|default|paper \
 //!     --procs N --app ocean --class orig|pa|ds|alg --platform svm|tmk|dsm|smp \
 //!     --interval CYCLES --cap N --pages N --width W --json PATH]
 //! ```
 
-use apps::AppSpec;
-use figures::{cli, header};
+use super::{phase_overflows, warn_phase_overflows};
+use crate::cli::{Flags, Parsed};
+use crate::experiments::Experiment;
 use sim_core::metrics::{sparkline, DEFAULT_INTERVAL, DEFAULT_SERIES_CAP};
-use sim_core::{MetricsReport, ProcSample, RunConfig};
+use sim_core::{MetricsReport, ProcSample};
+
+pub const FLAGS: Flags = Flags {
+    cell: true,
+    values: &["--interval", "--cap", "--pages", "--width", "--json"],
+    switches: &[],
+};
 
 /// Per-interval deltas of one cumulative field across consecutive samples.
 fn deltas(samples: &[ProcSample], f: impl Fn(&ProcSample) -> u64) -> Vec<u64> {
@@ -140,57 +147,20 @@ fn print_report(m: &MetricsReport, npages: usize, width: usize) {
     }
 }
 
-fn main() {
-    let p = cli::parse(
-        &["--interval", "--cap", "--pages", "--width", "--json"],
-        &[],
-    );
-    let interval: u64 = p
-        .extra("--interval")
-        .map(|v| v.parse().expect("--interval CYCLES"))
-        .unwrap_or(DEFAULT_INTERVAL);
-    let cap: usize = p
-        .extra("--cap")
-        .map(|v| v.parse().expect("--cap N"))
-        .unwrap_or(DEFAULT_SERIES_CAP);
-    let npages: usize = p
-        .extra("--pages")
-        .map(|v| v.parse().expect("--pages N"))
-        .unwrap_or(12);
-    let width: usize = p
-        .extra("--width")
-        .map(|v| v.parse().expect("--width W"))
-        .unwrap_or(60);
+pub fn run(e: &Experiment, p: &Parsed) -> Result<(), String> {
+    let interval = p.period("--interval", DEFAULT_INTERVAL)?;
+    let cap: usize = p.num("--cap", DEFAULT_SERIES_CAP)?;
+    let npages: usize = p.num("--pages", 12)?;
+    let width: usize = p.num("--width", 60)?;
+    e.begin(p, &[p.platform])?;
 
-    header(
-        "Interval metrics",
-        &format!(
-            "{}/{} on {} with {} processors",
-            p.app.name(),
-            p.class.label(),
-            p.platform.name(),
-            p.nprocs
-        ),
-        "virtual-time series of the counters the whole-run diagnostics only \
-         total, with interval-aware per-page sharing trajectories \
-         (migratory vs steady false sharing)",
-    );
-
-    let stats = AppSpec {
-        app: p.app,
-        class: p.class,
-    }
-    .run_cfg(
-        p.platform,
-        p.nprocs,
-        p.scale,
-        RunConfig::new(p.nprocs)
-            .with_metrics(interval)
-            .with_metrics_cap(cap),
-    );
+    let stats = p.run(p.app, p.class, p.platform, |c| {
+        c.with_metrics(interval).with_metrics_cap(cap)
+    });
     let m = stats.metrics.as_ref().expect("metrics were requested");
 
-    let overflows = cli::warn_phase_overflows(&stats);
+    let overflows = phase_overflows(&stats);
+    warn_phase_overflows(overflows);
     if overflows > 0 {
         println!();
     }
@@ -210,4 +180,5 @@ fn main() {
         std::fs::write(path, s).expect("write metrics json");
         eprintln!("[metrics] wrote {path}");
     }
+    Ok(())
 }

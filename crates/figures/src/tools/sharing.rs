@@ -9,14 +9,22 @@
 //! table shows them doing it.
 //!
 //! ```text
-//! cargo run --release -p figures --bin sharing [-- --scale test|default|paper \
+//! cargo run --release -p figures -- sharing [--scale test|default|paper \
 //!     --procs N --app ocean --platform svm|tmk --json PATH]
 //! ```
 
-use apps::{AppSpec, OptClass, Platform};
-use figures::{cli, header, sweep};
-use sim_core::{MetricsReport, PageTrajectory, RunConfig, SharingProfile};
+use crate::cli::{Flags, Parsed};
+use crate::experiments::Experiment;
+use crate::sweep;
+use apps::{OptClass, Platform};
+use sim_core::{MetricsReport, PageTrajectory, SharingProfile};
 use std::fmt::Write as _;
+
+pub const FLAGS: Flags = Flags {
+    cell: true,
+    values: &["--json"],
+    switches: &[],
+};
 
 /// Two-letter trajectory code for the narrow per-class table cells.
 fn code(t: PageTrajectory) -> &'static str {
@@ -30,42 +38,23 @@ fn code(t: PageTrajectory) -> &'static str {
     }
 }
 
-fn main() {
-    let p = cli::parse(&["--json"], &[]);
-    let (scale, nprocs, app, platform) = (p.scale, p.nprocs, p.app, p.platform);
-    assert!(
-        matches!(platform, Platform::Svm | Platform::Tmk),
-        "sharing profiles exist on page-based platforms only (svm|tmk)"
-    );
-    let json_path = p.extra("--json").map(String::from);
-
-    header(
-        "Sharing diagnostics",
-        &format!(
-            "true/false-sharing attribution for {} on {} across optimization classes",
-            app.name(),
-            platform.name()
-        ),
-        "attributing diff/fetch traffic to data structures before and after \
-         each restructuring (the paper's diagnosis method, §4-§5)",
-    );
+pub fn run(e: &Experiment, p: &Parsed) -> Result<(), String> {
+    let (nprocs, app, platform) = (p.nprocs, p.app, p.platform);
+    if !matches!(platform, Platform::Svm | Platform::Tmk) {
+        return Err(format!(
+            "--platform {}: sharing profiles exist on page-based platforms only (svm|tmk)",
+            platform.name().to_ascii_lowercase()
+        ));
+    }
+    e.begin(p, &[platform])?;
 
     // The four class runs are independent deterministic cells.
-    eprintln!(
-        "  [sweep] {} cells on up to {} host threads...",
-        OptClass::ALL.len(),
-        sweep::host_threads()
-    );
     let profiles: Vec<(OptClass, SharingProfile, MetricsReport)> =
-        sweep::parallel_map(&OptClass::ALL, |&class| {
-            let stats = AppSpec { app, class }.run_cfg(
-                platform,
-                nprocs,
-                scale,
-                RunConfig::new(nprocs)
-                    .with_sharing_profile()
-                    .with_metrics(sim_core::metrics::DEFAULT_INTERVAL),
-            );
+        sweep::run(&OptClass::ALL, |&class| {
+            let stats = p.run(app, class, platform, |c| {
+                c.with_sharing_profile()
+                    .with_metrics(sim_core::metrics::DEFAULT_INTERVAL)
+            });
             (
                 class,
                 stats.sharing.expect("page-based platform profiles"),
@@ -113,7 +102,7 @@ fn main() {
         println!();
     }
 
-    if let Some(path) = json_path {
+    if let Some(path) = p.extra("--json") {
         let mut json = String::from("{\n");
         let _ = writeln!(json, "  \"app\": \"{}\",", app.name());
         let _ = writeln!(json, "  \"platform\": \"{}\",", platform.name());
@@ -142,7 +131,8 @@ fn main() {
             );
         }
         json.push_str("  ]\n}\n");
-        std::fs::write(&path, &json).expect("write sharing json");
+        std::fs::write(path, &json).expect("write sharing json");
         eprintln!("[sharing] wrote {path}");
     }
+    Ok(())
 }

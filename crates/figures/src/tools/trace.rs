@@ -28,64 +28,49 @@
 //! pages, lock hand-offs.
 //!
 //! ```text
-//! cargo run --release -p figures --bin trace [-- --scale test|default|paper \
+//! cargo run --release -p figures -- trace [--scale test|default|paper \
 //!     --procs N --app ocean --class orig|pa|ds|alg --platform svm|tmk|dsm|smp \
 //!     --out trace.json --json hists.json --compare-class ds --width 100 \
 //!     --metrics 65536]
 //! ```
 
-use apps::{App, AppSpec, OptClass, Platform, Scale};
-use figures::{cli, header, wait_hists_json};
-use sim_core::{RunConfig, RunStats};
+use super::{phase_overflows, wait_hists_json, warn_phase_overflows};
+use crate::cli::{self, Flags, Parsed};
+use crate::experiments::Experiment;
+use apps::OptClass;
+use sim_core::RunStats;
 
-fn run_traced(
-    app: App,
-    class: OptClass,
-    platform: Platform,
-    nprocs: usize,
-    scale: Scale,
-    metrics: u64,
-) -> RunStats {
-    let mut cfg = RunConfig::new(nprocs).with_trace();
-    if metrics > 0 {
-        cfg = cfg.with_metrics(metrics);
-    }
-    let stats = AppSpec { app, class }.run_cfg(platform, nprocs, scale, cfg);
+pub const FLAGS: Flags = Flags {
+    cell: true,
+    values: &["--out", "--json", "--compare-class", "--width", "--metrics"],
+    switches: &[],
+};
+
+fn run_traced(p: &Parsed, class: OptClass, metrics: u64) -> RunStats {
+    let stats = p.run(p.app, class, p.platform, |c| {
+        let c = c.with_trace();
+        if metrics > 0 {
+            c.with_metrics(metrics)
+        } else {
+            c
+        }
+    });
     assert!(stats.trace.is_some(), "tracing was requested");
     stats
 }
 
-fn main() {
-    let p = cli::parse(
-        &["--out", "--json", "--compare-class", "--width", "--metrics"],
-        &[],
-    );
-    let metrics: u64 = p
-        .extra("--metrics")
-        .map(|v| v.parse().expect("--metrics INTERVAL_CYCLES"))
-        .unwrap_or(0);
-    let compare = p.extra("--compare-class").map(cli::parse_class);
-    let out_path = p.extra("--out").unwrap_or("trace.json").to_string();
-    let width: usize = p
-        .extra("--width")
-        .map(|w| w.parse().expect("--width N"))
-        .unwrap_or(100);
+pub fn run(e: &Experiment, p: &Parsed) -> Result<(), String> {
+    let metrics: u64 = p.num("--metrics", 0)?;
+    let compare = p
+        .extra("--compare-class")
+        .map(cli::parse_class)
+        .transpose()
+        .map_err(|e| format!("--compare-class: {e}"))?;
+    let out_path = p.extra("--out").unwrap_or("trace.json");
+    let width: usize = p.num("--width", 100)?;
+    e.begin(p, &[p.platform])?;
 
-    header(
-        "Protocol event trace",
-        &format!(
-            "{}/{} on {} with {} processors",
-            p.app.name(),
-            p.class.label(),
-            p.platform.name(),
-            p.nprocs
-        ),
-        "virtual-time protocol events with Perfetto export and wait-latency \
-         histograms (timestamps are virtual cycles, so the trace is \
-         deterministic run to run)",
-    );
-
-    let stats = run_traced(p.app, p.class, p.platform, p.nprocs, p.scale, metrics);
+    let stats = run_traced(p, p.class, metrics);
     let tr = stats.trace.as_ref().unwrap();
     println!(
         "captured {} events across {} processors ({} dropped), {} cycles",
@@ -94,13 +79,13 @@ fn main() {
         tr.dropped_events(),
         tr.end()
     );
-    cli::warn_phase_overflows(&stats);
+    warn_phase_overflows(phase_overflows(&stats));
     println!();
     print!("{}", tr.ascii_timeline(width));
     println!();
     print!("{}", tr.wait_report());
 
-    std::fs::write(&out_path, tr.to_chrome_json_with(stats.metrics.as_ref()))
+    std::fs::write(out_path, tr.to_chrome_json_with(stats.metrics.as_ref()))
         .expect("write trace json");
     eprintln!("[trace] wrote {out_path} — load it at https://ui.perfetto.dev");
 
@@ -112,7 +97,7 @@ fn main() {
     }
 
     if let Some(cls2) = compare {
-        let stats2 = run_traced(p.app, cls2, p.platform, p.nprocs, p.scale, metrics);
+        let stats2 = run_traced(p, cls2, metrics);
         let tr2 = stats2.trace.as_ref().unwrap();
         let (f1, l1, b1) = tr.merged_hists();
         let (f2, l2, b2) = tr2.merged_hists();
@@ -132,7 +117,7 @@ fn main() {
             println!("  {:<8} {:>5}  {}", "", p.class.label(), a.dist_line());
             println!("  {:<8} {:>5}  {}", "", cls2.label(), b.dist_line());
         }
-        cli::warn_phase_overflows(&stats2);
+        warn_phase_overflows(phase_overflows(&stats2));
         let p2 = tr2.to_chrome_json_with(stats2.metrics.as_ref());
         let out2 = format!(
             "{}.{}.json",
@@ -142,4 +127,5 @@ fn main() {
         std::fs::write(&out2, p2).expect("write comparison trace json");
         eprintln!("[trace] wrote {out2}");
     }
+    Ok(())
 }

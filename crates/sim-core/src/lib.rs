@@ -79,7 +79,7 @@ pub use metrics::{
 pub use platform::{HitWindow, NullPlatform, Platform, Timing};
 pub use probe::{Probe, ProbeHandle, ProtoEvent};
 pub use resource::Resource;
-pub use sched::{run, Proc, RunConfig, MAX_SHARDS, MAX_SHARD_BATCH};
+pub use sched::{run, Proc, RunConfig, MAX_SHARD_BATCH};
 pub use sharing::{LabelSharing, PageSharing, SharingClass, SharingProfile};
 pub use stats::{Bucket, Counter, ProcStats, RunStats, MAX_PHASES};
 pub use trace::{

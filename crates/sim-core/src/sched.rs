@@ -55,13 +55,11 @@ pub struct RunConfig {
     /// Gather a per-page [`crate::sharing::SharingProfile`] on page-based
     /// platforms (word-granularity write footprints, writer/reader sets,
     /// true-vs-false sharing classification), attached as
-    /// [`RunStats::sharing`]. Off by default; `SIM_SHARING=1` in the
-    /// environment flips the default. Timing statistics are bit-identical
-    /// either way.
+    /// [`RunStats::sharing`]. Off by default. Timing statistics are
+    /// bit-identical either way.
     pub sharing_profile: bool,
     /// Record a virtual-time event trace ([`crate::trace`]) of the timed
-    /// region, attached as [`RunStats::trace`]. Off by default;
-    /// `SIM_TRACE=1` in the environment flips the default. Timing
+    /// region, attached as [`RunStats::trace`]. Off by default. Timing
     /// statistics are bit-identical either way.
     pub trace: bool,
     /// Per-processor event-buffer capacity for the trace (events past the
@@ -81,8 +79,7 @@ pub struct RunConfig {
     /// [`RunStats`] are bit-identical to `shards = 1` for data-race-free
     /// programs (asserted by `tests/shard_equivalence.rs`). Platforms that
     /// do not report a [`Platform::min_cross_node_latency`] fall back to
-    /// the classic engine. Defaults to the `SIM_SHARDS` environment
-    /// variable when set.
+    /// the classic engine.
     pub shards: usize,
     /// Replay engine for sharded runs (`shards > 1`). `true` (the default)
     /// selects the fused engine ([`crate::fused`]): every replay
@@ -90,15 +87,13 @@ pub struct RunConfig {
     /// thread's virtual-time event loop. `false` falls back to the classic
     /// replay side (the sequential engine, one coroutine per simulated
     /// processor, running the interpreters). Both are bit-identical to the
-    /// sequential oracle; `SIM_SHARD_FUSED=0` in the environment flips the
-    /// default for A/B timing.
+    /// sequential oracle.
     pub shard_fused: bool,
     /// Descriptors per channel message in the sharded engine: the
     /// granularity at which generation threads hand operation streams to
     /// replay. Bigger batches amortize channel costs; smaller ones start
     /// replay earlier and tighten the event-bounded lookahead window
-    /// (capacity is counted in batches). Defaults to the
-    /// `SIM_SHARD_BATCH` environment variable when set, else
+    /// (capacity is counted in batches). Defaults to
     /// [`crate::shard::DEFAULT_BATCH`]. Invisible in the statistics
     /// (asserted across values by `tests/shard_equivalence.rs`).
     pub shard_batch: usize,
@@ -106,9 +101,8 @@ pub struct RunConfig {
     /// [`crate::metrics`]). `0` (the default) disables the metrics engine;
     /// a nonzero value snapshots per-proc/page/lock counter series every
     /// that many cycles of virtual time (plus forced samples at phase and
-    /// barrier boundaries), attached as [`RunStats::metrics`]. Defaults to
-    /// the `SIM_METRICS` environment variable when set. Timing statistics
-    /// are bit-identical either way.
+    /// barrier boundaries), attached as [`RunStats::metrics`]. Timing
+    /// statistics are bit-identical either way.
     pub metrics: u64,
     /// Per-collection capacity of the metrics engine (samples per
     /// processor, interval bins per page, pages, locks, event names);
@@ -121,64 +115,6 @@ pub struct RunConfig {
 /// per message the channel stops being a pipeline at all.
 pub const MAX_SHARD_BATCH: usize = 1 << 20;
 
-/// Largest accepted [`RunConfig::shards`] from the environment — far above
-/// any host this will run on; the bound exists so a fat-fingered
-/// `SIM_SHARDS=40000000` fails fast instead of spawning a thread army.
-pub const MAX_SHARDS: usize = 65_536;
-
-/// Parse a *set* environment value as a `usize` in `range`. A set-but-bad
-/// value is a configuration error and panics, naming the variable and the
-/// value: silently falling back (the old `.ok()` chains) meant a typoed
-/// `SIM_SHARDS` quietly ran the sequential engine instead of the one CI
-/// believed it was exercising.
-fn parse_env_usize(name: &str, raw: &str, range: std::ops::RangeInclusive<usize>) -> usize {
-    let n: usize = raw
-        .trim()
-        .parse()
-        .unwrap_or_else(|_| panic!("{name}={raw:?} is not a valid integer"));
-    assert!(
-        range.contains(&n),
-        "{name}={raw:?} is out of range {}..={}",
-        range.start(),
-        range.end()
-    );
-    n
-}
-
-/// Parse a *set* environment value as a boolean. Panics on anything outside
-/// the accepted spellings, naming the variable and the value.
-fn parse_env_bool(name: &str, raw: &str) -> bool {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => true,
-        "0" | "false" | "off" | "no" => false,
-        _ => panic!("{name}={raw:?} is not a boolean (1|0|true|false|on|off|yes|no)"),
-    }
-}
-
-/// Read an optional `usize` environment variable; unset means `default`,
-/// set-but-malformed panics via [`parse_env_usize`].
-fn env_usize(name: &str, default: usize, range: std::ops::RangeInclusive<usize>) -> usize {
-    match std::env::var(name) {
-        Ok(raw) => parse_env_usize(name, &raw, range),
-        Err(std::env::VarError::NotPresent) => default,
-        Err(std::env::VarError::NotUnicode(raw)) => {
-            panic!("{name}={raw:?} is not valid unicode")
-        }
-    }
-}
-
-/// Read an optional boolean environment variable; unset means `default`,
-/// set-but-malformed panics via [`parse_env_bool`].
-fn env_bool(name: &str, default: bool) -> bool {
-    match std::env::var(name) {
-        Ok(raw) => parse_env_bool(name, &raw),
-        Err(std::env::VarError::NotPresent) => default,
-        Err(std::env::VarError::NotUnicode(raw)) => {
-            panic!("{name}={raw:?} is not valid unicode")
-        }
-    }
-}
-
 impl RunConfig {
     /// Default configuration for `nprocs` processors.
     pub fn new(nprocs: usize) -> Self {
@@ -188,19 +124,15 @@ impl RunConfig {
             detect_races: false,
             label: String::new(),
             bulk: true,
-            sharing_profile: env_bool("SIM_SHARING", false),
-            trace: env_bool("SIM_TRACE", false),
+            sharing_profile: false,
+            trace: false,
             trace_cap: crate::trace::DEFAULT_EVENT_CAP,
             edge_cap: crate::trace::DEFAULT_EDGE_CAP,
             phase_names: Vec::new(),
-            shards: env_usize("SIM_SHARDS", 1, 1..=MAX_SHARDS),
-            shard_fused: env_bool("SIM_SHARD_FUSED", true),
-            shard_batch: env_usize(
-                "SIM_SHARD_BATCH",
-                crate::shard::DEFAULT_BATCH,
-                1..=MAX_SHARD_BATCH,
-            ),
-            metrics: env_usize("SIM_METRICS", 0, 0..=usize::MAX) as u64,
+            shards: 1,
+            shard_fused: true,
+            shard_batch: crate::shard::DEFAULT_BATCH,
+            metrics: 0,
             metrics_cap: crate::metrics::DEFAULT_SERIES_CAP,
         }
     }
@@ -2158,86 +2090,5 @@ mod tests {
             "{msg}"
         );
         assert_eq!(drops.load(Ordering::Relaxed), 2, "one drop per guard");
-    }
-
-    // The env parse helpers are tested on string inputs (not by mutating the
-    // process environment, which would race with concurrently running
-    // tests); the actual env wiring is covered by
-    // `crates/sim-core/tests/env_config.rs`, which serializes itself.
-    #[test]
-    fn env_parse_accepts_valid_values() {
-        assert_eq!(parse_env_usize("SIM_SHARDS", "1", 1..=MAX_SHARDS), 1);
-        assert_eq!(parse_env_usize("SIM_SHARDS", " 8 ", 1..=MAX_SHARDS), 8);
-        assert_eq!(
-            parse_env_usize("SIM_SHARD_BATCH", "1048576", 1..=MAX_SHARD_BATCH),
-            MAX_SHARD_BATCH
-        );
-        assert!(parse_env_bool("SIM_SHARD_FUSED", "1"));
-        assert!(parse_env_bool("SIM_SHARD_FUSED", "TRUE"));
-        assert!(parse_env_bool("SIM_SHARD_FUSED", "on"));
-        assert!(!parse_env_bool("SIM_SHARD_FUSED", "0"));
-        assert!(!parse_env_bool("SIM_SHARD_FUSED", "off"));
-        assert!(!parse_env_bool("SIM_SHARD_FUSED", "False"));
-    }
-
-    #[test]
-    fn env_parse_accepts_diagnostics_values() {
-        // The diagnostics defaults (SIM_SHARING / SIM_TRACE / SIM_METRICS)
-        // go through the same helpers; 0 is a valid metrics interval (off).
-        assert_eq!(parse_env_usize("SIM_METRICS", "0", 0..=usize::MAX), 0);
-        assert_eq!(
-            parse_env_usize("SIM_METRICS", "65536", 0..=usize::MAX),
-            65536
-        );
-        assert!(parse_env_bool("SIM_TRACE", "1"));
-        assert!(!parse_env_bool("SIM_SHARING", "no"));
-    }
-
-    #[test]
-    #[should_panic(expected = "SIM_METRICS=\"often\" is not a valid integer")]
-    fn env_parse_rejects_garbage_metrics_interval() {
-        parse_env_usize("SIM_METRICS", "often", 0..=usize::MAX);
-    }
-
-    #[test]
-    #[should_panic(expected = "SIM_TRACE=\"yes please\" is not a boolean")]
-    fn env_parse_rejects_non_boolean_trace() {
-        parse_env_bool("SIM_TRACE", "yes please");
-    }
-
-    #[test]
-    #[should_panic(expected = "SIM_SHARDS=\"\" is not a valid integer")]
-    fn env_parse_rejects_empty_string() {
-        parse_env_usize("SIM_SHARDS", "", 1..=MAX_SHARDS);
-    }
-
-    #[test]
-    #[should_panic(expected = "SIM_SHARDS=\"four\" is not a valid integer")]
-    fn env_parse_rejects_garbage() {
-        parse_env_usize("SIM_SHARDS", "four", 1..=MAX_SHARDS);
-    }
-
-    #[test]
-    #[should_panic(expected = "SIM_SHARDS=\"0\" is out of range 1..=65536")]
-    fn env_parse_rejects_zero_shards() {
-        parse_env_usize("SIM_SHARDS", "0", 1..=MAX_SHARDS);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn env_parse_rejects_oversized_batch() {
-        parse_env_usize("SIM_SHARD_BATCH", "1048577", 1..=MAX_SHARD_BATCH);
-    }
-
-    #[test]
-    #[should_panic(expected = "SIM_SHARDS=\"-2\" is not a valid integer")]
-    fn env_parse_rejects_negative() {
-        parse_env_usize("SIM_SHARDS", "-2", 1..=MAX_SHARDS);
-    }
-
-    #[test]
-    #[should_panic(expected = "SIM_SHARD_FUSED=\"maybe\" is not a boolean")]
-    fn env_parse_rejects_non_boolean() {
-        parse_env_bool("SIM_SHARD_FUSED", "maybe");
     }
 }

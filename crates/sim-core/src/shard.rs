@@ -52,8 +52,7 @@ use crate::util::FxMap;
 
 /// Default descriptors per channel message: big enough to amortize channel
 /// costs, small enough to keep the replay engine busy early. Overridable
-/// per run via [`RunConfig::with_shard_batch`](crate::RunConfig::with_shard_batch)
-/// or `SIM_SHARD_BATCH`.
+/// per run via [`RunConfig::with_shard_batch`](crate::RunConfig::with_shard_batch).
 pub(crate) const DEFAULT_BATCH: usize = 512;
 
 /// Channel capacity in *batches*: how far (in events) generation may run

@@ -26,9 +26,7 @@ fn sequential_run_spawns_no_os_thread() {
     let before = os_threads();
     let host = std::thread::current().id();
     let sampled = AtomicUsize::new(0);
-    // `with_shards(1)`: the sequential engine even on CI's SIM_SHARDS=4 leg.
-    let cfg = RunConfig::new(n).with_shards(1);
-    let stats = run(Box::new(NullPlatform::new(n)), cfg, |p| {
+    let stats = run(Box::new(NullPlatform::new(n)), RunConfig::new(n), |p| {
         assert_eq!(std::thread::current().id(), host);
         p.start_timing();
         p.work(100 * (p.pid() as u64 + 1));

@@ -31,23 +31,29 @@ fn cell(app: App, class: OptClass, pf: PlatformKind, cfg: RunConfig) -> RunStats
 
 /// The headline acceptance criterion: the full grid — all 7 applications,
 /// all 4 optimization classes, all 4 platform models — with shards ∈
-/// {2, 4 = P}, each compared structurally against the sequential oracle.
+/// {2, 4 = P} on both replay engines, each compared structurally against
+/// the sequential oracle.
 #[test]
 fn full_grid_is_bit_identical_across_shard_counts() {
     for pf in PLATFORMS {
         for app in App::ALL {
             for class in OptClass::ALL {
-                let oracle = cell(app, class, pf, RunConfig::new(4).with_shards(1));
-                for shards in [2, 4] {
-                    let sharded = cell(app, class, pf, RunConfig::new(4).with_shards(shards));
-                    assert_eq!(
-                        oracle,
-                        sharded,
-                        "{}/{} on {}: shards={shards} diverged from the sequential oracle",
-                        app.name(),
-                        class.label(),
-                        pf.name()
-                    );
+                let oracle = cell(app, class, pf, RunConfig::new(4));
+                for fused in [true, false] {
+                    for shards in [2, 4] {
+                        let cfg = RunConfig::new(4)
+                            .with_shards(shards)
+                            .with_shard_fused(fused);
+                        assert_eq!(
+                            oracle,
+                            cell(app, class, pf, cfg),
+                            "{}/{} on {}: shards={shards} fused={fused} diverged from the \
+                             sequential oracle",
+                            app.name(),
+                            class.label(),
+                            pf.name()
+                        );
+                    }
                 }
             }
         }
