@@ -27,7 +27,7 @@
 //!   pre-built skeleton. Only the skeleton's center-of-mass pass touches
 //!   shared state.
 
-use crate::common::{AppResult, Bcast, Platform, Scale};
+use crate::common::{share_evenly, AppResult, Bcast, Platform, Scale};
 use crate::OptClass;
 use sim_core::util::XorShift64;
 use sim_core::{run as sim_run, Placement, Proc, RunConfig, PAGE_SIZE};
@@ -1001,7 +1001,7 @@ pub fn run_params_cfg(
         cfg
     };
     let n = params.n;
-    assert_eq!(n % nprocs, 0, "bodies must divide evenly");
+    share_evenly(n, "bodies", nprocs).unwrap_or_else(|e| panic!("Barnes: {e}"));
     let input = generate_bodies(params);
     let ncells_total: u32 = (8 * n).max(1024) as u32;
     let mem_bc: Bcast<Mem> = Bcast::new();

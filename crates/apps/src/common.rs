@@ -159,6 +159,16 @@ impl<T: Clone> Default for Bcast<T> {
     }
 }
 
+/// `Err` unless `n` `items` divide evenly among `nprocs` processors.
+pub(crate) fn share_evenly(n: usize, items: &str, nprocs: usize) -> Result<(), String> {
+    match n % nprocs {
+        0 => Ok(()),
+        _ => Err(format!(
+            "{n} {items} do not divide evenly among {nprocs} processors"
+        )),
+    }
+}
+
 /// Read `out.len()` `f64`s at addresses `addr_of(0..n)`, splitting the index
 /// range into maximal constant-stride runs and issuing one bulk
 /// [`sim_core::Proc::read_f64_slice`] per run. Blocked layouts (4-d arrays,

@@ -29,7 +29,7 @@
 //!   batches from busy queues, absorbing the skew the DS step exposed, at
 //!   the price of remote accesses for stolen requests.
 
-use crate::common::{AppResult, Bcast, Platform, Scale};
+use crate::common::{share_evenly, AppResult, Bcast, Platform, Scale};
 use crate::OptClass;
 use sim_core::util::XorShift64;
 use sim_core::{run as sim_run, Placement, Proc, RunConfig, PAGE_SIZE};
@@ -401,11 +401,7 @@ pub fn run_params_cfg(
         cfg
     };
     let nbuckets = params.nbuckets();
-    assert_eq!(
-        nbuckets % nprocs,
-        0,
-        "bucket count must be a multiple of the processor count"
-    );
+    share_evenly(nbuckets, "buckets", nprocs).unwrap_or_else(|e| panic!("KV: {e}"));
     let grain = platform.grain();
     let racy = params.racy_headers;
     let queues = route_queues(params, nprocs, version);

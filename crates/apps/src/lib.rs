@@ -115,6 +115,29 @@ impl OptClass {
     }
 }
 
+/// Whether `app`'s `class` version runs on `nprocs` processors at `scale`
+/// (the run panics where this is `Err`): one line naming the application,
+/// the class and the constraint.
+pub fn check_nprocs(app: App, class: OptClass, nprocs: usize, scale: Scale) -> Result<(), String> {
+    match app {
+        App::Ocean => ocean::check_nprocs(
+            &ocean::OceanParams::at(scale),
+            ocean::version_for(class),
+            nprocs,
+        ),
+        App::Volrend => volrend::check_nprocs(
+            &volrend::VolrendParams::at(scale),
+            volrend::version_for(class),
+            nprocs,
+        ),
+        App::Barnes => common::share_evenly(barnes::BarnesParams::at(scale).n, "bodies", nprocs),
+        App::Radix => common::share_evenly(radix::RadixParams::at(scale).n, "keys", nprocs),
+        App::Kv => common::share_evenly(kvstore::KvParams::at(scale).nbuckets(), "buckets", nprocs),
+        App::Lu | App::ShearWarp | App::Raytrace => Ok(()),
+    }
+    .map_err(|e| format!("{} {}: {e}", app.name(), class.label()))
+}
+
 /// A fully-specified experiment: application + optimization class.
 ///
 /// `run` executes it on `platform` with `nprocs` processors at `scale` and

@@ -166,13 +166,28 @@ pub fn reference(params: &OceanParams) -> Vec<f64> {
 }
 
 fn square_grid(nprocs: usize) -> usize {
-    let sp = (nprocs as f64).sqrt().round() as usize;
-    assert_eq!(
-        sp * sp,
-        nprocs,
-        "square partitions need a square proc count"
-    );
-    sp
+    (nprocs as f64).sqrt().round() as usize
+}
+
+/// Whether `version` partitions the grid over `nprocs` processors: every
+/// version but row-wise needs a square count whose side divides the grid.
+pub(crate) fn check_nprocs(
+    params: &OceanParams,
+    version: OceanVersion,
+    nprocs: usize,
+) -> Result<(), String> {
+    let (n, sp) = (params.n, square_grid(nprocs));
+    if version == OceanVersion::RowWise {
+        Ok(())
+    } else if sp * sp != nprocs {
+        Err("square partitions need a square processor count".into())
+    } else if n % sp != 0 {
+        Err(format!(
+            "the {n}-point grid does not divide into {sp}x{sp} partitions"
+        ))
+    } else {
+        Ok(())
+    }
 }
 
 /// Per-processor iteration space: inclusive row/col ranges of owned interior
@@ -234,10 +249,7 @@ pub fn run_params_cfg(
     cfg: RunConfig,
 ) -> AppResult {
     let n = params.n;
-    if !matches!(version, OceanVersion::RowWise) {
-        let sp = square_grid(nprocs);
-        assert_eq!(n % sp, 0, "grid dim must divide by partition grid");
-    }
+    check_nprocs(params, version, nprocs).unwrap_or_else(|e| panic!("Ocean: {e}"));
     let layout_bc: Bcast<(GL, GL, GL, u64)> = Bcast::new();
     let result = std::sync::Mutex::new(Vec::new());
 

@@ -20,7 +20,7 @@
 //!   each run contiguously into the global array. Better, but still poor —
 //!   as in the paper.
 
-use crate::common::{AppResult, Bcast, Platform, Scale};
+use crate::common::{share_evenly, AppResult, Bcast, Platform, Scale};
 use crate::OptClass;
 use sim_core::util::XorShift64;
 use sim_core::{run as sim_run, Placement, RunConfig, PAGE_SIZE};
@@ -122,7 +122,7 @@ pub fn run_params_cfg(
     cfg: RunConfig,
 ) -> AppResult {
     let n = params.n;
-    assert_eq!(n % nprocs, 0, "keys must divide evenly");
+    share_evenly(n, "keys", nprocs).unwrap_or_else(|e| panic!("Radix: {e}"));
     let chunk = n / nprocs;
     let layout_bc: Bcast<(u64, u64, u64, u64)> = Bcast::new();
     let result = std::sync::Mutex::new(Vec::new());

@@ -242,6 +242,22 @@ impl Img {
     }
 }
 
+/// Whether `version` lays the image out over `nprocs` processors: the 4-d
+/// image's blocks must tile its edge exactly.
+pub(crate) fn check_nprocs(
+    params: &VolrendParams,
+    version: VolrendVersion,
+    nprocs: usize,
+) -> Result<(), String> {
+    let (n, (pr, pc)) = (2 * params.v, proc_grid(nprocs));
+    if version != VolrendVersion::Image4d || (n % pr == 0 && n % pc == 0) {
+        return Ok(());
+    }
+    Err(format!(
+        "the {n}-pixel image edge does not divide into a {pr}x{pc} block grid"
+    ))
+}
+
 fn proc_grid(nprocs: usize) -> (usize, usize) {
     let mut pr = (nprocs as f64).sqrt() as usize;
     while !nprocs.is_multiple_of(pr) {
@@ -299,6 +315,7 @@ pub fn run_params_cfg(
     version: VolrendVersion,
     cfg: RunConfig,
 ) -> AppResult {
+    check_nprocs(params, version, nprocs).unwrap_or_else(|e| panic!("Volrend: {e}"));
     let v = params.v;
     let n = 2 * v; // image edge
     assert_eq!(n % TILE, 0);

@@ -5,23 +5,20 @@
 //! direct-mapped L1s, 1 MB 4-way L2s with 64-byte lines, and a distributed
 //! full-bit-vector directory kept at each line's home node.
 //!
-//! The data itself lives in one [`FlatMem`] (coherence guarantees a single
-//! logical value); the model tracks per-processor cache tags and directory
-//! state to price hits, local misses, clean/dirty remote misses (2- and
-//! 3-hop), upgrades with sharer invalidation, and home-directory occupancy
-//! (the contention term). Synchronization is hardware-cheap: an uncontended
-//! lock costs about a remote miss, and barriers are tens-of-cycles per
-//! processor — the key contrast with SVM that drives the paper's
+//! The caches, the data and the directory protocol are
+//! [`sim_core::coherence::Machine`], shared with the bus-based SMP; this
+//! crate prices it: local misses, clean/dirty remote misses (2- and 3-hop),
+//! upgrades with per-sharer invalidation, and home-directory occupancy (the
+//! contention term). Synchronization is hardware-cheap: an uncontended lock
+//! costs about a remote miss, and barriers are tens-of-cycles per processor
+//! — the key contrast with SVM that drives the paper's
 //! performance-portability findings.
 
-// Indexed loops over fixed coordinate dimensions are clearer than
-// iterator adaptors in this numeric code.
-#![allow(clippy::needless_range_loop)]
-use sim_core::cache::{Cache, CacheGeom, LineState, Lookup};
+use sim_core::cache::CacheGeom;
+use sim_core::coherence::{self, DirEnt, Machine, Priced, Pricing};
 use sim_core::platform::{HitWindow, Platform, Timing};
 use sim_core::stats::{Bucket, ProcStats};
-use sim_core::util::FxMap;
-use sim_core::{Addr, FlatMem, PlacementMap, Resource};
+use sim_core::{Addr, PlacementMap, Resource};
 
 /// Tunable parameters of the CC-NUMA platform (cycles at 300 MHz).
 #[derive(Clone, Debug)]
@@ -77,51 +74,69 @@ impl DsmConfig {
     }
 }
 
-/// Directory entry for one cache line.
-#[derive(Clone, Copy, Debug, Default)]
-struct DirEnt {
-    /// Bitmask of sharers (valid copies).
-    sharers: u32,
-    /// Exclusive/modified owner, if any.
-    owner: Option<u8>,
+/// The directory machine's prices: its configuration and each node's home
+/// directory.
+struct Directory {
+    cfg: DsmConfig,
+    /// Per node, the home directory/memory: serves the misses, locks and
+    /// barriers homed there, one at a time.
+    homes: Vec<Resource>,
 }
 
-struct Node {
-    l1: Cache,
-    l2: Cache,
-    dir: Resource,
+impl Pricing for Directory {
+    fn miss(&mut self, t: &mut Timing, line: u64, before: DirEnt, inval: u32, _: bool) -> Priced {
+        let (c, pid) = (&self.cfg, t.pid);
+        let home = t.placement.home_of(line, pid);
+        let remote = home != pid;
+        let mut stall = if remote { 2 * c.hop } else { 0 };
+        // Home directory occupancy (queueing under contention).
+        if t.timing_on {
+            let (_, end) = self.homes[home].serve(*t.now + stall, c.dir_occupancy);
+            stall = end - *t.now;
+        } else {
+            stall += c.dir_occupancy;
+        }
+        stall += match before.owner {
+            // Dirty at a third node: forward + cache-to-cache reply.
+            Some(_) => 2 * c.hop,
+            // Memory access at the home.
+            None => c.local_mem,
+        };
+        stall += u64::from(inval) * c.inval_per_sharer;
+        if remote {
+            t.stats.counters.remote_fetches += 1;
+        }
+        // The home directory stands in as the serving side.
+        Priced {
+            stall,
+            bucket: if remote {
+                Bucket::DataWait
+            } else {
+                Bucket::CacheStall
+            },
+            src: remote.then_some(home),
+        }
+    }
 }
 
 /// The CC-NUMA platform.
 pub struct DsmPlatform {
-    cfg: DsmConfig,
-    mem: FlatMem,
-    nodes: Vec<Node>,
-    directory: FxMap<u64, DirEnt>,
-    line_mask: u64,
-    /// The run's protocol event stream (None when undiagnosed).
-    probe: Option<sim_core::ProbeHandle>,
+    hw: Machine,
+    dir: Directory,
 }
 
 impl DsmPlatform {
     /// Build the platform.
+    ///
+    /// # Panics
+    /// If `cfg.nprocs` exceeds [`coherence::MAX_PROCS`].
     pub fn new(cfg: DsmConfig) -> Self {
-        assert!(cfg.nprocs <= 32, "sharer bitmask is 32 bits");
-        let nodes = (0..cfg.nprocs)
-            .map(|_| Node {
-                l1: Cache::new(cfg.l1),
-                l2: Cache::new(cfg.l2),
-                dir: Resource::new(),
-            })
-            .collect();
-        let line_mask = !(cfg.l2.line - 1);
         Self {
-            cfg,
-            mem: FlatMem::new(),
-            nodes,
-            directory: FxMap::default(),
-            line_mask,
-            probe: None,
+            hw: Machine::new(cfg.nprocs, cfg.l1, cfg.l2, cfg.l2_hit),
+            dir: Directory {
+                homes: (0..cfg.nprocs).map(|_| Resource::new()).collect(),
+                cfg,
+            },
         }
     }
 
@@ -132,203 +147,42 @@ impl DsmPlatform {
 
     /// The configuration in use.
     pub fn config(&self) -> &DsmConfig {
-        &self.cfg
-    }
-
-    #[inline]
-    fn line_of(&self, addr: Addr) -> u64 {
-        addr & self.line_mask
-    }
-
-    /// Full miss handling: price the transaction and update directory +
-    /// remote caches. Returns stall cycles (beyond L1/L2 lookup costs).
-    fn service_miss(&mut self, t: &mut Timing, line: u64, write: bool) -> u64 {
-        let pid = t.pid;
-        let home = t.placement.home_of(line, pid);
-        let remote = home != pid;
-        let mut stall = if remote { 2 * self.cfg.hop } else { 0 };
-        // Home directory occupancy (queueing under contention).
-        if t.timing_on {
-            let arrive = *t.now + stall;
-            let (_, end) = self.nodes[home].dir.serve(arrive, self.cfg.dir_occupancy);
-            stall = (end - *t.now).max(stall);
-        } else {
-            stall += self.cfg.dir_occupancy;
-        }
-        let ent = *self.directory.entry(line).or_default();
-        // Dirty at a third node: 3-hop transfer + writeback.
-        if let Some(owner) = ent.owner {
-            let owner = owner as usize;
-            if owner != pid {
-                stall += 2 * self.cfg.hop; // forward + cache-to-cache reply
-                                           // Owner's copy downgrades (read) or invalidates (write).
-                let la = line;
-                if write {
-                    self.nodes[owner].l1.set_state(la, LineState::Invalid);
-                    self.nodes[owner].l2.set_state(la, LineState::Invalid);
-                } else {
-                    self.nodes[owner].l1.set_state(la, LineState::Shared);
-                    self.nodes[owner].l2.set_state(la, LineState::Shared);
-                }
-            }
-        } else if !remote {
-            stall += self.cfg.local_mem;
-        } else {
-            stall += self.cfg.local_mem; // memory access at the remote home
-        }
-        // Invalidate sharers on a write.
-        let mut ent = ent;
-        if write {
-            let mut others = 0u64;
-            for q in 0..self.cfg.nprocs {
-                if q != pid && (ent.sharers >> q) & 1 == 1 {
-                    self.nodes[q].l1.set_state(line, LineState::Invalid);
-                    self.nodes[q].l2.set_state(line, LineState::Invalid);
-                    others += 1;
-                }
-            }
-            stall += others * self.cfg.inval_per_sharer;
-            ent.sharers = 1 << pid;
-            ent.owner = Some(pid as u8);
-        } else {
-            ent.sharers |= 1 << pid;
-            if ent.owner == Some(pid as u8) {
-                // kept
-            } else {
-                ent.owner = None;
-            }
-        }
-        self.directory.insert(line, ent);
-        if remote {
-            t.stats.counters.remote_fetches += 1;
-            t.stats.counters.bytes_transferred += self.cfg.l2.line;
-            // The caller charges `stall` from `now`; the home directory
-            // stands in as the serving side.
-            sim_core::probe::emit(
-                &self.probe,
-                t.timing_on,
-                sim_core::ProtoEvent::RemoteMiss {
-                    pid,
-                    line,
-                    src: home,
-                    at: *t.now,
-                    stall,
-                    traced: true,
-                },
-            );
-        }
-        stall
-    }
-
-    fn access(&mut self, t: &mut Timing, addr: Addr, write: bool) {
-        t.stats.counters.accesses += 1;
-        t.charge(Bucket::Compute, 1);
-        let line = self.line_of(addr);
-        let pid = t.pid;
-        let l1 = self.nodes[pid].l1.access(addr, write);
-        if l1 == Lookup::Hit {
-            // L1 state must not be more permissive than L2; writes that hit
-            // exclusive lines in L1 are fine.
-            return;
-        }
-        let l2 = self.nodes[pid].l2.access(addr, write);
-        match l2 {
-            Lookup::Hit => {
-                t.charge(Bucket::CacheStall, self.cfg.l2_hit);
-                t.stats.counters.cache_misses += 1;
-                let st = self.nodes[pid].l2.state_of(addr);
-                self.nodes[pid].l1.fill(addr, st);
-            }
-            Lookup::UpgradeMiss => {
-                // Present shared, needs ownership: directory upgrade.
-                let stall = self.service_miss(t, line, true);
-                let home = t.placement.home_of(line, pid);
-                let bucket = if home == pid {
-                    Bucket::CacheStall
-                } else {
-                    Bucket::DataWait
-                };
-                t.charge(bucket, stall);
-                t.stats.counters.cache_misses += 1;
-                self.nodes[pid].l2.set_state(addr, LineState::Modified);
-                self.nodes[pid].l1.fill(addr, LineState::Modified);
-            }
-            Lookup::Miss { .. } => {
-                let stall = self.cfg.l2_hit + self.service_miss(t, line, write);
-                let home = t.placement.home_of(line, pid);
-                let bucket = if home == pid {
-                    Bucket::CacheStall
-                } else {
-                    Bucket::DataWait
-                };
-                t.charge(bucket, stall);
-                t.stats.counters.cache_misses += 1;
-                let state = if write {
-                    LineState::Modified
-                } else {
-                    // Exclusive when no other sharer: silent upgrades later.
-                    let ent = self.directory.get(&line).copied().unwrap_or_default();
-                    if ent.sharers & !(1u32 << pid) == 0 {
-                        LineState::Exclusive
-                    } else {
-                        LineState::Shared
-                    }
-                };
-                if let Some((victim, dirty)) = self.nodes[pid].l2.fill(addr, state) {
-                    // Dirty eviction writes back; directory drops the owner.
-                    if dirty {
-                        if let Some(ent) = self.directory.get_mut(&victim) {
-                            if ent.owner == Some(pid as u8) {
-                                ent.owner = None;
-                                ent.sharers &= !(1u32 << pid);
-                            }
-                        }
-                    }
-                    self.nodes[pid].l1.set_state(victim, LineState::Invalid);
-                }
-                self.nodes[pid].l1.fill(addr, state);
-            }
-        }
+        &self.dir.cfg
     }
 }
 
 impl Platform for DsmPlatform {
     fn nprocs(&self) -> usize {
-        self.cfg.nprocs
+        self.dir.cfg.nprocs
     }
 
     fn min_cross_node_latency(&self) -> Option<u64> {
         // The cheapest cross-processor interaction crosses the network
         // once and touches the directory at the home.
-        Some(self.cfg.hop + self.cfg.dir_occupancy)
+        Some(self.dir.cfg.hop + self.dir.cfg.dir_occupancy)
     }
 
     fn load(&mut self, t: &mut Timing, addr: Addr, len: u8) -> u64 {
-        self.access(t, addr, false);
-        self.mem.load(addr, len)
+        self.hw.load(&mut self.dir, t, addr, len)
     }
 
     fn store(&mut self, t: &mut Timing, addr: Addr, len: u8, val: u64) {
-        self.access(t, addr, true);
-        self.mem.store(addr, len, val);
+        self.hw.store(&mut self.dir, t, addr, len, val);
     }
 
-    // A word whose L1 line is present with sufficient permission (a Shared
-    // write needs a directory upgrade) touches nothing but the L1's LRU
-    // state: no directory, no remote cache.
     #[inline]
     fn hit_window(&mut self, pid: usize, addr: Addr, write: bool) -> Option<HitWindow<'_>> {
-        HitWindow::flat(&mut self.nodes[pid].l1, &mut self.mem, addr, write)
+        self.hw.hit_window(pid, addr, write)
     }
 
     fn acquire_request(&mut self, t: &mut Timing, lock: u32) -> u64 {
-        t.charge(Bucket::LockWait, self.cfg.lock_base / 2);
+        let c = &self.dir.cfg;
+        t.charge(Bucket::LockWait, c.lock_base / 2);
         if !t.timing_on {
             return *t.now;
         }
-        let home = (lock as usize) % self.cfg.nprocs;
-        let arrive = *t.now + self.cfg.hop;
-        let (_, end) = self.nodes[home].dir.serve(arrive, self.cfg.dir_occupancy);
+        let home = (lock as usize) % c.nprocs;
+        let (_, end) = self.dir.homes[home].serve(*t.now + c.hop, c.dir_occupancy);
         end
     }
 
@@ -344,12 +198,12 @@ impl Platform for DsmPlatform {
         if !timing_on {
             return grant_at;
         }
-        grant_at + self.cfg.hop + self.cfg.lock_base / 2
+        grant_at + self.dir.cfg.hop + self.dir.cfg.lock_base / 2
     }
 
     fn release(&mut self, t: &mut Timing, _lock: u32) -> u64 {
         // Hardware release: write the lock word; roughly one remote write.
-        t.charge(Bucket::LockWait, self.cfg.lock_base / 2);
+        t.charge(Bucket::LockWait, self.dir.cfg.lock_base / 2);
         *t.now
     }
 
@@ -359,11 +213,9 @@ impl Platform for DsmPlatform {
         }
         // Atomic increment at the barrier's home: serialized at the home
         // directory.
-        let home = (barrier as usize) % self.cfg.nprocs;
-        let arrive = *t.now + self.cfg.hop;
-        let (_, end) = self.nodes[home]
-            .dir
-            .serve(arrive, self.cfg.barrier_per_proc);
+        let c = &self.dir.cfg;
+        let home = (barrier as usize) % c.nprocs;
+        let (_, end) = self.dir.homes[home].serve(*t.now + c.hop, c.barrier_per_proc);
         end
     }
 
@@ -375,21 +227,15 @@ impl Platform for DsmPlatform {
         _placement: &mut PlacementMap,
         timing_on: bool,
     ) -> Vec<u64> {
-        let last = arrivals.iter().copied().max().unwrap_or(0);
-        if !timing_on {
-            return arrivals.to_vec();
-        }
-        vec![last + self.cfg.barrier_latency; arrivals.len()]
+        coherence::barrier_release(arrivals, timing_on, self.dir.cfg.barrier_latency)
     }
 
     fn reset_timing(&mut self) {
-        for n in &mut self.nodes {
-            n.dir.reset();
-        }
+        self.dir.homes.fill_with(Resource::new);
     }
 
     fn set_probe(&mut self, probe: Option<sim_core::ProbeHandle>) {
-        self.probe = probe;
+        self.hw.probe = probe;
     }
 }
 

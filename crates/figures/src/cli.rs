@@ -8,6 +8,7 @@
 //! prints it with the usage table and exits 2.
 
 use apps::{App, AppSpec, OptClass, Platform, Scale};
+use sim_core::coherence::MAX_PROCS;
 use sim_core::{RunConfig, RunStats};
 
 /// What one subcommand reads beyond `--scale` and `--procs`.
@@ -129,19 +130,31 @@ impl Parsed {
     }
 
     /// `--procs` must fit every platform the subcommand is about to run
-    /// on: the hardware-coherent models track sharers in a 32-bit mask.
+    /// on: the hardware-coherent models track sharers in a bit mask.
     pub fn check_procs(&self, platforms: &[Platform]) -> Result<(), String> {
         match platforms
             .iter()
             .find(|pf| matches!(pf, Platform::Dsm | Platform::Smp))
         {
-            Some(pf) if self.nprocs > 32 => Err(format!(
-                "--procs {}: {} models at most 32 processors",
+            Some(pf) if self.nprocs > MAX_PROCS => Err(format!(
+                "--procs {}: {} models at most {MAX_PROCS} processors",
                 self.nprocs,
                 pf.name()
             )),
             _ => Ok(()),
         }
+    }
+
+    /// `--procs` must suit every application version the subcommand is
+    /// about to run (see [`apps::check_nprocs`]).
+    pub fn check_apps(&self, apps: &[App], classes: &[OptClass]) -> Result<(), String> {
+        for &app in apps {
+            for &class in classes {
+                apps::check_nprocs(app, class, self.nprocs, self.scale)
+                    .map_err(|e| format!("--procs {}: {e}", self.nprocs))?;
+            }
+        }
+        Ok(())
     }
 
     /// Run one application cell at the parsed scale and processor count,
@@ -293,6 +306,52 @@ mod tests {
             p.period("--top", 0),
             Err("--top 0: the sampling period must be nonzero".into())
         );
+        // A processor count an application version cannot use.
+        let at = |procs| parse_strs(&["--scale", "test", "--procs", procs], &Flags::NONE).unwrap();
+        for (procs, app, class, why) in [
+            (
+                "2",
+                App::Ocean,
+                OptClass::PadAlign,
+                "Ocean P/A: square partitions need a square processor count",
+            ),
+            (
+                "9",
+                App::Ocean,
+                OptClass::DataStruct,
+                "Ocean DS: the 32-point grid does not divide into 3x3 partitions",
+            ),
+            (
+                "5",
+                App::Volrend,
+                OptClass::DataStruct,
+                "Volrend DS: the 48-pixel image edge does not divide into a 1x5 block grid",
+            ),
+            (
+                "6",
+                App::Barnes,
+                OptClass::Orig,
+                "Barnes Alg: 64 bodies do not divide evenly among 6 processors",
+            ),
+            (
+                "6",
+                App::Radix,
+                OptClass::Orig,
+                "Radix Alg: 4096 keys do not divide evenly among 6 processors",
+            ),
+            (
+                "6",
+                App::Kv,
+                OptClass::Orig,
+                "KV Alg: 32 buckets do not divide evenly among 6 processors",
+            ),
+        ] {
+            let err = at(procs).check_apps(&[App::Lu, app], &[OptClass::Algorithm, class]);
+            assert_eq!(err, Err(format!("--procs {procs}: {why}")));
+        }
+        // Row-wise Ocean and the other applications take any count.
+        let any = [App::Lu, App::ShearWarp, App::Raytrace, App::Ocean];
+        assert_eq!(at("7").check_apps(&any, &[OptClass::Algorithm]), Ok(()));
     }
 
     #[test]

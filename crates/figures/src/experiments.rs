@@ -428,11 +428,18 @@ impl Experiment {
         }
     }
 
-    /// Check `--procs` against the platforms about to be run on, then
-    /// print the standard figure header. Everything a row can refuse is
-    /// refused before its first line of output.
-    pub fn begin(&self, p: &Parsed, platforms: &[Platform]) -> Result<(), String> {
+    /// Check `--procs` against the application versions and platforms
+    /// about to be run, then print the standard figure header. Everything a
+    /// row can refuse is refused before its first line of output.
+    pub fn begin(
+        &self,
+        p: &Parsed,
+        apps: &[App],
+        classes: &[OptClass],
+        platforms: &[Platform],
+    ) -> Result<(), String> {
         p.check_procs(platforms)?;
+        p.check_apps(apps, classes)?;
         let caption = self
             .caption
             .replace("{app}", p.app.name())
@@ -457,7 +464,7 @@ impl Experiment {
                 across,
             } => {
                 let pfs: Vec<Platform> = platforms.iter().map(|&(_, pf)| pf).collect();
-                self.begin(p, &pfs)?;
+                self.begin(p, apps, classes, &pfs)?;
                 speedups(p, apps, classes, platforms, across);
             }
             Kind::Breakdown {
@@ -466,7 +473,7 @@ impl Experiment {
                 platform,
                 after,
             } => {
-                self.begin(p, &[platform])?;
+                self.begin(p, &[app], &[class], &[platform])?;
                 let mut r = Runner::new(p.scale, p.nprocs);
                 // Baseline and parallel run are independent cells: overlap them.
                 r.prefetch(&[(app, class, platform)]);
@@ -568,10 +575,14 @@ fn barnes_phase_shares(st: &RunStats) {
     );
 }
 
+/// The classes whose Volrend versions (original, balanced) figures 7, 8
+/// and 17 run.
+const VOLREND: [OptClass; 2] = [OptClass::Orig, OptClass::Algorithm];
+
 /// Figures 7 and 8: one of Volrend's balanced-partition versions (no
 /// optimization class of their own) on SVM.
 fn volrend_breakdown(e: &Experiment, p: &Parsed, version: VolrendVersion) -> Result<(), String> {
-    e.begin(p, &[Platform::Svm])?;
+    e.begin(p, &[App::Volrend], &VOLREND, &[Platform::Svm])?;
     let base = volrend::run(Platform::Svm, 1, p.scale, VolrendVersion::Orig)
         .stats
         .total_cycles();
@@ -585,7 +596,7 @@ fn volrend_breakdown(e: &Experiment, p: &Parsed, version: VolrendVersion) -> Res
 /// without task stealing, on SVM and on the CC-NUMA DSM.
 fn fig17(e: &Experiment, p: &Parsed) -> Result<(), String> {
     const PLATFORMS: [Platform; 2] = [Platform::Svm, Platform::Dsm];
-    e.begin(p, &PLATFORMS)?;
+    e.begin(p, &[App::Volrend], &VOLREND, &PLATFORMS)?;
     println!(
         "{:<10} {:>14} {:>14} {:>18}",
         "Platform", "steal", "no-steal", "steal cost"
@@ -621,7 +632,8 @@ fn fig17(e: &Experiment, p: &Parsed) -> Result<(), String> {
 /// measured summary sweep (every application, original vs. best
 /// restructured version on SVM) backing up the qualitative rows.
 fn table1(e: &Experiment, p: &Parsed) -> Result<(), String> {
-    e.begin(p, &[Platform::Svm])?;
+    const CLASSES: [OptClass; 2] = [OptClass::Orig, OptClass::Algorithm];
+    e.begin(p, &App::ALL, &CLASSES, &[Platform::Svm])?;
     let rows = [
         ("LU", "easy", "well known", "painful"),
         ("Ocean", "easy", "well known", "painful"),
@@ -652,12 +664,7 @@ fn table1(e: &Experiment, p: &Parsed) -> Result<(), String> {
     let mut r = Runner::new(p.scale, p.nprocs);
     let cells: Vec<_> = App::ALL
         .iter()
-        .flat_map(|&app| {
-            [
-                (app, OptClass::Orig, Platform::Svm),
-                (app, OptClass::Algorithm, Platform::Svm),
-            ]
-        })
+        .flat_map(|&app| CLASSES.map(|class| (app, class, Platform::Svm)))
         .collect();
     r.prefetch(&cells);
     println!("Measured on SVM ({} procs, this reproduction):", p.nprocs);
@@ -683,7 +690,8 @@ fn table1(e: &Experiment, p: &Parsed) -> Result<(), String> {
 /// algorithms on SVM (paper speedups 2.76 → 2.94 → 5.56 → 5.65 → 10.5,
 /// with tree-build falling from ~43% to ~30% and below).
 fn barnes_algorithms(e: &Experiment, p: &Parsed) -> Result<(), String> {
-    e.begin(p, &[Platform::Svm])?;
+    // Every version splits the same bodies evenly.
+    e.begin(p, &[App::Barnes], &[OptClass::Orig], &[Platform::Svm])?;
     // One uniprocessor baseline + five versions: six independent cells.
     let versions = [
         BarnesVersion::SharedTree,
@@ -728,7 +736,7 @@ fn barnes_algorithms(e: &Experiment, p: &Parsed) -> Result<(), String> {
 /// our suite.
 fn protocols(e: &Experiment, p: &Parsed) -> Result<(), String> {
     const PLATFORMS: [Platform; 2] = [Platform::Svm, Platform::Tmk];
-    e.begin(p, &PLATFORMS)?;
+    e.begin(p, &App::ALL, &[OptClass::Orig], &PLATFORMS)?;
     let mut r = Runner::new(p.scale, p.nprocs);
     let cells: Vec<_> = App::ALL
         .iter()
@@ -759,7 +767,7 @@ fn smp_nodes(e: &Experiment, p: &Parsed) -> Result<(), String> {
         Platform::SvmSmpNodes { ppn: 2 },
         Platform::SvmSmpNodes { ppn: 4 },
     ];
-    e.begin(p, &NODES)?;
+    e.begin(p, &APPS, &[OptClass::Orig], &NODES)?;
     let mut r = Runner::new(p.scale, p.nprocs);
     let cells: Vec<_> = APPS
         .iter()
@@ -800,7 +808,7 @@ fn smp_nodes(e: &Experiment, p: &Parsed) -> Result<(), String> {
 /// make the common case node-local (DS), and request stealing with
 /// batch-combined locking absorbs the Zipf skew (Alg).
 fn kvstore(e: &Experiment, p: &Parsed) -> Result<(), String> {
-    e.begin(p, &Platform::ALL)?;
+    e.begin(p, &[App::Kv], &OptClass::ALL, &Platform::ALL)?;
     let mut r = Runner::new(p.scale, p.nprocs);
     let cells: Vec<(App, OptClass, Platform)> = Platform::ALL
         .iter()
@@ -860,7 +868,8 @@ fn kvstore(e: &Experiment, p: &Parsed) -> Result<(), String> {
 /// distort the results the figures report.
 fn ablation_quantum(e: &Experiment, p: &Parsed) -> Result<(), String> {
     use sim_core::{Placement, RunConfig};
-    e.begin(p, &[Platform::Svm])?;
+    // Its own relaxation kernel, no application version.
+    e.begin(p, &[], &[], &[Platform::Svm])?;
     let params = apps::ocean::OceanParams::at(p.scale);
     let nprocs = p.nprocs;
     let run_with_quantum = |quantum: u64| {
@@ -922,7 +931,7 @@ fn ablation_quantum(e: &Experiment, p: &Parsed) -> Result<(), String> {
 /// diff, and invalidation counts, and which data structure each page
 /// belongs to, for one application run.
 fn pagemap(e: &Experiment, p: &Parsed) -> Result<(), String> {
-    e.begin(p, &[Platform::Svm])?;
+    e.begin(p, &[App::Ocean], &[OptClass::Orig], &[Platform::Svm])?;
     let stats = p.run(App::Ocean, OptClass::Orig, Platform::Svm, |c| {
         c.with_sharing_profile()
     });

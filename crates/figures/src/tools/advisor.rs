@@ -102,7 +102,7 @@ impl Cell {
 pub fn run(e: &Experiment, p: &Parsed) -> Result<(), String> {
     let interval = p.period("--metrics", metrics::DEFAULT_INTERVAL)?;
     let strict = p.has("--strict");
-    e.begin(p, &FAMILIES)?;
+    e.begin(p, &App::ALL, &[p.class], &FAMILIES)?;
 
     let cells: Vec<(App, Platform)> = App::ALL
         .iter()

@@ -74,7 +74,7 @@ fn run_cell(p: &Parsed, class: OptClass, pf: Platform) -> (RunTrace, CritPath) {
 
 pub fn run(e: &Experiment, p: &Parsed) -> Result<(), String> {
     let top: usize = p.num("--top", 8)?;
-    e.begin(p, &FAMILIES)?;
+    e.begin(p, &[p.app], &OptClass::ALL, &FAMILIES)?;
 
     // Every class x platform cell is an independent deterministic run.
     let cells: Vec<(OptClass, Platform)> = OptClass::ALL

@@ -152,7 +152,7 @@ pub fn run(e: &Experiment, p: &Parsed) -> Result<(), String> {
     let cap: usize = p.num("--cap", DEFAULT_SERIES_CAP)?;
     let npages: usize = p.num("--pages", 12)?;
     let width: usize = p.num("--width", 60)?;
-    e.begin(p, &[p.platform])?;
+    e.begin(p, &[p.app], &[p.class], &[p.platform])?;
 
     let stats = p.run(p.app, p.class, p.platform, |c| {
         c.with_metrics(interval).with_metrics_cap(cap)

@@ -46,7 +46,7 @@ pub fn run(e: &Experiment, p: &Parsed) -> Result<(), String> {
             platform.name().to_ascii_lowercase()
         ));
     }
-    e.begin(p, &[platform])?;
+    e.begin(p, &[app], &OptClass::ALL, &[platform])?;
 
     // The four class runs are independent deterministic cells.
     let profiles: Vec<(OptClass, SharingProfile, MetricsReport)> =

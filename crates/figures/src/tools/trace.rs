@@ -68,7 +68,8 @@ pub fn run(e: &Experiment, p: &Parsed) -> Result<(), String> {
         .map_err(|e| format!("--compare-class: {e}"))?;
     let out_path = p.extra("--out").unwrap_or("trace.json");
     let width: usize = p.num("--width", 100)?;
-    e.begin(p, &[p.platform])?;
+    let classes: Vec<OptClass> = std::iter::once(p.class).chain(compare).collect();
+    e.begin(p, &[p.app], &classes, &[p.platform])?;
 
     let stats = run_traced(p, p.class, metrics);
     let tr = stats.trace.as_ref().unwrap();

@@ -7,8 +7,9 @@
 //! 2-d array layouts that disappear with 4-d blocked layouts, an effect that
 //! only a real tag array with real associativity reproduces.
 //!
-//! Lines carry a [`LineState`] so the hardware-coherent platforms can model
-//! MESI-style upgrades and invalidations with the same structure.
+//! Lines carry a [`LineState`] so the hardware-coherent machine
+//! ([`crate::coherence`]) can model MESI-style upgrades and invalidations
+//! with the same structure.
 
 use crate::addr::Addr;
 
@@ -51,9 +52,9 @@ pub enum Lookup {
     Hit,
     /// Line present but read-only and the access was a write.
     UpgradeMiss,
-    /// Line absent. Contains the victim line (base address + was-dirty) if a
-    /// valid line was evicted to make room.
-    Miss { victim: Option<(Addr, bool)> },
+    /// Line absent: [`Cache::fill`] installs it and reports the line it
+    /// evicts.
+    Miss,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -130,8 +131,8 @@ impl Cache {
 
     /// Access the line containing `a`. On a hit the LRU stamp is refreshed
     /// and (for writes to writable lines) the state is promoted to Modified.
-    /// On a miss the LRU victim way is *not* yet replaced — call [`Cache::fill`]
-    /// to install the line, so the caller can charge costs first.
+    /// A miss installs nothing — call [`Cache::fill`] to install the line, so
+    /// the caller can charge costs first.
     #[inline]
     pub fn access(&mut self, a: Addr, write: bool) -> Lookup {
         self.tick = self.tick.wrapping_add(1);
@@ -158,25 +159,7 @@ impl Cache {
             }
         }
         self.misses += 1;
-        // Find the victim: an invalid way if any, else true LRU.
-        let mut victim: Option<(Addr, bool)> = None;
-        let mut best: Option<(usize, u32)> = None;
-        for (i, w) in self.ways[set..set + ways].iter().enumerate() {
-            if w.state == LineState::Invalid {
-                best = None;
-                victim = None;
-                break;
-            }
-            let age = self.tick.wrapping_sub(w.lru);
-            if best.is_none_or(|(_, b)| age > b) {
-                best = Some((i, age));
-            }
-        }
-        if let Some((i, _)) = best {
-            let w = &self.ways[set + i];
-            victim = Some((w.tag << self.line_shift, w.state == LineState::Modified));
-        }
-        Lookup::Miss { victim }
+        Lookup::Miss
     }
 
     /// Batch equivalent of `k` consecutive [`Cache::access`] hits to the line
@@ -324,11 +307,11 @@ mod tests {
     #[test]
     fn hit_after_fill() {
         let mut c = small();
-        assert!(matches!(c.access(0x100, false), Lookup::Miss { .. }));
+        assert!(matches!(c.access(0x100, false), Lookup::Miss));
         c.fill(0x100, LineState::Shared);
         assert_eq!(c.access(0x100, false), Lookup::Hit);
         assert_eq!(c.access(0x11f, false), Lookup::Hit); // same line
-        assert!(matches!(c.access(0x120, false), Lookup::Miss { .. })); // next line
+        assert!(matches!(c.access(0x120, false), Lookup::Miss)); // next line
     }
 
     #[test]
@@ -362,7 +345,7 @@ mod tests {
         let evicted = c.fill(0x100, LineState::Shared);
         assert_eq!(evicted, Some((0x080, false)));
         assert_eq!(c.access(0x000, false), Lookup::Hit);
-        assert!(matches!(c.access(0x080, false), Lookup::Miss { .. }));
+        assert!(matches!(c.access(0x080, false), Lookup::Miss));
     }
 
     #[test]
@@ -423,7 +406,7 @@ mod tests {
         // 8 sets; 0x000 and 0x100 share set 0.
         dm.fill(0x000, LineState::Shared);
         dm.fill(0x100, LineState::Shared);
-        assert!(matches!(dm.access(0x000, false), Lookup::Miss { .. }));
+        assert!(matches!(dm.access(0x000, false), Lookup::Miss));
 
         // 2-way: both fit.
         let mut sa = small(); // 4 sets x 2 ways; 0x000 & 0x100 both set 0? (0x100>>5)&3 = 0 yes

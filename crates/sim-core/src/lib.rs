@@ -43,6 +43,7 @@ pub mod addr;
 pub mod advisor;
 pub mod alloc;
 pub mod cache;
+pub mod coherence;
 pub(crate) mod coro;
 pub mod critpath;
 pub mod detector;

@@ -118,7 +118,7 @@ fn cache_agrees_with_reference_lru() {
             let lru = sets.entry(set).or_default();
             let hit_ref = lru.contains(&line);
             let lookup = cache.access(addr, write);
-            let hit_got = !matches!(lookup, Lookup::Miss { .. });
+            let hit_got = !matches!(lookup, Lookup::Miss);
             assert_eq!(hit_got, hit_ref, "hit/miss divergence at {addr:#x}");
             if hit_ref {
                 lru.retain(|&t| t != line);

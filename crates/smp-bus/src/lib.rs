@@ -5,22 +5,21 @@
 //! with 128-byte lines, and a 1.2 GB/s shared snooping bus in front of
 //! centralized memory.
 //!
-//! All misses and upgrade transactions cross the single bus, which is
-//! modelled as a shared FCFS [`Resource`]: its saturation is what makes
-//! Radix "heavy communication and capacity traffic hurt ... due to the bus
-//! bandwidth limitation" on this platform. Invalidation is by snooping, so a
-//! write transaction invalidates every other cache's copy at no extra
-//! per-sharer message cost. Synchronization is cheap: locks and barriers are
-//! a handful of bus transactions.
+//! The caches, the data and the coherence protocol are
+//! [`sim_core::coherence::Machine`], shared with the CC-NUMA; this crate
+//! prices it. All misses and upgrade transactions cross the single bus,
+//! which is modelled as a shared FCFS [`Resource`]: its saturation is what
+//! makes Radix "heavy communication and capacity traffic hurt ... due to
+//! the bus bandwidth limitation" on this platform. Invalidation is by
+//! snooping, so a write transaction invalidates every other cache's copy at
+//! no extra per-sharer message cost. Synchronization is cheap: locks and
+//! barriers are a handful of bus transactions.
 
-// Indexed loops over fixed coordinate dimensions are clearer than
-// iterator adaptors in this numeric code.
-#![allow(clippy::needless_range_loop)]
-use sim_core::cache::{Cache, CacheGeom, LineState, Lookup};
+use sim_core::cache::CacheGeom;
+use sim_core::coherence::{self, DirEnt, Machine, Priced, Pricing};
 use sim_core::platform::{HitWindow, Platform, Timing};
 use sim_core::stats::{Bucket, ProcStats};
-use sim_core::util::FxMap;
-use sim_core::{Addr, FlatMem, PlacementMap, Resource};
+use sim_core::{Addr, PlacementMap, Resource};
 
 /// Tunable parameters of the SMP platform (cycles at 150 MHz).
 #[derive(Clone, Debug)]
@@ -74,40 +73,69 @@ impl SmpConfig {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct SnoopEnt {
-    sharers: u32,
-    owner: Option<u8>,
+/// The bus machine's prices: its configuration and the bus.
+struct Bus {
+    cfg: SmpConfig,
+    wire: Resource,
+}
+
+impl Bus {
+    /// One bus transaction: arbitration + occupancy, with queueing.
+    fn txn(&mut self, t: &Timing, occupancy: u64) -> u64 {
+        if !t.timing_on {
+            return 0;
+        }
+        let (_, end) = self.wire.serve(*t.now, self.cfg.bus_arb + occupancy);
+        end - *t.now
+    }
+}
+
+impl Pricing for Bus {
+    fn miss(&mut self, t: &mut Timing, _: u64, before: DirEnt, _: u32, upgrade: bool) -> Priced {
+        // Every bus-serviced miss is a data-latency sample: the supplying
+        // cache is the serving side, otherwise memory (the requester).
+        let (src, stall) = match before.owner {
+            // Cache-to-cache: one line transfer on the bus — the closest
+            // thing a snooping bus has to a remote miss.
+            Some(owner) => (owner.into(), self.txn(t, self.cfg.bus_line)),
+            None => (t.pid, self.txn(t, self.cfg.bus_line) + self.cfg.mem_latency),
+        };
+        // On a centralized-memory machine every miss is "local" and stalls
+        // the cache; waiting for ownership on an upgrade is data wait.
+        Priced {
+            stall,
+            bucket: if upgrade {
+                Bucket::DataWait
+            } else {
+                Bucket::CacheStall
+            },
+            src: Some(src),
+        }
+    }
+
+    fn write_back(&mut self, t: &mut Timing) {
+        self.txn(t, self.cfg.bus_line);
+    }
 }
 
 /// The bus-based SMP platform.
 pub struct SmpPlatform {
-    cfg: SmpConfig,
-    mem: FlatMem,
-    caches: Vec<(Cache, Cache)>,
-    bus: Resource,
-    snoop: FxMap<u64, SnoopEnt>,
-    line_mask: u64,
-    /// The run's protocol event stream (None when undiagnosed).
-    probe: Option<sim_core::ProbeHandle>,
+    hw: Machine,
+    bus: Bus,
 }
 
 impl SmpPlatform {
     /// Build the platform.
+    ///
+    /// # Panics
+    /// If `cfg.nprocs` exceeds [`coherence::MAX_PROCS`].
     pub fn new(cfg: SmpConfig) -> Self {
-        assert!(cfg.nprocs <= 32);
-        let caches = (0..cfg.nprocs)
-            .map(|_| (Cache::new(cfg.l1), Cache::new(cfg.l2)))
-            .collect();
-        let line_mask = !(cfg.l2.line - 1);
         Self {
-            cfg,
-            mem: FlatMem::new(),
-            caches,
-            bus: Resource::new(),
-            snoop: FxMap::default(),
-            line_mask,
-            probe: None,
+            hw: Machine::new(cfg.nprocs, cfg.l1, cfg.l2, cfg.l2_hit),
+            bus: Bus {
+                cfg,
+                wire: Resource::new(),
+            },
         }
     }
 
@@ -118,179 +146,37 @@ impl SmpPlatform {
 
     /// The configuration in use.
     pub fn config(&self) -> &SmpConfig {
-        &self.cfg
-    }
-
-    /// One bus transaction: arbitration + occupancy, with queueing.
-    fn bus_txn(&mut self, t: &mut Timing, occupancy: u64) -> u64 {
-        if !t.timing_on {
-            return 0;
-        }
-        let (_, end) = self.bus.serve(*t.now, self.cfg.bus_arb + occupancy);
-        end - *t.now
-    }
-
-    fn service_miss(&mut self, t: &mut Timing, line: u64, write: bool) -> u64 {
-        let pid = t.pid;
-        let ent = *self.snoop.entry(line).or_default();
-        let stall;
-        let mut src = pid;
-        if let Some(owner) = ent.owner {
-            let owner = owner as usize;
-            if owner != pid {
-                src = owner;
-                // Cache-to-cache: one line transfer on the bus. The closest
-                // thing a snooping bus has to a "remote" miss — traced with
-                // the supplying cache as the home.
-                stall = self.bus_txn(t, self.cfg.bus_line);
-                if write {
-                    self.caches[owner].0.set_state(line, LineState::Invalid);
-                    self.caches[owner].1.set_state(line, LineState::Invalid);
-                } else {
-                    self.caches[owner].0.set_state(line, LineState::Shared);
-                    self.caches[owner].1.set_state(line, LineState::Shared);
-                }
-            } else {
-                stall = self.bus_txn(t, self.cfg.bus_addr);
-            }
-        } else {
-            // From memory.
-            stall = self.bus_txn(t, self.cfg.bus_line) + self.cfg.mem_latency;
-        }
-        let mut ent = ent;
-        if write {
-            // Snooping invalidation: every other copy drops at once (no
-            // per-sharer messages on a broadcast bus).
-            for q in 0..self.cfg.nprocs {
-                if q != pid && (ent.sharers >> q) & 1 == 1 {
-                    self.caches[q].0.set_state(line, LineState::Invalid);
-                    self.caches[q].1.set_state(line, LineState::Invalid);
-                }
-            }
-            ent.sharers = 1 << pid;
-            ent.owner = Some(pid as u8);
-        } else {
-            ent.sharers |= 1 << pid;
-            if ent.owner != Some(pid as u8) {
-                ent.owner = None;
-            }
-        }
-        self.snoop.insert(line, ent);
-        t.stats.counters.bytes_transferred += self.cfg.l2.line;
-        // Every bus-serviced miss is a data-latency sample on this platform,
-        // charged by the caller from `now`; the supplying cache (if any) is
-        // the serving side, otherwise memory (self).
-        sim_core::probe::emit(
-            &self.probe,
-            t.timing_on,
-            sim_core::ProtoEvent::RemoteMiss {
-                pid,
-                line,
-                src,
-                at: *t.now,
-                stall,
-                traced: src != pid,
-            },
-        );
-        stall
-    }
-
-    fn access(&mut self, t: &mut Timing, addr: Addr, write: bool) {
-        t.stats.counters.accesses += 1;
-        t.charge(Bucket::Compute, 1);
-        let line = addr & self.line_mask;
-        let pid = t.pid;
-        if self.caches[pid].0.access(addr, write) == Lookup::Hit {
-            return;
-        }
-        match self.caches[pid].1.access(addr, write) {
-            Lookup::Hit => {
-                t.charge(Bucket::CacheStall, self.cfg.l2_hit);
-                t.stats.counters.cache_misses += 1;
-                let st = self.caches[pid].1.state_of(addr);
-                self.caches[pid].0.fill(addr, st);
-            }
-            Lookup::UpgradeMiss => {
-                let mut stall = self.service_miss(t, line, true);
-                if stall == 0 {
-                    stall = self.cfg.bus_arb + self.cfg.bus_addr;
-                }
-                t.charge(Bucket::DataWait, stall);
-                t.stats.counters.cache_misses += 1;
-                self.caches[pid].1.set_state(addr, LineState::Modified);
-                self.caches[pid].0.fill(addr, LineState::Modified);
-            }
-            Lookup::Miss { .. } => {
-                let stall = self.cfg.l2_hit + self.service_miss(t, line, write);
-                // On a centralized-memory machine every miss is "local", but
-                // coherence misses (someone else held the line) are the
-                // communication the paper tracks; approximate by bucketing
-                // cache-to-cache transfers as DataWait inside service_miss
-                // via the snoop owner check — here we charge CacheStall.
-                t.charge(Bucket::CacheStall, stall);
-                t.stats.counters.cache_misses += 1;
-                let ent = self.snoop.get(&line).copied().unwrap_or_default();
-                let state = if write {
-                    LineState::Modified
-                } else if ent.sharers & !(1u32 << pid) == 0 {
-                    LineState::Exclusive
-                } else {
-                    LineState::Shared
-                };
-                if let Some((victim, dirty)) = self.caches[pid].1.fill(addr, state) {
-                    if dirty {
-                        // Write-back occupies the bus.
-                        self.bus_txn(t, self.cfg.bus_line);
-                        if let Some(e) = self.snoop.get_mut(&victim) {
-                            if e.owner == Some(pid as u8) {
-                                e.owner = None;
-                                e.sharers &= !(1u32 << pid);
-                            }
-                        }
-                    }
-                    self.caches[pid].0.set_state(victim, LineState::Invalid);
-                }
-                self.caches[pid].0.fill(addr, state);
-            }
-        }
+        &self.bus.cfg
     }
 }
 
 impl Platform for SmpPlatform {
     fn nprocs(&self) -> usize {
-        self.cfg.nprocs
+        self.bus.cfg.nprocs
     }
 
     fn min_cross_node_latency(&self) -> Option<u64> {
         // Processors interact only through bus transactions: the cheapest
         // is an arbitration plus an address-only (upgrade/lock) cycle.
-        Some(self.cfg.bus_arb + self.cfg.bus_addr)
+        Some(self.bus.cfg.bus_arb + self.bus.cfg.bus_addr)
     }
 
     fn load(&mut self, t: &mut Timing, addr: Addr, len: u8) -> u64 {
-        self.access(t, addr, false);
-        self.mem.load(addr, len)
+        self.hw.load(&mut self.bus, t, addr, len)
     }
 
     fn store(&mut self, t: &mut Timing, addr: Addr, len: u8, val: u64) {
-        self.access(t, addr, true);
-        self.mem.store(addr, len, val);
+        self.hw.store(&mut self.bus, t, addr, len, val);
     }
 
-    // An L1 hit (valid line for reads, owned line for writes — a Shared
-    // write needs a bus upgrade) never touches the bus or snoop state.
     #[inline]
     fn hit_window(&mut self, pid: usize, addr: Addr, write: bool) -> Option<HitWindow<'_>> {
-        HitWindow::flat(&mut self.caches[pid].0, &mut self.mem, addr, write)
+        self.hw.hit_window(pid, addr, write)
     }
 
     fn acquire_request(&mut self, t: &mut Timing, _lock: u32) -> u64 {
-        t.charge(Bucket::LockWait, self.cfg.lock_base);
-        if !t.timing_on {
-            return *t.now;
-        }
-        let stall = self.bus_txn(t, self.cfg.bus_addr);
-        *t.now + stall
+        t.charge(Bucket::LockWait, self.bus.cfg.lock_base);
+        *t.now + self.bus.txn(t, self.bus.cfg.bus_addr)
     }
 
     fn acquire_grant(
@@ -305,24 +191,18 @@ impl Platform for SmpPlatform {
         if !timing_on {
             return grant_at;
         }
-        grant_at + self.cfg.lock_base
+        grant_at + self.bus.cfg.lock_base
     }
 
     fn release(&mut self, t: &mut Timing, _lock: u32) -> u64 {
-        t.charge(Bucket::LockWait, self.cfg.lock_base / 2);
-        if t.timing_on {
-            self.bus_txn(t, self.cfg.bus_addr);
-        }
+        t.charge(Bucket::LockWait, self.bus.cfg.lock_base / 2);
+        self.bus.txn(t, self.bus.cfg.bus_addr);
         *t.now
     }
 
     fn barrier_arrive(&mut self, t: &mut Timing, _barrier: u32) -> u64 {
-        if !t.timing_on {
-            return *t.now;
-        }
         // Atomic increment: one bus transaction (serializes arrivals).
-        let stall = self.bus_txn(t, self.cfg.bus_addr);
-        *t.now + stall
+        *t.now + self.bus.txn(t, self.bus.cfg.bus_addr)
     }
 
     fn barrier_release(
@@ -333,19 +213,15 @@ impl Platform for SmpPlatform {
         _placement: &mut PlacementMap,
         timing_on: bool,
     ) -> Vec<u64> {
-        let last = arrivals.iter().copied().max().unwrap_or(0);
-        if !timing_on {
-            return arrivals.to_vec();
-        }
-        vec![last + self.cfg.barrier_latency; arrivals.len()]
+        coherence::barrier_release(arrivals, timing_on, self.bus.cfg.barrier_latency)
     }
 
     fn reset_timing(&mut self) {
-        self.bus.reset();
+        self.bus.wire.reset();
     }
 
     fn set_probe(&mut self, probe: Option<sim_core::ProbeHandle>) {
-        self.probe = probe;
+        self.hw.probe = probe;
     }
 }
 

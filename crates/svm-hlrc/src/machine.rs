@@ -123,7 +123,7 @@ impl Machine {
                     caches.0.fill(addr, LineState::Modified);
                     t.stats.counters.cache_misses += 1;
                 }
-                Lookup::Miss { .. } => {
+                Lookup::Miss => {
                     t.charge(Bucket::CacheStall, self.cfg.mem_latency);
                     caches.1.fill(addr, LineState::Modified);
                     caches.0.fill(addr, LineState::Modified);
