@@ -32,7 +32,7 @@ use sim_core::stats::{Bucket, ProcStats};
 use sim_core::util::{FxMap, FxSet};
 use sim_core::{Addr, PlacementMap};
 use svm_hlrc::machine::Machine;
-use svm_hlrc::{Diff, PState, PageEntry, SvmConfig};
+use svm_hlrc::{Diff, PState, PageEntry, PageTable, SvmConfig};
 
 /// One archived diff: who wrote it and what changed.
 struct ArchivedDiff {
@@ -48,9 +48,8 @@ struct PageLog {
 }
 
 /// One node's protocol state; resources and caches are the [`Machine`]'s.
-#[derive(Default)]
 struct Node {
-    pages: FxMap<u64, PageEntry>,
+    pages: PageTable,
     /// How many chain entries of each page this node has applied.
     applied: FxMap<u64, u32>,
     write_set: FxSet<u64>,
@@ -103,7 +102,13 @@ impl TmkPlatform {
             m.cfg.procs_per_node
         );
         Self {
-            nodes: m.nics.iter().map(|_| Node::default()).collect(),
+            nodes: (0..m.nics.len())
+                .map(|_| Node {
+                    pages: PageTable::new(m.page_shift),
+                    applied: FxMap::default(),
+                    write_set: FxSet::default(),
+                })
+                .collect(),
             m,
             logs_by_page: FxMap::default(),
             probe: None,
@@ -148,7 +153,7 @@ impl TmkPlatform {
         // never has either — DESIGN.md §8 — so this is always base + whole
         // chain; changing that changes `RunStats`.)
         let already = *self.nodes[pid].applied.get(&page).unwrap_or(&0);
-        let had_copy = self.nodes[pid].pages.contains_key(&page);
+        let had_copy = self.nodes[pid].pages.contains(page);
         let cfg = &self.m.cfg;
         t.charge(Bucket::DataWait, cfg.fault_trap);
         // Distinct writers in the missing suffix (pure reads over the chain,
@@ -223,8 +228,9 @@ impl TmkPlatform {
         t.stats.counters.bytes_transferred += base_wire;
     }
 
+    #[inline]
     fn ensure_readable(&mut self, t: &mut Timing, page: u64) {
-        if self.nodes[t.pid].pages.contains_key(&page) {
+        if self.nodes[t.pid].pages.contains(page) {
             return;
         }
         // First touch anywhere: cheap zero-fill only if no diffs exist yet.
@@ -240,7 +246,7 @@ impl TmkPlatform {
     fn ensure_writable(&mut self, t: &mut Timing, page: u64) {
         self.ensure_readable(t, page);
         let cfg = &self.m.cfg;
-        let e = self.nodes[t.pid].pages.get_mut(&page).unwrap();
+        let e = self.nodes[t.pid].pages.get_mut(page).unwrap();
         if e.state == PState::ReadOnly {
             t.charge(
                 Bucket::HandlerCompute,
@@ -258,13 +264,13 @@ impl TmkPlatform {
     fn frame_at(&mut self, pid: usize, addr: Addr) -> &mut [u8] {
         let off = (addr & (self.m.cfg.page_size - 1)) as usize;
         let page = addr >> self.m.page_shift;
-        &mut self.nodes[pid].pages.get_mut(&page).unwrap().frame[off..]
+        &mut self.nodes[pid].pages.get_mut(page).unwrap().frame[off..]
     }
 
     /// Write-protect `pid`'s dirty copy of `page` and diff it against its
     /// twin.
     fn take_diff(&mut self, pid: usize, page: u64) -> Diff {
-        let entry = self.nodes[pid].pages.get_mut(&page).unwrap();
+        let entry = self.nodes[pid].pages.get_mut(page).unwrap();
         entry.state = PState::ReadOnly;
         let twin = entry.twin.take().expect("dirty page without twin");
         Diff::create(&twin, &entry.frame)
@@ -321,7 +327,7 @@ impl TmkPlatform {
         pages.sort_unstable();
         for &page in &pages {
             let still_dirty =
-                self.nodes[pid].pages.get(&page).map(|e| e.state) == Some(PState::ReadWrite);
+                self.nodes[pid].pages.get(page).map(|e| e.state) == Some(PState::ReadWrite);
             if !still_dirty {
                 continue;
             }
@@ -346,7 +352,7 @@ impl TmkPlatform {
 
     /// Invalidate a page at `g` on receipt of a write notice.
     fn invalidate_page(&mut self, g: usize, page: u64, at: u64, timing_on: bool, acc: &mut Acc) {
-        let state = self.nodes[g].pages.get(&page).map(|e| e.state);
+        let state = self.nodes[g].pages.get(page).map(|e| e.state);
         match state {
             // Not mapped: nothing to do, cached lines included — a node
             // caches lines only of pages it maps (`machine`'s invariant).
@@ -369,7 +375,7 @@ impl TmkPlatform {
             at,
         };
         probe::emit(&self.probe, timing_on, inval);
-        self.nodes[g].pages.remove(&page);
+        self.nodes[g].pages.remove(page);
         self.nodes[g].applied.remove(&page);
         self.m.drop_page_lines(g, base);
         acc.cycles += self.m.cfg.inval_per_page;
@@ -404,7 +410,7 @@ impl TmkPlatform {
             // Applied counters now refer to a folded chain: reset them for
             // every node still holding a copy (their frames equal base).
             for node in &mut self.nodes {
-                if node.pages.contains_key(page) {
+                if node.pages.contains(*page) {
                     node.applied.insert(*page, 0);
                 }
             }
@@ -436,16 +442,17 @@ impl Platform for TmkPlatform {
         self.m.apply_debt(t);
         t.stats.counters.accesses += 1;
         t.charge(Bucket::Compute, 1);
-        self.ensure_writable(t, addr >> self.m.page_shift);
+        let page = addr >> self.m.page_shift;
+        if self.nodes[t.pid].pages.get(page).map(|e| e.state) != Some(PState::ReadWrite) {
+            self.ensure_writable(t, page);
+        }
         self.m.cache_access(t, addr, true);
         store_le(self.frame_at(t.pid, addr), len, val);
     }
 
     #[inline]
     fn hit_window(&mut self, pid: usize, addr: Addr, write: bool) -> Option<HitWindow<'_>> {
-        let e = self.nodes[pid]
-            .pages
-            .get_mut(&(addr >> self.m.page_shift))?;
+        let e = self.nodes[pid].pages.get_mut(addr >> self.m.page_shift)?;
         self.m.hit_window(pid, addr, write, e)
     }
 
@@ -722,7 +729,7 @@ mod tests {
         let a = r.alloc.alloc(PAGE_SIZE, 8, Placement::RoundRobin, 0);
         let page = a >> r.p.m.page_shift;
         let check = |r: &Rig, mapped: bool| {
-            assert_eq!(r.p.nodes[1].pages.contains_key(&page), mapped);
+            assert_eq!(r.p.nodes[1].pages.contains(page), mapped);
             assert_eq!(r.p.m.caches_page(1, a), mapped);
         };
         r.on(0, |p, t| p.store(t, a, 8, 7));

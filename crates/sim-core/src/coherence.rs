@@ -130,15 +130,21 @@ impl Machine {
         HitWindow::flat(&mut self.caches[pid].0, &mut self.mem, addr, write)
     }
 
-    /// The two-level walk: L1 hit; L2 hit; upgrade; miss.
+    /// The two-level walk: L1 hit, inline; the rest out of line.
+    #[inline(always)]
     fn access<P: Pricing>(&mut self, p: &mut P, t: &mut Timing, addr: Addr, write: bool) {
         t.stats.counters.accesses += 1;
         t.charge(Bucket::Compute, 1);
+        if self.caches[t.pid].0.access(addr, write) != Lookup::Hit {
+            self.l1_miss(p, t, addr, write);
+        }
+    }
+
+    /// The walk past an L1 miss: L2 hit; upgrade; miss.
+    #[inline(never)]
+    fn l1_miss<P: Pricing>(&mut self, p: &mut P, t: &mut Timing, addr: Addr, write: bool) {
         let pid = t.pid;
         let (l1, l2) = &mut self.caches[pid];
-        if l1.access(addr, write) == Lookup::Hit {
-            return;
-        }
         t.stats.counters.cache_misses += 1;
         let upgrade = match l2.access(addr, write) {
             Lookup::Hit => {

@@ -367,11 +367,8 @@ impl Machine {
 /// min-clock ready machine, or detect deadlock (classic
 /// `dispatch_next`'s panic, with the identical message).
 fn dispatch(inner: &mut Inner) -> usize {
-    match inner.min_ready() {
-        Some((next, _)) => {
-            inner.set_running(next);
-            next
-        }
+    match inner.dispatch() {
+        Some(next) => next,
         None => {
             let msg = format!(
                 "simulated deadlock: no runnable processor\n{}",
@@ -393,12 +390,8 @@ fn event_loop(inner: &mut Inner, machines: &mut [Machine], cur_cell: &std::cell:
             Action::MaybeYield => {
                 // Classic `maybe_yield`: hand over only if some runnable
                 // processor has fallen more than a quantum behind.
-                if let Some((next, clk)) = inner.min_ready() {
-                    if inner.clocks[cur] > clk + inner.quantum {
-                        inner.make_ready(cur);
-                        inner.set_running(next);
-                        cur = next;
-                    }
+                if let Some(next) = inner.yield_target(cur) {
+                    cur = next;
                 }
             }
             Action::Block => {

@@ -35,22 +35,21 @@ pub mod machine;
 mod page;
 
 pub use config::SvmConfig;
-pub use page::{Diff, DiffWords, PState, PageEntry};
+pub use page::{Diff, DiffWords, PState, PageEntry, PageTable};
 
 use machine::Machine;
 use sim_core::mem::{load_le, store_le};
 use sim_core::platform::{HitWindow, Platform, Timing};
 use sim_core::probe::{self, ProbeHandle, ProtoEvent};
 use sim_core::stats::{Bucket, ProcStats};
-use sim_core::util::{FxMap, FxSet};
+use sim_core::util::FxSet;
 use sim_core::{Addr, PlacementMap};
 
 /// One SVM node's protocol state (the node hosts `procs_per_node`
 /// processors): its page table and the counters it owes. Resources and
 /// caches are the [`Machine`]'s.
-#[derive(Default)]
 struct Node {
-    pages: FxMap<u64, PageEntry>,
+    pages: PageTable,
     write_set: FxSet<u64>,
     /// Diffs this node created from paths that have no access to its
     /// statistics (write-notice invalidation flushes); drained into its
@@ -86,7 +85,14 @@ impl SvmPlatform {
     pub fn new(cfg: SvmConfig) -> Self {
         let m = Machine::new(cfg);
         Self {
-            nodes: m.nics.iter().map(|_| Node::default()).collect(),
+            nodes: (0..m.nics.len())
+                .map(|_| Node {
+                    pages: PageTable::new(m.page_shift),
+                    write_set: FxSet::default(),
+                    diffs_created_debt: 0,
+                    diffs_applied_debt: 0,
+                })
+                .collect(),
             m,
             probe: None,
         }
@@ -119,8 +125,7 @@ impl SvmPlatform {
         let ps = self.m.cfg.page_size;
         self.nodes[home]
             .pages
-            .entry(page)
-            .or_insert_with(|| PageEntry::zeroed(ps))
+            .get_or_insert_with(page, || PageEntry::zeroed(ps))
     }
 
     /// Fetch `page` from `home` into `pid`'s page table (remote page fault).
@@ -168,7 +173,7 @@ impl SvmPlatform {
     /// Make `page` readable at `t.pid`'s node, faulting if necessary.
     fn ensure_readable(&mut self, t: &mut Timing, page: u64, home: usize) {
         let nd = self.m.cfg.node_of(t.pid);
-        if self.nodes[nd].pages.contains_key(&page) {
+        if self.nodes[nd].pages.contains(page) {
             return;
         }
         if nd == home {
@@ -185,7 +190,7 @@ impl SvmPlatform {
         self.ensure_readable(t, page, home);
         let nd = self.m.cfg.node_of(t.pid);
         let cfg = &self.m.cfg;
-        let e = self.nodes[nd].pages.get_mut(&page).unwrap();
+        let e = self.nodes[nd].pages.get_mut(page).unwrap();
         if e.state == PState::ReadOnly {
             if nd != home {
                 // Write-protection trap + twin copy.
@@ -204,13 +209,12 @@ impl SvmPlatform {
         }
     }
 
-    /// The bytes of `pid`'s node's copy of the (mapped) page from `addr` on.
+    /// The bytes of node `nd`'s copy of the (mapped) page from `addr` on.
     #[inline]
-    fn frame_at(&mut self, pid: usize, addr: Addr) -> &mut [u8] {
-        let nd = self.m.cfg.node_of(pid);
+    fn frame_at(&mut self, nd: usize, addr: Addr) -> &mut [u8] {
         let off = (addr & (self.m.cfg.page_size - 1)) as usize;
         let page = addr >> self.m.page_shift;
-        &mut self.nodes[nd].pages.get_mut(&page).unwrap().frame[off..]
+        &mut self.nodes[nd].pages.get_mut(page).unwrap().frame[off..]
     }
 
     /// Flush one dirty page's diff to its home: state transfer plus cost
@@ -232,7 +236,7 @@ impl SvmPlatform {
     ) -> (u64, u64, u64) {
         let nd = self.m.cfg.node_of(pid);
         let now = if on_own_clock { at } else { 0 };
-        let entry = self.nodes[nd].pages.get_mut(&page).unwrap();
+        let entry = self.nodes[nd].pages.get_mut(page).unwrap();
         debug_assert_eq!(entry.state, PState::ReadWrite);
         entry.state = PState::ReadOnly;
         if nd == home {
@@ -305,7 +309,7 @@ impl SvmPlatform {
         let mut all_applied = *t.now;
         for &page in &pages {
             let still_dirty =
-                self.nodes[nd].pages.get(&page).map(|e| e.state) == Some(PState::ReadWrite);
+                self.nodes[nd].pages.get(page).map(|e| e.state) == Some(PState::ReadWrite);
             if still_dirty {
                 let home = self.home_of(t.placement, page, t.pid);
                 let (local, applied, bytes) =
@@ -339,7 +343,7 @@ impl SvmPlatform {
         if g == home {
             return; // the home copy is always current
         }
-        let state = self.nodes[g].pages.get(&page).map(|e| e.state);
+        let state = self.nodes[g].pages.get(page).map(|e| e.state);
         if state == Some(PState::ReadWrite) {
             let (local, _, _) = self.flush_page(toucher, page, home, at, false, timing_on);
             // The flusher here is the invalidated node, whose statistics
@@ -349,7 +353,7 @@ impl SvmPlatform {
         }
         let base = page << self.m.page_shift;
         if state.is_some() {
-            self.nodes[g].pages.remove(&page);
+            self.nodes[g].pages.remove(page);
             acc.cycles += self.m.cfg.inval_per_page;
             acc.invals += 1;
             probe::emit(
@@ -414,12 +418,12 @@ impl Platform for SvmPlatform {
         // The home matters only to a fault: resolve it (a search over the
         // allocation regions) off the mapped path.
         let nd = self.m.cfg.node_of(t.pid);
-        if !self.nodes[nd].pages.contains_key(&page) {
+        if !self.nodes[nd].pages.contains(page) {
             let home = self.home_of(t.placement, page, t.pid);
             self.ensure_readable(t, page, home);
         }
         self.m.cache_access(t, addr, false);
-        load_le(self.frame_at(t.pid, addr), len)
+        load_le(self.frame_at(nd, addr), len)
     }
 
     fn store(&mut self, t: &mut Timing, addr: Addr, len: u8, val: u64) {
@@ -428,18 +432,18 @@ impl Platform for SvmPlatform {
         t.charge(Bucket::Compute, 1);
         let page = addr >> self.m.page_shift;
         let nd = self.m.cfg.node_of(t.pid);
-        if self.nodes[nd].pages.get(&page).map(|e| e.state) != Some(PState::ReadWrite) {
+        if self.nodes[nd].pages.get(page).map(|e| e.state) != Some(PState::ReadWrite) {
             let home = self.home_of(t.placement, page, t.pid);
             self.ensure_writable(t, page, home);
         }
         self.m.cache_access(t, addr, true);
-        store_le(self.frame_at(t.pid, addr), len, val);
+        store_le(self.frame_at(nd, addr), len, val);
     }
 
     #[inline]
     fn hit_window(&mut self, pid: usize, addr: Addr, write: bool) -> Option<HitWindow<'_>> {
         let nd = self.m.cfg.node_of(pid);
-        let e = self.nodes[nd].pages.get_mut(&(addr >> self.m.page_shift))?;
+        let e = self.nodes[nd].pages.get_mut(addr >> self.m.page_shift)?;
         self.m.hit_window(pid, addr, write, e)
     }
 
@@ -853,7 +857,7 @@ mod tests {
         let a = r.alloc.alloc(PAGE_SIZE, 8, Placement::Node(0), 0);
         let page = a >> r.p.m.page_shift;
         let check = |r: &Rig, mapped: bool| {
-            assert_eq!(r.p.nodes[1].pages.contains_key(&page), mapped);
+            assert_eq!(r.p.nodes[1].pages.contains(page), mapped);
             assert_eq!(r.p.m.caches_page(1, a), mapped);
         };
         check(&r, false);

@@ -112,28 +112,29 @@ impl Machine {
         t.charge(Bucket::HandlerCompute, d);
     }
 
-    /// Charge the local cache hierarchy for an access.
+    /// Charge the local cache hierarchy for an access; only an L1 hit is inline.
+    #[inline]
     pub fn cache_access(&mut self, t: &mut Timing, addr: Addr, write: bool) {
-        let caches = &mut self.caches[t.pid];
-        match caches.0.access(addr, write) {
-            Lookup::Hit => {}
-            _ => match caches.1.access(addr, write) {
-                Lookup::Hit | Lookup::UpgradeMiss => {
-                    t.charge(Bucket::CacheStall, self.cfg.l2_hit);
-                    caches.0.fill(addr, LineState::Modified);
-                    t.stats.counters.cache_misses += 1;
-                }
-                Lookup::Miss => {
-                    t.charge(Bucket::CacheStall, self.cfg.mem_latency);
-                    caches.1.fill(addr, LineState::Modified);
-                    caches.0.fill(addr, LineState::Modified);
-                    t.stats.counters.cache_misses += 1;
-                }
-            },
+        if self.caches[t.pid].0.access(addr, write) != Lookup::Hit {
+            self.l1_miss(t, addr, write);
         }
         if write {
             self.invalidate_siblings(t.pid, addr);
         }
+    }
+
+    /// [`Machine::cache_access`] past an L1 miss: L2 hit, or memory.
+    #[inline(never)]
+    fn l1_miss(&mut self, t: &mut Timing, addr: Addr, write: bool) {
+        let caches = &mut self.caches[t.pid];
+        t.stats.counters.cache_misses += 1;
+        if caches.1.access(addr, write) == Lookup::Miss {
+            t.charge(Bucket::CacheStall, self.cfg.mem_latency);
+            caches.1.fill(addr, LineState::Modified);
+        } else {
+            t.charge(Bucket::CacheStall, self.cfg.l2_hit);
+        }
+        caches.0.fill(addr, LineState::Modified);
     }
 
     /// Intra-node hardware coherence: a write by one processor of an SMP

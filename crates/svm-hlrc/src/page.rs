@@ -1,5 +1,7 @@
-//! Per-node page frames, twins and word-granularity diffs — the data plane
-//! of the HLRC protocol.
+//! Per-node page tables, page frames, twins and word-granularity diffs —
+//! the data plane of the HLRC protocol.
+
+use sim_core::HEAP_BASE;
 
 /// Access state of a page at one node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,6 +43,81 @@ impl PageEntry {
     /// A read-only copy of an existing frame (page fetch).
     pub fn copy_of(frame: &[u8]) -> Self {
         Self::read_only(frame.into())
+    }
+}
+
+/// One node's page table. The heap is a bump allocator from [`HEAP_BASE`],
+/// so page numbers are dense from its first page: the table is an array
+/// indexed from there, grown on insert, and a mapped access is one index.
+/// A page below the heap reads as unmapped; mapping one panics.
+#[derive(Clone, Debug)]
+pub struct PageTable {
+    /// The page number of slot 0: `HEAP_BASE >> page_shift`.
+    first: u64,
+    slots: Vec<Option<PageEntry>>,
+}
+
+impl PageTable {
+    /// An empty table of `1 << page_shift`-byte pages.
+    pub fn new(page_shift: u32) -> Self {
+        Self {
+            first: HEAP_BASE >> page_shift,
+            slots: Vec::new(),
+        }
+    }
+
+    /// The entry of `page`, if mapped.
+    #[inline]
+    pub fn get(&self, page: u64) -> Option<&PageEntry> {
+        let i = page.wrapping_sub(self.first) as usize;
+        self.slots.get(i)?.as_ref()
+    }
+
+    /// The entry of `page`, if mapped, for update.
+    #[inline]
+    pub fn get_mut(&mut self, page: u64) -> Option<&mut PageEntry> {
+        let i = page.wrapping_sub(self.first) as usize;
+        self.slots.get_mut(i)?.as_mut()
+    }
+
+    /// Whether `page` is mapped.
+    #[inline]
+    pub fn contains(&self, page: u64) -> bool {
+        self.get(page).is_some()
+    }
+
+    /// Map `page` to `entry`, replacing any entry it had.
+    pub fn insert(&mut self, page: u64, entry: PageEntry) {
+        *self.slot(page) = Some(entry);
+    }
+
+    /// The entry of `page`, mapped to `f()` first if absent.
+    pub fn get_or_insert_with(
+        &mut self,
+        page: u64,
+        f: impl FnOnce() -> PageEntry,
+    ) -> &mut PageEntry {
+        self.slot(page).get_or_insert_with(f)
+    }
+
+    /// Unmap `page`, returning its entry.
+    pub fn remove(&mut self, page: u64) -> Option<PageEntry> {
+        let i = page.wrapping_sub(self.first) as usize;
+        self.slots.get_mut(i)?.take()
+    }
+
+    /// `page`'s slot, the table grown to hold it.
+    fn slot(&mut self, page: u64) -> &mut Option<PageEntry> {
+        assert!(
+            page >= self.first,
+            "page {page:#x} lies below the heap's first page {:#x}",
+            self.first
+        );
+        let i = (page - self.first) as usize;
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        &mut self.slots[i]
     }
 }
 
@@ -205,6 +282,51 @@ impl Iterator for DiffWords<'_> {
 mod tests {
     use super::*;
     use sim_core::util::XorShift64;
+
+    /// The protocol page sizes the LRC machine accepts: 1, 4 and 16 KiB.
+    const SHIFTS: [u32; 3] = [10, 12, 14];
+
+    #[test]
+    fn page_table_is_dense_from_the_heaps_first_page() {
+        for shift in SHIFTS {
+            let mut pt = PageTable::new(shift);
+            let first = HEAP_BASE >> shift;
+            let page = |fill: u8| PageEntry::read_only(vec![fill; 1 << shift].into());
+            assert!(!pt.contains(first) && pt.slots.is_empty());
+            pt.insert(first, page(1));
+            assert_eq!(pt.slots.len(), 1, "the first heap page is slot 0");
+            pt.insert(first + 5, page(2));
+            assert_eq!(pt.slots.len(), 6, "grown on insert");
+            assert!(!pt.contains(first + 3) && !pt.contains(first + 6));
+            assert!(!pt.contains(first - 1), "below the heap reads as unmapped");
+            assert_eq!(pt.get(first + 5).unwrap().frame[0], 2);
+            // An existing entry is kept, an absent one made.
+            assert_eq!(pt.get_or_insert_with(first, || page(3)).frame[0], 1);
+            assert_eq!(pt.get_or_insert_with(first + 9, || page(4)).frame[0], 4);
+            pt.get_mut(first).unwrap().state = PState::ReadWrite;
+            assert_eq!(pt.get(first).unwrap().state, PState::ReadWrite);
+            // Removal empties the slot and keeps the table's size.
+            assert_eq!(pt.remove(first + 5).unwrap().frame[0], 2);
+            assert!(!pt.contains(first + 5) && pt.remove(first + 5).is_none());
+            assert_eq!(pt.slots.len(), 10);
+            assert!(pt.remove(first + 99).is_none());
+        }
+    }
+
+    #[test]
+    fn mapping_a_page_below_the_heap_panics() {
+        for shift in SHIFTS {
+            let below = (HEAP_BASE >> shift) - 1;
+            let caught = std::panic::catch_unwind(|| {
+                PageTable::new(shift).insert(below, PageEntry::zeroed(1 << shift))
+            });
+            let msg = *caught
+                .expect_err("must panic")
+                .downcast::<String>()
+                .unwrap();
+            assert!(msg.contains("lies below the heap's first page"), "{msg}");
+        }
+    }
 
     #[test]
     fn diff_of_identical_pages_is_empty() {

@@ -152,32 +152,42 @@ fn barnes_runs_on_every_platform() {
 // same race reports. One test per application sweeps every optimization
 // class x the five platform configurations above x detector on/off — the
 // only check of each platform's `hit_window` predicate, so TreadMarks and
-// the sibling-invalidating multi-processor SVM nodes are included.
+// the sibling-invalidating multi-processor SVM nodes are included — plus
+// the Alg class with a quantum so large that `clock + quantum` saturates
+// and nobody ever yields.
 
 fn assert_scalar_bulk_identical(app: App) {
-    for class in OptClass::ALL {
+    let default_quantum = RunConfig::new(4).quantum;
+    let mut inputs: Vec<(OptClass, bool, u64)> = OptClass::ALL
+        .iter()
+        .flat_map(|&class| [false, true].map(|detect| (class, detect, default_quantum)))
+        .collect();
+    inputs.push((OptClass::Algorithm, false, u64::MAX));
+    for (class, detect, quantum) in inputs {
         for pf in PLATFORMS {
-            for detect in [false, true] {
-                let spec = AppSpec { app, class };
-                let mk = || {
-                    let mut cfg = RunConfig::new(4);
-                    if detect {
-                        cfg = cfg.with_race_detection();
-                    }
-                    cfg
+            let spec = AppSpec { app, class };
+            let mk = || {
+                let mut cfg = RunConfig {
+                    quantum,
+                    ..RunConfig::new(4)
                 };
-                let bulk = spec.run_cfg(pf, 4, Scale::Test, mk());
-                let scalar = spec.run_cfg(pf, 4, Scale::Test, mk().scalar_reference());
-                assert_eq!(
-                    bulk,
-                    scalar,
-                    "bulk and scalar RunStats diverge: {}/{} on {:?} detector={}",
-                    app.name(),
-                    class.label(),
-                    pf,
-                    detect
-                );
-            }
+                if detect {
+                    cfg = cfg.with_race_detection();
+                }
+                cfg
+            };
+            let bulk = spec.run_cfg(pf, 4, Scale::Test, mk());
+            let scalar = spec.run_cfg(pf, 4, Scale::Test, mk().scalar_reference());
+            assert_eq!(
+                bulk,
+                scalar,
+                "bulk and scalar RunStats diverge: {}/{} on {:?} detector={} quantum={}",
+                app.name(),
+                class.label(),
+                pf,
+                detect,
+                quantum
+            );
         }
     }
 }
