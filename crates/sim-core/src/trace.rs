@@ -14,7 +14,7 @@
 //! Tracing is **off by default** and **invisible**: a traced run produces a
 //! `RunStats` identical to the untraced run apart from the
 //! [`crate::RunStats::trace`] field (asserted in `tests/trace.rs`). Buffers
-//! are sized once up front and never grow; events past the cap are counted
+//! grow on demand up to a per-processor cap; events past the cap are counted
 //! in [`ProcTrace::dropped`] rather than reallocating unbounded. The
 //! wait-latency histograms are fixed-size and always complete, even when
 //! the event buffer overflows.
@@ -30,6 +30,8 @@ use crate::probe::ProtoEvent;
 
 /// Default per-processor event-buffer capacity (events beyond this are
 /// counted, not stored). Override with [`crate::RunConfig::with_trace_cap`].
+/// Buffers grow on demand up to it: reserved up front, a short run would
+/// leave 3.5 MiB per processor of never-touched heap behind.
 pub const DEFAULT_EVENT_CAP: usize = 1 << 16;
 
 /// Default run-wide dependency-edge capacity (edges beyond this are counted
@@ -344,15 +346,15 @@ struct SinkProc {
 
 impl TraceSink {
     /// Create a sink for `nprocs` processors with a per-proc event cap of
-    /// `cap` (buffers are allocated once, up front) and a run-wide
-    /// dependency-edge cap of `edge_cap` (that buffer grows on demand).
+    /// `cap` and a run-wide dependency-edge cap of `edge_cap` (all buffers
+    /// grow on demand up to their caps).
     pub fn new(nprocs: usize, cap: usize, edge_cap: usize) -> Self {
         Self {
             cap,
             seq: 0,
             procs: (0..nprocs)
                 .map(|_| SinkProc {
-                    events: Vec::with_capacity(cap),
+                    events: Vec::new(),
                     dropped: 0,
                     fetch: WaitHist::default(),
                     lock: WaitHist::default(),
@@ -366,8 +368,7 @@ impl TraceSink {
         }
     }
 
-    /// Append an event to `pid`'s buffer (counted as dropped past the cap;
-    /// the buffer never reallocates).
+    /// Append an event to `pid`'s buffer (counted as dropped past the cap).
     #[inline]
     pub fn push(&mut self, pid: usize, ts: u64, kind: EventKind) {
         let seq = self.seq;
