@@ -1,12 +1,13 @@
 //! cli — the one argument parser of the `figures` binary.
 //!
 //! Every subcommand reads `--scale test|default|paper` and `--procs N`. A
-//! subcommand's [`Flags`] say what else it reads: the cell selection
-//! (`--app NAME --class orig|pa|ds|alg --platform svm|tmk|dsm|smp`) and
-//! its own value flags and switches, by name. Anything else on the command
-//! line is an error, returned as one line naming the argument — the binary
-//! prints it with the usage table and exits 2.
+//! subcommand's [`Flags`] say what else it reads: the cell grid (`--app
+//! NAME --class orig|pa|ds|alg --platform svm|tmk|dsm|smp`, each one value
+//! or `all`) and its own value flags and switches, by name. Anything else
+//! on the command line is an error, returned as one line naming the
+//! argument — the binary prints it with the usage table and exits 2.
 
+use crate::FAMILIES;
 use apps::{App, AppSpec, OptClass, Platform, Scale};
 use sim_core::coherence::MAX_PROCS;
 use sim_core::{RunConfig, RunStats};
@@ -14,7 +15,7 @@ use sim_core::{RunConfig, RunStats};
 /// What one subcommand reads beyond `--scale` and `--procs`.
 #[derive(Clone, Copy, Debug)]
 pub struct Flags {
-    /// Reads the cell selection `--app` / `--class` / `--platform`.
+    /// Reads the cell grid `--app` / `--class` / `--platform`.
     pub cell: bool,
     /// Flags that take one value.
     pub values: &'static [&'static str],
@@ -81,20 +82,29 @@ pub fn parse_app(s: &str) -> Result<App, String> {
         .ok_or_else(|| format!("unknown app {name}"))
 }
 
-/// Parsed command line: scale, processor count, the cell selection and
-/// the subcommand's own flags.
+/// One axis of the cell grid: `all` of it, or the one value `one` parses.
+fn axis<T: Copy>(s: &str, all: &[T], one: fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
+    if s.eq_ignore_ascii_case("all") {
+        Ok(all.to_vec())
+    } else {
+        Ok(vec![one(s)?])
+    }
+}
+
+/// Parsed command line: scale, processor count, the cell grid and the
+/// subcommand's own flags.
 #[derive(Clone, Debug)]
 pub struct Parsed {
     /// Problem scale preset.
     pub scale: Scale,
     /// Processor count for the run (paper: 16).
     pub nprocs: usize,
-    /// Application under study.
-    pub app: App,
-    /// Optimization class under study.
-    pub class: OptClass,
-    /// Platform model under study.
-    pub platform: Platform,
+    /// Applications under study.
+    pub apps: Vec<App>,
+    /// Optimization classes under study.
+    pub classes: Vec<OptClass>,
+    /// Platform models under study (`all` is [`FAMILIES`]).
+    pub platforms: Vec<Platform>,
     extras: Vec<(String, Option<String>)>,
 }
 
@@ -181,9 +191,9 @@ pub fn parse(args: &[String], flags: &Flags) -> Result<Parsed, String> {
     let mut p = Parsed {
         scale: Scale::Default,
         nprocs: 16,
-        app: App::Ocean,
-        class: OptClass::Orig,
-        platform: Platform::Svm,
+        apps: vec![App::Ocean],
+        classes: vec![OptClass::Orig],
+        platforms: vec![Platform::Svm],
         extras: Vec::new(),
     };
     let mut it = args.iter();
@@ -205,9 +215,15 @@ pub fn parse(args: &[String], flags: &Flags) -> Result<Parsed, String> {
                     Err(_) => return Err(format!("--procs {v}: not a number")),
                 }
             }
-            "--app" if flags.cell => p.app = parse_app(value()?).map_err(named)?,
-            "--class" if flags.cell => p.class = parse_class(value()?).map_err(named)?,
-            "--platform" if flags.cell => p.platform = parse_platform(value()?).map_err(named)?,
+            "--app" if flags.cell => {
+                p.apps = axis(value()?, &App::ALL, parse_app).map_err(named)?
+            }
+            "--class" if flags.cell => {
+                p.classes = axis(value()?, &OptClass::ALL, parse_class).map_err(named)?
+            }
+            "--platform" if flags.cell => {
+                p.platforms = axis(value()?, &FAMILIES, parse_platform).map_err(named)?
+            }
             _ if flags.values.contains(&flag) => {
                 let v = value()?.to_string();
                 p.extras.push((flag.to_string(), Some(v)));
@@ -226,7 +242,7 @@ mod tests {
     const TOOL: Flags = Flags {
         cell: true,
         values: &["--out"],
-        switches: &["--what-if"],
+        switches: &["--strict"],
     };
 
     fn parse_strs(args: &[&str], flags: &Flags) -> Result<Parsed, String> {
@@ -238,9 +254,9 @@ mod tests {
     fn defaults_and_standard_flags() {
         let p = parse_strs(&[], &Flags::NONE).unwrap();
         assert_eq!(p.nprocs, 16);
-        assert_eq!(p.app, App::Ocean);
-        assert_eq!(p.class, OptClass::Orig);
-        assert_eq!(p.platform, Platform::Svm);
+        assert_eq!(p.apps, [App::Ocean]);
+        assert_eq!(p.classes, [OptClass::Orig]);
+        assert_eq!(p.platforms, [Platform::Svm]);
         let p = parse_strs(
             &[
                 "--scale",
@@ -259,16 +275,28 @@ mod tests {
         .unwrap();
         assert!(matches!(p.scale, Scale::Test));
         assert_eq!(p.nprocs, 4);
-        assert_eq!(p.app, App::Lu);
-        assert_eq!(p.class, OptClass::DataStruct);
-        assert_eq!(p.platform, Platform::Tmk);
+        assert_eq!(p.apps, [App::Lu]);
+        assert_eq!(p.classes, [OptClass::DataStruct]);
+        assert_eq!(p.platforms, [Platform::Tmk]);
+    }
+
+    #[test]
+    fn all_selects_a_whole_axis() {
+        let p = parse_strs(
+            &["--app", "all", "--class", "ALL", "--platform", "all"],
+            &TOOL,
+        )
+        .unwrap();
+        assert_eq!(p.apps, App::ALL);
+        assert_eq!(p.classes, OptClass::ALL);
+        assert_eq!(p.platforms, FAMILIES);
     }
 
     #[test]
     fn extra_value_and_bool_flags() {
-        let p = parse_strs(&["--out", "x.json", "--what-if", "--procs", "2"], &TOOL).unwrap();
+        let p = parse_strs(&["--out", "x.json", "--strict", "--procs", "2"], &TOOL).unwrap();
         assert_eq!(p.extra("--out"), Some("x.json"));
-        assert!(p.has("--what-if"));
+        assert!(p.has("--strict"));
         assert!(!p.has("--json"));
         assert_eq!(p.extra("--json"), None);
         assert_eq!(p.nprocs, 2);

@@ -1,11 +1,12 @@
 //! The experiment table: every name `figures <name>` accepts, with the
 //! title, caption and paper note its header prints and what it runs —
 //! declared ([`Kind::Speedups`], [`Kind::Breakdown`]) where the experiment
-//! is one of the paper's two recurring shapes, a function otherwise.
-//! DESIGN.md §4 indexes the same names (a test holds the two together).
+//! is one of the paper's two recurring shapes, the diagnostic report
+//! ([`Kind::Report`]), a function otherwise. DESIGN.md §4 indexes the same
+//! names (a test holds the two together).
 
 use crate::cli::{self, Flags, Parsed};
-use crate::{breakdown_table, sweep, tools, Runner};
+use crate::{breakdown_table, report, sweep, Runner};
 use apps::barnes::{self, phase, BarnesVersion};
 use apps::volrend::{self, VolrendVersion};
 use apps::{App, OptClass, Platform};
@@ -17,8 +18,7 @@ pub struct Experiment {
     pub name: &'static str,
     /// Header title ("Figure 2").
     pub title: &'static str,
-    /// Header caption. `{app}`, `{class}`, `{platform}` and `{procs}` stand
-    /// for the parsed selection.
+    /// Header caption.
     pub caption: &'static str,
     /// What the paper reports, printed under the caption.
     pub paper: &'static str,
@@ -26,9 +26,9 @@ pub struct Experiment {
     pub kind: Kind,
 }
 
-/// Body of a function-backed row: reads its own flags, calls
-/// [`Experiment::begin`], then runs and prints. `Err` is a command-line
-/// mistake (one line naming the argument).
+/// Body of a function-backed row: calls [`Experiment::begin`], then runs
+/// and prints. `Err` is a command-line mistake (one line naming the
+/// argument).
 pub type Run = fn(&Experiment, &Parsed) -> Result<(), String>;
 
 /// Which axis of a speedup grid runs across the page.
@@ -61,8 +61,9 @@ pub enum Kind {
     },
     /// A function reading only `--scale` / `--procs`.
     Func(Run),
-    /// A function with flags of its own.
-    Tool(Flags, Run),
+    /// Every diagnostic layer of every cell of a grid (`report.rs`), the
+    /// one row with flags of its own.
+    Report,
 }
 
 /// The paper's three platforms under their display names.
@@ -330,59 +331,16 @@ pub const TABLE: &[Experiment] = &[
         kind: Kind::Func(ablation_quantum),
     },
     Experiment {
-        name: "pagemap",
-        title: "Page profile",
-        caption: "per-page SVM protocol activity for Ocean (original version)",
-        paper: "the detailed simulator as performance-debugging tool (paper §6)",
-        kind: Kind::Func(pagemap),
-    },
-    Experiment {
-        name: "sharing",
-        title: "Sharing diagnostics",
-        caption: "true/false-sharing attribution for {app} on {platform} across \
-                  optimization classes",
-        paper: "attributing diff/fetch traffic to data structures before and after \
-                each restructuring (the paper's diagnosis method, §4-§5)",
-        kind: Kind::Tool(tools::sharing::FLAGS, tools::sharing::run),
-    },
-    Experiment {
-        name: "trace",
-        title: "Protocol event trace",
-        caption: "{app}/{class} on {platform} with {procs} processors",
-        paper: "virtual-time protocol events with Perfetto export and wait-latency \
-                histograms (timestamps are virtual cycles, so the trace is \
-                deterministic run to run)",
-        kind: Kind::Tool(tools::trace::FLAGS, tools::trace::run),
-    },
-    Experiment {
-        name: "critpath",
-        title: "Critical-path analysis",
-        caption: "{app} with {procs} processors — slack attribution over every \
-                  class x platform",
-        paper: "which dependences bound execution, per restructuring step and \
-                platform; what-if projections give upper-bound speedups from \
-                removing one resource (analysis is post-hoc on the trace: timed \
-                results are untouched)",
-        kind: Kind::Tool(tools::critpath::FLAGS, tools::critpath::run),
-    },
-    Experiment {
-        name: "metrics",
-        title: "Interval metrics",
-        caption: "{app}/{class} on {platform} with {procs} processors",
-        paper: "virtual-time series of the counters the whole-run diagnostics only \
-                total, with interval-aware per-page sharing trajectories \
-                (migratory vs steady false sharing)",
-        kind: Kind::Tool(tools::metrics::FLAGS, tools::metrics::run),
-    },
-    Experiment {
-        name: "advisor",
-        title: "Optimization advisor",
-        caption: "ranked restructuring recommendations at class {class} with \
-                  {procs} processors",
-        paper: "fuses the sharing profile, critical-path what-ifs and interval \
-                trajectories into typed recommendations with upper-bound speedups \
-                (pure post-hoc analysis: timed results are untouched)",
-        kind: Kind::Tool(tools::advisor::FLAGS, tools::advisor::run),
+        name: "report",
+        title: "Diagnostic report",
+        caption: "sharing profile, protocol trace, interval metrics, critical path \
+                  and advisor of each selected cell, from one run per cell",
+        paper: "the detailed simulator as performance-debugging tool (§6): \
+                diff/fetch traffic attributed to data structures before and after \
+                each restructuring (§4-§5), the dependences that bound execution, \
+                and ranked restructuring recommendations with upper-bound \
+                speedups (every layer is invisible: timed results are untouched)",
+        kind: Kind::Report,
     },
 ];
 
@@ -396,7 +354,7 @@ pub fn usage() -> String {
         s.push_str(&format!("  {:<18} {}: {}", e.name, e.title, e.caption));
         let f = e.flags();
         if f.cell {
-            s.push_str(" [--app A] [--class C] [--platform P]");
+            s.push_str(" [--app A|all] [--class C|all] [--platform P|all]");
         }
         for v in f.values {
             s.push_str(&format!(" [{v} V]"));
@@ -423,7 +381,7 @@ impl Experiment {
     /// What the row reads beyond `--scale` / `--procs`.
     pub fn flags(&self) -> Flags {
         match self.kind {
-            Kind::Tool(flags, _) => flags,
+            Kind::Report => report::FLAGS,
             _ => Flags::NONE,
         }
     }
@@ -440,14 +398,8 @@ impl Experiment {
     ) -> Result<(), String> {
         p.check_procs(platforms)?;
         p.check_apps(apps, classes)?;
-        let caption = self
-            .caption
-            .replace("{app}", p.app.name())
-            .replace("{class}", p.class.label())
-            .replace("{platform}", p.platform.name())
-            .replace("{procs}", &p.nprocs.to_string());
         println!("==========================================================================");
-        println!("{}: {caption}", self.title);
+        println!("{}: {}", self.title, self.caption);
         println!("--------------------------------------------------------------------------");
         println!("Paper: {}", self.paper);
         println!("==========================================================================");
@@ -490,7 +442,8 @@ impl Experiment {
                     after(stats);
                 }
             }
-            Kind::Func(run) | Kind::Tool(_, run) => run(self, p)?,
+            Kind::Func(run) => run(self, p)?,
+            Kind::Report => report::run(self, p)?,
         }
         Ok(())
     }
@@ -922,22 +875,5 @@ fn ablation_quantum(e: &Experiment, p: &Parsed) -> Result<(), String> {
         baseline.get_or_insert(t);
         println!("quantum {quantum:>6}: {t:>12} cycles ({dev:+.2}% vs smallest)");
     }
-    Ok(())
-}
-
-/// The page-level performance-debugging report the paper wishes real SVM
-/// systems provided (§6: "Incorporating the ability to deliver such
-/// information in real SVM systems would be very useful"): per-page fetch,
-/// diff, and invalidation counts, and which data structure each page
-/// belongs to, for one application run.
-fn pagemap(e: &Experiment, p: &Parsed) -> Result<(), String> {
-    e.begin(p, &[App::Ocean], &[OptClass::Orig], &[Platform::Svm])?;
-    let stats = p.run(App::Ocean, OptClass::Orig, Platform::Svm, |c| {
-        c.with_sharing_profile()
-    });
-    println!("execution time: {} cycles", stats.total_cycles());
-    println!();
-    let sharing = stats.sharing.expect("sharing profile was requested");
-    println!("{}", sharing.report());
     Ok(())
 }

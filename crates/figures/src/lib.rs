@@ -3,10 +3,10 @@
 //! One binary, `figures <name> [flags]`, driven by one table
 //! ([`experiments::TABLE`]): every figure and table of the paper
 //! (`fig02` … `fig17`, `table1`), the studies beyond it (`protocols`,
-//! `smp_nodes`, `kvstore`, the ablations) and the diagnostic tools
-//! (`sharing`, `trace`, `critpath`, `metrics`, `advisor`, `pagemap`) are
-//! rows of it. Each re-runs its experiment on the simulated platforms and
-//! prints the paper's series next to our measured values.
+//! `smp_nodes`, `kvstore`, the ablations) and the diagnostic report
+//! (`report`: every diagnostic layer of a grid of cells) are rows of it.
+//! Each re-runs its experiment on the simulated platforms and prints the
+//! paper's series next to our measured values.
 //!
 //! ```text
 //! cargo run --release -p figures -- fig02 [--scale test|default|paper --procs N]
@@ -23,10 +23,10 @@ use std::collections::HashMap;
 
 pub mod cli;
 pub mod experiments;
-mod tools;
+mod report;
 
-/// The four platform families, page-based first — what the diagnostic
-/// tools sweep ([`Platform::ALL`] is the paper's three).
+/// The four platform families, page-based first — what `--platform all`
+/// selects ([`Platform::ALL`] is the paper's three).
 pub const FAMILIES: [Platform; 4] = [Platform::Svm, Platform::Tmk, Platform::Dsm, Platform::Smp];
 
 pub mod sweep {

@@ -14,8 +14,6 @@ fn every_row_runs_and_is_indexed_in_design_md() {
         .nth(1)
         .and_then(|rest| rest.split("\n## ").next())
         .expect("DESIGN.md has a section 4, the experiment index");
-    // `trace` writes its Perfetto export even when not asked where to.
-    let out = std::env::temp_dir().join(format!("figures-{}-trace.json", std::process::id()));
     for (i, e) in TABLE.iter().enumerate() {
         assert!(
             TABLE[..i].iter().all(|other| other.name != e.name),
@@ -27,12 +25,10 @@ fn every_row_runs_and_is_indexed_in_design_md() {
             "{} is missing from DESIGN.md section 4",
             e.name
         );
-        let mut args = vec![e.name, "--scale", "test", "--procs", "4"];
-        if e.flags().values.contains(&"--out") {
-            args.extend(["--out", out.to_str().expect("a unicode temp path")]);
-        }
-        let args: Vec<String> = args.into_iter().map(String::from).collect();
+        let args: Vec<String> = [e.name, "--scale", "test", "--procs", "4"]
+            .into_iter()
+            .map(String::from)
+            .collect();
         run_args(&args).unwrap_or_else(|err| panic!("{}: {err}", e.name));
     }
-    std::fs::remove_file(&out).expect("trace wrote its export");
 }

@@ -29,6 +29,7 @@ use crate::metrics::{MetricsReport, PageTrajectory};
 use crate::sharing::{SharingClass, SharingProfile};
 use crate::stats::RunStats;
 use crate::trace::{DepKind, EventKind, RunTrace};
+use crate::util::json_escape;
 use std::fmt::Write as _;
 
 /// A recommendation must account for at least this fraction of the
@@ -924,22 +925,6 @@ pub fn advise(stats: &RunStats) -> AdvisorReport {
 // ---------------------------------------------------------------------------
 // Rendering.
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl AdvisorReport {
     /// The tier of the top-ranked recommendation — the advisor's answer to
     /// "which class should this application move to next?".
@@ -1192,5 +1177,37 @@ mod tests {
         assert!(rep.recs.is_empty());
         assert!(!rep.has_sharing && !rep.has_trace && !rep.has_metrics);
         assert!(rep.report().contains("nothing to recommend"));
+    }
+
+    #[test]
+    fn json_escapes_labels() {
+        const LABEL: &str = "a\"b\\c\u{1}";
+        let rep = AdvisorReport {
+            label: LABEL.into(),
+            end: 10,
+            has_sharing: true,
+            has_trace: true,
+            has_metrics: true,
+            recs: vec![Recommendation {
+                action: Action::PadAllocation {
+                    label: LABEL.into(),
+                },
+                family: Family::PadAlign,
+                severity: Severity::High,
+                path_cycles: 5,
+                path_share: 0.5,
+                projected: 5,
+                speedup: 2.0,
+                evidence: Evidence {
+                    notes: vec![LABEL.into()],
+                    ..Evidence::default()
+                },
+            }],
+            families: Vec::new(),
+        };
+        let json = rep.to_json();
+        // The run label, the target, its description and the note.
+        assert_eq!(json.matches("a\\\"b\\\\c\\u0001").count(), 4, "{json}");
+        assert!(!json.contains(LABEL));
     }
 }

@@ -36,7 +36,7 @@
 use std::fmt::Write as _;
 
 use crate::probe::ProtoEvent;
-use crate::util::FxMap;
+use crate::util::{json_escape, FxMap};
 
 /// Default sampling interval in virtual cycles
 /// ([`crate::RunConfig::with_metrics`] takes an explicit one; figure
@@ -785,7 +785,7 @@ impl MetricsReport {
                  \"single_intervals\": {}, \"multi_intervals\": {}, \"overlap\": {}, \
                  \"writers\": [{}], \"dropped\": {}, \"intervals\": [{}]}}{}",
                 p.page_base,
-                p.label,
+                json_escape(p.label),
                 p.trajectory.label(),
                 p.single_intervals,
                 p.multi_intervals,
@@ -826,7 +826,7 @@ impl MetricsReport {
             let _ = writeln!(
                 s,
                 "    {{\"name\": \"{}\", \"total\": {}, \"dropped\": {}, \"procs\": [{}]}}{}",
-                e.name,
+                json_escape(e.name),
                 e.total(),
                 e.dropped,
                 procs.join(", "),
@@ -1004,6 +1004,18 @@ mod tests {
         let r = s.into_report(|a| if a < 0x3000 { "g" } else { "" });
         assert_eq!(r.label_trajectory("g"), Some(PageTrajectory::SteadyFalse));
         assert_eq!(r.label_trajectory("absent"), None);
+    }
+
+    #[test]
+    fn json_escapes_labels_and_event_names() {
+        const LABEL: &str = "a\"b\\c\u{1}";
+        let mut s = MetricsSink::new(1, 100, 8);
+        s.page_fetch(10, 0x1000);
+        s.event(LABEL, 0, 10, 1);
+        let json = s.into_report(|_| LABEL).to_json();
+        // The page's label and the event's name.
+        assert_eq!(json.matches("\"a\\\"b\\\\c\\u0001\"").count(), 2, "{json}");
+        assert!(!json.contains(LABEL));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! post-`stop_timing` verification read-back (DESIGN.md §8).
 
 use crate::probe::ProtoEvent;
-use crate::util::FxMap;
+use crate::util::{json_escape, FxMap};
 
 /// How a page was shared during the profiled region, judged from the
 /// word-granularity write footprints of the diffs it generated.
@@ -370,7 +370,7 @@ impl SharingProfile {
             s.push_str(&format!(
                 "    {{\"page_base\": {}, \"label\": \"{}\", \"class\": \"{}\", \"fetches\": {}, \"diff_words\": {}, \"diff_runs\": {}, \"wire_bytes\": {}, \"invalidations\": {}, \"writers\": [{}], \"readers\": [{}]}}{}\n",
                 p.page_base,
-                p.label,
+                json_escape(p.label),
                 p.class.label(),
                 p.fetches,
                 p.diff_words,
@@ -387,7 +387,7 @@ impl SharingProfile {
         for (i, l) in labels.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"label\": \"{}\", \"pages\": {}, \"false_pages\": {}, \"true_pages\": {}, \"fetches\": {}, \"diff_words\": {}, \"false_diff_words\": {}, \"true_diff_words\": {}, \"false_share\": {:.4}, \"wire_bytes\": {}, \"invalidations\": {}}}{}\n",
-                l.label,
+                json_escape(l.label),
                 l.pages,
                 l.false_pages,
                 l.true_pages,
@@ -460,6 +460,19 @@ mod tests {
         let json = prof.to_json();
         assert!(json.contains("\"label\": \"grid\""));
         assert!(json.contains("\"false_share\": 1.0000"));
+    }
+
+    #[test]
+    fn json_escapes_labels() {
+        const LABEL: &str = "a\"b\\c\u{1}";
+        let prof = SharingProfile {
+            page_bytes: 4096,
+            pages: vec![page(0x1000, LABEL, SharingClass::FalseSharing, 8)],
+        };
+        let json = prof.to_json();
+        // Once per page, once per label.
+        assert_eq!(json.matches("\"a\\\"b\\\\c\\u0001\"").count(), 2, "{json}");
+        assert!(!json.contains(LABEL));
     }
 
     fn diff(writer_node: usize, page: u64, word_runs: &[(u32, u32)]) -> ProtoEvent<'_> {

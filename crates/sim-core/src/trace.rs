@@ -27,6 +27,7 @@
 use std::fmt::Write as _;
 
 use crate::probe::ProtoEvent;
+use crate::util::json_escape as esc;
 
 /// Default per-processor event-buffer capacity (events beyond this are
 /// counted, not stored). Override with [`crate::RunConfig::with_trace_cap`].
@@ -263,8 +264,8 @@ impl WaitHist {
     }
 
     /// Machine-readable JSON object: count/sum/max/mean plus the non-empty
-    /// buckets as `[bit_length, count]` pairs (shared by `figures trace
-    /// --json` and `figures critpath --json`).
+    /// buckets as `[bit_length, count]` pairs (each cell's `wait_hists` in
+    /// `figures report --json`).
     pub fn to_json(&self) -> String {
         let mut buckets = String::new();
         for (i, &b) in self.buckets.iter().enumerate() {
@@ -1162,23 +1163,6 @@ fn instant(pid: usize, ts: u64, name: &str, cat: &str, args: &str) -> String {
     )
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1352,5 +1336,20 @@ mod tests {
         }
         assert_eq!(depth, 0);
         assert!(!in_str);
+    }
+
+    #[test]
+    fn chrome_json_escapes_labels_and_event_names() {
+        const LABEL: &str = "a\"b\\c\u{1}";
+        let mut m = crate::metrics::MetricsSink::new(1, 100, 8);
+        m.page_fetch(10, 0x1000);
+        m.event(LABEL, 0, 10, 1);
+        let metrics = m.into_report(|_| LABEL);
+        let tr = TraceSink::new(1, 8, 8).into_trace(LABEL.into(), vec![], &[20], vec![]);
+        let json = tr.to_chrome_json_with(Some(&metrics));
+        let escaped = "a\\\"b\\\\c\\u0001";
+        // The run label, the page's label and the event name.
+        assert_eq!(json.matches(escaped).count(), 3, "{json}");
+        assert!(!json.contains(LABEL));
     }
 }

@@ -1,6 +1,6 @@
-//! Small utilities: a fast deterministic hasher for hot protocol tables and
-//! a seedable xorshift RNG used by workload generators that must not depend
-//! on global state.
+//! Small utilities: a fast deterministic hasher for hot protocol tables, a
+//! seedable xorshift RNG used by workload generators that must not depend
+//! on global state, and the JSON string escaper of the diagnostic writers.
 //!
 //! We re-implement the well-known Fx hash function (as used by rustc) rather
 //! than pulling in an extra dependency; protocol page tables and directories
@@ -8,7 +8,29 @@
 //! too slow there.
 
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 use std::hash::{BuildHasherDefault, Hasher};
+
+/// `s` as the body of a JSON string: quote, backslash and control
+/// characters escaped. Every hand-rolled JSON writer (sharing, trace,
+/// metrics, advisor) passes labels and names through it, since an
+/// allocation label may be any `&'static str`.
+pub(crate) fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// Multiplicative constant from the Fx hash (Firefox/rustc).
 const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -150,6 +172,13 @@ mod tests {
             }
         }
         assert!(seen_low && seen_high);
+    }
+
+    #[test]
+    fn json_escape_covers_quotes_backslashes_and_controls() {
+        assert_eq!(json_escape("psi"), "psi");
+        assert_eq!(json_escape("a\"b\\c\u{1}"), "a\\\"b\\\\c\\u0001");
+        assert_eq!(json_escape("\n\t\u{1f}é"), "\\n\\t\\u001fé");
     }
 
     #[test]
