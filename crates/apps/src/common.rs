@@ -169,6 +169,83 @@ pub(crate) fn share_evenly(n: usize, items: &str, nprocs: usize) -> Result<(), S
     }
 }
 
+/// The runs [`read_f64_runs`] and its twins issue one call per, over the
+/// addresses `addr_of(0..n)`: `(start, end, base, stride)` with `base =
+/// addr_of(start)`. Greedy from each start: a run takes the next index and
+/// the stride to it, then every further index at that same stride. A
+/// descending step ends the run at its start (a one-index run, whose stride
+/// means nothing). `addr_of` is called once per index; the previous address
+/// is carried, not recomputed.
+struct Runs<F> {
+    addr_of: F,
+    n: usize,
+    /// The next run's start, and its address.
+    s: usize,
+    base: sim_core::Addr,
+}
+
+impl<F: Fn(usize) -> sim_core::Addr> Runs<F> {
+    fn new(n: usize, addr_of: F) -> Self {
+        let base = if n > 0 { addr_of(0) } else { 0 };
+        Self {
+            addr_of,
+            n,
+            s: 0,
+            base,
+        }
+    }
+}
+
+impl<F: Fn(usize) -> sim_core::Addr> Iterator for Runs<F> {
+    type Item = (usize, usize, sim_core::Addr, u64);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (s, base) = (self.s, self.base);
+        if s + 1 >= self.n {
+            self.s = self.n;
+            return (s < self.n).then_some((s, s + 1, base, 0));
+        }
+        let mut prev = (self.addr_of)(s + 1);
+        let Some(stride) = prev.checked_sub(base) else {
+            (self.s, self.base) = (s + 1, prev);
+            return Some((s, s + 1, base, 0));
+        };
+        let mut e = s + 2;
+        while e < self.n {
+            let a = (self.addr_of)(e);
+            if a.checked_sub(prev) != Some(stride) {
+                self.base = a;
+                break;
+            }
+            (prev, e) = (a, e + 1);
+        }
+        self.s = e;
+        Some((s, e, base, stride))
+    }
+}
+
+/// Read `out.len()` `f64`s spaced `step` bytes apart from `base`, as the one
+/// run [`read_f64_runs`] finds over such addresses: nothing for no words, a
+/// scalar [`sim_core::Proc::read_f64`] for one, one bulk
+/// [`sim_core::Proc::read_f64_slice`] otherwise. For callers that know
+/// their segment is affine (LU's in-block rows and columns).
+pub fn read_f64_seg(p: &mut sim_core::Proc, base: sim_core::Addr, step: u64, out: &mut [f64]) {
+    match out {
+        [] => {}
+        [one] => *one = p.read_f64(base),
+        run => p.read_f64_slice(base, step, run),
+    }
+}
+
+/// Store-side twin of [`read_f64_seg`].
+pub fn write_f64_seg(p: &mut sim_core::Proc, base: sim_core::Addr, step: u64, vals: &[f64]) {
+    match vals {
+        [] => {}
+        [one] => p.write_f64(base, *one),
+        run => p.write_f64_slice(base, step, run),
+    }
+}
+
 /// Read `out.len()` `f64`s at addresses `addr_of(0..n)`, splitting the index
 /// range into maximal constant-stride runs and issuing one bulk
 /// [`sim_core::Proc::read_f64_slice`] per run. Blocked layouts (4-d arrays,
@@ -181,25 +258,8 @@ pub fn read_f64_runs(
     out: &mut [f64],
     addr_of: impl Fn(usize) -> sim_core::Addr,
 ) {
-    let n = out.len();
-    let mut s = 0;
-    while s < n {
-        let base = addr_of(s);
-        if s + 1 == n {
-            out[s] = p.read_f64(base);
-            break;
-        }
-        let Some(stride) = addr_of(s + 1).checked_sub(base) else {
-            out[s] = p.read_f64(base);
-            s += 1;
-            continue;
-        };
-        let mut e = s + 2;
-        while e < n && addr_of(e).checked_sub(addr_of(e - 1)) == Some(stride) {
-            e += 1;
-        }
-        p.read_f64_slice(base, stride, &mut out[s..e]);
-        s = e;
+    for (s, e, base, stride) in Runs::new(out.len(), addr_of) {
+        read_f64_seg(p, base, stride, &mut out[s..e]);
     }
 }
 
@@ -209,25 +269,8 @@ pub fn write_f64_runs(
     vals: &[f64],
     addr_of: impl Fn(usize) -> sim_core::Addr,
 ) {
-    let n = vals.len();
-    let mut s = 0;
-    while s < n {
-        let base = addr_of(s);
-        if s + 1 == n {
-            p.write_f64(base, vals[s]);
-            break;
-        }
-        let Some(stride) = addr_of(s + 1).checked_sub(base) else {
-            p.write_f64(base, vals[s]);
-            s += 1;
-            continue;
-        };
-        let mut e = s + 2;
-        while e < n && addr_of(e).checked_sub(addr_of(e - 1)) == Some(stride) {
-            e += 1;
-        }
-        p.write_f64_slice(base, stride, &vals[s..e]);
-        s = e;
+    for (s, e, base, stride) in Runs::new(vals.len(), addr_of) {
+        write_f64_seg(p, base, stride, &vals[s..e]);
     }
 }
 
@@ -237,25 +280,11 @@ pub fn read_u32_runs(
     out: &mut [u32],
     addr_of: impl Fn(usize) -> sim_core::Addr,
 ) {
-    let n = out.len();
-    let mut s = 0;
-    while s < n {
-        let base = addr_of(s);
-        if s + 1 == n {
-            out[s] = p.read_u32(base);
-            break;
+    for (s, e, base, stride) in Runs::new(out.len(), addr_of) {
+        match &mut out[s..e] {
+            [one] => *one = p.read_u32(base),
+            run => p.read_u32_slice(base, stride, run),
         }
-        let Some(stride) = addr_of(s + 1).checked_sub(base) else {
-            out[s] = p.read_u32(base);
-            s += 1;
-            continue;
-        };
-        let mut e = s + 2;
-        while e < n && addr_of(e).checked_sub(addr_of(e - 1)) == Some(stride) {
-            e += 1;
-        }
-        p.read_u32_slice(base, stride, &mut out[s..e]);
-        s = e;
     }
 }
 
@@ -306,6 +335,42 @@ mod tests {
     fn bcast_get_before_put_panics() {
         let b: Bcast<u64> = Bcast::new();
         b.get();
+    }
+
+    #[test]
+    fn runs_split_piecewise_affine_addresses() {
+        // (addresses, expected runs).
+        type Run = (usize, usize, u64, u64); // (start, end, base, stride)
+        let cases: [(&[u64], &[Run]); 9] = [
+            (&[], &[]),
+            (&[100], &[(0, 1, 100, 0)]),
+            (&[100, 108], &[(0, 2, 100, 8)]),
+            (&[108, 100], &[(0, 1, 108, 0), (1, 2, 100, 0)]),
+            // Two 4-d blocks of a row: each block is one run.
+            (
+                &[
+                    0x1000, 0x1008, 0x1010, 0x1018, 0x2000, 0x2008, 0x2010, 0x2018,
+                ],
+                &[(0, 4, 0x1000, 8), (4, 8, 0x2000, 8)],
+            ),
+            // Greedy: the first two indices fix the stride, whatever follows.
+            (&[0, 50, 58, 66], &[(0, 2, 0, 50), (2, 4, 58, 8)]),
+            // A descending step falls back to one scalar, then resumes.
+            (&[300, 200, 208, 216], &[(0, 1, 300, 0), (1, 4, 200, 8)]),
+            (&[0, 8, 16, 4], &[(0, 3, 0, 8), (3, 4, 4, 0)]),
+            // A zero stride is a run like any other.
+            (&[40, 40, 40, 48], &[(0, 3, 40, 0), (3, 4, 48, 0)]),
+        ];
+        for (addrs, want) in cases {
+            let calls = std::cell::Cell::new(0);
+            let addr_of = |i: usize| {
+                calls.set(calls.get() + 1);
+                addrs[i]
+            };
+            let got: Vec<_> = Runs::new(addrs.len(), addr_of).collect();
+            assert_eq!(got, want, "{addrs:?}");
+            assert_eq!(calls.get(), addrs.len(), "{addrs:?}: one call per index");
+        }
     }
 
     #[test]

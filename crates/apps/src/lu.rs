@@ -24,8 +24,8 @@
 //!   change unnecessary for LU, so the `Alg` class maps here too.)
 
 use crate::common::{
-    assert_close_slice, checksum_f64s, read_f64_runs, write_f64_runs, AppResult, Bcast, Platform,
-    Scale,
+    assert_close_slice, checksum_f64s, read_f64_runs, read_f64_seg, write_f64_runs, write_f64_seg,
+    AppResult, Bcast, Platform, Scale,
 };
 use crate::OptClass;
 use sim_core::util::XorShift64;
@@ -127,6 +127,83 @@ enum Layout {
 }
 
 impl Layout {
+    /// The layout of `version` for an `n` x `n` matrix in `b` x `b` blocks
+    /// on `nprocs` processors with coherence grain `grain`, its memory taken
+    /// from `alloc(label, bytes, placement)` (page-aligned shared memory).
+    fn new(
+        version: LuVersion,
+        n: usize,
+        b: usize,
+        grain: u64,
+        nprocs: usize,
+        mut alloc: impl FnMut(&'static str, u64, Placement) -> u64,
+    ) -> Self {
+        let nb = n / b;
+        match version {
+            LuVersion::Orig2d => Layout::G2 {
+                base: alloc("matrix", (n * n * 8) as u64, Placement::RoundRobin),
+                n,
+            },
+            LuVersion::PadAlign => {
+                let stride = ((b * 8) as u64).div_ceil(grain) * grain;
+                Layout::Pad {
+                    base: alloc("", (n * nb) as u64 * stride, Placement::RoundRobin),
+                    nbc: nb,
+                    b,
+                    stride,
+                }
+            }
+            LuVersion::Contig4d => {
+                // Emulate a malloc header: the blocked array does NOT start
+                // on a page boundary, so blocks of different owners
+                // straddle shared pages — the residual bottleneck the paper
+                // fixes by page-aligning (Figure 3).
+                let raw = alloc("", (n * n * 8) as u64 + PAGE_SIZE, Placement::RoundRobin);
+                Layout::G4 {
+                    base: raw + 1024,
+                    nbc: nb,
+                    b,
+                }
+            }
+            LuVersion::Contig4dAligned => {
+                // Group each owner's blocks into one page-aligned,
+                // owner-homed region.
+                let (pr, pc) = proc_grid(nprocs);
+                let mut bases = vec![0u64; nb * nb];
+                for o in 0..nprocs {
+                    let mine: Vec<(usize, usize)> = (0..nb)
+                        .flat_map(|bi| (0..nb).map(move |bj| (bi, bj)))
+                        .filter(|&(bi, bj)| owner(bi, bj, pr, pc) == o)
+                        .collect();
+                    if mine.is_empty() {
+                        continue;
+                    }
+                    let bytes = (mine.len() * b * b * 8) as u64;
+                    let base = alloc("", bytes, Placement::Node(o));
+                    for (idx, &(bi, bj)) in mine.iter().enumerate() {
+                        bases[bi * nb + bj] = base + (idx * b * b * 8) as u64;
+                    }
+                }
+                Layout::Own {
+                    bases: std::sync::Arc::new(bases),
+                    nbc: nb,
+                    b,
+                }
+            }
+        }
+    }
+
+    /// The distance in bytes from `(r, c)` to `(r + 1, c)` when both lie in
+    /// one block: every layout is affine inside a block, with this column
+    /// step and a row step (`(r, c)` to `(r, c + 1)`) of 8.
+    fn col_step(&self) -> u64 {
+        match self {
+            Layout::G2 { n, .. } => *n as u64 * 8,
+            Layout::Pad { nbc, stride, .. } => *nbc as u64 * stride,
+            Layout::G4 { b, .. } | Layout::Own { b, .. } => *b as u64 * 8,
+        }
+    }
+
     #[inline(always)]
     fn addr(&self, r: usize, c: usize) -> u64 {
         match self {
@@ -260,9 +337,10 @@ pub fn reference(params: &LuParams) -> Vec<f64> {
 }
 
 // The block kernels stream whole `b`-length row/column segments through the
-// bulk API (one scheduler entry per run instead of per word). The arithmetic
-// order per element is unchanged, so outputs stay bitwise comparable to the
-// sequential reference.
+// bulk API (one scheduler entry per run instead of per word). Every segment
+// lies inside one block, so it is a base address plus the layout's row step
+// (8) or `col_step`. The arithmetic order per element is unchanged, so
+// outputs stay bitwise comparable to the sequential reference.
 
 fn diag_factor(p: &mut Proc, m: &Layout, k0: usize, b: usize) {
     let mut rowi = vec![0.0f64; b];
@@ -276,12 +354,14 @@ fn diag_factor(p: &mut Proc, m: &Layout, k0: usize, b: usize) {
             m.set(p, ii, jj, lij);
             p.work(8); // divide
             let w = b - j - 1;
-            read_f64_runs(p, &mut rowi[..w], |l| m.addr(ii, k0 + j + 1 + l));
-            read_f64_runs(p, &mut rowj[..w], |l| m.addr(jj, k0 + j + 1 + l));
+            // Column `jj + 1` is in the block: `i > j` leaves `j < b - 1`.
+            let (at_i, at_j) = (m.addr(ii, jj + 1), m.addr(jj, jj + 1));
+            read_f64_seg(p, at_i, 8, &mut rowi[..w]);
+            read_f64_seg(p, at_j, 8, &mut rowj[..w]);
             for l in 0..w {
                 rowi[l] -= lij * rowj[l];
             }
-            write_f64_runs(p, &rowi[..w], |l| m.addr(ii, k0 + j + 1 + l));
+            write_f64_seg(p, at_i, 8, &rowi[..w]);
             p.work(2 * w as u64);
         }
     }
@@ -290,11 +370,13 @@ fn diag_factor(p: &mut Proc, m: &Layout, k0: usize, b: usize) {
 fn perim_row(p: &mut Proc, m: &Layout, k0: usize, j0: usize, b: usize) {
     let mut row = vec![0.0f64; b];
     let mut col = vec![0.0f64; b];
+    let step = m.col_step();
     for jj in 0..b {
+        let col_at = m.addr(k0, j0 + jj);
         for i in 1..b {
             let mut v = m.get(p, k0 + i, j0 + jj);
-            read_f64_runs(p, &mut row[..i], |l| m.addr(k0 + i, k0 + l));
-            read_f64_runs(p, &mut col[..i], |l| m.addr(k0 + l, j0 + jj));
+            read_f64_seg(p, m.addr(k0 + i, k0), 8, &mut row[..i]);
+            read_f64_seg(p, col_at, step, &mut col[..i]);
             for l in 0..i {
                 v -= row[l] * col[l];
             }
@@ -307,11 +389,13 @@ fn perim_row(p: &mut Proc, m: &Layout, k0: usize, j0: usize, b: usize) {
 fn perim_col(p: &mut Proc, m: &Layout, k0: usize, i0: usize, b: usize) {
     let mut row = vec![0.0f64; b];
     let mut col = vec![0.0f64; b];
+    let step = m.col_step();
     for i in 0..b {
+        let row_at = m.addr(i0 + i, k0);
         for j in 0..b {
             let mut v = m.get(p, i0 + i, k0 + j);
-            read_f64_runs(p, &mut row[..j], |l| m.addr(i0 + i, k0 + l));
-            read_f64_runs(p, &mut col[..j], |l| m.addr(k0 + l, k0 + j));
+            read_f64_seg(p, row_at, 8, &mut row[..j]);
+            read_f64_seg(p, m.addr(k0, k0 + j), step, &mut col[..j]);
             for l in 0..j {
                 v -= row[l] * col[l];
             }
@@ -325,11 +409,13 @@ fn perim_col(p: &mut Proc, m: &Layout, k0: usize, i0: usize, b: usize) {
 fn interior(p: &mut Proc, m: &Layout, k0: usize, i0: usize, j0: usize, b: usize) {
     let mut row = vec![0.0f64; b];
     let mut col = vec![0.0f64; b];
+    let step = m.col_step();
     for i in 0..b {
+        let row_at = m.addr(i0 + i, k0);
         for j in 0..b {
             let mut v = m.get(p, i0 + i, j0 + j);
-            read_f64_runs(p, &mut row, |l| m.addr(i0 + i, k0 + l));
-            read_f64_runs(p, &mut col, |l| m.addr(k0 + l, j0 + j));
+            read_f64_seg(p, row_at, 8, &mut row);
+            read_f64_seg(p, m.addr(k0, j0 + j), step, &mut col);
             for l in 0..b {
                 v -= row[l] * col[l];
             }
@@ -376,71 +462,9 @@ pub fn run_params_cfg(
 
     let stats = sim_run(platform.boxed(nprocs), cfg, |p| {
         if p.pid() == 0 {
-            // Allocate the matrix in the version's layout.
-            let layout = match version {
-                LuVersion::Orig2d => Layout::G2 {
-                    base: p.alloc_shared_labeled(
-                        "matrix",
-                        (n * n * 8) as u64,
-                        PAGE_SIZE,
-                        Placement::RoundRobin,
-                    ),
-                    n,
-                },
-                LuVersion::PadAlign => {
-                    let stride = ((b * 8) as u64).div_ceil(grain) * grain;
-                    Layout::Pad {
-                        base: p.alloc_shared(
-                            (n * nb) as u64 * stride,
-                            PAGE_SIZE,
-                            Placement::RoundRobin,
-                        ),
-                        nbc: nb,
-                        b,
-                        stride,
-                    }
-                }
-                LuVersion::Contig4d => {
-                    // Emulate a malloc header: the blocked array does NOT
-                    // start on a page boundary, so blocks of different
-                    // owners straddle shared pages — the residual bottleneck
-                    // the paper fixes by page-aligning (Figure 3).
-                    let raw = p.alloc_shared(
-                        (n * n * 8) as u64 + PAGE_SIZE,
-                        PAGE_SIZE,
-                        Placement::RoundRobin,
-                    );
-                    Layout::G4 {
-                        base: raw + 1024,
-                        nbc: nb,
-                        b,
-                    }
-                }
-                LuVersion::Contig4dAligned => {
-                    // Group each owner's blocks into one page-aligned,
-                    // owner-homed region.
-                    let mut bases = vec![0u64; nb * nb];
-                    for o in 0..nprocs {
-                        let mine: Vec<(usize, usize)> = (0..nb)
-                            .flat_map(|bi| (0..nb).map(move |bj| (bi, bj)))
-                            .filter(|&(bi, bj)| owner(bi, bj, pr, pc) == o)
-                            .collect();
-                        if mine.is_empty() {
-                            continue;
-                        }
-                        let bytes = (mine.len() * b * b * 8) as u64;
-                        let base = p.alloc_shared(bytes, PAGE_SIZE, Placement::Node(o));
-                        for (idx, &(bi, bj)) in mine.iter().enumerate() {
-                            bases[bi * nb + bj] = base + (idx * b * b * 8) as u64;
-                        }
-                    }
-                    Layout::Own {
-                        bases: std::sync::Arc::new(bases),
-                        nbc: nb,
-                        b,
-                    }
-                }
-            };
+            let layout = Layout::new(version, n, b, grain, nprocs, |label, bytes, at| {
+                p.alloc_shared_labeled(label, bytes, PAGE_SIZE, at)
+            });
             // Serial initialization (untimed, as in SPLASH-2).
             for i in 0..n {
                 write_f64_runs(p, &input[i * n..(i + 1) * n], |j| layout.addr(i, j));
@@ -588,6 +612,45 @@ mod tests {
     fn uniprocessor_works() {
         let r = run_params(Platform::Svm, 1, &tiny(), LuVersion::Orig2d);
         assert!(r.stats.total_cycles() > 0);
+    }
+
+    #[test]
+    fn layouts_are_affine_inside_every_block() {
+        // The block kernels read in-block segments as a base plus a step.
+        for scale in [Scale::Test, Scale::Default] {
+            let LuParams { n, block: b, .. } = LuParams::at(scale);
+            for version in [
+                LuVersion::Orig2d,
+                LuVersion::PadAlign,
+                LuVersion::Contig4d,
+                LuVersion::Contig4dAligned,
+            ] {
+                for grain in [PAGE_SIZE, 64] {
+                    let mut next = 0x1000_0000;
+                    let m = Layout::new(version, n, b, grain, 4, |_, bytes, _| {
+                        let at = next;
+                        next += bytes.div_ceil(PAGE_SIZE) * PAGE_SIZE;
+                        at
+                    });
+                    let step = m.col_step();
+                    for (r, c) in (0..n).flat_map(|r| (0..n).map(move |c| (r, c))) {
+                        let at = m.addr(r, c);
+                        for l in 0..b - c % b {
+                            assert!(
+                                at + 8 * l as u64 == m.addr(r, c + l),
+                                "{version:?} n {n} grain {grain}: row from ({r},{c}) + {l}"
+                            );
+                        }
+                        for l in 0..b - r % b {
+                            assert!(
+                                at + step * l as u64 == m.addr(r + l, c),
+                                "{version:?} n {n} grain {grain}: column from ({r},{c}) + {l}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -162,35 +162,51 @@ impl Cache {
         Lookup::Miss
     }
 
-    /// Batch equivalent of `k` consecutive [`Cache::access`] hits to the line
-    /// containing `a`, which the caller has already proven present with
-    /// sufficient permission (read: any valid state; write: Exclusive or
-    /// Modified — a write to a Shared line would be an upgrade miss and must
-    /// not use this path). Semantically identical to calling `access` `k`
-    /// times: the tick advances by `k`, the LRU stamp lands on the final
-    /// tick, `hits` grows by `k`, and writes leave the line Modified.
+    /// The way [`Cache::access`] would report a plain [`Lookup::Hit`] on:
+    /// `Some` iff the line containing `a` is present and, for a write, owned
+    /// (a write to a Shared line is an upgrade miss). The index stays valid
+    /// for [`Cache::hit_run_at`] until the next `fill`, `set_state` or
+    /// `clear`.
     #[inline]
-    pub fn hit_run(&mut self, a: Addr, write: bool, k: u64) {
-        debug_assert!(k > 0);
-        self.tick = self.tick.wrapping_add(k as u32);
+    pub fn hit_way(&self, a: Addr, write: bool) -> Option<usize> {
         let set = self.set_of(a);
         let tag = self.tag_of(a);
-        let ways = self.geom.ways as usize;
-        for w in &mut self.ways[set..set + ways] {
-            if w.tag == tag && w.state != LineState::Invalid {
-                w.lru = self.tick;
-                if write {
-                    debug_assert!(
-                        matches!(w.state, LineState::Exclusive | LineState::Modified),
-                        "hit_run write requires ownership"
-                    );
-                    w.state = LineState::Modified;
-                }
-                self.hits += k;
-                return;
-            }
+        let ways = &self.ways[set..set + self.geom.ways as usize];
+        let i = ways
+            .iter()
+            .position(|w| w.tag == tag && w.state != LineState::Invalid)?;
+        (!(write && ways[i].state == LineState::Shared)).then_some(set + i)
+    }
+
+    /// Batch equivalent of `k` consecutive [`Cache::access`] hits on `way`,
+    /// which [`Cache::hit_way`] returned for the same `write`. Semantically
+    /// identical to calling `access` `k` times: the tick advances by `k`,
+    /// the LRU stamp lands on the final tick, `hits` grows by `k`, and
+    /// writes leave the line Modified.
+    #[inline]
+    pub fn hit_run_at(&mut self, way: usize, write: bool, k: u64) {
+        debug_assert!(k > 0);
+        self.tick = self.tick.wrapping_add(k as u32);
+        let w = &mut self.ways[way];
+        debug_assert!(
+            w.state != LineState::Invalid && !(write && w.state == LineState::Shared),
+            "hit_run_at needs a way hit_way returned"
+        );
+        w.lru = self.tick;
+        if write {
+            w.state = LineState::Modified;
         }
-        debug_assert!(false, "hit_run on absent line");
+        self.hits += k;
+    }
+
+    /// [`Cache::hit_run_at`] on the way [`Cache::hit_way`] finds for `a`,
+    /// which the caller has already proven to hit.
+    #[inline]
+    pub fn hit_run(&mut self, a: Addr, write: bool, k: u64) {
+        match self.hit_way(a, write) {
+            Some(way) => self.hit_run_at(way, write, k),
+            None => debug_assert!(false, "hit_run on a line that would not hit"),
+        }
     }
 
     /// Install the line containing `a` with `state`, evicting the LRU (or an
@@ -241,15 +257,6 @@ impl Cache {
             }
         }
         LineState::Invalid
-    }
-
-    /// Whether [`Cache::access`] would report a plain hit: the line is
-    /// present and, for a write, owned (a write to a Shared line is an
-    /// upgrade miss).
-    #[inline]
-    pub fn would_hit(&self, a: Addr, write: bool) -> bool {
-        let state = self.state_of(a);
-        state != LineState::Invalid && !(write && state == LineState::Shared)
     }
 
     /// Change the state of the line containing `a` if present. Setting
@@ -318,10 +325,10 @@ mod tests {
     fn write_to_shared_is_upgrade_miss() {
         let mut c = small();
         c.fill(0x40, LineState::Shared);
-        assert!(c.would_hit(0x40, false) && !c.would_hit(0x40, true));
+        assert!(c.hit_way(0x40, false).is_some() && c.hit_way(0x40, true).is_none());
         assert_eq!(c.access(0x40, true), Lookup::UpgradeMiss);
         c.set_state(0x40, LineState::Modified);
-        assert!(c.would_hit(0x40, true) && !c.would_hit(0x60, false));
+        assert!(c.hit_way(0x40, true).is_some() && c.hit_way(0x60, false).is_none());
         assert_eq!(c.access(0x40, true), Lookup::Hit);
         assert_eq!(c.state_of(0x40), LineState::Modified);
     }
@@ -393,6 +400,58 @@ mod tests {
             a.fill(0x100, LineState::Shared),
             b.fill(0x100, LineState::Shared)
         );
+    }
+
+    #[test]
+    fn hit_way_and_hit_run_at_agree_with_access() {
+        // `a` takes every access; `b` probes once and batches hits. Twelve
+        // lines over four 2-way sets keep fills evicting.
+        let (mut a, mut b) = (small(), small());
+        let mut rng = crate::util::XorShift64::new(29);
+        let states = [
+            LineState::Invalid,
+            LineState::Shared,
+            LineState::Exclusive,
+            LineState::Modified,
+        ];
+        for step in 0..4000 {
+            let addr = rng.below(12) * 32 + rng.below(32);
+            let state = states[rng.below(4) as usize];
+            match rng.below(5) {
+                0 if state != LineState::Invalid => {
+                    assert_eq!(a.fill(addr, state), b.fill(addr, state), "step {step}");
+                }
+                1 => assert_eq!(a.set_state(addr, state), b.set_state(addr, state)),
+                _ => {
+                    let (write, k) = (rng.below(2) == 1, 1 + rng.below(4));
+                    let way = b.hit_way(addr, write);
+                    if write && b.state_of(addr) == LineState::Shared {
+                        assert_eq!(way, None, "step {step}: write to a Shared line");
+                    }
+                    let first = a.access(addr, write);
+                    assert_eq!(way.is_some(), first == Lookup::Hit, "step {step}");
+                    match way {
+                        Some(way) => {
+                            for _ in 1..k {
+                                assert_eq!(a.access(addr, write), Lookup::Hit);
+                            }
+                            b.hit_run_at(way, write, k);
+                        }
+                        None => assert_eq!(b.access(addr, write), first),
+                    }
+                }
+            }
+            assert_eq!((a.hits, a.misses), (b.hits, b.misses), "step {step}");
+            assert_eq!(a.state_of(addr), b.state_of(addr), "step {step}");
+        }
+        // LRU stamps agree in every set: the next fill evicts alike.
+        for set in 0..4 {
+            let addr = 0x1000 + set * 32;
+            assert_eq!(
+                a.fill(addr, LineState::Shared),
+                b.fill(addr, LineState::Shared)
+            );
+        }
     }
 
     #[test]

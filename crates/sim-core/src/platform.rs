@@ -65,6 +65,10 @@ impl Timing<'_> {
 pub struct HitWindow<'a> {
     /// The accessing processor's first-level cache.
     pub l1: &'a mut Cache,
+    /// The L1 way holding the queried address's line, as
+    /// [`Cache::hit_way`] returned it: the run touches it without a second
+    /// tag search.
+    pub way: usize,
     /// Host bytes backing simulated memory from the queried address to at
     /// least the end of its L1 line.
     pub bytes: &'a mut [u8],
@@ -75,12 +79,10 @@ impl<'a> HitWindow<'a> {
     /// whose L1 hits touch nothing else: free iff `l1` would hit.
     #[inline]
     pub fn flat(l1: &'a mut Cache, mem: &'a mut FlatMem, addr: Addr, write: bool) -> Option<Self> {
-        if !l1.would_hit(addr, write) {
-            return None;
-        }
+        let way = l1.hit_way(addr, write)?;
         let line_left = (l1.line_base(addr) + l1.geom().line - addr) as usize;
         let bytes = mem.window(addr, line_left);
-        Some(Self { l1, bytes })
+        Some(Self { l1, way, bytes })
     }
 
     /// Account a run of free words from `a` (the queried address), `left`
@@ -115,7 +117,7 @@ impl<'a> HitWindow<'a> {
         }
         t.stats.counters.accesses += k;
         t.charge(Bucket::Compute, k);
-        self.l1.hit_run(a, write, k);
+        self.l1.hit_run_at(self.way, write, k);
         k as usize
     }
 }

@@ -1032,6 +1032,11 @@ pub struct Proc {
     nprocs: usize,
     bulk: bool,
     backend: Backend,
+    /// The word buffer the typed slice wrappers convert through, at most
+    /// [`SLICE_CHUNK`] words. It is reused across calls so that a short
+    /// slice (LU's 32-word segments) pays for its own words only, not for
+    /// clearing a whole chunk.
+    words: Vec<u64>,
 }
 
 /// What a [`Proc`] handle is attached to: the classic scheduler (both the
@@ -1044,7 +1049,10 @@ enum Backend {
 }
 
 /// Chunk size (words) for the slice convenience wrappers: big enough to
-/// amortize a scheduler entry, small enough to live on the stack.
+/// amortize a scheduler entry, and the cap on each `Proc`'s reused word
+/// buffer. Every wrapper splits its slice at these boundaries, which fix
+/// where `load_slice`/`store_slice` calls (and sharded-engine descriptors)
+/// begin and end.
 const SLICE_CHUNK: usize = 1024;
 
 impl Proc {
@@ -1275,72 +1283,74 @@ impl Proc {
         }
     }
 
-    /// Bulk convenience: load `out.len()` `f64`s spaced `stride` bytes apart.
-    pub fn read_f64_slice(&mut self, addr: Addr, stride: u64, out: &mut [f64]) {
-        let mut buf = [0u64; SLICE_CHUNK];
+    /// Call `chunk(self, words, i, n)` for consecutive pieces `[i, i + n)`
+    /// of `0..count`, each at most [`SLICE_CHUNK`] long, lending it this
+    /// processor's word buffer (taken out for the loop, put back after).
+    #[inline]
+    fn chunked(
+        &mut self,
+        count: usize,
+        mut chunk: impl FnMut(&mut Self, &mut Vec<u64>, usize, usize),
+    ) {
+        let mut words = std::mem::take(&mut self.words);
         let mut i = 0;
-        while i < out.len() {
-            let n = (out.len() - i).min(SLICE_CHUNK);
-            self.load_slice(addr + i as u64 * stride, stride, 8, &mut buf[..n]);
-            for j in 0..n {
-                out[i + j] = f64::from_bits(buf[j]);
-            }
+        while i < count {
+            let n = (count - i).min(SLICE_CHUNK);
+            chunk(self, &mut words, i, n);
             i += n;
         }
+        self.words = words;
+    }
+
+    /// Bulk convenience: load `out.len()` `f64`s spaced `stride` bytes apart.
+    pub fn read_f64_slice(&mut self, addr: Addr, stride: u64, out: &mut [f64]) {
+        self.chunked(out.len(), |p, words, i, n| {
+            words.resize(n, 0);
+            p.load_slice(addr + i as u64 * stride, stride, 8, words);
+            for (o, &w) in out[i..i + n].iter_mut().zip(words.iter()) {
+                *o = f64::from_bits(w);
+            }
+        });
     }
 
     /// Bulk convenience: store `vals` as `f64`s spaced `stride` bytes apart.
     pub fn write_f64_slice(&mut self, addr: Addr, stride: u64, vals: &[f64]) {
-        let mut buf = [0u64; SLICE_CHUNK];
-        let mut i = 0;
-        while i < vals.len() {
-            let n = (vals.len() - i).min(SLICE_CHUNK);
-            for j in 0..n {
-                buf[j] = vals[i + j].to_bits();
-            }
-            self.store_slice(addr + i as u64 * stride, stride, 8, &buf[..n]);
-            i += n;
-        }
+        self.chunked(vals.len(), |p, words, i, n| {
+            words.clear();
+            words.extend(vals[i..i + n].iter().map(|v| v.to_bits()));
+            p.store_slice(addr + i as u64 * stride, stride, 8, words);
+        });
     }
 
     /// Bulk convenience: load `out.len()` `u32`s spaced `stride` bytes apart.
     pub fn read_u32_slice(&mut self, addr: Addr, stride: u64, out: &mut [u32]) {
-        let mut buf = [0u64; SLICE_CHUNK];
-        let mut i = 0;
-        while i < out.len() {
-            let n = (out.len() - i).min(SLICE_CHUNK);
-            self.load_slice(addr + i as u64 * stride, stride, 4, &mut buf[..n]);
-            for j in 0..n {
-                out[i + j] = buf[j] as u32;
+        self.chunked(out.len(), |p, words, i, n| {
+            words.resize(n, 0);
+            p.load_slice(addr + i as u64 * stride, stride, 4, words);
+            for (o, &w) in out[i..i + n].iter_mut().zip(words.iter()) {
+                *o = w as u32;
             }
-            i += n;
-        }
+        });
     }
 
     /// Bulk convenience: store `vals` as `u32`s spaced `stride` bytes apart.
     pub fn write_u32_slice(&mut self, addr: Addr, stride: u64, vals: &[u32]) {
-        let mut buf = [0u64; SLICE_CHUNK];
-        let mut i = 0;
-        while i < vals.len() {
-            let n = (vals.len() - i).min(SLICE_CHUNK);
-            for j in 0..n {
-                buf[j] = vals[i + j] as u64;
-            }
-            self.store_slice(addr + i as u64 * stride, stride, 4, &buf[..n]);
-            i += n;
-        }
+        self.chunked(vals.len(), |p, words, i, n| {
+            words.clear();
+            words.extend(vals[i..i + n].iter().map(|&v| v as u64));
+            p.store_slice(addr + i as u64 * stride, stride, 4, words);
+        });
     }
 
     /// Store `count` copies of the low `len` bytes of `val` contiguously
     /// from `addr` (stride = `len`): the bulk clear/memset.
     pub fn fill(&mut self, addr: Addr, len: u8, count: u64, val: u64) {
-        let buf = [val; SLICE_CHUNK];
-        let mut i = 0u64;
-        while i < count {
-            let n = ((count - i) as usize).min(SLICE_CHUNK);
-            self.store_slice(addr + i * len as u64, len as u64, len, &buf[..n]);
-            i += n as u64;
-        }
+        let count = usize::try_from(count).expect("fill count fits the host address space");
+        self.chunked(count, |p, words, i, n| {
+            words.clear();
+            words.resize(n, val);
+            p.store_slice(addr + (i * len as usize) as u64, len as u64, len, words);
+        });
     }
 
     /// Charge `count` elements of `per_elem` compute cycles each — the fused
@@ -1674,6 +1684,7 @@ where
             nprocs,
             bulk,
             backend: Backend::Classic(Arc::clone(&shared)),
+            words: Vec::new(),
         };
         body(&mut proc);
         proc.finish()
@@ -1749,6 +1760,7 @@ where
                         backend: Backend::Gen(Box::new(GenCtx::new(
                             plane, tx, reply_rx, gate, batch_cap, metrics_on,
                         ))),
+                        words: Vec::new(),
                     };
                     if let Some(ctx) = proc.gen() {
                         ctx.unpark();

@@ -191,20 +191,20 @@ impl Machine {
         write: bool,
         e: &'a mut PageEntry,
     ) -> Option<HitWindow<'a>> {
-        if self.nics[self.cfg.node_of(pid)].debt != 0
-            || (write && e.state != PState::ReadWrite)
-            || !self.caches[pid].0.would_hit(addr, write)
-        {
+        if self.nics[self.cfg.node_of(pid)].debt != 0 || (write && e.state != PState::ReadWrite) {
             return None;
         }
+        let way = self.caches[pid].0.hit_way(addr, write)?;
         if write {
             // The scalar path repeats this per word; once per run is
-            // identical.
+            // identical. It touches only the siblings' caches, so `way`
+            // stays valid.
             self.invalidate_siblings(pid, addr);
         }
         let off = (addr & (self.cfg.page_size - 1)) as usize;
         Some(HitWindow {
             l1: &mut self.caches[pid].0,
+            way,
             bytes: &mut e.frame[off..],
         })
     }
