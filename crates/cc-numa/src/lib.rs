@@ -16,7 +16,7 @@
 
 use sim_core::cache::CacheGeom;
 use sim_core::coherence::{self, DirEnt, Machine, Priced, Pricing};
-use sim_core::platform::{HitWindow, Platform, Timing};
+use sim_core::platform::{Extent, Platform, Timing};
 use sim_core::stats::{Bucket, ProcStats};
 use sim_core::{Addr, PlacementMap, Resource};
 
@@ -171,8 +171,8 @@ impl Platform for DsmPlatform {
     }
 
     #[inline]
-    fn hit_window(&mut self, pid: usize, addr: Addr, write: bool) -> Option<HitWindow<'_>> {
-        self.hw.hit_window(pid, addr, write)
+    fn free_extent(&mut self, pid: usize, addr: Addr, _: bool, span: usize) -> Option<Extent<'_>> {
+        Some(self.hw.free_extent(pid, addr, span))
     }
 
     fn acquire_request(&mut self, t: &mut Timing, lock: u32) -> u64 {

@@ -26,7 +26,7 @@
 //! model.
 
 use sim_core::mem::{load_le, store_le};
-use sim_core::platform::{HitWindow, Platform, Timing};
+use sim_core::platform::{Extent, Platform, Timing};
 use sim_core::probe::{self, ProbeHandle, ProtoEvent};
 use sim_core::stats::{Bucket, ProcStats};
 use sim_core::util::{FxMap, FxSet};
@@ -451,9 +451,9 @@ impl Platform for TmkPlatform {
     }
 
     #[inline]
-    fn hit_window(&mut self, pid: usize, addr: Addr, write: bool) -> Option<HitWindow<'_>> {
+    fn free_extent(&mut self, pid: usize, addr: Addr, write: bool, _: usize) -> Option<Extent<'_>> {
         let e = self.nodes[pid].pages.get_mut(addr >> self.m.page_shift)?;
-        self.m.hit_window(pid, addr, write, e)
+        self.m.free_extent(pid, addr, write, e)
     }
 
     fn acquire_request(&mut self, t: &mut Timing, lock: u32) -> u64 {

@@ -24,7 +24,7 @@
 
 use crate::cache::{Cache, CacheGeom, LineState, Lookup};
 use crate::mem::FlatMem;
-use crate::platform::{HitWindow, Timing};
+use crate::platform::{Extent, Timing};
 use crate::probe::{self, ProbeHandle, ProtoEvent};
 use crate::stats::Bucket;
 use crate::util::FxMap;
@@ -123,11 +123,11 @@ impl Machine {
         self.mem.store(addr, len, val);
     }
 
-    /// [`crate::Platform::hit_window`]: an L1 hit (a Shared write is an
-    /// upgrade) touches nothing but the L1's LRU state.
+    /// [`crate::Platform::free_extent`]: the protocol acts only on a miss or
+    /// an upgrade, so every L1 hit in the rest of the slice is free.
     #[inline]
-    pub fn hit_window(&mut self, pid: usize, addr: Addr, write: bool) -> Option<HitWindow<'_>> {
-        HitWindow::flat(&mut self.caches[pid].0, &mut self.mem, addr, write)
+    pub fn free_extent(&mut self, pid: usize, addr: Addr, span: usize) -> Extent<'_> {
+        Extent::flat(&mut self.caches[pid].0, &mut self.mem, addr, span)
     }
 
     /// The two-level walk: L1 hit, inline; the rest out of line.

@@ -349,8 +349,8 @@ impl RaceDetector {
 
     // ---- batched (run) checks for the bulk fast path ----
     //
-    // The bulk access path performs whole L1-line runs under one scheduler
-    // lock acquisition; feeding the detector one `on_read`/`on_write` call
+    // The bulk access path performs a chunk of a slice's words under one
+    // scheduler entry; feeding the detector one `on_read`/`on_write` call
     // per word made the detector the dominant cost of detector-on bulk
     // runs. The run variants below check an entire `base + i*stride`,
     // `i in 0..count` batch in one call: the shadow map is grown once for

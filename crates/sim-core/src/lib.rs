@@ -77,7 +77,7 @@ pub use metrics::{
     EventSeries, LockSeries, MetricsReport, MetricsSink, PageInterval, PageSeries, PageTrajectory,
     ProcSample, ProcSeries,
 };
-pub use platform::{HitWindow, NullPlatform, Platform, Timing};
+pub use platform::{Extent, NullPlatform, Platform, Timing};
 pub use probe::{Probe, ProbeHandle, ProtoEvent};
 pub use resource::Resource;
 pub use sched::{run, Proc, RunConfig, MAX_SHARD_BATCH};

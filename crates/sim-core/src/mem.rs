@@ -25,7 +25,7 @@ impl FlatMem {
 
     /// The `len` host bytes backing `[addr, addr + len)`, grown (zeroed) on
     /// demand — also what a flat-memory platform's
-    /// [`crate::Platform::hit_window`] lends the bulk loop.
+    /// [`crate::Platform::free_extent`] lends the bulk loop.
     #[inline]
     pub fn window(&mut self, addr: Addr, len: usize) -> &mut [u8] {
         assert!(addr >= HEAP_BASE, "access below heap base: {addr:#x}");

@@ -60,66 +60,90 @@ impl Timing<'_> {
     }
 }
 
-/// What [`Platform::hit_window`] lends the bulk loop so it can perform a
-/// run of free words itself.
-pub struct HitWindow<'a> {
+/// What [`Platform::free_extent`] lends the bulk loop: memory in which the
+/// platform's protocol has nothing to do, so every L1 hit there is a free
+/// word the loop can perform itself.
+pub struct Extent<'a> {
     /// The accessing processor's first-level cache.
     pub l1: &'a mut Cache,
-    /// The L1 way holding the queried address's line, as
-    /// [`Cache::hit_way`] returned it: the run touches it without a second
-    /// tag search.
-    pub way: usize,
-    /// Host bytes backing simulated memory from the queried address to at
-    /// least the end of its L1 line.
+    /// Host bytes backing simulated memory from the queried address to the
+    /// extent's end.
     pub bytes: &'a mut [u8],
 }
 
-impl<'a> HitWindow<'a> {
-    /// The window of a platform whose data lives in one [`FlatMem`] and
-    /// whose L1 hits touch nothing else: free iff `l1` would hit.
+impl<'a> Extent<'a> {
+    /// The extent of a platform whose data lives in one [`FlatMem`] and
+    /// whose L1 hits touch nothing else: the `span` bytes from `addr`.
     #[inline]
-    pub fn flat(l1: &'a mut Cache, mem: &'a mut FlatMem, addr: Addr, write: bool) -> Option<Self> {
-        let way = l1.hit_way(addr, write)?;
-        let line_left = (l1.line_base(addr) + l1.geom().line - addr) as usize;
-        let bytes = mem.window(addr, line_left);
-        Some(Self { l1, way, bytes })
+    pub fn flat(l1: &'a mut Cache, mem: &'a mut FlatMem, addr: Addr, span: usize) -> Self {
+        let bytes = mem.window(addr, span);
+        Self { l1, bytes }
     }
 
-    /// Account a run of free words from `a` (the queried address), `left`
-    /// words of the slice remaining: count them, charge `Compute` a cycle
-    /// each and touch the L1 once, as that many scalar hits would. Returns
-    /// the run's length: at least one word, at most to the end of `a`'s L1
-    /// line and (timing on) to the first word that leaves `*t.now > budget`,
-    /// where the scalar path would yield.
+    /// Perform the free words from `addr`, the extent's start, at `stride`,
+    /// `left` words of the slice remaining, handing `words` each line's run
+    /// as its first word's index, its length and the bytes from its first
+    /// word. Probes the L1 once per line (one tag search) and stamps the
+    /// line once for its words, then counts them and charges `Compute` a
+    /// cycle each, as that many scalar hits would. Stops at the extent's
+    /// end, at the first word that leaves `*t.now > budget` (timing on),
+    /// where the scalar path would yield, or before the first word whose
+    /// line would miss. Returns how many words it performed and whether the
+    /// next one needs the scalar path: it missed, or none fitted.
     #[inline]
+    #[allow(clippy::too_many_arguments)]
     fn run(
         &mut self,
         t: &mut Timing,
-        a: Addr,
-        write: bool,
+        addr: Addr,
         stride: u64,
+        len: u8,
+        write: bool,
         left: usize,
         budget: u64,
-    ) -> usize {
-        let line_left = self.l1.line_base(a) + self.l1.geom().line - a;
-        // Strides of a line or more make every run one word long (LU's
-        // column reads, most of its runs): settle that before paying for
-        // the 64-bit division, which alone cost LU several percent.
-        let mut k = if stride >= line_left {
-            1
-        } else if stride == 0 {
-            left as u64
-        } else {
-            (left as u64).min(line_left.div_ceil(stride))
-        };
+        mut words: impl FnMut(usize, usize, &mut [u8]),
+    ) -> (usize, bool) {
+        let mut cap = left as u64;
         if t.timing_on {
-            k = k.min(budget.saturating_sub(*t.now).saturating_add(1));
+            cap = cap.min(budget.saturating_sub(*t.now).saturating_add(1));
         }
-        t.stats.counters.accesses += k;
-        t.charge(Bucket::Compute, k);
-        self.l1.hit_run_at(self.way, write, k);
-        k as usize
+        let (cap, stride) = (cap as usize, stride as usize);
+        let line = self.l1.geom().line;
+        // Offsets a word may start at without running past the extent.
+        let room = (self.bytes.len() + 1).saturating_sub(len as usize);
+        let (mut k, mut off, mut missed) = (0, 0, false);
+        while k < cap && off < room {
+            let a = addr + off as u64;
+            let Some(way) = self.l1.hit_way(a, write) else {
+                missed = true;
+                break;
+            };
+            // The line's words: strides of a line or more (LU's column
+            // reads) settle at one without paying for the division.
+            let avail = room.min(off + (line - (a & (line - 1))) as usize) - off;
+            let n = if stride == 0 {
+                cap - k
+            } else if stride >= avail {
+                1
+            } else {
+                avail.div_ceil(stride).min(cap - k)
+            };
+            words(k, n, &mut self.bytes[off..]);
+            self.l1.hit_run_at(way, write, n as u64);
+            k += n;
+            off += n * stride;
+        }
+        t.stats.counters.accesses += k as u64;
+        t.charge(Bucket::Compute, k as u64);
+        (k, missed || k == 0)
     }
+}
+
+/// Bytes from the first of `left` words of `len` bytes at `stride` to the
+/// end of the last: what the rest of a bulk slice covers.
+#[inline]
+fn span(stride: u64, len: u8, left: usize) -> usize {
+    ((left - 1) as u64 * stride) as usize + len as usize
 }
 
 /// A memory-system and synchronization model.
@@ -138,21 +162,32 @@ pub trait Platform: Send {
     /// Perform a store of the low `len` bytes of `val`.
     fn store(&mut self, t: &mut Timing, addr: Addr, len: u8, val: u64);
 
-    /// The one thing the bulk loop asks a platform: is this word free?
-    /// `Some` iff [`Platform::load`] (or [`Platform::store`], when `write`)
-    /// by `pid` at `addr` would do nothing but count the access, charge
-    /// `Compute` 1 and touch the L1's LRU state — no interrupt debt, fault,
-    /// twin, miss, upgrade or resource. The window is the processor's L1
-    /// and the host bytes backing simulated memory from `addr` to at least
-    /// the end of its L1 line (words are naturally aligned: none straddles
-    /// a line). A side effect the scalar path repeats idempotently per word
-    /// (sibling-line invalidation on multi-processor SVM nodes) is performed
-    /// once, here: every `Some` is followed by at least one word.
+    /// The one thing the bulk loop asks a platform, the protocol question:
+    /// from `addr` on, how far is every L1 hit free? `Some` lends `pid`'s L1
+    /// and the host bytes backing simulated memory from `addr` to a bound
+    /// (at most `span`, the bytes the rest of the slice covers, or a whole
+    /// protocol page) within which [`Platform::load`] (or
+    /// [`Platform::store`], when `write`) of a word whose line hits in that
+    /// L1 would do nothing but count the access, charge `Compute` 1 and
+    /// touch the L1's LRU state — no interrupt debt, fault, twin or
+    /// resource. The bulk loop answers the cache question itself, per line;
+    /// the first word that would miss takes the scalar path. The extent
+    /// covers at least the word at `addr` (words are naturally aligned: none
+    /// straddles a line or a page). A side effect the scalar path repeats
+    /// idempotently per word (sibling-line invalidation on multi-processor
+    /// SVM nodes) is performed here, for the extent's first line, and the
+    /// extent ends with that line.
     ///
     /// The default — `None`, every word takes the scalar path — is always
     /// correct; a wrong `Some` is what `tests/equivalence.rs` catches.
     #[inline]
-    fn hit_window(&mut self, _pid: usize, _addr: Addr, _write: bool) -> Option<HitWindow<'_>> {
+    fn free_extent(
+        &mut self,
+        _pid: usize,
+        _addr: Addr,
+        _write: bool,
+        _span: usize,
+    ) -> Option<Extent<'_>> {
         None
     }
 
@@ -169,11 +204,14 @@ pub trait Platform: Send {
     /// the same points as the scalar path, which is what makes bulk runs
     /// bit-identical to word-at-a-time runs.
     ///
-    /// This is the only implementation; platforms do not override it. A
-    /// word [`Platform::hit_window`] answers `None` for goes through `load`;
-    /// a `Some` batches the rest of the word's L1 line, so tag arrays and
-    /// page tables are walked once per run instead of once per word, and
-    /// "bulk ≡ scalar" holds by construction for all but that predicate.
+    /// This is the only implementation; platforms do not override it. The
+    /// loop asks [`Platform::free_extent`] once per extent (a page, or the
+    /// rest of the slice) and the L1 once per line inside it, and performs
+    /// whatever hits itself; the first word that would miss, and every word
+    /// outside an extent, goes through `load`. Page tables are walked once
+    /// per extent and tag arrays once per line instead of once per word,
+    /// and "bulk ≡ scalar" holds by construction for all but the platform's
+    /// extent.
     fn load_bulk(
         &mut self,
         t: &mut Timing,
@@ -185,19 +223,19 @@ pub trait Platform: Send {
     ) -> usize {
         let mut done = 0;
         while done < out.len() {
-            let a = addr + done as u64 * stride;
-            match self.hit_window(t.pid, a, false) {
-                None => {
-                    out[done] = self.load(t, a, len);
-                    done += 1;
-                }
-                Some(mut w) => {
-                    let k = w.run(t, a, false, stride, out.len() - done, budget);
-                    for (i, slot) in out[done..done + k].iter_mut().enumerate() {
-                        *slot = load_le(&w.bytes[i * stride as usize..], len);
+            let (a, left) = (addr + done as u64 * stride, out.len() - done);
+            let (k, scalar) = match self.free_extent(t.pid, a, false, span(stride, len, left)) {
+                Some(mut e) => e.run(t, a, stride, len, false, left, budget, |i, n, b| {
+                    for (j, slot) in out[done + i..done + i + n].iter_mut().enumerate() {
+                        *slot = load_le(&b[j * stride as usize..], len);
                     }
-                    done += k;
-                }
+                }),
+                None => (0, true),
+            };
+            done += k;
+            if scalar {
+                out[done] = self.load(t, a + k as u64 * stride, len);
+                done += 1;
             }
             if *t.now > budget {
                 break;
@@ -220,19 +258,19 @@ pub trait Platform: Send {
     ) -> usize {
         let mut done = 0;
         while done < vals.len() {
-            let a = addr + done as u64 * stride;
-            match self.hit_window(t.pid, a, true) {
-                None => {
-                    self.store(t, a, len, vals[done]);
-                    done += 1;
-                }
-                Some(mut w) => {
-                    let k = w.run(t, a, true, stride, vals.len() - done, budget);
-                    for (i, &v) in vals[done..done + k].iter().enumerate() {
-                        store_le(&mut w.bytes[i * stride as usize..], len, v);
+            let (a, left) = (addr + done as u64 * stride, vals.len() - done);
+            let (k, scalar) = match self.free_extent(t.pid, a, true, span(stride, len, left)) {
+                Some(mut e) => e.run(t, a, stride, len, true, left, budget, |i, n, b| {
+                    for (j, &v) in vals[done + i..done + i + n].iter().enumerate() {
+                        store_le(&mut b[j * stride as usize..], len, v);
                     }
-                    done += k;
-                }
+                }),
+                None => (0, true),
+            };
+            done += k;
+            if scalar {
+                self.store(t, a + k as u64 * stride, len, vals[done]);
+                done += 1;
             }
             if *t.now > budget {
                 break;
@@ -458,15 +496,19 @@ mod tests {
 
     // ---- the bulk loop's contract ----
 
-    /// A one-processor platform whose `hit_window` answers from a table:
-    /// the lines resident (Exclusive) in its 64-byte-line L1. A word of any
-    /// other line is a 10-cycle miss on the scalar path and stays one
-    /// (nothing fills). `windows: false` answers `None` throughout — the
-    /// all-scalar oracle. `asked` logs every `hit_window` query.
+    /// A one-processor platform over a 64-byte-line L1 holding the lines
+    /// `table` makes resident (Exclusive). A word of any other line, and a
+    /// store to a Shared line, is a 10-cycle miss on the scalar path, which
+    /// fills the line only when `fills` is set. Its extent runs to the end
+    /// of the slice or of its `page`, whichever comes first; `windows:
+    /// false` answers `None` throughout — the all-scalar oracle. `asked`
+    /// logs every `free_extent` query.
     struct Table {
         l1: Cache,
         mem: FlatMem,
         windows: bool,
+        page: u64,
+        fills: bool,
         asked: Vec<Addr>,
     }
 
@@ -484,6 +526,8 @@ mod tests {
             l1,
             mem,
             windows,
+            page: 4096,
+            fills: false,
             asked,
         }
     }
@@ -494,6 +538,9 @@ mod tests {
             t.charge(Bucket::Compute, 1);
             if self.l1.access(addr, write) != Lookup::Hit {
                 t.charge(Bucket::CacheStall, 10);
+                if self.fills {
+                    self.l1.fill(addr, LineState::Modified);
+                }
             }
         }
     }
@@ -510,12 +557,13 @@ mod tests {
             self.access(t, addr, true);
             self.mem.store(addr, len, val);
         }
-        fn hit_window(&mut self, _pid: usize, addr: Addr, write: bool) -> Option<HitWindow<'_>> {
-            self.asked.push(addr);
+        fn free_extent(&mut self, _: usize, a: Addr, _: bool, span: usize) -> Option<Extent<'_>> {
+            self.asked.push(a);
             if !self.windows {
                 return None;
             }
-            HitWindow::flat(&mut self.l1, &mut self.mem, addr, write)
+            let span = span.min((self.page - (a & (self.page - 1))) as usize);
+            Some(Extent::flat(&mut self.l1, &mut self.mem, a, span))
         }
         fn acquire_request(&mut self, _: &mut Timing, _: u32) -> u64 {
             unimplemented!()
@@ -562,27 +610,41 @@ mod tests {
             let (mut p, mut c) = (table(resident, true), Ctx::at(now));
             let done = p.load_bulk(&mut c.t(true), B, 8, 8, &mut out, budget);
             assert_eq!((done, c.now), (k, end), "now {now} budget {budget}");
+            assert_eq!(p.asked, [B], "one extent per chunk");
         }
         // Timing off: the clock stands still, so the budget cannot bind.
         let (mut p, mut c) = (table(&LINES, true), Ctx::at(0));
         assert_eq!(p.load_bulk(&mut c.t(false), B, 8, 8, &mut out, 0), 24);
         assert_eq!((c.now, c.stats.counters.accesses), (0, 24));
-        assert_eq!(p.asked, LINES, "one whole-line run per line");
+        assert_eq!(p.asked, [B], "one extent over the three lines");
     }
 
     #[test]
     fn runs_split_where_the_l1_line_ends() {
-        // Stride 0, = line, > line, and unit strides crossing a line end.
-        for (off, stride, n) in [(8, 0, 5), (0, 64, 3), (8, 72, 2), (40, 8, 6), (48, 24, 4)] {
-            let (mut p, mut c) = (table(&LINES, true), Ctx::at(0));
+        // Stride 0, = line, > line, and unit strides crossing a line end;
+        // then extents cut by a 128- and a 512-byte page mid-slice.
+        let resident = [&LINES[..], &[B + 256, B + 512, B + 768]].concat();
+        for (off, stride, n, page) in [
+            (8, 0, 5, 4096),
+            (0, 64, 3, 4096),
+            (8, 72, 2, 4096),
+            (40, 8, 6, 4096),
+            (48, 24, 4, 4096),
+            (0, 256, 4, 4096),
+            (96, 8, 8, 128),
+            (0, 256, 4, 512),
+        ] {
+            let (mut p, mut c) = (table(&resident, true), Ctx::at(0));
+            p.page = page;
             let mut out = vec![0u64; n];
             let done = p.load_bulk(&mut c.t(true), B + off, stride, 8, &mut out, u64::MAX);
             assert_eq!((done, c.now), (n, n as u64));
-            // One query per run: the first word of each stretch of
-            // consecutive words sharing a line.
+            assert_eq!(p.l1.hits, n as u64, "every word one L1 hit");
+            // One query per extent: the first word of each stretch of
+            // consecutive words sharing a page.
             let mut starts: Vec<Addr> = (0..n as u64).map(|i| B + off + i * stride).collect();
-            starts.dedup_by_key(|a| p.l1.line_base(*a));
-            assert_eq!(p.asked, starts, "offset {off} stride {stride}");
+            starts.dedup_by_key(|a| *a & !(page - 1));
+            assert_eq!(p.asked, starts, "offset {off} stride {stride} page {page}");
         }
     }
 
@@ -636,5 +698,61 @@ mod tests {
             )
         };
         assert_eq!(sweep(true), sweep(false));
+    }
+
+    #[test]
+    fn generated_slices_match_the_scalar_path() {
+        let mut rng = crate::util::XorShift64::new(0xE47E);
+        for case in 0..1500 {
+            let mut pick = |xs: &[u64]| xs[rng.below(xs.len() as u64) as usize];
+            let (page, len) = (pick(&[128, 256, 1024, 4096]), pick(&[1, 2, 4, 8]));
+            let stride = pick(&[0, len, 24, 64, 72, 256, page - 8]);
+            let n = 1 + rng.below(64) as usize;
+            let addr = B + rng.below(2 * page / len) * len;
+            let quantum = [rng.below(40), u64::MAX][(rng.below(4) == 0) as usize];
+            let (timing_on, fills) = (rng.below(2) == 0, rng.below(2) == 0);
+            let mut lines: Vec<Addr> = (0..n as u64).map(|i| (addr + i * stride) & !63).collect();
+            lines.dedup();
+            // Half the lines absent; the rest Shared or Exclusive.
+            let resident: Vec<(Addr, LineState)> = lines
+                .into_iter()
+                .filter_map(|a| match rng.below(4) {
+                    2 => Some((a, LineState::Shared)),
+                    3 => Some((a, LineState::Exclusive)),
+                    _ => None,
+                })
+                .collect();
+            let vals: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+            let sweep = |windows: bool| {
+                let (mut p, mut c) = (table(&[], windows), Ctx::at(0));
+                (p.page, p.fills) = (page, fills);
+                for &(a, state) in &resident {
+                    p.l1.fill(a, state);
+                }
+                let (mut out, mut chunks) = (vec![0u64; n], Vec::new());
+                for write in [true, false] {
+                    let mut i = 0;
+                    while i < n {
+                        let (a, budget) = (addr + i as u64 * stride, c.now.saturating_add(quantum));
+                        let mut t = c.t(timing_on);
+                        i += if write {
+                            p.store_bulk(&mut t, a, stride, len as u8, &vals[i..], budget)
+                        } else {
+                            p.load_bulk(&mut t, a, stride, len as u8, &mut out[i..], budget)
+                        };
+                        chunks.push((i, c.now));
+                    }
+                }
+                let image = p.mem.window(addr, span(stride, len as u8, n)).to_vec();
+                let l1 = format!("{:?}", p.l1);
+                (chunks, c.now, c.stats, l1, image, out)
+            };
+            let (bulk, scalar) = (sweep(true), sweep(false));
+            assert_eq!(
+                bulk, scalar,
+                "case {case}: page {page} len {len} stride {stride} n {n} addr {addr:#x} \
+                 quantum {quantum} timing {timing_on} fills {fills}"
+            );
+        }
     }
 }

@@ -39,7 +39,7 @@ pub use page::{Diff, DiffWords, PState, PageEntry, PageTable};
 
 use machine::Machine;
 use sim_core::mem::{load_le, store_le};
-use sim_core::platform::{HitWindow, Platform, Timing};
+use sim_core::platform::{Extent, Platform, Timing};
 use sim_core::probe::{self, ProbeHandle, ProtoEvent};
 use sim_core::stats::{Bucket, ProcStats};
 use sim_core::util::FxSet;
@@ -441,10 +441,10 @@ impl Platform for SvmPlatform {
     }
 
     #[inline]
-    fn hit_window(&mut self, pid: usize, addr: Addr, write: bool) -> Option<HitWindow<'_>> {
+    fn free_extent(&mut self, pid: usize, addr: Addr, write: bool, _: usize) -> Option<Extent<'_>> {
         let nd = self.m.cfg.node_of(pid);
         let e = self.nodes[nd].pages.get_mut(addr >> self.m.page_shift)?;
-        self.m.hit_window(pid, addr, write, e)
+        self.m.free_extent(pid, addr, write, e)
     }
 
     fn acquire_request(&mut self, t: &mut Timing, lock: u32) -> u64 {

@@ -26,7 +26,7 @@
 use crate::page::{PState, PageEntry};
 use crate::SvmConfig;
 use sim_core::cache::{Cache, LineState, Lookup};
-use sim_core::platform::{HitWindow, Timing};
+use sim_core::platform::{Extent, Timing};
 use sim_core::stats::Bucket;
 use sim_core::util::FxMap;
 use sim_core::{Addr, Resource};
@@ -173,39 +173,38 @@ impl Machine {
             .any(|q| holds(&self.caches[q].0) || holds(&self.caches[q].1))
     }
 
-    /// An LRC platform's `Platform::hit_window`, given `e`, the entry of
+    /// An LRC platform's `Platform::free_extent`, given `e`, the entry of
     /// `addr`'s page in the table of `pid`'s node (unmapped is the caller's
-    /// `None`). A word is free when the scalar path would do no protocol
-    /// work for it: no interrupt debt pending, write permission for a store
-    /// (ReadWrite, so no fault or twin) and the line in L1 with sufficient
-    /// permission. Lines never straddle pages, so the rest of the frame
-    /// covers the rest of the line. Takes the entry so the caller's one
-    /// page-table `get_mut` per run serves both check and window (a second
-    /// lookup cost LU's one-word runs measurably); page table and caches
-    /// are disjoint fields, which lets both borrows live in the result.
+    /// `None`). The scalar path does no protocol work for an L1 hit on the
+    /// page when no interrupt debt is pending and, for a store, the page is
+    /// ReadWrite (so no fault or twin): the extent is then the rest of the
+    /// frame. A store on a multi-processor node invalidates the siblings'
+    /// copies of its line, which the scalar path repeats per word: done
+    /// here, the extent ends with that line. Takes the entry so the
+    /// caller's one page-table `get_mut` serves both check and extent; page
+    /// table and caches are disjoint fields, which lets both borrows live
+    /// in the result.
     #[inline]
-    pub fn hit_window<'a>(
+    pub fn free_extent<'a>(
         &'a mut self,
         pid: usize,
         addr: Addr,
         write: bool,
         e: &'a mut PageEntry,
-    ) -> Option<HitWindow<'a>> {
+    ) -> Option<Extent<'a>> {
         if self.nics[self.cfg.node_of(pid)].debt != 0 || (write && e.state != PState::ReadWrite) {
             return None;
         }
-        let way = self.caches[pid].0.hit_way(addr, write)?;
-        if write {
-            // The scalar path repeats this per word; once per run is
-            // identical. It touches only the siblings' caches, so `way`
-            // stays valid.
-            self.invalidate_siblings(pid, addr);
-        }
         let off = (addr & (self.cfg.page_size - 1)) as usize;
-        Some(HitWindow {
+        let mut end = e.frame.len();
+        if write && self.cfg.procs_per_node > 1 {
+            self.invalidate_siblings(pid, addr);
+            let line = self.cfg.l1.line;
+            end = off + (line - (addr & (line - 1))) as usize;
+        }
+        Some(Extent {
             l1: &mut self.caches[pid].0,
-            way,
-            bytes: &mut e.frame[off..],
+            bytes: &mut e.frame[off..end],
         })
     }
 

@@ -150,11 +150,12 @@ fn barnes_runs_on_every_platform() {
 // be *bit-identical* in simulated time to the word-at-a-time scalar path:
 // same clocks, same per-phase bucket breakdowns, same protocol counters,
 // same race reports. One test per application sweeps every optimization
-// class x the five platform configurations above x detector on/off — the
-// only check of each platform's `hit_window` predicate, so TreadMarks and
-// the sibling-invalidating multi-processor SVM nodes are included — plus
-// the Alg class with a quantum so large that `clock + quantum` saturates
-// and nobody ever yields.
+// class x the five platform configurations above, plus HLRC with 1 KiB
+// pages, x detector on/off — the only check of each platform's
+// `free_extent`, so TreadMarks, the sibling-invalidating multi-processor
+// SVM nodes and extents cut at a second page size are included — plus the
+// Alg class with a quantum so large that `clock + quantum` saturates and
+// nobody ever yields.
 
 fn assert_scalar_bulk_identical(app: App) {
     let default_quantum = RunConfig::new(4).quantum;
@@ -163,8 +164,12 @@ fn assert_scalar_bulk_identical(app: App) {
         .flat_map(|&class| [false, true].map(|detect| (class, detect, default_quantum)))
         .collect();
     inputs.push((OptClass::Algorithm, false, u64::MAX));
+    let one_kib_pages = Platform::SvmTuned {
+        page_shift: 10,
+        net_scale_pct: 100,
+    };
     for (class, detect, quantum) in inputs {
-        for pf in PLATFORMS {
+        for pf in PLATFORMS.into_iter().chain([one_kib_pages]) {
             let spec = AppSpec { app, class };
             let mk = || {
                 let mut cfg = RunConfig {
