@@ -26,17 +26,20 @@
 //! writing different *bytes* of one word unsynchronized is flagged, exactly
 //! the property the platforms' diff/merge machinery requires.
 //!
-//! The detector sees the same access stream every platform charges for —
-//! it hooks [`crate::sched`]'s `Proc::load`/`store` and the generic
-//! lock/barrier orchestration, so one implementation covers the SVM, DSM,
-//! and SMP platform models alike. It never advances clocks or statistics:
-//! a run with detection enabled produces bit-identical [`RunStats`] timing
-//! to one without (asserted by the workspace tests).
+//! The detector is a consumer of the protocol event stream
+//! ([`crate::probe`]): the scheduler's accesses, lock grants and releases
+//! and rendezvous joins, the same stream every platform charges for, so one
+//! implementation covers the SVM, DSM and SMP models alike. Unlike the
+//! tracer it is ungated and never reset: a race during warm-up is still a
+//! race. Like every consumer it cannot advance clocks or statistics, so
+//! detection leaves [`RunStats`] timing bit-identical (asserted by the
+//! workspace tests).
 //!
 //! [`RunStats`]: crate::stats::RunStats
 
 use crate::addr::{Addr, HEAP_BASE};
-use crate::alloc::GlobalAlloc;
+use crate::probe::ProtoEvent;
+use crate::util::Capped;
 
 /// Shadow-word granularity: the detector tracks aligned 4-byte words.
 const WORD_SHIFT: u64 = 2;
@@ -44,11 +47,11 @@ const WORD_SHIFT: u64 = 2;
 /// Cap on retained [`RaceReport`]s per run. Races come in bursts (one racy
 /// loop touches thousands of words); the first reports carry all the
 /// diagnostic value. The total race count keeps counting past the cap.
-const MAX_REPORTS: usize = 64;
+pub(crate) const MAX_REPORTS: usize = 64;
 
 /// A vector clock: one logical-time component per processor.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VectorClock(Vec<u32>);
+pub(crate) struct VectorClock(Vec<u32>);
 
 impl VectorClock {
     /// The zero clock for `nprocs` processors.
@@ -182,11 +185,12 @@ impl std::fmt::Display for RaceReport {
 
 /// The happens-before race detector attached to one run.
 ///
-/// Owned by the scheduler (`sched::Inner`) when [`crate::RunConfig`]
-/// enables `detect_races`; when disabled, no instance exists and the only
-/// per-access cost is one `Option` test.
+/// A consumer of the run's [`crate::probe::Probe`], present when
+/// [`crate::RunConfig`] enables `detect_races`; when disabled, no instance
+/// exists, no access event is built, and an undiagnosed run's only
+/// per-access cost is the scheduler's one probe test.
 #[derive(Debug)]
-pub struct RaceDetector {
+pub(crate) struct RaceDetector {
     nprocs: usize,
     run_label: String,
     /// Per-processor vector clocks.
@@ -198,15 +202,17 @@ pub struct RaceDetector {
     shadow: Vec<Shadow>,
     /// Words already reported (one report per word keeps output readable).
     reported: crate::util::FxSet<u64>,
-    /// Retained reports (capped at [`MAX_REPORTS`]).
-    reports: Vec<RaceReport>,
+    /// Retained reports, unlabelled until harvest (capped at
+    /// [`MAX_REPORTS`] or the run's diagnostic cap, whichever is lower).
+    reports: Capped<Vec<RaceReport>>,
     /// Total racy words detected, including past the report cap.
     nraces: u64,
 }
 
 impl RaceDetector {
-    /// A detector for `nprocs` processors; `run_label` tags reports.
-    pub fn new(nprocs: usize, run_label: String) -> Self {
+    /// A detector for `nprocs` processors that retains at most `cap`
+    /// reports; `run_label` tags them.
+    pub(crate) fn new(nprocs: usize, run_label: String, cap: usize) -> Self {
         let clocks = (0..nprocs)
             .map(|p| {
                 let mut c = VectorClock::new(nprocs);
@@ -223,7 +229,7 @@ impl RaceDetector {
             lock_rel: Default::default(),
             shadow: Vec::new(),
             reported: Default::default(),
-            reports: Vec::new(),
+            reports: Capped::new(cap),
             nraces: 0,
         }
     }
@@ -236,6 +242,16 @@ impl RaceDetector {
         (first, last)
     }
 
+    /// Grow the shadow memory to cover word `last` (and every word before
+    /// it: the heap is bump-allocated, so accesses climb).
+    #[inline]
+    fn cover(&mut self, last: u64) {
+        if last as usize >= self.shadow.len() {
+            let want = (last as usize + 1).next_power_of_two();
+            self.shadow.resize(want, Shadow::FRESH);
+        }
+    }
+
     #[inline]
     fn epoch_of(&self, pid: usize) -> Epoch {
         Epoch {
@@ -244,53 +260,64 @@ impl RaceDetector {
         }
     }
 
-    fn record(
-        &mut self,
-        w: u64,
-        kind: RaceKind,
-        prior_pid: usize,
-        pid: usize,
-        alloc: &GlobalAlloc,
-    ) {
+    fn record(&mut self, w: u64, kind: RaceKind, prior_pid: usize, pid: usize) {
         if !self.reported.insert(w) {
             return;
         }
         self.nraces += 1;
-        if self.reports.len() >= MAX_REPORTS {
-            return;
-        }
-        let addr = HEAP_BASE + (w << WORD_SHIFT);
+        // Labelled at harvest, by `into_reports`.
         self.reports.push(RaceReport {
-            run: self.run_label.clone(),
-            addr,
+            run: String::new(),
+            addr: HEAP_BASE + (w << WORD_SHIFT),
             kind,
             prior_pid,
             pid,
-            alloc: alloc.label_of(addr).to_string(),
+            alloc: String::new(),
         });
     }
 
+    /// Consume one event of the run's stream: accesses are checked,
+    /// lock grants and releases and rendezvous joins move the clocks. An
+    /// access of one word takes the scalar path, the oracle the run forms
+    /// are checked against.
+    #[inline]
+    pub(crate) fn on_event(&mut self, ev: &ProtoEvent<'_>) {
+        use ProtoEvent as P;
+        match *ev {
+            P::Access {
+                pid,
+                base,
+                stride,
+                len,
+                words,
+                write,
+            } => match (words, write) {
+                (1, true) => self.on_write(pid, base, len),
+                (1, false) => self.on_read(pid, base, len),
+                (_, true) => self.on_write_run(pid, base, stride, len, words),
+                (_, false) => self.on_read_run(pid, base, stride, len, words),
+            },
+            P::LockGrant { pid, lock, .. } => self.on_acquire(pid, lock),
+            P::LockRelease { pid, lock, .. } => self.on_release(pid, lock),
+            P::Join => self.on_barrier(),
+            _ => {}
+        }
+    }
+
     /// A shared-memory write of `len` bytes at `addr` by `pid`.
-    pub fn on_write(&mut self, pid: usize, addr: Addr, len: u8, alloc: &GlobalAlloc) {
+    fn on_write(&mut self, pid: usize, addr: Addr, len: u8) {
         let (first, last) = Self::word_span(addr, len);
+        self.cover(last);
         let me = self.epoch_of(pid);
         for w in first..=last {
             let c = &self.clocks[pid];
-            let sh = {
-                // Split-borrow: shadow access needs &mut self.
-                let idx = w as usize;
-                if idx >= self.shadow.len() {
-                    let want = (idx + 1).next_power_of_two();
-                    self.shadow.resize(want, Shadow::FRESH);
-                }
-                &mut self.shadow[idx]
-            };
+            let sh = &mut self.shadow[w as usize];
             // Write-write conflict.
             if !sh.write.before(c) {
                 let prior = sh.write.pid as usize;
                 sh.write = me;
                 sh.read = ReadSt::One(Epoch::NONE);
-                self.record(w, RaceKind::WriteWrite, prior, pid, alloc);
+                self.record(w, RaceKind::WriteWrite, prior, pid);
                 continue;
             }
             // Read-write conflicts.
@@ -304,23 +331,19 @@ impl RaceDetector {
             sh.write = me;
             sh.read = ReadSt::One(Epoch::NONE);
             if let Some(prior) = racer {
-                self.record(w, RaceKind::ReadWrite, prior, pid, alloc);
+                self.record(w, RaceKind::ReadWrite, prior, pid);
             }
         }
     }
 
     /// A shared-memory read of `len` bytes at `addr` by `pid`.
-    pub fn on_read(&mut self, pid: usize, addr: Addr, len: u8, alloc: &GlobalAlloc) {
+    fn on_read(&mut self, pid: usize, addr: Addr, len: u8) {
         let (first, last) = Self::word_span(addr, len);
+        self.cover(last);
         let me = self.epoch_of(pid);
         for w in first..=last {
             let c = &self.clocks[pid];
-            let idx = w as usize;
-            if idx >= self.shadow.len() {
-                let want = (idx + 1).next_power_of_two();
-                self.shadow.resize(want, Shadow::FRESH);
-            }
-            let sh = &mut self.shadow[idx];
+            let sh = &mut self.shadow[w as usize];
             // Write-read conflict.
             let racy = (!sh.write.before(c)).then_some(sh.write.pid as usize);
             // Update read state: stay in the cheap epoch representation
@@ -342,7 +365,7 @@ impl RaceDetector {
                 }
             }
             if let Some(prior) = racy {
-                self.record(w, RaceKind::WriteRead, prior, pid, alloc);
+                self.record(w, RaceKind::WriteRead, prior, pid);
             }
         }
     }
@@ -365,24 +388,10 @@ impl RaceDetector {
     // paths and asserts bit-identical `RunStats` including race reports.
 
     /// Batched equivalent of calling [`RaceDetector::on_write`] once per
-    /// access at `base + i*stride` for `i in 0..count`, in order.
-    pub fn on_write_run(
-        &mut self,
-        pid: usize,
-        base: Addr,
-        stride: u64,
-        len: u8,
-        count: usize,
-        alloc: &GlobalAlloc,
-    ) {
-        if count == 0 {
-            return;
-        }
-        let (_, span_last) = Self::word_span(base + (count as u64 - 1) * stride, len);
-        if span_last as usize >= self.shadow.len() {
-            let want = (span_last as usize + 1).next_power_of_two();
-            self.shadow.resize(want, Shadow::FRESH);
-        }
+    /// access at `base + i*stride` for `i in 0..count` (`count >= 1`), in
+    /// order.
+    fn on_write_run(&mut self, pid: usize, base: Addr, stride: u64, len: u8, count: usize) {
+        self.cover(Self::word_span(base + (count as u64 - 1) * stride, len).1);
         let me = self.epoch_of(pid);
         // (word, kind, prior_pid) hits, recorded after the scan; `record`
         // only touches the report side, so deferring it cannot change what
@@ -421,29 +430,15 @@ impl RaceDetector {
             }
         }
         for (w, kind, prior) in hits {
-            self.record(w, kind, prior, pid, alloc);
+            self.record(w, kind, prior, pid);
         }
     }
 
     /// Batched equivalent of calling [`RaceDetector::on_read`] once per
-    /// access at `base + i*stride` for `i in 0..count`, in order.
-    pub fn on_read_run(
-        &mut self,
-        pid: usize,
-        base: Addr,
-        stride: u64,
-        len: u8,
-        count: usize,
-        alloc: &GlobalAlloc,
-    ) {
-        if count == 0 {
-            return;
-        }
-        let (_, span_last) = Self::word_span(base + (count as u64 - 1) * stride, len);
-        if span_last as usize >= self.shadow.len() {
-            let want = (span_last as usize + 1).next_power_of_two();
-            self.shadow.resize(want, Shadow::FRESH);
-        }
+    /// access at `base + i*stride` for `i in 0..count` (`count >= 1`), in
+    /// order.
+    fn on_read_run(&mut self, pid: usize, base: Addr, stride: u64, len: u8, count: usize) {
+        self.cover(Self::word_span(base + (count as u64 - 1) * stride, len).1);
         let me = self.epoch_of(pid);
         let mut hits: Vec<(u64, usize)> = Vec::new();
         {
@@ -485,19 +480,19 @@ impl RaceDetector {
             }
         }
         for (w, prior) in hits {
-            self.record(w, RaceKind::WriteRead, prior, pid, alloc);
+            self.record(w, RaceKind::WriteRead, prior, pid);
         }
     }
 
     /// Lock `id` granted to `pid`: join the last releaser's clock.
-    pub fn on_acquire(&mut self, pid: usize, id: u32) {
+    fn on_acquire(&mut self, pid: usize, id: u32) {
         if let Some(rel) = self.lock_rel.get(&id) {
             self.clocks[pid].join(rel);
         }
     }
 
     /// `pid` releases lock `id`: publish its clock and enter a new epoch.
-    pub fn on_release(&mut self, pid: usize, id: u32) {
+    fn on_release(&mut self, pid: usize, id: u32) {
         self.lock_rel.insert(id, self.clocks[pid].clone());
         self.clocks[pid].tick(pid);
     }
@@ -505,7 +500,7 @@ impl RaceDetector {
     /// A full-membership rendezvous (barrier, `start_timing`,
     /// `stop_timing`): everyone joins everyone, then each processor enters
     /// a new epoch.
-    pub fn on_barrier(&mut self) {
+    fn on_barrier(&mut self) {
         let mut all = VectorClock::new(self.nprocs);
         for c in &self.clocks {
             all.join(c);
@@ -516,36 +511,33 @@ impl RaceDetector {
         }
     }
 
-    /// Total number of distinct racy words detected so far.
-    pub fn race_count(&self) -> u64 {
-        self.nraces
-    }
-
-    /// Consume the detector, returning its retained reports.
-    pub fn into_reports(self) -> Vec<RaceReport> {
-        self.reports
+    /// Consume the detector, returning its retained reports with the
+    /// racy words attributed to allocation labels via `label_of`.
+    pub(crate) fn into_reports(self, label_of: impl Fn(Addr) -> &'static str) -> Vec<RaceReport> {
+        let (mut reports, _) = self.reports.into_parts();
+        for r in &mut reports {
+            r.run.clone_from(&self.run_label);
+            r.alloc = label_of(r.addr).to_string();
+        }
+        reports
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alloc::Placement;
-
-    fn alloc_with_label(label: &'static str) -> (GlobalAlloc, Addr) {
-        let mut a = GlobalAlloc::new(4);
-        let base = a.alloc_labeled(label, 4096, 8, Placement::RoundRobin, 0);
-        (a, base)
-    }
+    use crate::alloc::{GlobalAlloc, Placement};
 
     #[test]
     fn unordered_writes_race() {
-        let (a, base) = alloc_with_label("buf");
-        let mut d = RaceDetector::new(2, "unit".into());
-        d.on_write(0, base, 8, &a);
-        d.on_write(1, base, 8, &a);
-        assert_eq!(d.race_count(), 2); // both 4-byte words of the 8-byte store
-        let r = &d.reports[0];
+        let mut a = GlobalAlloc::new(2);
+        let base = a.alloc_labeled("buf", 4096, 8, Placement::RoundRobin, 0);
+        let mut d = RaceDetector::new(2, "unit".into(), MAX_REPORTS);
+        d.on_write(0, base, 8);
+        d.on_write(1, base, 8);
+        assert_eq!(d.nraces, 2); // both 4-byte words of the 8-byte store
+        let reports = d.into_reports(|x| a.label_of(x));
+        let r = &reports[0];
         assert_eq!(r.kind, RaceKind::WriteWrite);
         assert_eq!(r.alloc, "buf");
         assert_eq!((r.prior_pid, r.pid), (0, 1));
@@ -554,90 +546,89 @@ mod tests {
 
     #[test]
     fn barrier_orders_write_then_read() {
-        let (a, base) = alloc_with_label("buf");
-        let mut d = RaceDetector::new(2, "unit".into());
-        d.on_write(0, base, 8, &a);
+        let base = HEAP_BASE;
+        let mut d = RaceDetector::new(2, "unit".into(), MAX_REPORTS);
+        d.on_write(0, base, 8);
         d.on_barrier();
-        d.on_read(1, base, 8, &a);
-        d.on_write(1, base + 8, 4, &a);
-        assert_eq!(d.race_count(), 0);
+        d.on_read(1, base, 8);
+        d.on_write(1, base + 8, 4);
+        assert_eq!(d.nraces, 0);
     }
 
     #[test]
     fn unordered_read_after_write_races() {
-        let (a, base) = alloc_with_label("buf");
-        let mut d = RaceDetector::new(2, "unit".into());
-        d.on_write(0, base, 4, &a);
-        d.on_read(1, base, 4, &a);
-        assert_eq!(d.race_count(), 1);
-        assert_eq!(d.reports[0].kind, RaceKind::WriteRead);
+        let base = HEAP_BASE;
+        let mut d = RaceDetector::new(2, "unit".into(), MAX_REPORTS);
+        d.on_write(0, base, 4);
+        d.on_read(1, base, 4);
+        assert_eq!(d.nraces, 1);
+        assert_eq!(d.reports.items()[0].kind, RaceKind::WriteRead);
     }
 
     #[test]
     fn lock_chain_orders_accesses() {
-        let (a, base) = alloc_with_label("counter");
-        let mut d = RaceDetector::new(3, "unit".into());
+        let base = HEAP_BASE;
+        let mut d = RaceDetector::new(3, "unit".into(), MAX_REPORTS);
         for pid in 0..3 {
             d.on_acquire(pid, 7);
-            d.on_read(pid, base, 8, &a);
-            d.on_write(pid, base, 8, &a);
+            d.on_read(pid, base, 8);
+            d.on_write(pid, base, 8);
             d.on_release(pid, 7);
         }
-        assert_eq!(d.race_count(), 0);
+        assert_eq!(d.nraces, 0);
     }
 
     #[test]
     fn lock_on_only_one_side_races() {
-        let (a, base) = alloc_with_label("counter");
-        let mut d = RaceDetector::new(2, "unit".into());
+        let base = HEAP_BASE;
+        let mut d = RaceDetector::new(2, "unit".into(), MAX_REPORTS);
         d.on_acquire(0, 7);
-        d.on_write(0, base, 8, &a);
+        d.on_write(0, base, 8);
         d.on_release(0, 7);
         // p1 writes without the lock.
-        d.on_write(1, base, 8, &a);
-        assert_eq!(d.race_count(), 2);
+        d.on_write(1, base, 8);
+        assert_eq!(d.nraces, 2);
     }
 
     #[test]
     fn concurrent_reads_do_not_race_and_promote() {
-        let (a, base) = alloc_with_label("ro");
-        let mut d = RaceDetector::new(4, "unit".into());
-        d.on_write(0, base, 4, &a);
+        let base = HEAP_BASE;
+        let mut d = RaceDetector::new(4, "unit".into(), MAX_REPORTS);
+        d.on_write(0, base, 4);
         d.on_barrier();
         for pid in 0..4 {
-            d.on_read(pid, base, 4, &a);
+            d.on_read(pid, base, 4);
         }
-        assert_eq!(d.race_count(), 0);
+        assert_eq!(d.nraces, 0);
         // A later unordered write must see all readers through the
         // promoted read vector clock.
-        d.on_write(3, base, 4, &a);
-        assert_eq!(d.race_count(), 1);
-        assert_eq!(d.reports[0].kind, RaceKind::ReadWrite);
+        d.on_write(3, base, 4);
+        assert_eq!(d.nraces, 1);
+        assert_eq!(d.reports.items()[0].kind, RaceKind::ReadWrite);
     }
 
     #[test]
     fn racy_word_is_reported_once() {
-        let (a, base) = alloc_with_label("w");
-        let mut d = RaceDetector::new(2, "unit".into());
+        let base = HEAP_BASE;
+        let mut d = RaceDetector::new(2, "unit".into(), MAX_REPORTS);
         for _ in 0..10 {
-            d.on_write(0, base, 4, &a);
-            d.on_write(1, base, 4, &a);
+            d.on_write(0, base, 4);
+            d.on_write(1, base, 4);
         }
-        assert_eq!(d.race_count(), 1);
-        assert_eq!(d.into_reports().len(), 1);
+        assert_eq!(d.nraces, 1);
+        assert_eq!(d.into_reports(|_| "").len(), 1);
     }
 
     #[test]
     fn report_cap_keeps_counting() {
-        let mut a = GlobalAlloc::new(2);
-        let base = a.alloc_labeled("big", 64 * 4096, 8, Placement::RoundRobin, 0);
-        let mut d = RaceDetector::new(2, "unit".into());
+        let base = HEAP_BASE;
+        let mut d = RaceDetector::new(2, "unit".into(), MAX_REPORTS);
         for i in 0..(MAX_REPORTS as u64 + 50) {
-            d.on_write(0, base + i * 4, 4, &a);
-            d.on_write(1, base + i * 4, 4, &a);
+            d.on_write(0, base + i * 4, 4);
+            d.on_write(1, base + i * 4, 4);
         }
-        assert_eq!(d.race_count(), MAX_REPORTS as u64 + 50);
-        assert_eq!(d.into_reports().len(), MAX_REPORTS);
+        assert_eq!(d.nraces, MAX_REPORTS as u64 + 50);
+        assert_eq!(d.into_reports(|_| "").len(), MAX_REPORTS);
     }
 
     #[test]
@@ -646,12 +637,11 @@ mod tests {
         // widths, deliberately racy) fed to two detectors: one through the
         // per-word path, one through the batched run path. Reports, counts,
         // and subsequent behaviour must be identical.
-        let mut a = GlobalAlloc::new(4);
-        let base = a.alloc_labeled("arena", 256 * 1024, 8, Placement::RoundRobin, 0);
+        let base = HEAP_BASE;
         for seed in 1..6u64 {
             let mut rng = crate::util::XorShift64::new(seed);
-            let mut scalar = RaceDetector::new(4, "oracle".into());
-            let mut batched = RaceDetector::new(4, "oracle".into());
+            let mut scalar = RaceDetector::new(4, "oracle".into(), MAX_REPORTS);
+            let mut batched = RaceDetector::new(4, "oracle".into(), MAX_REPORTS);
             for _ in 0..400 {
                 let pid = rng.below(4) as usize;
                 match rng.below(10) {
@@ -680,21 +670,25 @@ mod tests {
                         let addr = base + rng.below(1024) * 8;
                         if k % 2 == 0 {
                             for i in 0..count {
-                                scalar.on_write(pid, addr + i as u64 * stride, len, &a);
+                                scalar.on_write(pid, addr + i as u64 * stride, len);
                             }
-                            batched.on_write_run(pid, addr, stride, len, count, &a);
+                            batched.on_write_run(pid, addr, stride, len, count);
                         } else {
                             for i in 0..count {
-                                scalar.on_read(pid, addr + i as u64 * stride, len, &a);
+                                scalar.on_read(pid, addr + i as u64 * stride, len);
                             }
-                            batched.on_read_run(pid, addr, stride, len, count, &a);
+                            batched.on_read_run(pid, addr, stride, len, count);
                         }
                     }
                 }
-                assert_eq!(scalar.race_count(), batched.race_count(), "seed {seed}");
+                assert_eq!(scalar.nraces, batched.nraces, "seed {seed}");
             }
-            assert_eq!(scalar.reports, batched.reports, "seed {seed}");
-            assert!(scalar.race_count() > 0, "seed {seed} exercised no races");
+            assert_eq!(
+                scalar.reports.items(),
+                batched.reports.items(),
+                "seed {seed}"
+            );
+            assert!(scalar.nraces > 0, "seed {seed} exercised no races");
         }
     }
 

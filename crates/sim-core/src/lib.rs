@@ -71,11 +71,11 @@ pub use critpath::{
     analyze, what_if, what_if_all, what_if_edges, what_if_report, CritPath, PathCat, PathStep,
     WhatIf,
 };
-pub use detector::{RaceDetector, RaceKind, RaceReport, VectorClock};
+pub use detector::{RaceKind, RaceReport};
 pub use mem::FlatMem;
 pub use metrics::{
-    EventSeries, LockSeries, MetricsReport, MetricsSink, PageInterval, PageSeries, PageTrajectory,
-    ProcSample, ProcSeries,
+    EventSeries, LockSeries, MetricsReport, PageInterval, PageSeries, PageTrajectory, ProcSample,
+    ProcSeries,
 };
 pub use platform::{Extent, NullPlatform, Platform, Timing};
 pub use probe::{Probe, ProbeHandle, ProtoEvent};
@@ -83,7 +83,5 @@ pub use resource::Resource;
 pub use sched::{run, Proc, RunConfig, MAX_SHARD_BATCH};
 pub use sharing::{LabelSharing, PageSharing, SharingClass, SharingProfile};
 pub use stats::{Bucket, Counter, ProcStats, RunStats, MAX_PHASES};
-pub use trace::{
-    AllocSpan, DepEdge, DepKind, Event, EventKind, ProcTrace, RunTrace, TraceSink, WaitHist,
-};
+pub use trace::{AllocSpan, DepEdge, DepKind, Event, EventKind, ProcTrace, RunTrace, WaitHist};
 pub use view::{GArr, Grid2, Grid4, Word};

@@ -36,7 +36,7 @@
 use std::fmt::Write as _;
 
 use crate::probe::ProtoEvent;
-use crate::util::{json_escape, FxMap};
+use crate::util::{json_escape, Capped, FxMap};
 
 /// Default sampling interval in virtual cycles
 /// ([`crate::RunConfig::with_metrics`] takes an explicit one; figure
@@ -44,8 +44,8 @@ use crate::util::{json_escape, FxMap};
 pub const DEFAULT_INTERVAL: u64 = 1 << 16;
 
 /// Default per-collection capacity (samples per proc, intervals per page,
-/// pages, locks, event names). Override with
-/// [`crate::RunConfig::with_metrics_cap`].
+/// pages, locks, event names). Lower it with
+/// [`crate::RunConfig::with_diag_cap`].
 pub const DEFAULT_SERIES_CAP: usize = 1 << 12;
 
 /// One cumulative per-processor snapshot. Consecutive samples differenced
@@ -257,8 +257,7 @@ impl EventSeries {
 // The live sink.
 
 struct PageState {
-    ivals: FxMap<u64, PageInterval>,
-    dropped: u64,
+    ivals: Capped<FxMap<u64, PageInterval>>,
     // word index -> (last writer, last interval): within-interval overlap
     // detection. Bounded by words-per-page.
     words: FxMap<u32, (u16, u64)>,
@@ -266,80 +265,57 @@ struct PageState {
     writers: Vec<u16>,
 }
 
-struct LockState {
-    ivals: FxMap<u64, u64>,
-    dropped: u64,
-}
-
 struct EventState {
     name: &'static str,
-    procs: Vec<FxMap<u64, u64>>,
-    dropped: u64,
+    procs: Vec<Capped<FxMap<u64, u64>>>,
 }
 
 struct SinkProc {
-    samples: Vec<ProcSample>,
-    dropped: u64,
+    samples: Capped<Vec<ProcSample>>,
     last_iv: u64,
 }
 
 /// Mutable metrics state while a run is in flight: one instance per
 /// metrics-on run, owned by the run's [`crate::probe::Probe`].
-pub struct MetricsSink {
+pub(crate) struct MetricsSink {
     interval: u64,
     cap: usize,
     procs: Vec<SinkProc>,
-    pages: FxMap<u64, PageState>,
-    pages_dropped: u64,
-    locks: FxMap<u32, LockState>,
-    locks_dropped: u64,
-    events: Vec<EventState>,
-    events_dropped: u64,
+    pages: Capped<FxMap<u64, PageState>>,
+    locks: Capped<FxMap<u32, Capped<FxMap<u64, u64>>>>,
+    events: Capped<Vec<EventState>>,
 }
 
 impl MetricsSink {
     /// Create a sink for `nprocs` processors sampling every `interval`
     /// virtual cycles, with per-collection capacity `cap`.
-    pub fn new(nprocs: usize, interval: u64, cap: usize) -> Self {
+    pub(crate) fn new(nprocs: usize, interval: u64, cap: usize) -> Self {
         assert!(interval > 0, "metrics interval must be nonzero");
         Self {
             interval,
-            cap: cap.max(1),
+            cap,
             procs: (0..nprocs)
                 .map(|_| SinkProc {
-                    samples: Vec::new(),
-                    dropped: 0,
+                    samples: Capped::new(cap),
                     last_iv: 0,
                 })
                 .collect(),
-            pages: FxMap::default(),
-            pages_dropped: 0,
-            locks: FxMap::default(),
-            locks_dropped: 0,
-            events: Vec::new(),
-            events_dropped: 0,
+            pages: Capped::new(cap),
+            locks: Capped::new(cap),
+            events: Capped::new(cap),
         }
-    }
-
-    /// The sampling interval in virtual cycles.
-    pub fn interval(&self) -> u64 {
-        self.interval
     }
 
     /// Clear all series (called at `start_timing` so the series cover
     /// exactly the timed region).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         for p in &mut self.procs {
-            p.samples.clear();
-            p.dropped = 0;
+            p.samples.reset();
             p.last_iv = 0;
         }
-        self.pages = FxMap::default();
-        self.pages_dropped = 0;
-        self.locks = FxMap::default();
-        self.locks_dropped = 0;
-        self.events.clear();
-        self.events_dropped = 0;
+        self.pages.reset();
+        self.locks.reset();
+        self.events.reset();
     }
 
     /// Record a cumulative snapshot for `s.ts`'s processor. Non-`forced`
@@ -348,11 +324,11 @@ impl MetricsSink {
     /// barrier releases, timing boundaries) always do. A forced sample at
     /// the same virtual instant as the previous sample replaces it (the
     /// counters may have advanced at equal `ts`).
-    pub fn sample_proc(&mut self, pid: usize, mut s: ProcSample, forced: bool) {
+    fn sample_proc(&mut self, pid: usize, mut s: ProcSample, forced: bool) {
         let iv = s.ts / self.interval;
         s.interval = iv;
         let p = &mut self.procs[pid];
-        if let Some(last) = p.samples.last_mut() {
+        if let Some(last) = p.samples.items_mut().last_mut() {
             // One sample per interval: a newer snapshot for the interval
             // already at the tail (a forced boundary sample, or the same
             // timestamp re-offered) replaces it in place, keeping the
@@ -363,67 +339,36 @@ impl MetricsSink {
                 return;
             }
         }
-        if !forced && !p.samples.is_empty() && iv <= p.last_iv {
+        if !forced && !p.samples.items().is_empty() && iv <= p.last_iv {
             return;
         }
-        if p.samples.len() < self.cap {
-            p.samples.push(s);
-        } else {
-            p.dropped += 1;
-        }
+        p.samples.push(s);
         p.last_iv = iv;
     }
 
-    fn page_entry(&mut self, page: u64) -> Option<&mut PageState> {
-        if !self.pages.contains_key(&page) {
-            if self.pages.len() >= self.cap {
-                self.pages_dropped += 1;
-                return None;
-            }
-            self.pages.insert(
-                page,
-                PageState {
-                    ivals: FxMap::default(),
-                    dropped: 0,
-                    words: FxMap::default(),
-                    overlap: false,
-                    writers: Vec::new(),
-                },
-            );
-        }
-        self.pages.get_mut(&page)
-    }
-
-    fn page_ival(st: &mut PageState, cap: usize, iv: u64) -> Option<&mut PageInterval> {
-        if !st.ivals.contains_key(&iv) {
-            if st.ivals.len() >= cap {
-                st.dropped += 1;
-                return None;
-            }
-            st.ivals.insert(
-                iv,
-                PageInterval {
-                    interval: iv,
-                    ..PageInterval::default()
-                },
-            );
-        }
-        st.ivals.get_mut(&iv)
+    /// The interval bin of `page` at virtual time `now`, if both fit their
+    /// caps.
+    fn page_ival(&mut self, now: u64, page: u64) -> Option<&mut PageInterval> {
+        let (iv, cap) = (now / self.interval, self.cap);
+        self.pages
+            .entry(page, || new_page(cap))?
+            .ivals
+            .entry(iv, || PageInterval {
+                interval: iv,
+                ..PageInterval::default()
+            })
     }
 
     /// Record a completed remote fetch of `page` at virtual time `now`.
-    pub fn page_fetch(&mut self, now: u64, page: u64) {
-        let (iv, cap) = (now / self.interval, self.cap);
-        if let Some(st) = self.page_entry(page) {
-            if let Some(e) = Self::page_ival(st, cap, iv) {
-                e.fetches += 1;
-            }
+    pub(crate) fn page_fetch(&mut self, now: u64, page: u64) {
+        if let Some(e) = self.page_ival(now, page) {
+            e.fetches += 1;
         }
     }
 
     /// Record a diff of `page` flushed by `writer` at virtual time `now`,
     /// carrying the given within-page word indices.
-    pub fn page_diff(
+    fn page_diff(
         &mut self,
         now: u64,
         page: u64,
@@ -431,101 +376,67 @@ impl MetricsSink {
         words: impl IntoIterator<Item = u32>,
     ) {
         let (iv, cap) = (now / self.interval, self.cap);
-        if let Some(st) = self.page_entry(page) {
-            if let Err(i) = st.writers.binary_search(&writer) {
-                st.writers.insert(i, writer);
-            }
-            let mut nwords = 0u64;
-            for w in words {
-                nwords += 1;
-                match st.words.get_mut(&w) {
-                    Some(prev) => {
-                        if prev.0 != writer && prev.1 == iv {
-                            st.overlap = true;
-                        }
-                        *prev = (writer, iv);
+        let Some(st) = self.pages.entry(page, || new_page(cap)) else {
+            return;
+        };
+        if let Err(i) = st.writers.binary_search(&writer) {
+            st.writers.insert(i, writer);
+        }
+        let mut nwords = 0u64;
+        for w in words {
+            nwords += 1;
+            match st.words.get_mut(&w) {
+                Some(prev) => {
+                    if prev.0 != writer && prev.1 == iv {
+                        st.overlap = true;
                     }
-                    None => {
-                        st.words.insert(w, (writer, iv));
-                    }
+                    *prev = (writer, iv);
+                }
+                None => {
+                    st.words.insert(w, (writer, iv));
                 }
             }
-            if let Some(e) = Self::page_ival(st, cap, iv) {
-                e.diff_words += nwords;
-                if let Err(i) = e.writers.binary_search(&writer) {
-                    e.writers.insert(i, writer);
-                }
+        }
+        if let Some(e) = self.page_ival(now, page) {
+            e.diff_words += nwords;
+            if let Err(i) = e.writers.binary_search(&writer) {
+                e.writers.insert(i, writer);
             }
         }
     }
 
     /// Record an invalidation applied to a copy of `page` at virtual time
     /// `now`.
-    pub fn page_inval(&mut self, now: u64, page: u64) {
-        let (iv, cap) = (now / self.interval, self.cap);
-        if let Some(st) = self.page_entry(page) {
-            if let Some(e) = Self::page_ival(st, cap, iv) {
-                e.invalidations += 1;
-            }
+    fn page_inval(&mut self, now: u64, page: u64) {
+        if let Some(e) = self.page_ival(now, page) {
+            e.invalidations += 1;
         }
     }
 
     /// Record one hand-off of `lock` (a grant enabled by another
     /// processor's release) at the grantee's virtual time `now`.
-    pub fn lock_handoff(&mut self, now: u64, lock: u32) {
-        let iv = now / self.interval;
-        let cap = self.cap;
-        if !self.locks.contains_key(&lock) {
-            if self.locks.len() >= cap {
-                self.locks_dropped += 1;
-                return;
-            }
-            self.locks.insert(
-                lock,
-                LockState {
-                    ivals: FxMap::default(),
-                    dropped: 0,
-                },
-            );
-        }
-        let st = self.locks.get_mut(&lock).unwrap();
-        if let Some(n) = st.ivals.get_mut(&iv) {
+    fn lock_handoff(&mut self, now: u64, lock: u32) {
+        let (iv, cap) = (now / self.interval, self.cap);
+        let ivals = self.locks.entry(lock, || Capped::new(cap));
+        if let Some(n) = ivals.and_then(|st| st.entry(iv, || 0)) {
             *n += 1;
-        } else if st.ivals.len() < cap {
-            st.ivals.insert(iv, 1);
-        } else {
-            st.dropped += 1;
         }
     }
 
     /// Record `n` occurrences of the named application event on `pid` at
     /// virtual time `now`.
-    pub fn event(&mut self, name: &'static str, pid: usize, now: u64, n: u64) {
-        let iv = now / self.interval;
-        let cap = self.cap;
-        let nprocs = self.procs.len();
-        let st = match self.events.iter_mut().find(|e| e.name == name) {
-            Some(st) => st,
+    pub(crate) fn event(&mut self, name: &'static str, pid: usize, now: u64, n: u64) {
+        let (iv, cap) = (now / self.interval, self.cap);
+        let held = self.events.items().iter().position(|e| e.name == name);
+        let st = match held {
+            Some(i) => Some(&mut self.events.items_mut()[i]),
             None => {
-                if self.events.len() >= cap {
-                    self.events_dropped += 1;
-                    return;
-                }
-                self.events.push(EventState {
-                    name,
-                    procs: (0..nprocs).map(|_| FxMap::default()).collect(),
-                    dropped: 0,
-                });
-                self.events.last_mut().unwrap()
+                let procs = (0..self.procs.len()).map(|_| Capped::new(cap)).collect();
+                self.events.push(EventState { name, procs })
             }
         };
-        let m = &mut st.procs[pid];
-        if let Some(c) = m.get_mut(&iv) {
+        if let Some(c) = st.and_then(|st| st.procs[pid].entry(iv, || 0)) {
             *c += n;
-        } else if m.len() < cap {
-            m.insert(iv, n);
-        } else {
-            st.dropped += 1;
         }
     }
 
@@ -563,12 +474,13 @@ impl MetricsSink {
 
     /// Freeze into a [`MetricsReport`], attributing page addresses to
     /// allocation labels via `label_of`.
-    pub fn into_report(self, label_of: impl Fn(u64) -> &'static str) -> MetricsReport {
-        let mut pages: Vec<PageSeries> = self
-            .pages
+    pub(crate) fn into_report(self, label_of: impl Fn(u64) -> &'static str) -> MetricsReport {
+        let (pages, pages_dropped) = self.pages.into_parts();
+        let mut pages: Vec<PageSeries> = pages
             .into_iter()
             .map(|(base, st)| {
-                let mut intervals: Vec<PageInterval> = st.ivals.into_values().collect();
+                let (ivals, dropped) = st.ivals.into_parts();
+                let mut intervals: Vec<PageInterval> = ivals.into_values().collect();
                 intervals.sort_by_key(|i| i.interval);
                 let single = intervals.iter().filter(|i| i.writers.len() == 1).count() as u64;
                 let multi = intervals.iter().filter(|i| i.writers.len() >= 2).count() as u64;
@@ -577,7 +489,7 @@ impl MetricsSink {
                     label: label_of(base),
                     trajectory: classify(st.writers.len(), single, multi, st.overlap),
                     intervals,
-                    dropped: st.dropped,
+                    dropped,
                     writers: st.writers,
                     single_intervals: single,
                     multi_intervals: multi,
@@ -586,35 +498,37 @@ impl MetricsSink {
             })
             .collect();
         pages.sort_by_key(|p| p.page_base);
-        let mut locks: Vec<LockSeries> = self
-            .locks
+        let (locks, locks_dropped) = self.locks.into_parts();
+        let mut locks: Vec<LockSeries> = locks
             .into_iter()
             .map(|(lock, st)| {
-                let mut intervals: Vec<(u64, u64)> = st.ivals.into_iter().collect();
+                let (ivals, dropped) = st.into_parts();
+                let mut intervals: Vec<(u64, u64)> = ivals.into_iter().collect();
                 intervals.sort_by_key(|&(iv, _)| iv);
                 LockSeries {
                     lock,
                     intervals,
-                    dropped: st.dropped,
+                    dropped,
                 }
             })
             .collect();
         locks.sort_by_key(|l| l.lock);
-        let mut events: Vec<EventSeries> = self
-            .events
+        let (events, events_dropped) = self.events.into_parts();
+        let mut events: Vec<EventSeries> = events
             .into_iter()
             .map(|st| EventSeries {
                 name: st.name,
+                // One drop count per event name, over all processors.
+                dropped: st.procs.iter().map(Capped::dropped).sum(),
                 procs: st
                     .procs
                     .into_iter()
                     .map(|m| {
-                        let mut v: Vec<(u64, u64)> = m.into_iter().collect();
+                        let mut v: Vec<(u64, u64)> = m.into_parts().0.into_iter().collect();
                         v.sort_by_key(|&(iv, _)| iv);
                         v
                     })
                     .collect(),
-                dropped: st.dropped,
             })
             .collect();
         events.sort_by_key(|e| e.name);
@@ -623,18 +537,28 @@ impl MetricsSink {
             procs: self
                 .procs
                 .into_iter()
-                .map(|p| ProcSeries {
-                    samples: p.samples,
-                    dropped: p.dropped,
+                .map(|p| {
+                    let (samples, dropped) = p.samples.into_parts();
+                    ProcSeries { samples, dropped }
                 })
                 .collect(),
             pages,
-            pages_dropped: self.pages_dropped,
+            pages_dropped,
             locks,
-            locks_dropped: self.locks_dropped,
+            locks_dropped,
             events,
-            events_dropped: self.events_dropped,
+            events_dropped,
         }
+    }
+}
+
+/// A page's state before its first interval bin.
+fn new_page(cap: usize) -> PageState {
+    PageState {
+        ivals: Capped::new(cap),
+        words: FxMap::default(),
+        overlap: false,
+        writers: Vec::new(),
     }
 }
 
@@ -929,7 +853,7 @@ mod tests {
         s.page_diff(10, 0x1000, 0, [0u32, 1]);
         s.page_diff(110, 0x1000, 0, [0u32]);
         s.page_diff(120, 0x1000, 1, [5u32]);
-        assert!(!s.pages.get(&0x1000).unwrap().overlap);
+        assert!(!s.pages.items()[&0x1000].overlap);
         s.page_diff(210, 0x1000, 0, [7u32]);
         s.page_diff(220, 0x1000, 1, [7u32]);
         s.page_fetch(15, 0x1000);

@@ -2,24 +2,29 @@
 //! one [`Probe`] that fans it out to every diagnostic consumer.
 //!
 //! The platform crates and the scheduler *report* what happened — a page
-//! was fetched, a diff was created, a lock changed hands — exactly once,
-//! in one vocabulary, and know nothing about who listens. The consumers
-//! (the event tracer in [`crate::trace`], the interval metrics in
-//! [`crate::metrics`], the sharing tracker in [`crate::sharing`]) each
+//! was fetched, a diff was created, a lock changed hands, a word was
+//! loaded — exactly once, in one vocabulary, and know nothing about who
+//! listens. The consumers (the event tracer in [`crate::trace`], the
+//! interval metrics in [`crate::metrics`], the sharing tracker in
+//! [`crate::sharing`], the race detector in [`crate::detector`]) each
 //! implement `on_event` and pick the variants they care about. Adding a
 //! diagnostic that needs only existing events is therefore one `on_event`
 //! in its own module plus one field in `Sinks` and one line in
-//! [`Probe::emit`] — no edit in any platform crate.
+//! [`Probe::emit`] — no edit in any platform crate or in the scheduler.
 //!
 //! ## The gate
 //!
 //! [`Probe::emit`] takes the caller's `timing_on` flag and applies the one
 //! rule every layer follows: the tracer and the metrics engine see an event
 //! only while the timed region is active, so warm-up and verification
-//! traffic stays out of traces and series. The sharing tracker is the
-//! documented exception — its window runs from `start_timing` to the end
-//! of the run (DESIGN.md §8) — so it is offered every event and cleared by
-//! [`Probe::reset`].
+//! traffic stays out of traces and series. Two exceptions are offered
+//! every event: the sharing tracker, whose window runs from `start_timing`
+//! to the end of the run (DESIGN.md §8) and which [`Probe::reset`] clears,
+//! and the race detector, whose window is the whole run (a race during
+//! warm-up is still a race) and which nothing resets. The per-operation
+//! events, [`ProtoEvent::Access`] and [`ProtoEvent::ProcSample`], are
+//! built only when their reader, the detector or the metrics engine, is
+//! on.
 //!
 //! ## Invisibility
 //!
@@ -36,10 +41,12 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::metrics::{MetricsSink, ProcSample};
+use crate::addr::Addr;
+use crate::detector::{RaceDetector, MAX_REPORTS};
+use crate::metrics::{MetricsSink, ProcSample, DEFAULT_SERIES_CAP};
 use crate::sched::RunConfig;
 use crate::sharing::SharingTracker;
-use crate::trace::TraceSink;
+use crate::trace::{TraceSink, DEFAULT_EDGE_CAP, DEFAULT_EVENT_CAP};
 
 /// One protocol or scheduler action. `pid`s are processor ids, `*_node`s
 /// are protocol node ids (they differ when nodes host several processors);
@@ -126,6 +133,22 @@ pub enum ProtoEvent<'a> {
         last: usize,
         last_ts: u64,
     },
+    /// `pid` accessed `words` words of `len` bytes at `base + i*stride`, in
+    /// order (one load or store, or one chunk of a bulk one); `write` for
+    /// stores. The scheduler hands accesses over in batches: one may reach
+    /// the consumers after a later platform event, never after a later
+    /// scheduler event.
+    Access {
+        pid: usize,
+        base: Addr,
+        stride: u64,
+        len: u8,
+        words: usize,
+        write: bool,
+    },
+    /// Every processor met at a full-membership rendezvous: a barrier
+    /// released (after its exits), or `start_timing`/`stop_timing`.
+    Join,
     /// `stop_timing` settled `pid` from `t0` to the straggler's clock `t1`.
     Settle {
         pid: usize,
@@ -133,8 +156,10 @@ pub enum ProtoEvent<'a> {
         t1: u64,
         straggler: usize,
     },
-    /// A cumulative counter snapshot of `pid` (see
-    /// [`MetricsSink::sample_proc`] for what `forced` means).
+    /// A cumulative counter snapshot of `pid`. Unforced samples are offered
+    /// after every operation that moves a clock, and kept only when the
+    /// clock has rolled into a new interval; `forced` ones (phase, barrier
+    /// and timing boundaries) are always kept.
     ProcSample {
         pid: usize,
         sample: ProcSample,
@@ -149,25 +174,27 @@ pub enum ProtoEvent<'a> {
     },
 }
 
-/// The consumers of one run's event stream; each is present iff its
-/// `RunConfig` layer is on.
+/// The consumers of one run's event stream, named after the `RunStats`
+/// fields they become; each is present iff its `RunConfig` layer is on.
 #[derive(Default)]
 pub(crate) struct Sinks {
     pub(crate) trace: Option<TraceSink>,
     pub(crate) metrics: Option<MetricsSink>,
     pub(crate) sharing: Option<SharingTracker>,
+    pub(crate) races: Option<RaceDetector>,
 }
 
 /// The fan-out point, shared by the scheduler and the platform for the
 /// duration of one run. The mutex is uncontended (everything already runs
-/// under the scheduler lock or on the fused engine's single thread) and
-/// exists only to make the handle `Send`.
+/// on the turn-holding processor or on the fused engine's single thread)
+/// and exists only to make the handle `Send`.
 pub struct Probe {
-    /// The sharing tracker is installed (events matter outside the timed
-    /// region too).
-    ungated: bool,
-    /// The metrics engine is installed (per-operation samples are wanted).
-    sampling: bool,
+    /// The race detector is installed: per-operation
+    /// [`ProtoEvent::Access`]es have a consumer.
+    pub(crate) accesses: bool,
+    /// The metrics engine is installed: per-operation
+    /// [`ProtoEvent::ProcSample`]s have a consumer.
+    pub(crate) sampling: bool,
     sinks: Mutex<Sinks>,
 }
 
@@ -176,20 +203,27 @@ pub type ProbeHandle = Arc<Probe>;
 
 impl Probe {
     /// The probe for a run configured by `cfg`, or `None` when no
-    /// stream-fed layer is on (undiagnosed runs emit nothing).
+    /// diagnostic layer is on (undiagnosed runs emit nothing). Every
+    /// buffer holds at most its default capacity, or `cfg.diag_cap` when
+    /// that is lower.
     pub(crate) fn for_run(cfg: &RunConfig) -> Option<ProbeHandle> {
+        let n = cfg.nprocs;
+        let cap = |default: usize| cfg.diag_cap.map_or(default, |c| c.min(default));
         let sinks = Sinks {
             trace: cfg
                 .trace
-                .then(|| TraceSink::new(cfg.nprocs, cfg.trace_cap, cfg.edge_cap)),
+                .then(|| TraceSink::new(n, cap(DEFAULT_EVENT_CAP), cap(DEFAULT_EDGE_CAP))),
             metrics: (cfg.metrics > 0)
-                .then(|| MetricsSink::new(cfg.nprocs, cfg.metrics, cfg.metrics_cap)),
+                .then(|| MetricsSink::new(n, cfg.metrics, cap(DEFAULT_SERIES_CAP))),
             sharing: cfg.sharing_profile.then(SharingTracker::default),
+            races: cfg
+                .detect_races
+                .then(|| RaceDetector::new(n, cfg.label.clone(), cap(MAX_REPORTS))),
         };
-        let (ungated, sampling) = (sinks.sharing.is_some(), sinks.metrics.is_some());
-        (ungated || sampling || sinks.trace.is_some()).then(|| {
+        let (accesses, sampling) = (cfg.detect_races, cfg.metrics > 0);
+        (accesses || sampling || cfg.trace || cfg.sharing_profile).then(|| {
             Arc::new(Probe {
-                ungated,
+                accesses,
                 sampling,
                 sinks: Mutex::new(sinks),
             })
@@ -202,35 +236,30 @@ impl Probe {
             .expect("a consumer panicked while holding the probe")
     }
 
-    /// True when per-operation [`ProtoEvent::ProcSample`]s have a consumer.
-    #[inline]
-    pub(crate) fn sampling(&self) -> bool {
-        self.sampling
-    }
-
-    /// Report one action. `timing_on` is the emitter's view of whether the
-    /// timed region is active — see the module docs for the gate.
-    #[inline]
-    pub fn emit(&self, timing_on: bool, ev: ProtoEvent<'_>) {
-        if !timing_on && !self.ungated {
-            return;
+    /// Report actions under one lock; each consumer takes them in order.
+    /// `timing_on` is the emitter's view of whether the timed region is
+    /// active — see the module docs for the gate.
+    pub fn emit(&self, timing_on: bool, evs: &[ProtoEvent<'_>]) {
+        let s = &mut *self.sinks();
+        if let Some(detector) = &mut s.races {
+            evs.iter().for_each(|ev| detector.on_event(ev));
         }
-        let mut s = self.sinks();
         if let Some(sharing) = &mut s.sharing {
-            sharing.on_event(&ev);
+            evs.iter().for_each(|ev| sharing.on_event(ev));
         }
         if timing_on {
             if let Some(trace) = &mut s.trace {
-                trace.on_event(&ev);
+                evs.iter().for_each(|ev| trace.on_event(ev));
             }
             if let Some(metrics) = &mut s.metrics {
-                metrics.on_event(&ev);
+                evs.iter().for_each(|ev| metrics.on_event(ev));
             }
         }
     }
 
-    /// Restart every consumer at `start_timing`, so reports cover the
-    /// window that begins there.
+    /// Restart the windowed consumers at `start_timing`, so their reports
+    /// cover the window that begins there. The race detector's window is
+    /// the whole run: it is left alone.
     pub(crate) fn reset(&self) {
         let mut s = self.sinks();
         if let Some(trace) = &mut s.trace {
@@ -256,6 +285,6 @@ impl Probe {
 #[inline]
 pub fn emit(probe: &Option<ProbeHandle>, timing_on: bool, ev: ProtoEvent<'_>) {
     if let Some(p) = probe {
-        p.emit(timing_on, ev);
+        p.emit(timing_on, std::slice::from_ref(&ev));
     }
 }

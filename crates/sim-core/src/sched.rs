@@ -22,9 +22,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::alloc::{GlobalAlloc, Placement};
 use crate::coro;
-use crate::detector::RaceDetector;
 use crate::platform::{Platform, Timing};
-use crate::probe::{self, Probe, ProbeHandle, ProtoEvent};
+use crate::probe::{Probe, ProbeHandle, ProtoEvent};
 use crate::shard::{Desc, Reply};
 use crate::stats::{Bucket, ProcStats, RunStats};
 use crate::util::FxMap;
@@ -39,9 +38,10 @@ pub struct RunConfig {
     /// clock exceeds the minimum runnable clock by more than this. Smaller
     /// values tighten virtual-time ordering at the cost of more hand-offs.
     pub quantum: u64,
-    /// Enable the happens-before race detector (see [`crate::detector`]).
-    /// Off by default: the fast path then pays only an `Option` test per
-    /// access, and timing statistics are bit-identical either way.
+    /// Check the run for data races by happens-before analysis; the races
+    /// found are [`RunStats::races`]. Off by default: an undiagnosed run's
+    /// fast path then pays only one probe test per access, and timing
+    /// statistics are bit-identical either way.
     pub detect_races: bool,
     /// Diagnostic name for this run (e.g. `"LU/Alg"`), attached to race
     /// reports.
@@ -62,12 +62,6 @@ pub struct RunConfig {
     /// region, attached as [`RunStats::trace`]. Off by default. Timing
     /// statistics are bit-identical either way.
     pub trace: bool,
-    /// Per-processor event-buffer capacity for the trace (events past the
-    /// cap are counted as dropped; the buffer grows on demand up to the cap).
-    pub trace_cap: usize,
-    /// Run-wide dependency-edge capacity for the trace (edges past the cap
-    /// are counted as dropped; the buffer grows on demand up to the cap).
-    pub edge_cap: usize,
     /// Application phase names for figures and traces ("tree-build" instead
     /// of "phase 3"); indexed by phase id, may be shorter than the number of
     /// phases used.
@@ -104,11 +98,11 @@ pub struct RunConfig {
     /// barrier boundaries), attached as [`RunStats::metrics`]. Timing
     /// statistics are bit-identical either way.
     pub metrics: u64,
-    /// Per-collection capacity of the metrics engine (samples per
-    /// processor, interval bins per page, pages, locks, event names);
-    /// entries past a cap are counted as dropped, never reallocating
-    /// unbounded.
-    pub metrics_cap: usize,
+    /// A limit on every diagnostic buffer (trace events per processor and
+    /// edges, each metrics collection, race reports): each holds at most
+    /// its default or this, whichever is lower, and counts what it drops.
+    /// `None` (the default) keeps every default.
+    pub diag_cap: Option<usize>,
 }
 
 /// Largest accepted [`RunConfig::shard_batch`]: past ~a million descriptors
@@ -126,14 +120,12 @@ impl RunConfig {
             bulk: true,
             sharing_profile: false,
             trace: false,
-            trace_cap: crate::trace::DEFAULT_EVENT_CAP,
-            edge_cap: crate::trace::DEFAULT_EDGE_CAP,
             phase_names: Vec::new(),
             shards: 1,
             shard_fused: true,
             shard_batch: crate::shard::DEFAULT_BATCH,
             metrics: 0,
-            metrics_cap: crate::metrics::DEFAULT_SERIES_CAP,
+            diag_cap: None,
         }
     }
 
@@ -195,18 +187,6 @@ impl RunConfig {
         self
     }
 
-    /// Override the per-processor trace event-buffer capacity.
-    pub fn with_trace_cap(mut self, cap: usize) -> Self {
-        self.trace_cap = cap.max(1);
-        self
-    }
-
-    /// Override the run-wide dependency-edge capacity of the trace.
-    pub fn with_edge_cap(mut self, cap: usize) -> Self {
-        self.edge_cap = cap.max(1);
-        self
-    }
-
     /// Enable the virtual-time interval metrics engine for this run (see
     /// [`crate::metrics`]), sampling every `interval_cycles` of each
     /// processor's virtual clock.
@@ -223,9 +203,10 @@ impl RunConfig {
         self
     }
 
-    /// Override the metrics engine's per-collection capacity.
-    pub fn with_metrics_cap(mut self, cap: usize) -> Self {
-        self.metrics_cap = cap.max(1);
+    /// Hold every diagnostic buffer to at most `cap` entries (at least
+    /// one; see [`RunConfig::diag_cap`]).
+    pub fn with_diag_cap(mut self, cap: usize) -> Self {
+        self.diag_cap = Some(cap.max(1));
         self
     }
 
@@ -335,12 +316,14 @@ pub(crate) struct Inner {
     ready: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
     /// [`Inner::yield_at`]'s cache; `None` when stale.
     yield_at: Option<YieldAt>,
-    /// Present iff `RunConfig::detect_races`: the happens-before analysis
-    /// fed by every load/store and synchronization event below.
-    detector: Option<RaceDetector>,
-    /// Present iff a stream-fed diagnostic layer (trace, metrics, sharing
-    /// profile) is on: the protocol event stream, shared with the platform.
+    /// Present iff a diagnostic layer (race detection, trace, metrics,
+    /// sharing profile) is on: the protocol event stream, shared with the
+    /// platform, and every operation's one observer.
     probe: Option<ProbeHandle>,
+    /// Events not yet handed to `probe`: the accesses of the last
+    /// operations (at most [`ACCESS_BATCH`]), which reach the stream in
+    /// batches, one lock each, always ahead of the next scheduler event.
+    pending: Vec<ProtoEvent<'static>>,
 }
 
 /// The sequential engine's processors — one coroutine each, all on the
@@ -438,43 +421,93 @@ impl Inner {
         Some(next)
     }
 
-    /// Report a scheduler action on the protocol event stream (gated and
-    /// invisible — see [`crate::probe`]).
+    /// Report a scheduler action on the protocol event stream, after the
+    /// accesses still pending (gated and invisible — see [`crate::probe`]).
     #[inline]
-    fn emit(&self, ev: ProtoEvent<'_>) {
-        probe::emit(&self.probe, self.timing_on, ev);
+    fn emit(&mut self, ev: ProtoEvent<'static>) {
+        if self.probe.is_some() {
+            self.pending.push(ev);
+            self.flush();
+        }
     }
 
-    /// Offer the stream a cumulative per-proc counter snapshot at `pid`'s
-    /// current clock. `forced` samples (phase/barrier/timing boundaries)
-    /// are always kept; unforced ticks are kept only when the clock has
-    /// rolled into a new interval, so the consumer stays O(intervals), not
-    /// O(operations). Skipped before the snapshot is built unless the
-    /// metrics engine is listening and the timed region is active.
-    #[inline]
-    fn metrics_push(&self, pid: usize, forced: bool) {
-        let Some(p) = &self.probe else { return };
-        if !self.timing_on || !p.sampling() {
-            return;
+    /// Hand the pending events to the probe, in order, under one lock.
+    fn flush(&mut self) {
+        if let Some(p) = &self.probe {
+            p.emit(self.timing_on, &self.pending);
+            self.pending.clear();
         }
-        let s = &self.stats[pid];
-        let sample = crate::metrics::ProcSample {
-            interval: 0, // overwritten by the sink from `ts`
-            ts: self.clocks[pid],
-            compute: s.get(Bucket::Compute),
-            data_wait: s.get(Bucket::DataWait),
-            lock_wait: s.get(Bucket::LockWait),
-            barrier_wait: s.get(Bucket::BarrierWait),
-            remote_fetches: s.counters.remote_fetches,
+    }
+
+    /// Price one platform action of `pid` against its clock and
+    /// statistics: the one place the scheduler lends out a [`Timing`].
+    #[inline]
+    fn priced<R>(
+        &mut self,
+        pid: usize,
+        f: impl FnOnce(&mut dyn Platform, &mut Timing<'_>) -> R,
+    ) -> R {
+        let mut t = Timing {
+            pid,
+            now: &mut self.clocks[pid],
+            stats: &mut self.stats[pid],
+            placement: self.alloc.map(),
+            timing_on: self.timing_on,
         };
-        p.emit(
-            true,
-            ProtoEvent::ProcSample {
+        f(&mut *self.platform, &mut t)
+    }
+
+    /// The one observer call of an operation that moved `pid`'s clock, one
+    /// inline test when the run is undiagnosed. `access` is what a load or
+    /// store touched; `forced` marks a phase, barrier or timing boundary.
+    /// The rest is out of line, and entered only if a consumer reads it.
+    #[inline]
+    fn observe(&mut self, pid: usize, forced: bool, access: Option<Touch>) {
+        if let Some(p) = &self.probe {
+            if (access.is_some() && p.accesses) || (self.timing_on && p.sampling) {
+                self.observe_out_of_line(pid, forced, access);
+            }
+        }
+    }
+
+    /// The rest of [`Inner::observe`]: the operation's access joins the
+    /// pending batch, and a cumulative counter snapshot at `pid`'s clock
+    /// goes out with it; each only if a consumer reads it (the snapshot
+    /// only in the timed region, where the metrics engine listens).
+    #[inline(never)]
+    fn observe_out_of_line(&mut self, pid: usize, forced: bool, access: Option<Touch>) {
+        let Some(p) = &self.probe else { return };
+        let sampling = self.timing_on && p.sampling;
+        if let Some((base, stride, len, words, write)) = access.filter(|_| p.accesses) {
+            self.pending.push(ProtoEvent::Access {
+                pid,
+                base,
+                stride,
+                len,
+                words,
+                write,
+            });
+            if !sampling && self.pending.len() >= ACCESS_BATCH {
+                self.flush();
+            }
+        }
+        if sampling {
+            let s = &self.stats[pid];
+            let sample = crate::metrics::ProcSample {
+                interval: 0, // overwritten by the sink from `ts`
+                ts: self.clocks[pid],
+                compute: s.get(Bucket::Compute),
+                data_wait: s.get(Bucket::DataWait),
+                lock_wait: s.get(Bucket::LockWait),
+                barrier_wait: s.get(Bucket::BarrierWait),
+                remote_fetches: s.counters.remote_fetches,
+            };
+            self.emit(ProtoEvent::ProcSample {
                 pid,
                 sample,
                 forced,
-            },
-        );
+            });
+        }
     }
 
     /// Count `n` occurrences of the named application-level event for `pid`
@@ -505,9 +538,9 @@ impl Inner {
     // returned `Step`, while the fused event loop ([`crate::fused`]) owns
     // the `Inner` outright and just switches state machines. One
     // implementation of the transitions — clock advance, FCFS lock
-    // queues, barrier membership, resource pricing, detector/trace/
-    // sharing hooks — is what makes the engines bit-identical by
-    // construction rather than by careful duplication.
+    // queues, barrier membership, resource pricing, the events every
+    // diagnostic layer consumes — is what makes the engines bit-identical
+    // by construction rather than by careful duplication.
 
     /// Charge `cycles` of application compute time to `pid`.
     pub(crate) fn op_work(&mut self, pid: usize, cycles: u64) -> Step {
@@ -519,7 +552,7 @@ impl Inner {
         }
         self.clocks[pid] += cycles;
         self.stats[pid].add(Bucket::Compute, cycles);
-        self.metrics_push(pid, false);
+        self.observe(pid, false, None);
         Step::MaybeYield
     }
 
@@ -551,7 +584,7 @@ impl Inner {
         };
         self.clocks[pid] += k * per_elem;
         self.stats[pid].add(Bucket::Compute, k * per_elem);
-        self.metrics_push(pid, false);
+        self.observe(pid, false, None);
         Some(k)
     }
 
@@ -574,7 +607,7 @@ impl Inner {
                     at,
                     phase: new,
                 });
-                self.metrics_push(pid, true);
+                self.observe(pid, true, None);
             }
         }
     }
@@ -594,45 +627,21 @@ impl Inner {
 
     /// Perform one load for `pid`.
     pub(crate) fn op_load(&mut self, pid: usize, addr: Addr, len: u8) -> u64 {
-        let v = {
-            let mut t = Timing {
-                pid,
-                now: &mut self.clocks[pid],
-                stats: &mut self.stats[pid],
-                placement: self.alloc.map(),
-                timing_on: self.timing_on,
-            };
-            self.platform.load(&mut t, addr, len)
-        };
-        self.metrics_push(pid, false);
-        if let Some(d) = self.detector.as_mut() {
-            d.on_read(pid, addr, len, &self.alloc);
-        }
+        let v = self.priced(pid, |pf, t| pf.load(t, addr, len));
+        self.observe(pid, false, Some((addr, len as u64, len, 1, false)));
         v
     }
 
     /// Perform one store for `pid`.
     pub(crate) fn op_store(&mut self, pid: usize, addr: Addr, len: u8, val: u64) {
-        {
-            let mut t = Timing {
-                pid,
-                now: &mut self.clocks[pid],
-                stats: &mut self.stats[pid],
-                placement: self.alloc.map(),
-                timing_on: self.timing_on,
-            };
-            self.platform.store(&mut t, addr, len, val);
-        }
-        self.metrics_push(pid, false);
-        if let Some(d) = self.detector.as_mut() {
-            d.on_write(pid, addr, len, &self.alloc);
-        }
+        self.priced(pid, |pf, t| pf.store(t, addr, len, val));
+        self.observe(pid, false, Some((addr, len as u64, len, 1, true)));
     }
 
     /// One yield-budget chunk of a bulk load: loads `len`-byte words at
-    /// `base + i*stride` into `out` until the budget is exhausted, feeding
-    /// the race detector per word run. Returns how many words were done
-    /// (always ≥ 1 for a non-empty `out`).
+    /// `base + i*stride` into `out` until the budget is exhausted, reporting
+    /// them as one access run. Returns how many words were done (always ≥ 1
+    /// for a non-empty `out`).
     pub(crate) fn op_load_chunk(
         &mut self,
         pid: usize,
@@ -642,22 +651,9 @@ impl Inner {
         out: &mut [u64],
     ) -> usize {
         let budget = self.yield_at().threshold;
-        let k = {
-            let mut t = Timing {
-                pid,
-                now: &mut self.clocks[pid],
-                stats: &mut self.stats[pid],
-                placement: self.alloc.map(),
-                timing_on: self.timing_on,
-            };
-            self.platform
-                .load_bulk(&mut t, base, stride, len, out, budget)
-        };
+        let k = self.priced(pid, |pf, t| pf.load_bulk(t, base, stride, len, out, budget));
         debug_assert!(k >= 1, "load_bulk must perform at least one word");
-        self.metrics_push(pid, false);
-        if let Some(d) = self.detector.as_mut() {
-            d.on_read_run(pid, base, stride, len, k, &self.alloc);
-        }
+        self.observe(pid, false, Some((base, stride, len, k, false)));
         k
     }
 
@@ -672,22 +668,11 @@ impl Inner {
         vals: &[u64],
     ) -> usize {
         let budget = self.yield_at().threshold;
-        let k = {
-            let mut t = Timing {
-                pid,
-                now: &mut self.clocks[pid],
-                stats: &mut self.stats[pid],
-                placement: self.alloc.map(),
-                timing_on: self.timing_on,
-            };
-            self.platform
-                .store_bulk(&mut t, base, stride, len, vals, budget)
-        };
+        let k = self.priced(pid, |pf, t| {
+            pf.store_bulk(t, base, stride, len, vals, budget)
+        });
         debug_assert!(k >= 1, "store_bulk must perform at least one word");
-        self.metrics_push(pid, false);
-        if let Some(d) = self.detector.as_mut() {
-            d.on_write_run(pid, base, stride, len, k, &self.alloc);
-        }
+        self.observe(pid, false, Some((base, stride, len, k, true)));
         k
     }
 
@@ -700,16 +685,7 @@ impl Inner {
             lock: id,
             at: self.clocks[pid],
         });
-        let arrival = {
-            let mut t = Timing {
-                pid,
-                now: &mut self.clocks[pid],
-                stats: &mut self.stats[pid],
-                placement: self.alloc.map(),
-                timing_on: self.timing_on,
-            };
-            self.platform.acquire_request(&mut t, id)
-        };
+        let arrival = self.priced(pid, |pf, t| pf.acquire_request(t, id));
         let lk = self.locks.entry(id).or_default();
         if lk.held_by.is_none() && lk.waiters.is_empty() {
             lk.held_by = Some(pid);
@@ -744,10 +720,7 @@ impl Inner {
                 src,
                 src_ts,
             });
-            self.metrics_push(pid, false);
-            if let Some(det) = self.detector.as_mut() {
-                det.on_acquire(pid, id);
-            }
+            self.observe(pid, false, None);
             Step::Run
         } else {
             lk.waiters.push(Waiter { pid, arrival });
@@ -760,24 +733,12 @@ impl Inner {
     /// `pid` releases lock `id`, granting it to the earliest-arrived
     /// waiter (if any), who becomes runnable at its resume time.
     pub(crate) fn op_unlock(&mut self, pid: usize, id: u32) -> Step {
-        let avail = {
-            let mut t = Timing {
-                pid,
-                now: &mut self.clocks[pid],
-                stats: &mut self.stats[pid],
-                placement: self.alloc.map(),
-                timing_on: self.timing_on,
-            };
-            self.platform.release(&mut t, id)
-        };
+        let avail = self.priced(pid, |pf, t| pf.release(t, id));
         self.emit(ProtoEvent::LockRelease {
             pid,
             lock: id,
             at: self.clocks[pid],
         });
-        if let Some(det) = self.detector.as_mut() {
-            det.on_release(pid, id);
-        }
         let release_ts = self.clocks[pid];
         let lk = self
             .locks
@@ -824,13 +785,10 @@ impl Inner {
                 src_ts: release_ts,
             });
             self.clocks[w.pid] = resume;
-            self.metrics_push(w.pid, false);
+            self.observe(w.pid, false, None);
             self.make_ready(w.pid);
-            if let Some(det) = self.detector.as_mut() {
-                det.on_acquire(w.pid, id);
-            }
         }
-        self.metrics_push(pid, false);
+        self.observe(pid, false, None);
         Step::MaybeYield
     }
 
@@ -839,16 +797,7 @@ impl Inner {
     pub(crate) fn op_barrier(&mut self, pid: usize, id: u32) -> Step {
         let nprocs = self.status.len();
         self.stats[pid].counters.barriers += 1;
-        let t_arr = {
-            let mut t = Timing {
-                pid,
-                now: &mut self.clocks[pid],
-                stats: &mut self.stats[pid],
-                placement: self.alloc.map(),
-                timing_on: self.timing_on,
-            };
-            self.platform.barrier_arrive(&mut t, id)
-        };
+        let t_arr = self.priced(pid, |pf, t| pf.barrier_arrive(t, id));
         self.blocked_at[pid] = self.clocks[pid];
         self.emit(ProtoEvent::BarrierEnter {
             pid,
@@ -896,15 +845,13 @@ impl Inner {
                     last_ts,
                 });
                 self.clocks[q] = resume;
-                self.metrics_push(q, true);
+                self.observe(q, true, None);
                 if q != pid {
                     debug_assert_eq!(self.status[q], Status::Blocked);
                     self.make_ready(q);
                 }
             }
-            if let Some(det) = self.detector.as_mut() {
-                det.on_barrier();
-            }
+            self.emit(ProtoEvent::Join);
             Step::MaybeYield
         } else {
             self.status[pid] = Status::Blocked;
@@ -920,6 +867,8 @@ impl Inner {
         if self.start_arrivals == nprocs {
             self.start_arrivals = 0;
             self.platform.reset_timing();
+            // Warm-up accesses still pending go out as warm-up traffic.
+            self.flush();
             self.timing_on = true;
             for q in 0..nprocs {
                 self.clocks[q] = 0;
@@ -932,7 +881,7 @@ impl Inner {
             // Restart every consumer so reports cover the window that
             // begins here; open each processor's current phase and anchor
             // its series with a zero sample at virtual time zero.
-            if let Some(p) = &self.probe {
+            if let Some(p) = self.probe.clone() {
                 p.reset();
                 for q in 0..nprocs {
                     let phase = self.stats[q].phase();
@@ -941,12 +890,10 @@ impl Inner {
                         at: 0,
                         phase,
                     });
-                    self.metrics_push(q, true);
+                    self.observe(q, true, None);
                 }
             }
-            if let Some(det) = self.detector.as_mut() {
-                det.on_barrier();
-            }
+            self.emit(ProtoEvent::Join);
             Step::Run
         } else {
             self.blocked_at[pid] = self.clocks[pid];
@@ -993,16 +940,14 @@ impl Inner {
                     });
                     // Final sample at the settle point so every series ends
                     // with the run totals.
-                    self.metrics_push(q, true);
+                    self.observe(q, true, None);
                 }
                 if q != pid && self.status[q] == Status::Blocked {
                     self.make_ready(q);
                 }
             }
             self.timing_on = false;
-            if let Some(det) = self.detector.as_mut() {
-                det.on_barrier();
-            }
+            self.emit(ProtoEvent::Join);
             Step::Run
         } else {
             self.blocked_at[pid] = self.clocks[pid];
@@ -1017,6 +962,14 @@ impl Inner {
         self.ndone += 1;
     }
 }
+
+/// What a load or store touched, for [`ProtoEvent::Access`]: `(base,
+/// stride, len, words, write)`.
+type Touch = (Addr, u64, u8, usize, bool);
+
+/// Accesses the scheduler holds back before it takes the probe's lock for
+/// them: enough to amortize the lock, few enough to stay in cache.
+const ACCESS_BATCH: usize = 256;
 
 /// A simulated processor handle: the API applications program against.
 ///
@@ -1222,7 +1175,7 @@ impl Proc {
     // One scheduler entry per *batch* instead of per word. The
     // platform walks its tag arrays / page tables per line-or-page run and
     // stops at the first word that exhausts the yield budget (see
-    // `Inner::yield_at`); the race detector is still fed per word. The
+    // `Inner::yield_at`), and reports each batch as one access run. The
     // result is bit-identical `RunStats` to the scalar path — asserted over
     // every app x class x platform in `tests/equivalence.rs`.
 
@@ -1625,22 +1578,18 @@ pub(crate) fn build_inner(mut platform: Box<dyn Platform>, cfg: &RunConfig) -> I
         quantum: cfg.quantum,
         ndone: 0,
         deadlock: None,
-        detector: cfg
-            .detect_races
-            .then(|| RaceDetector::new(nprocs, cfg.label.clone())),
         probe,
+        pending: Vec::new(),
     }
 }
 
 /// Harvest a completed run's `Inner` into `RunStats`: platform
-/// finalization, race reports, and the frozen diagnostic consumers with
-/// page addresses attributed to allocation labels. Shared by both engines.
+/// finalization and the frozen diagnostic consumers, race reports
+/// included, with addresses attributed to allocation labels. Shared by
+/// both engines.
 pub(crate) fn collect_stats(mut inner: Inner, cfg: &RunConfig) -> RunStats {
     inner.platform.finalize(&mut inner.stats);
-    let races = inner
-        .detector
-        .map(RaceDetector::into_reports)
-        .unwrap_or_default();
+    inner.flush();
     let sinks = inner.probe.map(|p| p.finish()).unwrap_or_default();
     let alloc = &inner.alloc;
     let label_of = |addr| alloc.label_of(addr);
@@ -1655,9 +1604,9 @@ pub(crate) fn collect_stats(mut inner: Inner, cfg: &RunConfig) -> RunStats {
             )
         }),
         metrics: sinks.metrics.map(|m| m.into_report(label_of)),
+        races: (sinks.races.map(|d| d.into_reports(label_of))).unwrap_or_default(),
         procs: inner.stats,
         clocks: inner.clocks,
-        races,
         phase_names: cfg.phase_names.clone(),
     }
 }

@@ -27,17 +27,17 @@
 use std::fmt::Write as _;
 
 use crate::probe::ProtoEvent;
-use crate::util::json_escape as esc;
+use crate::util::{json_escape as esc, Capped};
 
 /// Default per-processor event-buffer capacity (events beyond this are
-/// counted, not stored). Override with [`crate::RunConfig::with_trace_cap`].
+/// counted, not stored). Lower it with [`crate::RunConfig::with_diag_cap`].
 /// Buffers grow on demand up to it: reserved up front, a short run would
 /// leave 3.5 MiB per processor of never-touched heap behind.
 pub const DEFAULT_EVENT_CAP: usize = 1 << 16;
 
 /// Default run-wide dependency-edge capacity (edges beyond this are counted
-/// in [`RunTrace::edges_dropped`], not stored). Override with
-/// [`crate::RunConfig::with_edge_cap`]. The buffer grows on demand up to
+/// in [`RunTrace::edges_dropped`], not stored). Lower it with
+/// [`crate::RunConfig::with_diag_cap`]. The buffer grows on demand up to
 /// this cap rather than preallocating it.
 pub const DEFAULT_EDGE_CAP: usize = 1 << 20;
 
@@ -326,20 +326,16 @@ impl WaitHist {
 /// Mutable trace state while a run is in flight. One instance per traced
 /// run, owned by the run's [`crate::probe::Probe`].
 #[derive(Debug)]
-pub struct TraceSink {
-    cap: usize,
+pub(crate) struct TraceSink {
     seq: u64,
     procs: Vec<SinkProc>,
-    edge_cap: usize,
     eseq: u64,
-    edges: Vec<DepEdge>,
-    edges_dropped: u64,
+    edges: Capped<Vec<DepEdge>>,
 }
 
 #[derive(Debug)]
 struct SinkProc {
-    events: Vec<Event>,
-    dropped: u64,
+    events: Capped<Vec<Event>>,
     fetch: WaitHist,
     lock: WaitHist,
     barrier: WaitHist,
@@ -349,43 +345,34 @@ impl TraceSink {
     /// Create a sink for `nprocs` processors with a per-proc event cap of
     /// `cap` and a run-wide dependency-edge cap of `edge_cap` (all buffers
     /// grow on demand up to their caps).
-    pub fn new(nprocs: usize, cap: usize, edge_cap: usize) -> Self {
+    pub(crate) fn new(nprocs: usize, cap: usize, edge_cap: usize) -> Self {
         Self {
-            cap,
             seq: 0,
             procs: (0..nprocs)
                 .map(|_| SinkProc {
-                    events: Vec::new(),
-                    dropped: 0,
+                    events: Capped::new(cap),
                     fetch: WaitHist::default(),
                     lock: WaitHist::default(),
                     barrier: WaitHist::default(),
                 })
                 .collect(),
-            edge_cap,
             eseq: 0,
-            edges: Vec::new(),
-            edges_dropped: 0,
+            edges: Capped::new(edge_cap),
         }
     }
 
     /// Append an event to `pid`'s buffer (counted as dropped past the cap).
     #[inline]
-    pub fn push(&mut self, pid: usize, ts: u64, kind: EventKind) {
+    pub(crate) fn push(&mut self, pid: usize, ts: u64, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
-        let p = &mut self.procs[pid];
-        if p.events.len() < self.cap {
-            p.events.push(Event { ts, seq, kind });
-        } else {
-            p.dropped += 1;
-        }
+        self.procs[pid].events.push(Event { ts, seq, kind });
     }
 
     /// Record a dependency edge (counted as dropped past the edge cap;
     /// edges with `t1 <= t0` are silently skipped — no stall, no edge).
     #[inline]
-    pub fn push_edge(
+    pub(crate) fn push_edge(
         &mut self,
         kind: DepKind,
         dst: usize,
@@ -399,19 +386,15 @@ impl TraceSink {
         }
         let seq = self.eseq;
         self.eseq += 1;
-        if self.edges.len() < self.edge_cap {
-            self.edges.push(DepEdge {
-                kind,
-                dst,
-                t0,
-                t1,
-                src,
-                src_ts,
-                seq,
-            });
-        } else {
-            self.edges_dropped += 1;
-        }
+        self.edges.push(DepEdge {
+            kind,
+            dst,
+            t0,
+            t1,
+            src,
+            src_ts,
+            seq,
+        });
     }
 
     /// Consume one protocol event: the trace events, dependency edge and
@@ -520,60 +503,66 @@ impl TraceSink {
                 t1,
                 straggler,
             } => self.push_edge(DepKind::Settle, pid, t0, t1, straggler, t1),
-            P::PageGeometry { .. } | P::ProcSample { .. } | P::AppCount { .. } => {}
+            // Not traced: geometry and samples feed other consumers, and
+            // accesses and rendezvous joins feed the race detector.
+            P::PageGeometry { .. }
+            | P::ProcSample { .. }
+            | P::AppCount { .. }
+            | P::Access { .. }
+            | P::Join => {}
         }
     }
 
     /// Clear all buffers and histograms (called at `start_timing` so the
     /// trace covers exactly the timed region).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.seq = 0;
         for p in &mut self.procs {
-            p.events.clear();
-            p.dropped = 0;
+            p.events.reset();
             p.fetch = WaitHist::default();
             p.lock = WaitHist::default();
             p.barrier = WaitHist::default();
         }
         self.eseq = 0;
-        self.edges.clear();
-        self.edges_dropped = 0;
+        self.edges.reset();
     }
 
     /// Freeze into a [`RunTrace`]. `clocks` are the final per-proc virtual
     /// clocks (used to close the per-proc track); `allocs` is the labeled
     /// allocation-span snapshot for address attribution.
-    pub fn into_trace(
-        mut self,
+    pub(crate) fn into_trace(
+        self,
         label: String,
         phase_names: Vec<String>,
         clocks: &[u64],
         allocs: Vec<AllocSpan>,
     ) -> RunTrace {
+        let (mut edges, edges_dropped) = self.edges.into_parts();
         // Edges arrive in emission order; (t1, seq) sorting gives the
         // deterministic resume-time order the critical-path DP needs.
-        self.edges.sort_by_key(|e| (e.t1, e.seq));
+        edges.sort_by_key(|e| (e.t1, e.seq));
         RunTrace {
             label,
             phase_names,
-            edges: self.edges,
-            edges_dropped: self.edges_dropped,
+            edges,
+            edges_dropped,
             allocs,
             procs: self
                 .procs
                 .into_iter()
                 .enumerate()
-                .map(|(pid, mut p)| {
+                .map(|(pid, p)| {
+                    let (mut events, dropped) = p.events.into_parts();
                     // Per-proc buffers are appended in emission order, which
                     // is monotone for a proc's own activity but not for
                     // events posted to it by others (grants, home-side diff
                     // application); (ts, seq) sorting restores a
                     // deterministic timeline.
-                    p.events.sort_by_key(|e| (e.ts, e.seq));
+                    events.sort_by_key(|e| (e.ts, e.seq));
                     ProcTrace {
                         end: clocks.get(pid).copied().unwrap_or(0),
-                        events: p.events,
-                        dropped: p.dropped,
+                        events,
+                        dropped,
                         fetch_wait: p.fetch,
                         lock_wait: p.lock,
                         barrier_wait: p.barrier,

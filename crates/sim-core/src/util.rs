@@ -1,15 +1,17 @@
 //! Small utilities: a fast deterministic hasher for hot protocol tables, a
 //! seedable xorshift RNG used by workload generators that must not depend
-//! on global state, and the JSON string escaper of the diagnostic writers.
+//! on global state, and the JSON string escaper and the capped buffer of
+//! the diagnostic layers.
 //!
 //! We re-implement the well-known Fx hash function (as used by rustc) rather
 //! than pulling in an extra dependency; protocol page tables and directories
 //! are looked up on every simulated memory access, and SipHash is measurably
 //! too slow there.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 /// `s` as the body of a JSON string: quote, backslash and control
 /// characters escaped. Every hand-rolled JSON writer (sharing, trace,
@@ -30,6 +32,84 @@ pub(crate) fn json_escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// A collection that holds at most `cap` entries and counts what it turned
+/// away: the one bounded buffer behind every diagnostic layer (trace
+/// events and edges, metrics series, race reports). Entries already held
+/// stay reachable; only a *new* entry past the cap is dropped.
+#[derive(Debug)]
+pub(crate) struct Capped<C> {
+    items: C,
+    cap: usize,
+    dropped: u64,
+}
+
+impl<C: Default> Capped<C> {
+    /// An empty collection that holds at most `cap` entries.
+    pub(crate) fn new(cap: usize) -> Self {
+        Self {
+            items: C::default(),
+            cap,
+            dropped: 0,
+        }
+    }
+
+    /// The entries held.
+    pub(crate) fn items(&self) -> &C {
+        &self.items
+    }
+
+    /// The entries held, for in-place updates.
+    pub(crate) fn items_mut(&mut self) -> &mut C {
+        &mut self.items
+    }
+
+    /// Entries turned away since creation or the last [`Capped::reset`].
+    pub(crate) fn dropped(&self) -> u64 {
+        self.dropped
+    }
+
+    /// Empty the collection and zero the drop counter.
+    pub(crate) fn reset(&mut self) {
+        *self = Self::new(self.cap);
+    }
+
+    /// The entries held and the drop count.
+    pub(crate) fn into_parts(self) -> (C, u64) {
+        (self.items, self.dropped)
+    }
+}
+
+impl<T> Capped<Vec<T>> {
+    /// Append `x` and return it, or count it as dropped if the buffer is
+    /// full.
+    #[inline]
+    pub(crate) fn push(&mut self, x: T) -> Option<&mut T> {
+        if self.items.len() >= self.cap {
+            self.dropped += 1;
+            return None;
+        }
+        self.items.push(x);
+        self.items.last_mut()
+    }
+}
+
+impl<K: Hash + Eq, V, S: BuildHasher + Default> Capped<HashMap<K, V, S>> {
+    /// The entry for `k`, made by `make` if absent; `None` (counted as
+    /// dropped) if absent and the map is full.
+    #[inline]
+    pub(crate) fn entry(&mut self, k: K, make: impl FnOnce() -> V) -> Option<&mut V> {
+        let full = self.items.len() >= self.cap;
+        match self.items.entry(k) {
+            Entry::Occupied(e) => Some(e.into_mut()),
+            Entry::Vacant(_) if full => {
+                self.dropped += 1;
+                None
+            }
+            Entry::Vacant(e) => Some(e.insert(make())),
+        }
+    }
 }
 
 /// Multiplicative constant from the Fx hash (Firefox/rustc).
@@ -179,6 +259,37 @@ mod tests {
         assert_eq!(json_escape("psi"), "psi");
         assert_eq!(json_escape("a\"b\\c\u{1}"), "a\\\"b\\\\c\\u0001");
         assert_eq!(json_escape("\n\t\u{1f}é"), "\\n\\t\\u001fé");
+    }
+
+    #[test]
+    fn capped_holds_at_most_cap_and_counts_the_rest() {
+        let mut v: Capped<Vec<u32>> = Capped::new(2);
+        // Under the cap, then at it: stored.
+        assert_eq!(v.push(1).copied(), Some(1));
+        assert_eq!((v.items().len(), v.dropped()), (1, 0));
+        assert_eq!(v.push(2).copied(), Some(2));
+        assert_eq!((v.items().as_slice(), v.dropped()), (&[1, 2][..], 0));
+        // Past the cap: counted, not stored; held entries stay writable.
+        assert!(v.push(3).is_none() && v.push(4).is_none());
+        v.items_mut()[0] = 9;
+        assert_eq!((v.items().as_slice(), v.dropped()), (&[9, 2][..], 2));
+        // Reset empties it, zeroes the counter and keeps the cap.
+        v.reset();
+        assert_eq!((v.items().len(), v.dropped()), (0, 0));
+        assert!(v.push(5).is_some() && v.push(6).is_some() && v.push(7).is_none());
+        assert_eq!(v.into_parts(), (vec![5, 6], 1));
+
+        let mut m: Capped<FxMap<u64, u64>> = Capped::new(2);
+        *m.entry(10, || 0).unwrap() += 1;
+        *m.entry(20, || 0).unwrap() += 1;
+        // At the cap a held key is still updated, free; a new one is
+        // dropped and never made.
+        *m.entry(10, || 0).unwrap() += 1;
+        assert!(m.entry(30, || unreachable!()).is_none());
+        assert_eq!((m.items()[&10], m.items().len(), m.dropped()), (2, 2, 1));
+        m.reset();
+        assert_eq!((m.items().len(), m.dropped()), (0, 0));
+        assert!(m.entry(30, || 7).is_some());
     }
 
     #[test]

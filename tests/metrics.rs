@@ -84,7 +84,7 @@ fn cap_drops_are_counted_and_shard_count_independent() {
         RunConfig::new(4)
             .with_shards(shards)
             .with_metrics(IV)
-            .with_metrics_cap(2)
+            .with_diag_cap(2)
     };
     let plain = run_cell(PlatformKind::Svm, App::Ocean, RunConfig::new(4));
     let mut seq = run_cell(PlatformKind::Svm, App::Ocean, tight(1));

@@ -280,3 +280,112 @@ fn detection_does_not_perturb_timing() {
         }
     }
 }
+
+/// A kernel that feeds the detector every event it reads — bulk and scalar
+/// accesses, lock grants and releases, barriers and both timing
+/// rendezvous: each processor fills its own row in bulk, reads its
+/// neighbour's after a barrier, then bumps a shared counter, under a lock
+/// unless `racy`.
+fn stacked_kernel(pf: PlatformKind, racy: bool, cfg: RunConfig) -> RunStats {
+    const ROW: usize = 64; // words per processor
+    let n = cfg.nprocs;
+    let row = |pid: usize| HEAP_BASE + (pid * ROW * 8) as u64;
+    let counter = row(n);
+    run(pf.boxed(n), cfg, move |p| {
+        if p.pid() == 0 {
+            let bytes = (n * ROW * 8 + 8) as u64;
+            p.alloc_shared_labeled("cells", bytes, 8, Placement::RoundRobin);
+        }
+        p.barrier(0);
+        p.start_timing();
+        let mine: Vec<u64> = (0..ROW as u64).map(|i| i + p.pid() as u64).collect();
+        p.store_slice(row(p.pid()), 8, 8, &mine);
+        p.barrier(1);
+        let mut seen = vec![0u64; ROW];
+        p.load_slice(row((p.pid() + 1) % n), 8, 8, &mut seen);
+        p.work(100);
+        if !racy {
+            p.lock(1);
+        }
+        let v = p.load(counter, 8);
+        p.store(counter, 8, v + seen[0]);
+        if !racy {
+            p.unlock(1);
+        }
+        p.stop_timing();
+    })
+}
+
+/// The detector is one consumer of the event stream among four: stacked
+/// with the tracer, the metrics engine and the sharing profiler it reports
+/// exactly what it reports alone, and the other three report exactly what
+/// they report without it.
+#[test]
+fn detector_stacked_with_the_stream_layers_changes_no_layer() {
+    let detecting = || RunConfig::new(4).with_race_detection().named("stacked");
+    let streams = |cfg: RunConfig| cfg.with_trace().with_metrics(1024).with_sharing_profile();
+    for pf in [PlatformKind::Svm, PlatformKind::Dsm] {
+        for racy in [true, false] {
+            let what = format!("{} racy={racy}", pf.name());
+            let alone = stacked_kernel(pf, racy, detecting());
+            let stacked = stacked_kernel(pf, racy, streams(detecting()));
+            let without = stacked_kernel(pf, racy, streams(RunConfig::new(4).named("stacked")));
+            assert_eq!(
+                alone.races.is_empty(),
+                !racy,
+                "{what}: {}",
+                alone.race_summary()
+            );
+            assert_eq!(
+                alone.races, stacked.races,
+                "{what}: the layers moved a report"
+            );
+            assert!(without.trace.is_some() && without.metrics.is_some());
+            assert!(without.sharing.is_some(), "{what}");
+            let mut streams_only = stacked;
+            streams_only.races.clear();
+            assert_eq!(streams_only, without, "{what}: the detector moved a layer");
+        }
+    }
+}
+
+/// The detector's window is the whole run, not the timed region: a race
+/// during warm-up, before `start_timing`, is reported though the timed
+/// region after it is clean — with the windowed layers on as well, whose
+/// reset at `start_timing` must leave the detector alone.
+#[test]
+fn warm_up_race_before_start_timing_is_reported() {
+    for pf in PLATFORMS {
+        for stacked in [false, true] {
+            let mut cfg = RunConfig::new(2).with_race_detection().named("warm-up");
+            if stacked {
+                cfg = cfg.with_trace().with_metrics(1024).with_sharing_profile();
+            }
+            let stats = run(pf.boxed(2), cfg, |p| {
+                if p.pid() == 0 {
+                    p.alloc_shared_labeled("warm", 24, 8, Placement::Node(0));
+                }
+                p.barrier(0);
+                // Both processors write word 0 with nothing ordering them.
+                p.store(HEAP_BASE, 8, p.pid() as u64);
+                p.start_timing();
+                // The timed region writes disjoint words only.
+                p.store(HEAP_BASE + 8 * (1 + p.pid() as u64), 8, 1);
+                p.barrier(1);
+                p.stop_timing();
+            });
+            let text = stats.race_summary();
+            assert!(
+                stats.races() > 0,
+                "{} stacked={stacked}: warm-up race lost",
+                pf.name()
+            );
+            assert!(text.contains("warm"), "{text}");
+            assert!(
+                stats.races.iter().all(|r| r.addr < HEAP_BASE + 8),
+                "{}: the timed region is clean:\n{text}",
+                pf.name()
+            );
+        }
+    }
+}

@@ -429,7 +429,7 @@ fn randomized_config_points_stay_bit_identical() {
             let mut c = RunConfig::new(nprocs)
                 .with_shards(s)
                 .with_trace()
-                .with_trace_cap(trace_cap)
+                .with_diag_cap(trace_cap)
                 .named(format!("stress-{seed:#x}"));
             c.quantum = quantum;
             c

@@ -180,15 +180,14 @@ fn tracing_is_invisible_under_sharding() {
 #[test]
 fn drop_counters_are_shard_count_independent_at_equal_caps() {
     // Audit result, pinned by regression: event and edge buffers (and
-    // their drop counters) live solely in the replay-side TraceSink — the
+    // their drop counters) live solely in the replay-side trace sink — the
     // sharded engine adds no per-shard buffers — so at equal caps the
     // dropped totals cannot depend on the shard count.
     let tight = |shards: usize| {
         RunConfig::new(4)
             .with_shards(shards)
             .with_trace()
-            .with_trace_cap(8)
-            .with_edge_cap(4)
+            .with_diag_cap(4)
     };
     let seq = run_cell(PlatformKind::Svm, tight(1))
         .trace
@@ -197,7 +196,7 @@ fn drop_counters_are_shard_count_independent_at_equal_caps() {
         let shd = run_cell(PlatformKind::Svm, tight(shards))
             .trace
             .expect("tracing was requested");
-        assert!(seq.dropped_events() > 0, "cap of 8 should overflow");
+        assert!(seq.dropped_events() > 0, "cap of 4 should overflow");
         assert!(seq.edges_dropped > 0, "edge cap of 4 should overflow");
         assert_eq!(
             seq.dropped_events(),
@@ -216,7 +215,7 @@ fn trace_cap_drops_events_without_perturbing_the_run() {
     let plain = run_cell(PlatformKind::Svm, RunConfig::new(4));
     let mut traced = run_cell(
         PlatformKind::Svm,
-        RunConfig::new(4).with_trace().with_trace_cap(8),
+        RunConfig::new(4).with_trace().with_diag_cap(8),
     );
     let tr = traced.trace.take().expect("tracing was requested");
     assert!(tr.dropped_events() > 0, "cap of 8 should overflow");
