@@ -1459,22 +1459,6 @@ pub fn run_params_cfg(
     }
 }
 
-/// Run Barnes at a scale preset.
-pub fn run(platform: Platform, nprocs: usize, scale: Scale, version: BarnesVersion) -> AppResult {
-    run_params(platform, nprocs, &BarnesParams::at(scale), version)
-}
-
-/// Run Barnes at a scale preset with an explicit scheduler configuration.
-pub fn run_cfg(
-    platform: Platform,
-    nprocs: usize,
-    scale: Scale,
-    version: BarnesVersion,
-    cfg: RunConfig,
-) -> AppResult {
-    run_params_cfg(platform, nprocs, &BarnesParams::at(scale), version, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -609,22 +609,6 @@ pub fn run_params_cfg(
     AppResult { stats, checksum: h }
 }
 
-/// Run the KV store at a scale preset.
-pub fn run(platform: Platform, nprocs: usize, scale: Scale, version: KvVersion) -> AppResult {
-    run_params(platform, nprocs, &KvParams::at(scale), version)
-}
-
-/// Run the KV store at a scale preset with an explicit configuration.
-pub fn run_cfg(
-    platform: Platform,
-    nprocs: usize,
-    scale: Scale,
-    version: KvVersion,
-    cfg: RunConfig,
-) -> AppResult {
-    run_params_cfg(platform, nprocs, &KvParams::at(scale), version, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -175,64 +175,38 @@ impl AppSpec {
         if cfg.label.is_empty() {
             cfg.label = self.label();
         }
-        match self.app {
-            App::Lu => lu::run_cfg(platform, nprocs, scale, lu::version_for(self.class), cfg).stats,
+        let (pf, n, c) = (platform, nprocs, self.class);
+        let result = match self.app {
+            App::Lu => lu::run_params_cfg(pf, n, &lu::LuParams::at(scale), lu::version_for(c), cfg),
             App::Ocean => {
-                ocean::run_cfg(platform, nprocs, scale, ocean::version_for(self.class), cfg).stats
+                let params = ocean::OceanParams::at(scale);
+                ocean::run_params_cfg(pf, n, &params, ocean::version_for(c), cfg)
             }
             App::Volrend => {
-                volrend::run_cfg(
-                    platform,
-                    nprocs,
-                    scale,
-                    volrend::version_for(self.class),
-                    cfg,
-                )
-                .stats
+                let params = volrend::VolrendParams::at(scale);
+                volrend::run_params_cfg(pf, n, &params, volrend::version_for(c), cfg)
             }
             App::ShearWarp => {
-                shearwarp::run_cfg(
-                    platform,
-                    nprocs,
-                    scale,
-                    shearwarp::version_for(self.class),
-                    cfg,
-                )
-                .stats
+                let params = shearwarp::ShearWarpParams::at(scale);
+                shearwarp::run_params_cfg(pf, n, &params, shearwarp::version_for(c), cfg)
             }
             App::Raytrace => {
-                raytrace::run_cfg(
-                    platform,
-                    nprocs,
-                    scale,
-                    raytrace::version_for(self.class),
-                    cfg,
-                )
-                .stats
+                let params = raytrace::RaytraceParams::at(scale);
+                raytrace::run_params_cfg(pf, n, &params, raytrace::version_for(c), cfg)
             }
             App::Barnes => {
-                barnes::run_cfg(
-                    platform,
-                    nprocs,
-                    scale,
-                    barnes::version_for(self.class),
-                    cfg,
-                )
-                .stats
+                let params = barnes::BarnesParams::at(scale);
+                barnes::run_params_cfg(pf, n, &params, barnes::version_for(c), cfg)
             }
             App::Radix => {
-                radix::run_cfg(platform, nprocs, scale, radix::version_for(self.class), cfg).stats
+                let params = radix::RadixParams::at(scale);
+                radix::run_params_cfg(pf, n, &params, radix::version_for(c), cfg)
             }
             App::Kv => {
-                kvstore::run_cfg(
-                    platform,
-                    nprocs,
-                    scale,
-                    kvstore::version_for(self.class),
-                    cfg,
-                )
-                .stats
+                let params = kvstore::KvParams::at(scale);
+                kvstore::run_params_cfg(pf, n, &params, kvstore::version_for(c), cfg)
             }
-        }
+        };
+        result.stats
     }
 }

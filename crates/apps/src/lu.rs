@@ -525,22 +525,6 @@ pub fn run_params_cfg(
     }
 }
 
-/// Run LU at a scale preset.
-pub fn run(platform: Platform, nprocs: usize, scale: Scale, version: LuVersion) -> AppResult {
-    run_params(platform, nprocs, &LuParams::at(scale), version)
-}
-
-/// Run LU at a scale preset with an explicit scheduler configuration.
-pub fn run_cfg(
-    platform: Platform,
-    nprocs: usize,
-    scale: Scale,
-    version: LuVersion,
-    cfg: RunConfig,
-) -> AppResult {
-    run_params_cfg(platform, nprocs, &LuParams::at(scale), version, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -432,22 +432,6 @@ pub fn run_params_cfg(
     }
 }
 
-/// Run Ocean at a scale preset.
-pub fn run(platform: Platform, nprocs: usize, scale: Scale, version: OceanVersion) -> AppResult {
-    run_params(platform, nprocs, &OceanParams::at(scale), version)
-}
-
-/// Run Ocean at a scale preset with an explicit scheduler configuration.
-pub fn run_cfg(
-    platform: Platform,
-    nprocs: usize,
-    scale: Scale,
-    version: OceanVersion,
-    cfg: RunConfig,
-) -> AppResult {
-    run_params_cfg(platform, nprocs, &OceanParams::at(scale), version, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

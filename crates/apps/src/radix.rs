@@ -269,22 +269,6 @@ pub fn run_params_cfg(
     }
 }
 
-/// Run Radix at a scale preset.
-pub fn run(platform: Platform, nprocs: usize, scale: Scale, version: RadixVersion) -> AppResult {
-    run_params(platform, nprocs, &RadixParams::at(scale), version)
-}
-
-/// Run Radix at a scale preset with an explicit scheduler configuration.
-pub fn run_cfg(
-    platform: Platform,
-    nprocs: usize,
-    scale: Scale,
-    version: RadixVersion,
-    cfg: RunConfig,
-) -> AppResult {
-    run_params_cfg(platform, nprocs, &RadixParams::at(scale), version, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

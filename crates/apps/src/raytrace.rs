@@ -503,22 +503,6 @@ pub fn run_params_cfg(
     }
 }
 
-/// Run Raytrace at a scale preset.
-pub fn run(platform: Platform, nprocs: usize, scale: Scale, version: RaytraceVersion) -> AppResult {
-    run_params(platform, nprocs, &RaytraceParams::at(scale), version)
-}
-
-/// Run Raytrace at a scale preset with an explicit scheduler configuration.
-pub fn run_cfg(
-    platform: Platform,
-    nprocs: usize,
-    scale: Scale,
-    version: RaytraceVersion,
-    cfg: RunConfig,
-) -> AppResult {
-    run_params_cfg(platform, nprocs, &RaytraceParams::at(scale), version, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

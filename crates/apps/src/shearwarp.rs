@@ -545,27 +545,6 @@ pub fn run_params_cfg(
     }
 }
 
-/// Run Shear-Warp at a scale preset.
-pub fn run(
-    platform: Platform,
-    nprocs: usize,
-    scale: Scale,
-    version: ShearWarpVersion,
-) -> AppResult {
-    run_params(platform, nprocs, &ShearWarpParams::at(scale), version)
-}
-
-/// Run Shear-Warp at a scale preset with an explicit scheduler configuration.
-pub fn run_cfg(
-    platform: Platform,
-    nprocs: usize,
-    scale: Scale,
-    version: ShearWarpVersion,
-    cfg: RunConfig,
-) -> AppResult {
-    run_params_cfg(platform, nprocs, &ShearWarpParams::at(scale), version, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

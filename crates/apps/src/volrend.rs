@@ -542,22 +542,6 @@ pub fn run_params_cfg(
     }
 }
 
-/// Run Volrend at a scale preset.
-pub fn run(platform: Platform, nprocs: usize, scale: Scale, version: VolrendVersion) -> AppResult {
-    run_params(platform, nprocs, &VolrendParams::at(scale), version)
-}
-
-/// Run Volrend at a scale preset with an explicit scheduler configuration.
-pub fn run_cfg(
-    platform: Platform,
-    nprocs: usize,
-    scale: Scale,
-    version: VolrendVersion,
-    cfg: RunConfig,
-) -> AppResult {
-    run_params_cfg(platform, nprocs, &VolrendParams::at(scale), version, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

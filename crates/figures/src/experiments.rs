@@ -7,8 +7,8 @@
 
 use crate::cli::{self, Flags, Parsed};
 use crate::{breakdown_table, report, sweep, Runner};
-use apps::barnes::{self, phase, BarnesVersion};
-use apps::volrend::{self, VolrendVersion};
+use apps::barnes::{self, phase, BarnesParams, BarnesVersion};
+use apps::volrend::{self, VolrendParams, VolrendVersion};
 use apps::{App, OptClass, Platform};
 use sim_core::RunStats;
 
@@ -536,10 +536,11 @@ const VOLREND: [OptClass; 2] = [OptClass::Orig, OptClass::Algorithm];
 /// optimization class of their own) on SVM.
 fn volrend_breakdown(e: &Experiment, p: &Parsed, version: VolrendVersion) -> Result<(), String> {
     e.begin(p, &[App::Volrend], &VOLREND, &[Platform::Svm])?;
-    let base = volrend::run(Platform::Svm, 1, p.scale, VolrendVersion::Orig)
+    let params = VolrendParams::at(p.scale);
+    let base = volrend::run_params(Platform::Svm, 1, &params, VolrendVersion::Orig)
         .stats
         .total_cycles();
-    let st = volrend::run(Platform::Svm, p.nprocs, p.scale, version).stats;
+    let st = volrend::run_params(Platform::Svm, p.nprocs, &params, version).stats;
     println!("{}", breakdown_table(&st));
     print_speedup(base, &st);
     Ok(())
@@ -564,8 +565,11 @@ fn fig17(e: &Experiment, p: &Parsed) -> Result<(), String> {
             ]
         })
         .collect();
+    let params = VolrendParams::at(p.scale);
     let cycles = sweep::run(&jobs, |&(pf, nprocs, v)| {
-        volrend::run(pf, nprocs, p.scale, v).stats.total_cycles()
+        volrend::run_params(pf, nprocs, &params, v)
+            .stats
+            .total_cycles()
     });
     for (pf, c) in PLATFORMS.iter().zip(cycles.chunks(3)) {
         let (base, with, without) = (c[0], c[1], c[2]);
@@ -656,8 +660,9 @@ fn barnes_algorithms(e: &Experiment, p: &Parsed) -> Result<(), String> {
     let jobs: Vec<(usize, BarnesVersion)> = std::iter::once((1, BarnesVersion::SharedTree))
         .chain(versions.iter().map(|&v| (p.nprocs, v)))
         .collect();
+    let params = BarnesParams::at(p.scale);
     let mut runs = sweep::run(&jobs, |&(nprocs, v)| {
-        barnes::run(Platform::Svm, nprocs, p.scale, v).stats
+        barnes::run_params(Platform::Svm, nprocs, &params, v).stats
     })
     .into_iter();
     let baseline = runs.next().expect("baseline ran");

@@ -726,7 +726,7 @@ mod tests {
     fn lines_are_cached_only_while_the_page_is_mapped() {
         // p1 fetches, caches, loses and refetches a page p0 keeps writing.
         let mut r = Rig::new(2);
-        let a = r.alloc.alloc(PAGE_SIZE, 8, Placement::RoundRobin, 0);
+        let a = r.alloc.alloc(PAGE_SIZE, 8, Placement::RoundRobin);
         let page = a >> r.p.m.page_shift;
         let check = |r: &Rig, mapped: bool| {
             assert_eq!(r.p.nodes[1].pages.contains(page), mapped);

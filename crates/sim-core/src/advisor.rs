@@ -24,12 +24,12 @@
 //! advisor is invisible by construction — it only *reads* reports other
 //! layers already produced.
 
-use crate::critpath::{analyze, what_if_edges, CritPath, PathCat, WhatIf};
+use crate::critpath::{analyze, phase_timelines, what_if_edges, CritPath, PathCat, WhatIf};
 use crate::metrics::{MetricsReport, PageTrajectory};
 use crate::sharing::{SharingClass, SharingProfile};
 use crate::stats::RunStats;
-use crate::trace::{DepKind, EventKind, RunTrace};
-use crate::util::json_escape;
+use crate::trace::{DepKind, RunTrace};
+use crate::util::{insert_sorted, json_escape};
 use std::fmt::Write as _;
 
 /// A recommendation must account for at least this fraction of the
@@ -338,12 +338,6 @@ impl LabelJoin {
         self.fetch_cycles + self.diff_cycles + self.miss_cycles
     }
 
-    fn add_writer(&mut self, w: u16) {
-        if let Err(i) = self.writers.binary_search(&w) {
-            self.writers.insert(i, w);
-        }
-    }
-
     fn evidence_pages(&self) -> Vec<u64> {
         let mut hot = self.hot_pages.clone();
         hot.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
@@ -354,33 +348,11 @@ impl LabelJoin {
     }
 }
 
-/// Per-processor `(begin_ts, phase)` timelines from the trace events.
-fn phase_timelines(tr: &RunTrace) -> Vec<Vec<(u64, usize)>> {
-    tr.procs
-        .iter()
-        .map(|p| {
-            p.events
-                .iter()
-                .filter_map(|e| match e.kind {
-                    EventKind::PhaseBegin { phase } => Some((e.ts, phase)),
-                    _ => None,
-                })
-                .collect()
-        })
-        .collect()
-}
-
 /// The phase active on one timeline at time `t` (0 before any begin).
 fn phase_at(tl: &[(u64, usize)], t: u64) -> usize {
     match tl.partition_point(|&(ts, _)| ts <= t) {
         0 => 0,
         i => tl[i - 1].1,
-    }
-}
-
-fn push_sorted(v: &mut Vec<usize>, x: usize) {
-    if let Err(i) = v.binary_search(&x) {
-        v.insert(i, x);
     }
 }
 
@@ -428,7 +400,7 @@ fn join_labels(
                 .get(s.pid)
                 .map(|tl| phase_at(tl, s.t0))
                 .unwrap_or(0);
-            push_sorted(&mut entry(&mut out, &lbl).phases, phase);
+            insert_sorted(&mut entry(&mut out, &lbl).phases, phase);
         }
         for a in &tr.allocs {
             entry(&mut out, a.label).bytes += a.last - a.first + 1;
@@ -451,7 +423,7 @@ fn join_labels(
                 e.multi_writer_pages += 1;
             }
             for &w in &pg.writers {
-                e.add_writer(w as u16);
+                insert_sorted(&mut e.writers, w as u16);
             }
             e.hot_pages
                 .push((pg.diff_words.max(pg.fetches), pg.page_base));
@@ -465,7 +437,7 @@ fn join_labels(
         for pg in &m.pages {
             let e = entry(&mut out, pg.label);
             for &w in &pg.writers {
-                e.add_writer(w);
+                insert_sorted(&mut e.writers, w);
             }
             if pg.overlap {
                 e.overlap = true;

@@ -114,12 +114,12 @@ impl GlobalAlloc {
         }
     }
 
-    /// Allocate `bytes` with `align` (power of two) under `policy`, for the
-    /// allocating node `owner`. Placement policies are page-granular, so the
-    /// allocation is padded out to page boundaries whenever the policy cares
-    /// about pages and the allocation spans any.
-    pub fn alloc(&mut self, bytes: u64, align: u64, policy: Placement, owner: usize) -> Addr {
-        self.alloc_labeled("", bytes, align, policy, owner)
+    /// Allocate `bytes` with `align` (power of two) under `policy`.
+    /// Placement policies are page-granular, so the allocation is padded out
+    /// to page boundaries whenever the policy cares about pages and the
+    /// allocation spans any.
+    pub fn alloc(&mut self, bytes: u64, align: u64, policy: Placement) -> Addr {
+        self.alloc_labeled("", bytes, align, policy)
     }
 
     /// Like [`GlobalAlloc::alloc`], tagging the region with a diagnostic
@@ -130,7 +130,6 @@ impl GlobalAlloc {
         bytes: u64,
         align: u64,
         policy: Placement,
-        _owner: usize,
     ) -> Addr {
         assert!(bytes > 0, "zero-size shared allocation");
         let align = align.max(1);
@@ -213,19 +212,9 @@ impl GlobalAlloc {
             .collect()
     }
 
-    /// High-water mark of the heap.
-    pub fn high_water(&self) -> Addr {
-        self.next
-    }
-
     /// The placement map (for platforms).
     pub fn map(&mut self) -> &mut PlacementMap {
         &mut self.map
-    }
-
-    /// Immutable placement map view.
-    pub fn map_ref(&self) -> &PlacementMap {
-        &self.map
     }
 }
 
@@ -239,7 +228,7 @@ mod tests {
         let mut prev_end = 0u64;
         for i in 1..50u64 {
             let align = 1u64 << (i % 7);
-            let p = a.alloc(i * 13, align, Placement::RoundRobin, 0);
+            let p = a.alloc(i * 13, align, Placement::RoundRobin);
             assert_eq!(p % align, 0, "misaligned");
             assert!(p >= prev_end, "overlap");
             prev_end = p + i * 13;
@@ -249,7 +238,7 @@ mod tests {
     #[test]
     fn node_placement_homes_everything_on_that_node() {
         let mut a = GlobalAlloc::new(8);
-        let p = a.alloc(10 * PAGE_SIZE, 8, Placement::Node(5), 0);
+        let p = a.alloc(10 * PAGE_SIZE, 8, Placement::Node(5));
         for i in 0..10 {
             assert_eq!(a.map().home_of(p + i * PAGE_SIZE, 0), 5);
         }
@@ -258,7 +247,7 @@ mod tests {
     #[test]
     fn round_robin_rotates_homes() {
         let mut a = GlobalAlloc::new(4);
-        let p = a.alloc(8 * PAGE_SIZE, 8, Placement::RoundRobin, 0);
+        let p = a.alloc(8 * PAGE_SIZE, 8, Placement::RoundRobin);
         let homes: Vec<usize> = (0..8)
             .map(|i| a.map().home_of(p + i * PAGE_SIZE, 0))
             .collect();
@@ -268,7 +257,7 @@ mod tests {
     #[test]
     fn blocked_placement_chunks() {
         let mut a = GlobalAlloc::new(2);
-        let p = a.alloc(8 * PAGE_SIZE, 8, Placement::Blocked { chunk_pages: 2 }, 0);
+        let p = a.alloc(8 * PAGE_SIZE, 8, Placement::Blocked { chunk_pages: 2 });
         let homes: Vec<usize> = (0..8)
             .map(|i| a.map().home_of(p + i * PAGE_SIZE, 0))
             .collect();
@@ -278,7 +267,7 @@ mod tests {
     #[test]
     fn first_touch_sticks() {
         let mut a = GlobalAlloc::new(4);
-        let p = a.alloc(2 * PAGE_SIZE, 8, Placement::FirstTouch, 0);
+        let p = a.alloc(2 * PAGE_SIZE, 8, Placement::FirstTouch);
         assert_eq!(a.map().home_of(p, 3), 3);
         assert_eq!(a.map().home_of(p, 1), 3, "first touch must stick");
         assert_eq!(a.map().home_of(p + PAGE_SIZE, 2), 2);
@@ -287,8 +276,8 @@ mod tests {
     #[test]
     fn distinct_policies_never_share_a_page() {
         let mut a = GlobalAlloc::new(4);
-        let p1 = a.alloc(100, 8, Placement::Node(1), 0);
-        let p2 = a.alloc(100, 8, Placement::Node(2), 0);
+        let p1 = a.alloc(100, 8, Placement::Node(1));
+        let p2 = a.alloc(100, 8, Placement::Node(2));
         assert_ne!(page_of(p1), page_of(p2));
         assert_eq!(a.map().home_of(p1, 0), 1);
         assert_eq!(a.map().home_of(p2, 0), 2);
@@ -297,8 +286,8 @@ mod tests {
     #[test]
     fn same_node_small_allocs_can_share_a_page() {
         let mut a = GlobalAlloc::new(4);
-        let p1 = a.alloc(64, 8, Placement::Node(1), 0);
-        let p2 = a.alloc(64, 8, Placement::Node(1), 0);
+        let p1 = a.alloc(64, 8, Placement::Node(1));
+        let p2 = a.alloc(64, 8, Placement::Node(1));
         assert_eq!(page_of(p1), page_of(p2));
     }
 }

@@ -246,6 +246,24 @@ fn resource_of(tr: &RunTrace, e: &DepEdge) -> (String, WhatIf) {
     }
 }
 
+/// Per-processor `(begin_ts, phase)` timelines from the trace events: the
+/// phase active at time t is the last `PhaseBegin` at or before t, and 0
+/// before any.
+pub(crate) fn phase_timelines(tr: &RunTrace) -> Vec<Vec<(u64, usize)>> {
+    tr.procs
+        .iter()
+        .map(|p| {
+            p.events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::PhaseBegin { phase } => Some((e.ts, phase)),
+                    _ => None,
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// Reconstruct the critical path of a traced run.
 ///
 /// The walk starts at the end of the run on the processor that determined
@@ -262,21 +280,7 @@ pub fn analyze(tr: &RunTrace) -> CritPath {
             by_dst[e.dst].push(i);
         }
     }
-    // Per-processor phase timelines from the event stream (the phase active
-    // at time t is the last PhaseBegin at or before t; 0 before any).
-    let timelines: Vec<Vec<(u64, usize)>> = tr
-        .procs
-        .iter()
-        .map(|p| {
-            p.events
-                .iter()
-                .filter_map(|e| match e.kind {
-                    EventKind::PhaseBegin { phase } => Some((e.ts, phase)),
-                    _ => None,
-                })
-                .collect()
-        })
-        .collect();
+    let timelines = phase_timelines(tr);
 
     // The walk starts on the processor that determined the end of the run:
     // the pre-settle straggler if a settle happened (every settled proc
@@ -472,14 +476,6 @@ fn recompute(tr: &RunTrace, zero: impl Fn(&DepEdge) -> bool) -> u64 {
 /// best case: serialization behind the eliminated stalls is ignored).
 pub fn what_if(tr: &RunTrace, target: &WhatIf) -> u64 {
     recompute(tr, |e| does_match(tr, e, target))
-}
-
-/// Projected end-to-end time with every edge matching *any* of `targets`
-/// zeroed — the combined upper bound for applying a whole family of
-/// transformations at once. Zeroing a superset of edges can only shrink
-/// the projection, so the union bound dominates each individual bound.
-pub fn what_if_all(tr: &RunTrace, targets: &[WhatIf]) -> u64 {
-    recompute(tr, |e| targets.iter().any(|w| does_match(tr, e, w)))
 }
 
 /// Projected end-to-end time with an arbitrary set of edges zeroed —

@@ -531,7 +531,7 @@ mod tests {
     #[test]
     fn unordered_writes_race() {
         let mut a = GlobalAlloc::new(2);
-        let base = a.alloc_labeled("buf", 4096, 8, Placement::RoundRobin, 0);
+        let base = a.alloc_labeled("buf", 4096, 8, Placement::RoundRobin);
         let mut d = RaceDetector::new(2, "unit".into(), MAX_REPORTS);
         d.on_write(0, base, 8);
         d.on_write(1, base, 8);

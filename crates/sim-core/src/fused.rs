@@ -180,7 +180,7 @@ impl Machine {
                 align,
                 placement,
             } => {
-                let a = inner.op_alloc(pid, label, bytes, align, placement);
+                let a = inner.op_alloc(label, bytes, align, placement);
                 self.st = MState::OweReply(Reply::Addr(a));
                 Action::Run
             }

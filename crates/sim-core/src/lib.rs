@@ -59,7 +59,6 @@ pub mod sharing;
 pub mod stats;
 pub mod trace;
 pub mod util;
-pub mod view;
 
 pub use addr::{Addr, HEAP_BASE, PAGE_SHIFT, PAGE_SIZE};
 pub use advisor::{
@@ -68,8 +67,7 @@ pub use advisor::{
 pub use alloc::{GlobalAlloc, Placement, PlacementMap};
 pub use cache::{Cache, CacheGeom, LineState, Lookup};
 pub use critpath::{
-    analyze, what_if, what_if_all, what_if_edges, what_if_report, CritPath, PathCat, PathStep,
-    WhatIf,
+    analyze, what_if, what_if_edges, what_if_report, CritPath, PathCat, PathStep, WhatIf,
 };
 pub use detector::{RaceKind, RaceReport};
 pub use mem::FlatMem;
@@ -84,4 +82,3 @@ pub use sched::{run, Proc, RunConfig, MAX_SHARD_BATCH};
 pub use sharing::{LabelSharing, PageSharing, SharingClass, SharingProfile};
 pub use stats::{Bucket, Counter, ProcStats, RunStats, MAX_PHASES};
 pub use trace::{AllocSpan, DepEdge, DepKind, Event, EventKind, ProcTrace, RunTrace, WaitHist};
-pub use view::{GArr, Grid2, Grid4, Word};

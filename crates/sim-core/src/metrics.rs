@@ -22,7 +22,7 @@
 //! the ROADMAP's optimization advisor needs the distinction.
 //!
 //! All of it arrives as [`ProtoEvent`]s through the run's
-//! [`crate::probe::Probe`]; [`MetricsSink::on_event`] is the only entry.
+//! [`crate::probe::Probe`]; `MetricsSink::on_event` is the only entry.
 //!
 //! Like every other diagnostic layer, metrics are **off by default** and
 //! **invisible** (the argument is in [`crate::probe`]): a metrics-on run
@@ -36,7 +36,7 @@
 use std::fmt::Write as _;
 
 use crate::probe::ProtoEvent;
-use crate::util::{json_escape, Capped, FxMap};
+use crate::util::{insert_sorted, json_escape, Capped, FxMap};
 
 /// Default sampling interval in virtual cycles
 /// ([`crate::RunConfig::with_metrics`] takes an explicit one; figure
@@ -379,9 +379,7 @@ impl MetricsSink {
         let Some(st) = self.pages.entry(page, || new_page(cap)) else {
             return;
         };
-        if let Err(i) = st.writers.binary_search(&writer) {
-            st.writers.insert(i, writer);
-        }
+        insert_sorted(&mut st.writers, writer);
         let mut nwords = 0u64;
         for w in words {
             nwords += 1;
@@ -399,9 +397,7 @@ impl MetricsSink {
         }
         if let Some(e) = self.page_ival(now, page) {
             e.diff_words += nwords;
-            if let Err(i) = e.writers.binary_search(&writer) {
-                e.writers.insert(i, writer);
-            }
+            insert_sorted(&mut e.writers, writer);
         }
     }
 

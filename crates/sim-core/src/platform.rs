@@ -40,14 +40,6 @@ impl Timing<'_> {
         }
     }
 
-    /// Account time without advancing the clock (e.g. overlap accounting).
-    #[inline]
-    pub fn account(&mut self, bucket: Bucket, cycles: u64) {
-        if self.timing_on && cycles > 0 {
-            self.stats.add(bucket, cycles);
-        }
-    }
-
     /// Advance the clock to `t` (if in the future), charging the wait to
     /// `bucket`.
     #[inline]

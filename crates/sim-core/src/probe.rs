@@ -19,7 +19,7 @@
 //! only while the timed region is active, so warm-up and verification
 //! traffic stays out of traces and series. Two exceptions are offered
 //! every event: the sharing tracker, whose window runs from `start_timing`
-//! to the end of the run (DESIGN.md §8) and which [`Probe::reset`] clears,
+//! to the end of the run (DESIGN.md §8) and which `Probe::reset` clears,
 //! and the race detector, whose window is the whole run (a race during
 //! warm-up is still a race) and which nothing resets. The per-operation
 //! events, [`ProtoEvent::Access`] and [`ProtoEvent::ProcSample`], are

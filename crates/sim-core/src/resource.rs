@@ -2,22 +2,18 @@
 //!
 //! Every shared hardware component — a node's protocol handler, an I/O bus,
 //! the SMP snooping bus, a DSM home directory — is modelled as a [`Resource`]
-//! with a single `free_at` timestamp. A request arriving at virtual time `t`
-//! with service duration `d` is serviced during `[max(t, free_at),
-//! max(t, free_at) + d)`; the queueing delay `max(t, free_at) - t` is the
-//! contention the paper repeatedly identifies as the source of
-//! "contention-induced imbalance" (Barnes, Radix, Shear-Warp).
+//! holding only the time at which it next falls idle. A request arriving at
+//! virtual time `t` with service duration `d` is serviced during
+//! `[max(t, idle), max(t, idle) + d)`; the queueing delay `max(t, idle) - t`
+//! is the contention the paper repeatedly identifies as the source of
+//! "contention-induced imbalance" (Barnes, Radix, Shear-Warp). Callers
+//! account that delay themselves from the returned interval.
 
-/// A first-come-first-served resource with one server.
+/// A first-come-first-served resource with one server: the end of the last
+/// service interval granted.
 #[derive(Clone, Debug, Default)]
 pub struct Resource {
     free_at: u64,
-    /// Total busy cycles (service time granted), for utilization reporting.
-    pub busy: u64,
-    /// Total queueing delay imposed on requests.
-    pub queued: u64,
-    /// Number of requests serviced.
-    pub requests: u64,
 }
 
 impl Resource {
@@ -32,19 +28,11 @@ impl Resource {
     pub fn serve(&mut self, arrive: u64, dur: u64) -> (u64, u64) {
         let start = self.free_at.max(arrive);
         let end = start + dur;
-        self.queued += start - arrive;
-        self.busy += dur;
-        self.requests += 1;
         self.free_at = end;
         (start, end)
     }
 
-    /// When the resource next becomes free.
-    pub fn free_at(&self) -> u64 {
-        self.free_at
-    }
-
-    /// Reset for a new timed region (clears the clock but keeps nothing).
+    /// Make the resource idle from time 0, for a new timed region.
     pub fn reset(&mut self) {
         *self = Self::default();
     }
@@ -55,28 +43,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn back_to_back_requests_queue() {
+    fn busy_arrival_queues_idle_arrival_starts_at_once() {
         let mut r = Resource::new();
-        let (s1, e1) = r.serve(100, 10);
-        assert_eq!((s1, e1), (100, 110));
-        // Arrives while busy: queues.
-        let (s2, e2) = r.serve(105, 10);
-        assert_eq!((s2, e2), (110, 120));
-        assert_eq!(r.queued, 5);
-        // Arrives after idle: no queueing.
-        let (s3, _) = r.serve(500, 10);
-        assert_eq!(s3, 500);
-        assert_eq!(r.queued, 5);
-        assert_eq!(r.busy, 30);
-        assert_eq!(r.requests, 3);
+        assert_eq!(r.serve(100, 10), (100, 110));
+        // Arrives while busy: starts when the previous request ends.
+        assert_eq!(r.serve(105, 10), (110, 120));
+        // Arrives after the resource fell idle: starts on arrival.
+        assert_eq!(r.serve(500, 10), (500, 510));
     }
 
     #[test]
-    fn reset_clears_state() {
+    fn reset_makes_the_resource_idle() {
         let mut r = Resource::new();
         r.serve(0, 1000);
         r.reset();
-        assert_eq!(r.free_at(), 0);
-        assert_eq!(r.busy, 0);
+        assert_eq!(r.serve(5, 10), (5, 15));
     }
 }

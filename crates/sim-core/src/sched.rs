@@ -1,7 +1,7 @@
 //! The cooperative, deterministic, min-virtual-time scheduler and the
 //! [`Proc`] handle applications program against.
 //!
-//! Each simulated processor is a stackful coroutine ([`crate::coro`]); all
+//! Each simulated processor is a stackful coroutine (`crate::coro`); all
 //! of them live on the host thread that called [`run`], and exactly one runs
 //! at a time. The running processor performs simulated events (memory
 //! accesses, synchronization) against the shared scheduler state — no lock,
@@ -76,7 +76,7 @@ pub struct RunConfig {
     /// the classic engine.
     pub shards: usize,
     /// Replay engine for sharded runs (`shards > 1`). `true` (the default)
-    /// selects the fused engine ([`crate::fused`]): every replay
+    /// selects the fused engine (`crate::fused`): every replay
     /// interpreter is a stackless state machine driven by one host
     /// thread's virtual-time event loop. `false` falls back to the classic
     /// replay side (the sequential engine, one coroutine per simulated
@@ -88,7 +88,7 @@ pub struct RunConfig {
     /// replay. Bigger batches amortize channel costs; smaller ones start
     /// replay earlier and tighten the event-bounded lookahead window
     /// (capacity is counted in batches). Defaults to
-    /// [`crate::shard::DEFAULT_BATCH`]. Invisible in the statistics
+    /// `crate::shard::DEFAULT_BATCH`. Invisible in the statistics
     /// (asserted across values by `tests/shard_equivalence.rs`).
     pub shard_batch: usize,
     /// Interval metrics sampling period in virtual cycles (see
@@ -612,17 +612,15 @@ impl Inner {
         }
     }
 
-    /// Bump-allocate shared memory on behalf of `pid`.
+    /// Bump-allocate shared memory.
     pub(crate) fn op_alloc(
         &mut self,
-        pid: usize,
         label: &'static str,
         bytes: u64,
         align: u64,
         placement: Placement,
     ) -> Addr {
-        self.alloc
-            .alloc_labeled(label, bytes, align, placement, pid)
+        self.alloc.alloc_labeled(label, bytes, align, placement)
     }
 
     /// Perform one load for `pid`.
@@ -1117,7 +1115,7 @@ impl Proc {
             }
         }
         let mut g = self.shared().state();
-        g.op_alloc(self.pid, label, bytes, align, placement)
+        g.op_alloc(label, bytes, align, placement)
     }
 
     /// Load `len` (1/2/4/8) bytes from the simulated shared address space.

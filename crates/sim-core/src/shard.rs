@@ -17,9 +17,9 @@
 //! *pipeline* rather than *space*:
 //!
 //! * a **generation** thread per processor runs the application body
-//!   against a process-wide [`ValuePlane`] (the flat values of simulated
+//!   against a process-wide `ValuePlane` (the flat values of simulated
 //!   memory) and emits its sequence of simulated operations as a
-//!   descriptor stream ([`Desc`]);
+//!   descriptor stream (`Desc`);
 //! * the **replay** engine — the unmodified classic scheduler — consumes
 //!   the streams, one interpreter per processor, re-issuing exactly the
 //!   same `Proc` calls the application would have made, in exactly the
@@ -29,7 +29,7 @@
 //! detection and protocol state live in replay, which is the classic
 //! engine; the statistics are therefore a pure function of the streams.
 //! The streams themselves are deterministic for data-race-free programs:
-//! every value a generation thread reads from the [`ValuePlane`] is fixed
+//! every value a generation thread reads from the `ValuePlane` is fixed
 //! by the happens-before order that the round-trip synchronization
 //! descriptors (lock, barrier, timing rendezvous, allocation) enforce on
 //! the host, mirroring the virtual-time order replay computes. The

@@ -23,7 +23,7 @@
 //! post-`stop_timing` verification read-back (DESIGN.md §8).
 
 use crate::probe::ProtoEvent;
-use crate::util::{json_escape, FxMap};
+use crate::util::{insert_sorted, json_escape, FxMap};
 
 /// How a page was shared during the profiled region, judged from the
 /// word-granularity write footprints of the diffs it generated.
@@ -138,12 +138,6 @@ struct PageTrack {
     owner: Vec<u16>,
     /// Two nodes diffed the same word: genuine communication.
     overlap: bool,
-}
-
-fn insert_sorted(v: &mut Vec<u32>, x: u32) {
-    if let Err(i) = v.binary_search(&x) {
-        v.insert(i, x);
-    }
 }
 
 impl PageTrack {

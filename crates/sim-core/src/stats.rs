@@ -275,16 +275,6 @@ impl RunStats {
             phase_sum as f64 / total as f64
         }
     }
-
-    /// Speedup of this run relative to a baseline (uniprocessor) cycle count.
-    pub fn speedup_vs(&self, baseline_cycles: u64) -> f64 {
-        let t = self.total_cycles();
-        if t == 0 {
-            0.0
-        } else {
-            baseline_cycles as f64 / t as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -319,7 +309,7 @@ mod tests {
     }
 
     #[test]
-    fn run_stats_totals_and_speedup() {
+    fn run_stats_totals() {
         let mut a = ProcStats::default();
         a.add(Bucket::Compute, 50);
         let mut b = ProcStats::default();
@@ -335,7 +325,6 @@ mod tests {
         };
         assert_eq!(rs.total_cycles(), 70);
         assert_eq!(rs.sum(Bucket::Compute), 50);
-        assert!((rs.speedup_vs(140) - 2.0).abs() < 1e-12);
     }
 
     #[test]

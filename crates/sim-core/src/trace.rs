@@ -5,7 +5,7 @@
 //! bounded per-proc buffer: phase transitions, lock and barrier episodes,
 //! page fetches, diff creation/application, invalidations and remote
 //! misses. The tracer is a consumer of the protocol event stream
-//! ([`crate::probe`]): [`TraceSink::on_event`] turns each
+//! ([`crate::probe`]): `TraceSink::on_event` turns each
 //! [`ProtoEvent`] the scheduler and the platform crates report into trace
 //! events, a dependency edge and a wait sample. All timestamps are virtual
 //! cycles — no host clocks — so traces are bit-identical across repeated

@@ -1,7 +1,7 @@
 //! Small utilities: a fast deterministic hasher for hot protocol tables, a
 //! seedable xorshift RNG used by workload generators that must not depend
-//! on global state, and the JSON string escaper and the capped buffer of
-//! the diagnostic layers.
+//! on global state, and the JSON string escaper, the sorted insert and the
+//! capped buffer of the diagnostic layers.
 //!
 //! We re-implement the well-known Fx hash function (as used by rustc) rather
 //! than pulling in an extra dependency; protocol page tables and directories
@@ -32,6 +32,14 @@ pub(crate) fn json_escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// Insert `x` into the ascending, duplicate-free `v` unless it is already
+/// there.
+pub(crate) fn insert_sorted<T: Ord>(v: &mut Vec<T>, x: T) {
+    if let Err(i) = v.binary_search(&x) {
+        v.insert(i, x);
+    }
 }
 
 /// A collection that holds at most `cap` entries and counts what it turned

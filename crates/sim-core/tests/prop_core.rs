@@ -36,7 +36,7 @@ fn allocations_never_overlap() {
             let bytes = 1 + rng.below(9_999);
             let align = 1u64 << rng.below(12);
             let policy = random_placement(&mut rng);
-            let addr = a.alloc(bytes, align, policy, 0);
+            let addr = a.alloc(bytes, align, policy);
             assert_eq!(addr % align, 0, "misaligned (case {case})");
             assert!(addr >= HEAP_BASE);
             for &(s, e) in &regions {
@@ -57,7 +57,7 @@ fn homes_are_always_in_range() {
         for _ in 0..(1 + rng.below(19)) {
             let bytes = 1 + rng.below(49_999);
             let policy = random_placement(&mut rng);
-            bases.push((a.alloc(bytes, 8, policy, 0), bytes));
+            bases.push((a.alloc(bytes, 8, policy), bytes));
         }
         for _ in 0..(1 + rng.below(49)) {
             let (base, bytes) = bases[rng.below(bases.len() as u64) as usize];

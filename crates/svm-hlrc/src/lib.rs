@@ -782,7 +782,7 @@ mod tests {
         // with it.
         let mut p = SvmPlatform::new(SvmConfig::paper(2));
         let mut alloc = sim_core::GlobalAlloc::new(2);
-        alloc.alloc(PAGE_SIZE, 8, Placement::Node(0), 0);
+        alloc.alloc(PAGE_SIZE, 8, Placement::Node(0));
         let (mut clocks, mut stats) = ([0u64; 2], [ProcStats::default(), ProcStats::default()]);
         for round in 0..100 {
             let mut arrivals = [0u64; 2];
@@ -854,7 +854,7 @@ mod tests {
         // Two nodes of two processors; the page is homed at node 0 and
         // nodes[1] = {p2, p3} fetch, cache, lose and refetch it.
         let mut r = Rig::new(SvmConfig::paper_smp_nodes(4, 2));
-        let a = r.alloc.alloc(PAGE_SIZE, 8, Placement::Node(0), 0);
+        let a = r.alloc.alloc(PAGE_SIZE, 8, Placement::Node(0));
         let page = a >> r.p.m.page_shift;
         let check = |r: &Rig, mapped: bool| {
             assert_eq!(r.p.nodes[1].pages.contains(page), mapped);
@@ -884,7 +884,7 @@ mod tests {
         // The home is looked up only on the fault path; the first access to
         // a page anywhere is a fault, so first touch still decides it.
         let mut r = Rig::new(SvmConfig::paper(4));
-        let a = r.alloc.alloc(PAGE_SIZE, 8, Placement::FirstTouch, 0);
+        let a = r.alloc.alloc(PAGE_SIZE, 8, Placement::FirstTouch);
         r.on(3, |p, t| p.load(t, a, 8));
         r.on(3, |p, t| p.load(t, a + 8, 8)); // mapped: no lookup
         r.on(1, |p, t| p.store(t, a, 8, 5));

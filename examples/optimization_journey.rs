@@ -6,16 +6,16 @@
 //! cargo run --release --example optimization_journey
 //! ```
 
-use apps::ocean::{self, OceanVersion};
+use apps::ocean::{self, OceanParams, OceanVersion};
 use apps::{Platform, Scale};
 use sim_core::Bucket;
 
 fn main() {
-    let scale = Scale::Default;
+    let params = OceanParams::at(Scale::Default);
     let nprocs = 16;
 
     println!("Ocean on SVM, {nprocs} processors (default scale; ~1 min)\n");
-    let base = ocean::run(Platform::Svm, 1, scale, OceanVersion::Orig2d)
+    let base = ocean::run_params(Platform::Svm, 1, &params, OceanVersion::Orig2d)
         .stats
         .total_cycles();
     println!("uniprocessor (original 2-d): {base} cycles\n");
@@ -26,7 +26,7 @@ fn main() {
         (OceanVersion::Contig4d, "4-d arrays, owner-homed (DS)"),
         (OceanVersion::RowWise, "row-wise partitions (Alg)"),
     ] {
-        let stats = ocean::run(Platform::Svm, nprocs, scale, version).stats;
+        let stats = ocean::run_params(Platform::Svm, nprocs, &params, version).stats;
         let t = stats.total_cycles();
         println!(
             "{:<12} speedup {:>5.2}  (barrier {:>4.1}%, data wait {:>4.1}%)   <- {note}",

@@ -6,11 +6,11 @@
 //! cargo run --release --example portability
 //! ```
 
-use apps::barnes::{self, BarnesVersion};
+use apps::barnes::{self, BarnesParams, BarnesVersion};
 use apps::{Platform, Scale};
 
 fn main() {
-    let scale = Scale::Default;
+    let params = BarnesParams::at(Scale::Default);
     let nprocs = 16;
     println!("Barnes, {nprocs} processors (default scale; ~2 min)\n");
     println!(
@@ -18,13 +18,13 @@ fn main() {
         "Platform", "SharedTree", "Spatial", "gain"
     );
     for pf in [Platform::Svm, Platform::Smp, Platform::Dsm] {
-        let base = barnes::run(pf, 1, scale, BarnesVersion::SharedTree)
+        let base = barnes::run_params(pf, 1, &params, BarnesVersion::SharedTree)
             .stats
             .total_cycles();
-        let orig = barnes::run(pf, nprocs, scale, BarnesVersion::SharedTree)
+        let orig = barnes::run_params(pf, nprocs, &params, BarnesVersion::SharedTree)
             .stats
             .total_cycles();
-        let spatial = barnes::run(pf, nprocs, scale, BarnesVersion::Spatial)
+        let spatial = barnes::run_params(pf, nprocs, &params, BarnesVersion::Spatial)
             .stats
             .total_cycles();
         println!(
