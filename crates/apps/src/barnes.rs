@@ -132,8 +132,7 @@ const B_MASS: u64 = 72;
 const C_CHILD: u64 = 0; // 8 u32
 const C_MASS: u64 = 32;
 const C_MOM: u64 = 40; // 3 f64
-const C_CENTER: u64 = 64; // 3 f64 (cube centre; used by Update-Tree)
-const C_HALF: u64 = 88; // f64 (cube half-extent)
+const C_CENTER: u64 = 64; // 3 f64 cube centre, then f64 half-extent (Update-Tree)
 
 // Child slot encoding.
 const EMPTY: u32 = 0;
@@ -629,28 +628,46 @@ impl Mem {
 }
 
 impl Mem {
+    /// Byte address of field `off` of body `i`.
+    #[inline]
+    fn body_addr(&self, i: u32, off: u64) -> u64 {
+        self.bodies + i as u64 * BODY_STRIDE + off
+    }
+
     #[inline]
     fn body_f64(&self, p: &mut Proc, i: u32, off: u64) -> f64 {
-        f64::from_bits(p.load(self.bodies + i as u64 * BODY_STRIDE + off, 8))
+        f64::from_bits(p.load(self.body_addr(i, off), 8))
     }
 
     #[inline]
     fn set_body_f64(&self, p: &mut Proc, i: u32, off: u64, v: f64) {
-        p.store(self.bodies + i as u64 * BODY_STRIDE + off, 8, v.to_bits());
+        p.store(self.body_addr(i, off), 8, v.to_bits());
+    }
+
+    /// The `K` consecutive f64 fields of body `i` from `off`, in one call.
+    #[inline]
+    fn body_words<const K: usize>(&self, p: &mut Proc, i: u32, off: u64) -> [f64; K] {
+        let mut w = [0.0; K];
+        p.read_f64_slice(self.body_addr(i, off), 8, &mut w);
+        w
     }
 
     #[inline]
     fn body_pos(&self, p: &mut Proc, i: u32) -> [f64; 3] {
-        [
-            self.body_f64(p, i, B_POS),
-            self.body_f64(p, i, B_POS + 8),
-            self.body_f64(p, i, B_POS + 16),
-        ]
+        self.body_words(p, i, B_POS)
     }
 
     #[inline]
     fn child(&self, p: &mut Proc, c: u32, oct: usize) -> u32 {
         p.load(self.cell_addr(c) + C_CHILD + 4 * oct as u64, 4) as u32
+    }
+
+    /// All eight child slots of cell `c`, in one call.
+    #[inline]
+    fn children(&self, p: &mut Proc, c: u32) -> [u32; 8] {
+        let mut w = [0; 8];
+        p.read_u32_slice(self.cell_addr(c) + C_CHILD, 4, &mut w);
+        w
     }
 
     #[inline]
@@ -663,52 +680,34 @@ impl Mem {
         f64::from_bits(p.load(self.cell_addr(c) + C_MASS, 8))
     }
 
+    /// The `K` consecutive f64 fields of cell `c` from `off`, in one call.
     #[inline]
-    fn set_cell_mass(&self, p: &mut Proc, c: u32, v: f64) {
-        p.store(self.cell_addr(c) + C_MASS, 8, v.to_bits());
+    fn cell_words<const K: usize>(&self, p: &mut Proc, c: u32, off: u64) -> [f64; K] {
+        let mut w = [0.0; K];
+        p.read_f64_slice(self.cell_addr(c) + off, 8, &mut w);
+        w
     }
 
-    #[inline]
-    fn cell_mom(&self, p: &mut Proc, c: u32, d: u64) -> f64 {
-        f64::from_bits(p.load(self.cell_addr(c) + C_MOM + 8 * d, 8))
-    }
-
-    #[inline]
-    fn set_cell_mom(&self, p: &mut Proc, c: u32, d: u64, v: f64) {
-        p.store(self.cell_addr(c) + C_MOM + 8 * d, 8, v.to_bits());
+    /// Store a cell's mass and first moment (one record).
+    fn set_cell_mass_mom(&self, p: &mut Proc, c: u32, m: f64, [x, y, z]: [f64; 3]) {
+        p.write_f64_slice(self.cell_addr(c) + C_MASS, 8, &[m, x, y, z]);
     }
 
     /// Store a cell's cube bounds (centre + half extent).
-    fn set_cell_bounds(&self, p: &mut Proc, c: u32, center: &[f64; 3], half: f64) {
-        for d in 0..3u64 {
-            p.store(
-                self.cell_addr(c) + C_CENTER + 8 * d,
-                8,
-                center[d as usize].to_bits(),
-            );
-        }
-        p.store(self.cell_addr(c) + C_HALF, 8, half.to_bits());
+    fn set_cell_bounds(&self, p: &mut Proc, c: u32, [x, y, z]: &[f64; 3], half: f64) {
+        p.write_f64_slice(self.cell_addr(c) + C_CENTER, 8, &[*x, *y, *z, half]);
     }
 
     /// Load a cell's cube bounds.
     fn cell_bounds(&self, p: &mut Proc, c: u32) -> ([f64; 3], f64) {
-        let mut center = [0.0f64; 3];
-        for d in 0..3u64 {
-            center[d as usize] = f64::from_bits(p.load(self.cell_addr(c) + C_CENTER + 8 * d, 8));
-        }
-        let half = f64::from_bits(p.load(self.cell_addr(c) + C_HALF, 8));
-        (center, half)
+        let [x, y, z, half] = self.cell_words(p, c, C_CENTER);
+        ([x, y, z], half)
     }
 
     /// Zero a freshly-allocated cell.
     fn init_cell(&self, p: &mut Proc, c: u32) {
-        for oct in 0..8 {
-            self.set_child(p, c, oct, EMPTY);
-        }
-        self.set_cell_mass(p, c, 0.0);
-        for d in 0..3 {
-            self.set_cell_mom(p, c, d, 0.0);
-        }
+        p.fill(self.cell_addr(c) + C_CHILD, 4, 8, EMPTY as u64);
+        self.set_cell_mass_mom(p, c, 0.0, [0.0; 3]);
     }
 }
 
@@ -907,10 +906,7 @@ fn com_subtree(p: &mut Proc, mem: &Mem, n: u32, node: Ref) -> (f64, [f64; 3]) {
                     mom[d] += mm[d];
                 }
             }
-            mem.set_cell_mass(p, c, mass);
-            for d in 0..3 {
-                mem.set_cell_mom(p, c, d as u64, mom[d]);
-            }
+            mem.set_cell_mass_mom(p, c, mass, mom);
             p.work(12);
             (mass, mom)
         }
@@ -949,11 +945,7 @@ fn force_on(
                 if m == 0.0 {
                     continue; // husk left behind by Update-Tree removal
                 }
-                let com = [
-                    mem.cell_mom(p, cc, 0) / m,
-                    mem.cell_mom(p, cc, 1) / m,
-                    mem.cell_mom(p, cc, 2) / m,
-                ];
+                let com = mem.cell_words::<3>(p, cc, C_MOM).map(|x| x / m);
                 let dx = com[0] - pos[0];
                 let dy = com[1] - pos[1];
                 let dz = com[2] - pos[2];
@@ -962,8 +954,7 @@ fn force_on(
                     interact(&pos, &com, m, &mut acc);
                     p.work(60);
                 } else {
-                    for oct in 0..8 {
-                        let ch = mem.child(p, cc, oct);
+                    for (oct, ch) in mem.children(p, cc).into_iter().enumerate() {
                         if ch != EMPTY {
                             stack.push((ch, sub_center(&c, h, oct), h / 2.0));
                         }
@@ -1352,9 +1343,10 @@ pub fn run_params_cfg(
                             for o2 in 0..8usize {
                                 match dec(mem.child(p, c1, o2), nb) {
                                     Ref::Cell(sc) => {
-                                        m1 += mem.cell_mass(p, sc);
+                                        let [m, mom @ ..] = mem.cell_words::<4>(p, sc, C_MASS);
+                                        m1 += m;
                                         for d in 0..3 {
-                                            mom1[d] += mem.cell_mom(p, sc, d as u64);
+                                            mom1[d] += mom[d];
                                         }
                                     }
                                     Ref::Body(j) => {
@@ -1369,10 +1361,7 @@ pub fn run_params_cfg(
                                 }
                                 p.work(6);
                             }
-                            mem.set_cell_mass(p, c1, m1);
-                            for d in 0..3 {
-                                mem.set_cell_mom(p, c1, d as u64, mom1[d]);
-                            }
+                            mem.set_cell_mass_mom(p, c1, m1, mom1);
                             rm += m1;
                             for d in 0..3 {
                                 rmom[d] += mom1[d];
@@ -1389,10 +1378,7 @@ pub fn run_params_cfg(
                         Ref::Empty => {}
                     }
                 }
-                mem.set_cell_mass(p, root, rm);
-                for d in 0..3 {
-                    mem.set_cell_mom(p, root, d as u64, rmom[d]);
-                }
+                mem.set_cell_mass_mom(p, root, rm, rmom);
             }
             p.barrier(8);
 
@@ -1401,9 +1387,7 @@ pub fn run_params_cfg(
             for i in my_lo..my_hi {
                 let pos = mem.body_pos(p, i);
                 let acc = force_on(p, &mem, nb, i, pos, root, center, half, params.theta);
-                for d in 0..3u64 {
-                    mem.set_body_f64(p, i, B_ACC + 8 * d, acc[d as usize]);
-                }
+                p.write_f64_slice(mem.body_addr(i, B_ACC), 8, &acc);
             }
             p.barrier(5);
 
@@ -1426,12 +1410,8 @@ pub fn run_params_cfg(
         if me == 0 {
             let mut out = Vec::with_capacity(n * 6);
             for i in 0..nb {
-                for d in 0..3u64 {
-                    out.push(mem.body_f64(p, i, B_POS + 8 * d));
-                }
-                for d in 0..3u64 {
-                    out.push(mem.body_f64(p, i, B_VEL + 8 * d));
-                }
+                // Position then velocity: one 6-word record.
+                out.extend(mem.body_words::<6>(p, i, B_POS));
             }
             *result.lock().unwrap() = out;
         }

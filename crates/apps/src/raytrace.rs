@@ -89,6 +89,23 @@ pub struct Sphere {
     pub shade: f64,
 }
 
+impl Sphere {
+    /// The record as stored in simulated memory: six words, `SPHERE_STRIDE` bytes.
+    fn words(&self) -> [f64; 6] {
+        let [x, y, z] = self.c;
+        [x, y, z, self.r, self.refl, self.shade]
+    }
+
+    fn from_words([x, y, z, r, refl, shade]: [f64; 6]) -> Self {
+        Self {
+            c: [x, y, z],
+            r,
+            refl,
+            shade,
+        }
+    }
+}
+
 /// Build the sphere-flake scene.
 pub fn generate_scene(params: &RaytraceParams) -> Vec<Sphere> {
     let mut out = Vec::new();
@@ -253,12 +270,10 @@ fn trace(sc: &mut dyn SceneAccess, orig: &[f64; 3], dir: &[f64; 3], depth: u32) 
 
 /// Primary ray for pixel (x, y).
 fn primary(img: usize, x: usize, y: usize) -> ([f64; 3], [f64; 3]) {
-    let eye = [0.0, 1.0, -4.5];
+    const EYE: [f64; 3] = [0.0, 1.0, -4.5];
     let fx = (x as f64 + 0.5) / img as f64 * 2.0 - 1.0;
     let fy = 1.0 - (y as f64 + 0.5) / img as f64 * 2.0;
-    let dir = norm(&[fx * 1.2, fy * 1.2 - 0.2, 1.0]);
-    let _ = eye;
-    ([0.0, 1.0, -4.5], dir)
+    (EYE, norm(&[fx * 1.2, fy * 1.2 - 0.2, 1.0]))
 }
 
 /// Sequential reference image (row-major f32) and total ray count.
@@ -300,16 +315,11 @@ impl SceneAccess for SimScene<'_> {
     }
 
     fn sphere(&mut self, i: usize) -> Sphere {
-        let b = self.spheres + i as u64 * SPHERE_STRIDE;
-        let p = &mut *self.p;
-        let s = Sphere {
-            c: [p.read_f64(b), p.read_f64(b + 8), p.read_f64(b + 16)],
-            r: p.read_f64(b + 24),
-            refl: p.read_f64(b + 32),
-            shade: p.read_f64(b + 40),
-        };
-        p.work(30); // intersection arithmetic
-        s
+        let mut w = [0.0f64; 6];
+        self.p
+            .read_f64_slice(self.spheres + i as u64 * SPHERE_STRIDE, 8, &mut w);
+        self.p.work(30); // intersection arithmetic
+        Sphere::from_words(w)
     }
 
     fn count_ray(&mut self) {
@@ -368,13 +378,7 @@ pub fn run_params_cfg(
                 Placement::RoundRobin,
             );
             for (i, s) in spheres.iter().enumerate() {
-                let b = sbase + i as u64 * SPHERE_STRIDE;
-                p.write_f64(b, s.c[0]);
-                p.write_f64(b + 8, s.c[1]);
-                p.write_f64(b + 16, s.c[2]);
-                p.write_f64(b + 24, s.r);
-                p.write_f64(b + 32, s.refl);
-                p.write_f64(b + 40, s.shade);
+                p.write_f64_slice(sbase + i as u64 * SPHERE_STRIDE, 8, &s.words());
             }
             let image = p.alloc_shared((img * img * 4) as u64, PAGE_SIZE, Placement::RoundRobin);
             let stats_addr = p.alloc_shared(64, PAGE_SIZE, Placement::Node(0));

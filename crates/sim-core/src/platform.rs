@@ -614,29 +614,36 @@ mod tests {
     #[test]
     fn runs_split_where_the_l1_line_ends() {
         // Stride 0, = line, > line, and unit strides crossing a line end;
-        // then extents cut by a 128- and a 512-byte page mid-slice.
+        // then extents cut by a 128- and a 512-byte page mid-slice; then
+        // two records inside one line (eight u32 child slots, a six-f64
+        // sphere), one query each.
         let resident = [&LINES[..], &[B + 256, B + 512, B + 768]].concat();
-        for (off, stride, n, page) in [
-            (8, 0, 5, 4096),
-            (0, 64, 3, 4096),
-            (8, 72, 2, 4096),
-            (40, 8, 6, 4096),
-            (48, 24, 4, 4096),
-            (0, 256, 4, 4096),
-            (96, 8, 8, 128),
-            (0, 256, 4, 512),
+        for (off, stride, len, n, page) in [
+            (8, 0, 8, 5, 4096),
+            (0, 64, 8, 3, 4096),
+            (8, 72, 8, 2, 4096),
+            (40, 8, 8, 6, 4096),
+            (48, 24, 8, 4, 4096),
+            (0, 256, 8, 4, 4096),
+            (96, 8, 8, 8, 128),
+            (0, 256, 8, 4, 512),
+            (0, 4, 4, 8, 4096),
+            (8, 8, 8, 6, 4096),
         ] {
             let (mut p, mut c) = (table(&resident, true), Ctx::at(0));
             p.page = page;
             let mut out = vec![0u64; n];
-            let done = p.load_bulk(&mut c.t(true), B + off, stride, 8, &mut out, u64::MAX);
+            let done = p.load_bulk(&mut c.t(true), B + off, stride, len, &mut out, u64::MAX);
             assert_eq!((done, c.now), (n, n as u64));
             assert_eq!(p.l1.hits, n as u64, "every word one L1 hit");
             // One query per extent: the first word of each stretch of
             // consecutive words sharing a page.
             let mut starts: Vec<Addr> = (0..n as u64).map(|i| B + off + i * stride).collect();
             starts.dedup_by_key(|a| *a & !(page - 1));
-            assert_eq!(p.asked, starts, "offset {off} stride {stride} page {page}");
+            assert_eq!(
+                p.asked, starts,
+                "offset {off} stride {stride} len {len} page {page}"
+            );
         }
     }
 
@@ -698,7 +705,7 @@ mod tests {
         for case in 0..1500 {
             let mut pick = |xs: &[u64]| xs[rng.below(xs.len() as u64) as usize];
             let (page, len) = (pick(&[128, 256, 1024, 4096]), pick(&[1, 2, 4, 8]));
-            let stride = pick(&[0, len, 24, 64, 72, 256, page - 8]);
+            let stride = pick(&[0, len, 16, 24, 32, 48, 64, 72, 256, page - 8]);
             let n = 1 + rng.below(64) as usize;
             let addr = B + rng.below(2 * page / len) * len;
             let quantum = [rng.below(40), u64::MAX][(rng.below(4) == 0) as usize];
