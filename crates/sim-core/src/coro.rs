@@ -4,7 +4,7 @@
 //! This is the only file in the workspace that contains `unsafe` code or
 //! assembly. It owns two things and no policy: *where a context's stack
 //! lives* and *how control moves from one context to another*. Which context
-//! runs next is decided entirely by the caller ([`crate::sched`]).
+//! runs next is decided entirely by the caller (`crate::proc`).
 //!
 //! ## The turn invariant
 //!

@@ -39,28 +39,12 @@
 use std::sync::mpsc::{Receiver, Sender};
 
 use crate::addr::Addr;
+use crate::inner::{Inner, Step};
 use crate::platform::Platform;
-use crate::sched::{build_inner, collect_stats, panic_message, Inner, RunConfig, Step};
+use crate::run::{build_inner, collect_stats, panic_message};
 use crate::shard::{Desc, Reply};
 use crate::stats::RunStats;
-
-/// What the event loop should do after a machine step — [`Step`] plus the
-/// end-of-stream case that the classic engine expresses as a returning
-/// thread body.
-enum Action {
-    Run,
-    MaybeYield,
-    Block,
-    Finished,
-}
-
-fn step_to_action(s: Step) -> Action {
-    match s {
-        Step::Run => Action::Run,
-        Step::MaybeYield => Action::MaybeYield,
-        Step::Block => Action::Block,
-    }
-}
+use crate::RunConfig;
 
 /// Mid-operation continuation of one interpreter: everything the classic
 /// interpreter would keep on its call stack between scheduler entries.
@@ -105,10 +89,6 @@ struct Machine {
     bulk: bool,
 }
 
-/// Panic payload for the no-runnable-processor case, so the outer wrapper
-/// can reproduce the classic engine's unprefixed deadlock message.
-struct DeadlockMsg(String);
-
 impl Machine {
     fn new(rx: Receiver<Vec<Desc>>, reply_tx: Sender<Reply>, bulk: bool) -> Self {
         Self {
@@ -123,8 +103,9 @@ impl Machine {
 
     /// Advance this machine by one scheduler entry: finish an owed reply
     /// or a bulk chunk, else consume the next descriptor. Mirrors exactly
-    /// one `Proc`-method scheduler entry of the classic interpreter.
-    fn step(&mut self, inner: &mut Inner, pid: usize) -> Action {
+    /// one `Proc`-method scheduler entry of the classic interpreter; `None`
+    /// when the stream has ended (the classic body returning).
+    fn step(&mut self, inner: &mut Inner, pid: usize) -> Option<Step> {
         match std::mem::replace(&mut self.st, MState::Idle) {
             MState::Idle => {}
             MState::OweReply(r) => {
@@ -132,7 +113,7 @@ impl Machine {
                 // (app panic being forwarded); replay just keeps draining,
                 // as the classic interpreter's ignored send result does.
                 let _ = self.reply_tx.send(r);
-                return Action::Run;
+                return Some(Step::Run);
             }
             MState::LoadSlice {
                 addr,
@@ -156,83 +137,72 @@ impl Machine {
             Some(d) => d,
             None => {
                 let Ok(batch) = self.rx.recv() else {
-                    return Action::Finished;
+                    return None;
                 };
                 self.batch = batch.into_iter();
                 match self.batch.next() {
                     Some(d) => d,
-                    None => return Action::Run, // defensively: empty batch
+                    None => return Some(Step::Run), // defensively: empty batch
                 }
             }
         };
         match d {
-            Desc::Work(c) => step_to_action(inner.op_work(pid, c)),
-            Desc::WorkFused { per_elem, count } => {
-                self.work_fused_step(inner, pid, per_elem, count)
-            }
+            Desc::Work(c) => Some(inner.op_work(pid, c)),
+            Desc::WorkFused(per_elem, count) => self.work_fused_step(inner, pid, per_elem, count),
             Desc::SetPhase(ph) => {
                 inner.op_set_phase(pid, ph);
-                Action::Run
+                Some(Step::Run)
             }
-            Desc::Alloc {
-                label,
-                bytes,
-                align,
-                placement,
-            } => {
+            Desc::Alloc(label, bytes, align, placement) => {
                 let a = inner.op_alloc(label, bytes, align, placement);
                 self.st = MState::OweReply(Reply::Addr(a));
-                Action::Run
+                Some(Step::Run)
             }
-            Desc::Load { addr, len } => {
+            Desc::Load(addr, len) => {
                 inner.op_load(pid, addr, len);
-                Action::MaybeYield
+                Some(Step::MaybeYield)
             }
-            Desc::Store { addr, len, val } => {
+            Desc::Store(addr, len, val) => {
                 inner.op_store(pid, addr, len, val);
-                Action::MaybeYield
+                Some(Step::MaybeYield)
             }
-            Desc::LoadSlice {
-                addr,
-                stride,
-                len,
-                n,
-            } => self.load_slice_step(inner, pid, addr, stride, len, n, 0),
-            Desc::StoreSlice {
-                addr,
-                stride,
-                len,
-                vals,
-            } => self.store_slice_step(inner, pid, addr, stride, len, vals, 0),
+            Desc::LoadSlice(addr, stride, len, n) => {
+                self.load_slice_step(inner, pid, addr, stride, len, n, 0)
+            }
+            Desc::StoreSlice(addr, stride, len, vals) => {
+                self.store_slice_step(inner, pid, addr, stride, len, vals, 0)
+            }
             Desc::Lock(id) => {
                 let s = inner.op_lock(pid, id);
                 self.st = MState::OweReply(Reply::Sync);
-                step_to_action(s)
+                Some(s)
             }
-            Desc::Unlock(id) => step_to_action(inner.op_unlock(pid, id)),
+            Desc::Unlock(id) => Some(inner.op_unlock(pid, id)),
             Desc::Barrier(id) => {
                 let s = inner.op_barrier(pid, id);
                 self.st = MState::OweReply(Reply::Sync);
-                step_to_action(s)
+                Some(s)
             }
             Desc::StartTiming => {
                 let s = inner.op_start_timing(pid);
                 self.st = MState::OweReply(Reply::Sync);
-                step_to_action(s)
+                Some(s)
             }
             Desc::StopTiming => {
                 let s = inner.op_stop_timing(pid);
                 self.st = MState::OweReply(Reply::Sync);
-                step_to_action(s)
+                Some(s)
             }
             Desc::MetricEvent(name, n) => {
                 inner.op_metric_event(pid, name, n);
-                Action::Run
+                Some(Step::Run)
             }
             Desc::Poison(msg) => panic!("{msg}"),
         }
     }
 
+    /// One scheduler entry of a slice load: a bulk chunk, or one word
+    /// (and one yield check) on the scalar reference path.
     #[allow(clippy::too_many_arguments)]
     fn load_slice_step(
         &mut self,
@@ -243,28 +213,18 @@ impl Machine {
         len: u8,
         n: usize,
         done: usize,
-    ) -> Action {
+    ) -> Option<Step> {
         if n == 0 {
-            return Action::Run; // classic: zero-length slice never enters the loop
+            return Some(Step::Run); // classic: zero-length slice never enters the loop
         }
-        if !self.bulk {
-            // Scalar reference path: one load (and one yield check) per word.
-            inner.op_load(pid, addr + done as u64 * stride, len);
-            let done = done + 1;
-            if done < n {
-                self.st = MState::LoadSlice {
-                    addr,
-                    stride,
-                    len,
-                    n,
-                    done,
-                };
-            }
-            return Action::MaybeYield;
-        }
-        self.scratch.resize(n, 0);
         let base = addr + done as u64 * stride;
-        let k = inner.op_load_chunk(pid, base, stride, len, &mut self.scratch[done..n]);
+        let k = if self.bulk {
+            self.scratch.resize(n, 0);
+            inner.op_load_chunk(pid, base, stride, len, &mut self.scratch[done..n])
+        } else {
+            inner.op_load(pid, base, len);
+            1
+        };
         let done = done + k;
         if done < n {
             self.st = MState::LoadSlice {
@@ -275,9 +235,10 @@ impl Machine {
                 done,
             };
         }
-        Action::MaybeYield
+        Some(Step::MaybeYield)
     }
 
+    /// One scheduler entry of a slice store (twin of `load_slice_step`).
     #[allow(clippy::too_many_arguments)]
     fn store_slice_step(
         &mut self,
@@ -288,26 +249,17 @@ impl Machine {
         len: u8,
         vals: Vec<u64>,
         done: usize,
-    ) -> Action {
+    ) -> Option<Step> {
         if vals.is_empty() {
-            return Action::Run;
-        }
-        if !self.bulk {
-            inner.op_store(pid, addr + done as u64 * stride, len, vals[done]);
-            let done = done + 1;
-            if done < vals.len() {
-                self.st = MState::StoreSlice {
-                    addr,
-                    stride,
-                    len,
-                    vals,
-                    done,
-                };
-            }
-            return Action::MaybeYield;
+            return Some(Step::Run);
         }
         let base = addr + done as u64 * stride;
-        let k = inner.op_store_chunk(pid, base, stride, len, &vals[done..]);
+        let k = if self.bulk {
+            inner.op_store_chunk(pid, base, stride, len, &vals[done..])
+        } else {
+            inner.op_store(pid, base, len, vals[done]);
+            1
+        };
         let done = done + k;
         if done < vals.len() {
             self.st = MState::StoreSlice {
@@ -318,7 +270,7 @@ impl Machine {
                 done,
             };
         }
-        Action::MaybeYield
+        Some(Step::MaybeYield)
     }
 
     fn work_fused_step(
@@ -327,83 +279,54 @@ impl Machine {
         pid: usize,
         per_elem: u64,
         left: u64,
-    ) -> Action {
+    ) -> Option<Step> {
         if left == 0 {
-            return Action::Run;
+            return Some(Step::Run);
         }
-        if !self.bulk {
-            // Scalar reference path: one `work(per_elem)` per element. With
-            // timing off every element is a no-op (timing cannot toggle
-            // mid-batch: the rendezvous needs this processor), so the rest
-            // of the batch is skipped wholesale.
-            let s = inner.op_work(pid, per_elem);
-            if matches!(s, Step::Run) {
-                return Action::Run;
-            }
-            if left > 1 {
-                self.st = MState::WorkFused {
-                    per_elem,
-                    left: left - 1,
-                };
-            }
-            return Action::MaybeYield;
+        // The scalar reference path charges one `work(per_elem)` per
+        // element. With timing off every element is a no-op (timing cannot
+        // toggle mid-batch: the rendezvous needs this processor), so the
+        // whole batch is free.
+        let k = if self.bulk {
+            inner.op_work_fused_chunk(pid, per_elem, left)
+        } else {
+            (inner.op_work(pid, per_elem) != Step::Run).then_some(1)
+        };
+        let Some(k) = k else { return Some(Step::Run) };
+        if k < left {
+            self.st = MState::WorkFused {
+                per_elem,
+                left: left - k,
+            };
         }
-        match inner.op_work_fused_chunk(pid, per_elem, left) {
-            None => Action::Run, // timing off: whole batch is free
-            Some(k) => {
-                if k < left {
-                    self.st = MState::WorkFused {
-                        per_elem,
-                        left: left - k,
-                    };
-                }
-                Action::MaybeYield
-            }
-        }
-    }
-}
-
-/// Dispatch after the current machine gave up the turn: switch to the
-/// min-clock ready machine, or detect deadlock (classic
-/// `dispatch_next`'s panic, with the identical message).
-fn dispatch(inner: &mut Inner) -> usize {
-    match inner.dispatch() {
-        Some(next) => next,
-        None => {
-            let msg = format!(
-                "simulated deadlock: no runnable processor\n{}",
-                inner.describe()
-            );
-            std::panic::panic_any(DeadlockMsg(msg));
-        }
+        Some(Step::MaybeYield)
     }
 }
 
 /// The single-threaded virtual-time event loop over all machines.
 fn event_loop(inner: &mut Inner, machines: &mut [Machine], cur_cell: &std::cell::Cell<usize>) {
-    let nprocs = machines.len();
     let mut cur = 0usize; // processor 0 starts Running (see `build_inner`)
     loop {
         cur_cell.set(cur);
         match machines[cur].step(inner, cur) {
-            Action::Run => {}
-            Action::MaybeYield => {
+            Some(Step::Run) => {}
+            Some(Step::MaybeYield) => {
                 // Classic `maybe_yield`: hand over only if some runnable
                 // processor has fallen more than a quantum behind.
                 if let Some(next) = inner.yield_target(cur) {
                     cur = next;
                 }
             }
-            Action::Block => {
+            Some(Step::Block) => {
                 // The op already marked `cur` non-runnable.
-                cur = dispatch(inner);
+                cur = inner.dispatch_or_deadlock().expect("`cur` is not done");
             }
-            Action::Finished => {
+            None => {
                 inner.op_finish(cur);
-                if inner.ndone == nprocs {
-                    return;
+                match inner.dispatch_or_deadlock() {
+                    Some(next) => cur = next,
+                    None => return,
                 }
-                cur = dispatch(inner);
             }
         }
     }
@@ -443,8 +366,8 @@ pub(crate) fn replay_fused(
             // `machines` (and with it every channel half) is dropped by
             // this unwind, aborting the generation threads the caller's
             // scope is about to join.
-            if let Some(d) = payload.downcast_ref::<DeadlockMsg>() {
-                panic!("simulated processor panicked: {}", d.0);
+            if let Some(msg) = inner.deadlock.take() {
+                panic!("simulated processor panicked: {msg}");
             }
             let msg = panic_message(&*payload);
             panic!("simulated processor panicked: p{}: {msg}", cur.get());

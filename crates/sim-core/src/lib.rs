@@ -44,16 +44,19 @@ pub mod advisor;
 pub mod alloc;
 pub mod cache;
 pub mod coherence;
+mod config;
 pub(crate) mod coro;
 pub mod critpath;
 pub mod detector;
 pub(crate) mod fused;
+mod inner;
 pub mod mem;
 pub mod metrics;
 pub mod platform;
 pub mod probe;
+mod proc;
 pub mod resource;
-pub mod sched;
+mod run;
 pub mod shard;
 pub mod sharing;
 pub mod stats;
@@ -66,6 +69,7 @@ pub use advisor::{
 };
 pub use alloc::{GlobalAlloc, Placement, PlacementMap};
 pub use cache::{Cache, CacheGeom, LineState, Lookup};
+pub use config::{RunConfig, MAX_SHARD_BATCH};
 pub use critpath::{
     analyze, what_if, what_if_edges, what_if_report, CritPath, PathCat, PathStep, WhatIf,
 };
@@ -77,8 +81,9 @@ pub use metrics::{
 };
 pub use platform::{Extent, NullPlatform, Platform, Timing};
 pub use probe::{Probe, ProbeHandle, ProtoEvent};
+pub use proc::Proc;
 pub use resource::Resource;
-pub use sched::{run, Proc, RunConfig, MAX_SHARD_BATCH};
+pub use run::run;
 pub use sharing::{LabelSharing, PageSharing, SharingClass, SharingProfile};
 pub use stats::{Bucket, Counter, ProcStats, RunStats, MAX_PHASES};
 pub use trace::{AllocSpan, DepEdge, DepKind, Event, EventKind, ProcTrace, RunTrace, WaitHist};

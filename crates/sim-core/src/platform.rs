@@ -3,8 +3,8 @@
 //!
 //! Platform implementations (in the `svm-hlrc`, `cc-numa`, and `smp-bus`
 //! crates) are *passive*: they never block. Blocking — lock queueing and
-//! barrier membership — is orchestrated generically by the scheduler in
-//! [`crate::sched`]; the platform only prices the protocol actions and
+//! barrier membership — is orchestrated generically by the scheduler's
+//! step API (`Inner::op_*`); the platform only prices the protocol actions and
 //! mutates its own coherence state.
 
 use crate::alloc::PlacementMap;

@@ -44,9 +44,9 @@ use std::sync::{Arc, Mutex};
 use crate::addr::Addr;
 use crate::detector::{RaceDetector, MAX_REPORTS};
 use crate::metrics::{MetricsSink, ProcSample, DEFAULT_SERIES_CAP};
-use crate::sched::RunConfig;
 use crate::sharing::SharingTracker;
 use crate::trace::{TraceSink, DEFAULT_EDGE_CAP, DEFAULT_EVENT_CAP};
+use crate::RunConfig;
 
 /// One protocol or scheduler action. `pid`s are processor ids, `*_node`s
 /// are protocol node ids (they differ when nodes host several processors);

@@ -1,5 +1,8 @@
-//! Support types for the sharded (pipelined generate/replay) engine behind
-//! [`RunConfig::with_shards`](crate::RunConfig::with_shards).
+//! The sharded (pipelined generate/replay) engine behind
+//! [`RunConfig::with_shards`]: the generation side, its descriptor
+//! channels, and the run driver with its classic replay interpreter (the
+//! fused replay loop is `crate::fused`). The scheduler reaches it only
+//! through `GenCtx::record`.
 //!
 //! ## Why not per-node lookahead windows?
 //!
@@ -41,14 +44,19 @@
 //! interpreter by at most the descriptor-channel capacity, and blocks at
 //! every cross-processor interaction (which each platform certifies is
 //! mediated by the replayed protocol — see
-//! [`Platform::min_cross_node_latency`](crate::Platform::min_cross_node_latency)).
+//! [`Platform::min_cross_node_latency`]).
 
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::addr::Addr;
 use crate::alloc::Placement;
+use crate::platform::Platform;
+use crate::proc::{Backend, Proc};
+use crate::run::{panic_message, run_classic};
+use crate::stats::RunStats;
 use crate::util::FxMap;
+use crate::RunConfig;
 
 /// Default descriptors per channel message: big enough to amortize channel
 /// costs, small enough to keep the replay engine busy early. Overridable
@@ -75,38 +83,19 @@ const PLANE_WAYS: usize = 64;
 /// footprints — match the classic engine byte for byte.
 pub(crate) enum Desc {
     Work(u64),
-    WorkFused {
-        per_elem: u64,
-        count: u64,
-    },
+    /// `(per_elem, count)`.
+    WorkFused(u64, u64),
     SetPhase(usize),
-    Alloc {
-        label: &'static str,
-        bytes: u64,
-        align: u64,
-        placement: Placement,
-    },
-    Load {
-        addr: Addr,
-        len: u8,
-    },
-    Store {
-        addr: Addr,
-        len: u8,
-        val: u64,
-    },
-    LoadSlice {
-        addr: Addr,
-        stride: u64,
-        len: u8,
-        n: usize,
-    },
-    StoreSlice {
-        addr: Addr,
-        stride: u64,
-        len: u8,
-        vals: Vec<u64>,
-    },
+    /// `(label, bytes, align, placement)`.
+    Alloc(&'static str, u64, u64, Placement),
+    /// `(addr, len)`.
+    Load(Addr, u8),
+    /// `(addr, len, val)`.
+    Store(Addr, u8, u64),
+    /// `(addr, stride, len, n)`.
+    LoadSlice(Addr, u64, u8, usize),
+    /// `(addr, stride, len, vals)`.
+    StoreSlice(Addr, u64, u8, Vec<u64>),
     Lock(u32),
     Unlock(u32),
     Barrier(u32),
@@ -121,6 +110,27 @@ pub(crate) enum Desc {
     /// message so the classic poison protocol unwinds the run exactly as a
     /// direct panic would have.
     Poison(String),
+}
+
+/// One [`Proc`] operation as the generation hook ([`GenCtx::record`])
+/// receives it: a [`Desc`] whose slices are still the application's.
+/// Fields are in the same order.
+pub(crate) enum Op<'a> {
+    Work(u64),
+    WorkFused(u64, u64),
+    SetPhase(usize),
+    Alloc(&'static str, u64, u64, Placement),
+    Load(Addr, u8),
+    Store(Addr, u8, u64),
+    /// `(addr, stride, len, out)`.
+    LoadSlice(Addr, u64, u8, &'a mut [u64]),
+    StoreSlice(Addr, u64, u8, &'a [u64]),
+    Lock(u32),
+    Unlock(u32),
+    Barrier(u32),
+    StartTiming,
+    StopTiming,
+    MetricEvent(&'static str, u64),
 }
 
 /// Reply sent by a replay interpreter for round-trip descriptors.
@@ -302,58 +312,150 @@ impl ValuePlane {
 /// Per-processor generation context: the value plane, the outgoing
 /// descriptor stream, the reply channel, and the concurrency gate.
 pub(crate) struct GenCtx {
-    pub(crate) plane: Arc<ValuePlane>,
-    pub(crate) tx: SyncSender<Vec<Desc>>,
-    pub(crate) reply_rx: Receiver<Reply>,
-    pub(crate) gate: Arc<Gate>,
-    pub(crate) batch: Vec<Desc>,
+    plane: Arc<ValuePlane>,
+    tx: SyncSender<Vec<Desc>>,
+    reply_rx: Receiver<Reply>,
+    gate: Arc<Gate>,
+    batch: Vec<Desc>,
     /// Flush threshold (descriptors per channel message) for this run; see
     /// [`DEFAULT_BATCH`].
-    pub(crate) batch_cap: usize,
+    batch_cap: usize,
     /// Whether this thread currently holds a gate permit (so cleanup after
     /// a panic releases exactly once).
-    pub(crate) gate_held: bool,
+    gate_held: bool,
     /// Generation-side mirror of the timed-region flag, maintained from
     /// this processor's own `start_timing`/`stop_timing` calls (which are
     /// all-processor rendezvous, so the mirror agrees with replay at every
     /// point the application can observe).
-    pub(crate) timing: bool,
+    timing: bool,
     /// Whether this run records interval metrics (`RunConfig::metrics > 0`):
     /// gates [`Desc::MetricEvent`] emission so metrics-off descriptor
     /// streams are unchanged.
-    pub(crate) metrics: bool,
+    metrics: bool,
 }
 
 impl GenCtx {
-    pub(crate) fn new(
+    /// Processor context for a `cfg` run, holding a gate permit.
+    fn new(
         plane: Arc<ValuePlane>,
         tx: SyncSender<Vec<Desc>>,
         reply_rx: Receiver<Reply>,
         gate: Arc<Gate>,
-        batch_cap: usize,
-        metrics: bool,
+        cfg: &RunConfig,
     ) -> Self {
-        Self {
+        let mut ctx = Self {
             plane,
             tx,
             reply_rx,
             gate,
-            batch: Vec::with_capacity(batch_cap),
-            batch_cap,
+            batch: Vec::with_capacity(cfg.shard_batch),
+            batch_cap: cfg.shard_batch,
             gate_held: false,
             timing: false,
-            metrics,
-        }
+            metrics: cfg.metrics > 0,
+        };
+        ctx.unpark();
+        ctx
     }
 
-    pub(crate) fn park(&mut self) {
+    /// The generation hook: record `op` in this processor's stream and
+    /// answer it from the host side. Returns a load's value or an
+    /// allocation's address, else 0. Inlined, so that each `Proc`
+    /// operation keeps only its own arm.
+    #[inline(always)]
+    pub(crate) fn record(&mut self, op: Op<'_>) -> u64 {
+        match op {
+            // With timing off, compute is a no-op in every engine, so
+            // nothing needs replaying.
+            Op::Work(c) if self.timing => self.emit(Desc::Work(c)),
+            Op::WorkFused(per_elem, count) if self.timing => {
+                self.emit(Desc::WorkFused(per_elem, count))
+            }
+            Op::Work(_) | Op::WorkFused(..) => {}
+            // Replay needs a descriptor only when a sink exists to count
+            // it; metrics-off streams stay byte-identical.
+            Op::MetricEvent(name, n) if self.timing && self.metrics => {
+                self.emit(Desc::MetricEvent(name, n))
+            }
+            Op::MetricEvent(..) => {}
+            Op::SetPhase(phase) => self.emit(Desc::SetPhase(phase)),
+            // Round trip: bump addresses depend on allocation order, which
+            // only replay (running the classic scheduler) can decide.
+            Op::Alloc(label, bytes, align, placement) => {
+                match self.roundtrip(Desc::Alloc(label, bytes, align, placement)) {
+                    Reply::Addr(a) => return a,
+                    Reply::Sync => unreachable!("alloc answered without an address"),
+                }
+            }
+            Op::Load(addr, len) => {
+                self.emit(Desc::Load(addr, len));
+                return self.plane.load(addr, len);
+            }
+            Op::Store(addr, len, val) => {
+                self.plane.store(addr, len, val);
+                self.emit(Desc::Store(addr, len, val));
+            }
+            // One descriptor regardless of `bulk`: the replay interpreter's
+            // own `load_slice` call degrades to the scalar path when the
+            // run is configured scalar.
+            Op::LoadSlice(addr, stride, len, out) => {
+                self.emit(Desc::LoadSlice(addr, stride, len, out.len()));
+                self.plane.load_slice(addr, stride, len, out);
+            }
+            Op::StoreSlice(addr, stride, len, vals) => {
+                self.plane.store_slice(addr, stride, len, vals);
+                self.emit(Desc::StoreSlice(addr, stride, len, vals.to_vec()));
+            }
+            // Round trip: the reply arrives only after replay granted this
+            // processor the lock, so generation threads enter overlapping
+            // critical sections in replay's (virtual-arrival) grant order —
+            // the happens-before edge that makes value-plane reads, and
+            // hence the streams themselves, deterministic.
+            Op::Lock(id) => {
+                self.roundtrip(Desc::Lock(id));
+            }
+            // Fire-and-forget: the next acquirer's reply cannot arrive
+            // until replay has consumed this release, so the critical
+            // section's plane writes are visible to it on the host.
+            Op::Unlock(id) => self.emit(Desc::Unlock(id)),
+            Op::Barrier(id) => {
+                self.roundtrip(Desc::Barrier(id));
+            }
+            Op::StartTiming => {
+                self.roundtrip(Desc::StartTiming);
+                self.timing = true;
+            }
+            Op::StopTiming => {
+                self.roundtrip(Desc::StopTiming);
+                self.timing = false;
+            }
+        }
+        0
+    }
+
+    /// Whether the timed region is active: the generation-side mirror,
+    /// exact because timing only toggles at all-processor rendezvous this
+    /// thread round-trips.
+    pub(crate) fn timing_on(&self) -> bool {
+        self.timing
+    }
+
+    /// Virtual time exists only on the replay side, behind this thread.
+    pub(crate) fn now(&self) -> u64 {
+        panic!(
+            "Proc::now is not available under the sharded engine \
+             (virtual time is computed by replay, behind this thread)"
+        )
+    }
+
+    fn park(&mut self) {
         if self.gate_held {
             self.gate.release();
             self.gate_held = false;
         }
     }
 
-    pub(crate) fn unpark(&mut self) {
+    fn unpark(&mut self) {
         if !self.gate_held {
             self.gate.acquire();
             self.gate_held = true;
@@ -363,7 +465,7 @@ impl GenCtx {
     /// Send the pending batch. Parks around the send so channel
     /// backpressure never stalls the pipeline behind the concurrency gate.
     /// Aborts the generation thread if replay has terminated.
-    pub(crate) fn flush(&mut self) {
+    fn flush(&mut self) {
         if self.batch.is_empty() {
             return;
         }
@@ -377,7 +479,7 @@ impl GenCtx {
 
     /// Best-effort flush for cleanup paths: never panics, never reacquires
     /// the gate.
-    pub(crate) fn flush_quiet(&mut self) {
+    fn flush_quiet(&mut self) {
         if !self.batch.is_empty() {
             let batch = std::mem::take(&mut self.batch);
             let _ = self.tx.send(batch);
@@ -385,7 +487,7 @@ impl GenCtx {
     }
 
     /// Record a non-blocking descriptor.
-    pub(crate) fn emit(&mut self, d: Desc) {
+    fn emit(&mut self, d: Desc) {
         self.batch.push(d);
         if self.batch.len() >= self.batch_cap {
             self.flush();
@@ -394,7 +496,7 @@ impl GenCtx {
 
     /// Record a round-trip descriptor and block until replay answers —
     /// the host-side edge of every simulated happens-before edge.
-    pub(crate) fn roundtrip(&mut self, d: Desc) -> Reply {
+    fn roundtrip(&mut self, d: Desc) -> Reply {
         self.batch.push(d);
         let batch = std::mem::replace(&mut self.batch, Vec::with_capacity(self.batch_cap));
         self.park();
@@ -408,6 +510,165 @@ impl GenCtx {
             }
             Err(_) => std::panic::panic_any(ShardAbort),
         }
+    }
+}
+
+/// The sharded engine: the application bodies run concurrently on
+/// generation threads (at most `cfg.shards` executing at once) against the
+/// host-side value plane, streaming operation descriptors to the
+/// *unmodified* classic engine, whose per-processor bodies are interpreters
+/// re-issuing the identical `Proc` calls. Statistics are therefore
+/// bit-identical to `shards = 1` for data-race-free programs — see
+/// [`crate::shard`] for the full argument and `tests/shard_equivalence.rs`
+/// for the proof harness.
+pub(crate) fn run_sharded<F>(platform: Box<dyn Platform>, cfg: RunConfig, body: F) -> RunStats
+where
+    F: Fn(&mut Proc) + Sync,
+{
+    /// The interpreter-side halves of one processor's channel pair.
+    type ReplayEnd = (Receiver<Vec<Desc>>, Sender<Reply>);
+
+    let nprocs = cfg.nprocs;
+    let plane = Arc::new(ValuePlane::new());
+    let gate = Arc::new(Gate::new(cfg.shards));
+
+    // Per-processor descriptor and reply channels. The generation ends are
+    // moved into the generation threads; the replay ends sit in mutexed
+    // slots the interpreter bodies claim by pid (channel halves are `Send`
+    // but not `Sync`).
+    let mut gen_ends = Vec::with_capacity(nprocs);
+    let mut replay_ends: Vec<Mutex<Option<ReplayEnd>>> = Vec::with_capacity(nprocs);
+    for _ in 0..nprocs {
+        let (desc_tx, desc_rx) = sync_channel::<Vec<Desc>>(CHANNEL_BATCHES);
+        let (reply_tx, reply_rx) = channel::<Reply>();
+        gen_ends.push(Some((desc_tx, reply_rx)));
+        replay_ends.push(Mutex::new(Some((desc_rx, reply_tx))));
+    }
+
+    let result = std::thread::scope(|s| {
+        for (pid, end) in gen_ends.iter_mut().enumerate() {
+            let (tx, reply_rx) = end.take().expect("generation end claimed once");
+            let plane = Arc::clone(&plane);
+            let gate = Arc::clone(&gate);
+            let (body, cfg) = (&body, &cfg);
+            std::thread::Builder::new()
+                .name(format!("simgen-{pid}"))
+                .stack_size(16 << 20)
+                .spawn_scoped(s, move || {
+                    let ctx = GenCtx::new(plane, tx, reply_rx, gate, cfg);
+                    let mut proc = Proc::new(pid, cfg, Backend::Gen(Box::new(ctx)));
+                    let r =
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut proc)));
+                    let Backend::Gen(mut ctx) = proc.into_backend() else {
+                        unreachable!("a generation handle stays one")
+                    };
+                    // Never block on the channel while holding a gate
+                    // permit (the final flush may hit backpressure).
+                    ctx.park();
+                    if let Err(payload) = r {
+                        if payload.is::<ShardAbort>() {
+                            // Replay terminated first (normally or by
+                            // poison); nothing left to report.
+                            return;
+                        }
+                        // A real application panic: forward it so replay
+                        // re-raises it through the classic poison protocol,
+                        // producing the same outer panic a non-sharded run
+                        // would.
+                        ctx.batch.push(Desc::Poison(panic_message(&*payload)));
+                    }
+                    ctx.flush_quiet();
+                    // Dropping `tx` here closes the stream: the interpreter
+                    // returns after draining it.
+                })
+                .expect("spawn generation thread");
+        }
+
+        let slots = &replay_ends;
+        let out = if cfg.shard_fused {
+            // The fused replay engine: all interpreter state machines run in
+            // THIS thread's virtual-time event loop (see [`crate::fused`]).
+            // Claim every replay end upfront; on unwind the machines drop
+            // their channel halves, aborting the generation threads before
+            // the scope joins them.
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let ends: Vec<ReplayEnd> = slots
+                    .iter()
+                    .map(|s| {
+                        s.lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .take()
+                            .expect("replay end claimed once")
+                    })
+                    .collect();
+                crate::fused::replay_fused(platform, &cfg, ends)
+            }))
+        } else {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_classic(platform, cfg.clone(), move |p: &mut Proc| {
+                    let (rx, reply_tx) = slots[p.pid()]
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .take()
+                        .expect("interpreter body entered twice");
+                    let mut scratch: Vec<u64> = Vec::new();
+                    // Blocks while holding the turn when the stream runs dry:
+                    // virtual time cannot advance past this processor anyway,
+                    // and its generation thread runs on regardless.
+                    while let Ok(batch) = rx.recv() {
+                        for d in batch {
+                            let sync = matches!(
+                                d,
+                                Desc::Lock(_)
+                                    | Desc::Barrier(_)
+                                    | Desc::StartTiming
+                                    | Desc::StopTiming
+                            );
+                            match d {
+                                Desc::Work(c) => p.work(c),
+                                Desc::WorkFused(per_elem, count) => p.work_fused(per_elem, count),
+                                Desc::SetPhase(ph) => p.set_phase(ph),
+                                Desc::Alloc(label, bytes, align, placement) => {
+                                    let a = p.alloc_shared_labeled(label, bytes, align, placement);
+                                    let _ = reply_tx.send(Reply::Addr(a));
+                                }
+                                Desc::Load(addr, len) => drop(p.load(addr, len)),
+                                Desc::Store(addr, len, val) => p.store(addr, len, val),
+                                Desc::LoadSlice(addr, stride, len, n) => {
+                                    scratch.resize(n, 0);
+                                    p.load_slice(addr, stride, len, &mut scratch[..n]);
+                                }
+                                Desc::StoreSlice(addr, stride, len, vals) => {
+                                    p.store_slice(addr, stride, len, &vals)
+                                }
+                                Desc::Lock(id) => p.lock(id),
+                                Desc::Unlock(id) => p.unlock(id),
+                                Desc::Barrier(id) => p.barrier(id),
+                                Desc::StartTiming => p.start_timing(),
+                                Desc::StopTiming => p.stop_timing(),
+                                Desc::MetricEvent(name, n) => p.metric_add(name, n),
+                                Desc::Poison(msg) => panic!("{msg}"),
+                            }
+                            if sync {
+                                let _ = reply_tx.send(Reply::Sync);
+                            }
+                        }
+                    }
+                })
+            }))
+        };
+        // Drop any unclaimed replay ends (a poisoned run can kill a
+        // processor before its interpreter starts) so every generation
+        // thread's sends and reply-waits error out and it aborts — the
+        // scope is about to join them.
+        for slot in slots.iter() {
+            slot.lock().unwrap_or_else(PoisonError::into_inner).take();
+        }
+        out
+    });
+    match result {
+        Ok(out) => out,
+        Err(payload) => std::panic::resume_unwind(payload),
     }
 }
 
