@@ -6,12 +6,15 @@
 //! series and profile consistently and still pass them. This file pins
 //! content: an FNV-1a digest of the full `RunTrace` (per-proc events with
 //! their sequence numbers, dependency edges, wait histograms, drop
-//! counters) and of the metrics, sharing-profile and advisor JSON, for six
-//! cells at Test scale on 4 processors, each on the sequential engine and
-//! on `with_shards(2)` (fused replay).
+//! counters), of the metrics, sharing-profile and advisor JSON, and of the
+//! trace renderers (Chrome JSON with metrics counter tracks, ASCII timeline,
+//! wait report), for six cells at Test scale on 4 processors, each on the
+//! sequential engine and on `with_shards(2)` (fused replay).
 //!
-//! The digests were taken at the commit *before* the protocol event stream
-//! (`sim_core::probe`) replaced the per-sink call sites. A mismatch prints
+//! The first four digests were taken at the commit *before* the protocol
+//! event stream (`sim_core::probe`) replaced the per-sink call sites; the
+//! renderer digest at the commit before the Chrome export and the ASCII
+//! timeline were rewritten over one walk of the events. A mismatch prints
 //! the whole actual table; replace `GOLDEN` with it only when a change to
 //! diagnostic content is intended and explained.
 
@@ -32,15 +35,16 @@ const CELLS: [(App, OptClass, PlatformKind); 6] = [
     (App::Ocean, OptClass::Orig, PlatformKind::Smp),
 ];
 
-/// `[trace, metrics, sharing, advisor]` per cell, in `CELLS` order.
+/// `[trace, metrics, sharing, advisor, renderers]` per cell, in `CELLS`
+/// order.
 #[rustfmt::skip]
-const GOLDEN: [[u64; 4]; 6] = [
-    [0x6f372c0d47a17812, 0x7a01f7bc7ac8a6d6, 0xcf5cf9ce8149330b, 0x0b25da54d7840b20],
-    [0x02bf4405f7294da9, 0x061185012fb07cd8, 0xd31cdec93617a73a, 0xab8679ff5a68d931],
-    [0xa5983ec7fd327629, 0xb87ff94f0d3654e1, 0xfa769d7ff5f726c0, 0xc5b9ad6fb1de6147],
-    [0x9c5a588d94c76bd0, 0xea27c91d850000bb, 0x7c952b7b554a2df0, 0xccc6ba6469025ec5],
-    [0xe9bd685d62f3b60f, 0x9aa78a854cfc2c17, 0xf8e5ed75f9a13475, 0xa4adffea3354e94e],
-    [0xc04dc51859cf3e25, 0xfc347966219e6b07, 0xf8e5ed75f9a13475, 0xfcfbc6bb8eb655d1],
+const GOLDEN: [[u64; 5]; 6] = [
+    [0x6f372c0d47a17812, 0x7a01f7bc7ac8a6d6, 0xcf5cf9ce8149330b, 0x0b25da54d7840b20, 0xe9014c9fc3c4150b],
+    [0x02bf4405f7294da9, 0x061185012fb07cd8, 0xd31cdec93617a73a, 0xab8679ff5a68d931, 0xfe1a4ffc14b51879],
+    [0xa5983ec7fd327629, 0xb87ff94f0d3654e1, 0xfa769d7ff5f726c0, 0xc5b9ad6fb1de6147, 0x309f227c65a74df1],
+    [0x9c5a588d94c76bd0, 0xea27c91d850000bb, 0x7c952b7b554a2df0, 0xccc6ba6469025ec5, 0x556571c5c08c8be1],
+    [0xe9bd685d62f3b60f, 0x9aa78a854cfc2c17, 0xf8e5ed75f9a13475, 0xa4adffea3354e94e, 0x4697aa9efa247ce9],
+    [0xc04dc51859cf3e25, 0xfc347966219e6b07, 0xf8e5ed75f9a13475, 0xfcfbc6bb8eb655d1, 0xf1d2b8b59ae830a0],
 ];
 
 fn fnv1a(s: &str) -> u64 {
@@ -72,15 +76,20 @@ fn trace_text(t: &RunTrace) -> String {
     s
 }
 
-fn digests(stats: &RunStats) -> [u64; 4] {
+fn digests(stats: &RunStats) -> [u64; 5] {
     let trace = stats.trace.as_ref().expect("trace layer on");
     assert_eq!(trace.dropped_events(), 0, "golden cells must fit the caps");
     assert_eq!(trace.edges_dropped, 0);
+    let metrics = stats.metrics.as_ref().expect("metrics layer on");
+    let rendered = trace.to_chrome_json_with(Some(metrics))
+        + &trace.ascii_timeline(100)
+        + &trace.wait_report();
     [
         fnv1a(&trace_text(trace)),
-        fnv1a(&stats.metrics.as_ref().expect("metrics layer on").to_json()),
+        fnv1a(&metrics.to_json()),
         fnv1a(&stats.sharing.as_ref().expect("sharing layer on").to_json()),
         fnv1a(&advise(stats).to_json()),
+        fnv1a(&rendered),
     ]
 }
 
@@ -99,7 +108,7 @@ fn run(cell: (App, OptClass, PlatformKind), cfg: RunConfig) -> RunStats {
 
 #[test]
 fn diagnostic_content_matches_the_pre_refactor_digests() {
-    let mut actual = [[0u64; 4]; 6];
+    let mut actual = [[0u64; 5]; 6];
     for (i, &cell) in CELLS.iter().enumerate() {
         actual[i] = digests(&run(cell, layered(1)));
         assert_eq!(
@@ -113,8 +122,8 @@ fn diagnostic_content_matches_the_pre_refactor_digests() {
         for row in actual {
             let _ = writeln!(
                 table,
-                "    [{:#018x}, {:#018x}, {:#018x}, {:#018x}],",
-                row[0], row[1], row[2], row[3]
+                "    [{:#018x}, {:#018x}, {:#018x}, {:#018x}, {:#018x}],",
+                row[0], row[1], row[2], row[3], row[4]
             );
         }
         panic!("diagnostic content changed; actual digests:\n{table}");
