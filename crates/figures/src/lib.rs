@@ -101,6 +101,11 @@ pub mod sweep {
     }
 }
 
+/// One cell [`Runner`] runs: an application's parallel run in an
+/// optimization class, or (`None`) its uniprocessor `Orig` baseline, on a
+/// platform.
+type Job = (App, Option<OptClass>, Platform);
+
 /// Runs experiments at one scale and processor count and caches
 /// uniprocessor baselines (one per app × platform, always the `Orig`
 /// optimization class, per the paper's speedup definition).
@@ -124,37 +129,18 @@ impl Runner {
 
     /// Uniprocessor cycles of the original version (cached).
     pub fn baseline(&mut self, app: App, platform: Platform) -> u64 {
-        let scale = self.scale;
-        *self.baselines.entry((app, platform)).or_insert_with(|| {
-            eprintln!(
-                "  [baseline] {} on {} (1 proc)...",
-                app.name(),
-                platform.name()
-            );
-            AppSpec {
-                app,
-                class: OptClass::Orig,
-            }
-            .run(platform, 1, scale)
-            .total_cycles()
-        })
+        if !self.baselines.contains_key(&(app, platform)) {
+            self.run_jobs(vec![(app, None, platform)]);
+        }
+        self.baselines[&(app, platform)]
     }
 
     /// Parallel run statistics (cached).
     pub fn parallel(&mut self, app: App, class: OptClass, platform: Platform) -> &RunStats {
-        let (scale, nprocs) = (self.scale, self.nprocs);
-        self.parallel
-            .entry((app, class, platform))
-            .or_insert_with(|| {
-                eprintln!(
-                    "  [run] {} {} on {} ({} procs)...",
-                    app.name(),
-                    class.label(),
-                    platform.name(),
-                    nprocs
-                );
-                AppSpec { app, class }.run(platform, nprocs, scale)
-            })
+        if !self.parallel.contains_key(&(app, class, platform)) {
+            self.run_jobs(vec![(app, Some(class), platform)]);
+        }
+        &self.parallel[&(app, class, platform)]
     }
 
     /// Run every not-yet-cached cell of a sweep — plus the uniprocessor
@@ -163,7 +149,7 @@ impl Runner {
     /// [`Runner::parallel`] and [`Runner::speedup`] hit the cache. Results
     /// are identical to running the cells one by one.
     pub fn prefetch(&mut self, cells: &[(App, OptClass, Platform)]) {
-        let mut jobs: Vec<(App, Option<OptClass>, Platform)> = Vec::new();
+        let mut jobs: Vec<Job> = Vec::new();
         for &(app, class, pf) in cells {
             let base = (app, None, pf);
             if !self.baselines.contains_key(&(app, pf)) && !jobs.contains(&base) {
@@ -174,9 +160,14 @@ impl Runner {
                 jobs.push(cell);
             }
         }
-        if jobs.is_empty() {
-            return;
+        if !jobs.is_empty() {
+            self.run_jobs(jobs);
         }
+    }
+
+    /// The one place cells run: each job on the sweep pool, its result
+    /// cached.
+    fn run_jobs(&mut self, jobs: Vec<Job>) {
         let (scale, nprocs) = (self.scale, self.nprocs);
         let results = sweep::run(&jobs, |&(app, class, pf)| match class {
             None => AppSpec {

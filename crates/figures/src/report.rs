@@ -35,6 +35,7 @@ use apps::{App, OptClass, Platform};
 use sim_core::advisor::{advise, AdvisorReport};
 use sim_core::critpath::{analyze, what_if_report, PathCat};
 use sim_core::metrics::{sparkline, DEFAULT_INTERVAL};
+use sim_core::util::json_rows;
 use sim_core::{
     Family, MetricsReport, PageTrajectory, ProcSample, RunTrace, SharingProfile, WaitHist,
 };
@@ -115,10 +116,9 @@ pub fn run(e: &Experiment, p: &Parsed) -> Result<(), String> {
         let _ = writeln!(j, "  \"scale\": \"{}\",", cli::scale_name(p.scale));
         let _ = writeln!(j, "  \"nprocs\": {},", p.nprocs);
         let _ = writeln!(j, "  \"interval\": {},", opts.interval);
-        j.push_str("  \"cells\": [\n");
-        let elems: Vec<&str> = cells.iter().map(|c| c.json.as_str()).collect();
-        j.push_str(&elems.join(",\n"));
-        j.push_str("\n  ]\n}\n");
+        j.push_str("  \"cells\": ");
+        json_rows(&mut j, &cells, |j, c| j.push_str(&c.json));
+        j.push_str("\n}\n");
         std::fs::write(path, j).expect("write the report envelope");
         eprintln!("[report] wrote {path}");
     }
@@ -237,7 +237,7 @@ fn run_cell(p: &Parsed, o: &Opts, (app, class, pf): (App, OptClass, Platform)) -
     if o.json {
         let _ = writeln!(
             json,
-            "    {{\"app\": \"{}\", \"class\": \"{}\", \"platform\": \"{}\", \"end\": {}, \
+            "{{\"app\": \"{}\", \"class\": \"{}\", \"platform\": \"{}\", \"end\": {}, \
              \"host_seconds\": {host_seconds:.3}, \"events\": {}, \"dropped\": {dropped}, \
              \"phase_overflows\": {overflows},",
             app.name(),
@@ -551,18 +551,14 @@ fn wait_hists_json(tr: &RunTrace) -> String {
         format!("\"fetch\": {f}, \"lock\": {l}, \"barrier\": {b}")
     };
     let (f, l, b) = tr.merged_hists();
-    let procs: Vec<String> = tr
-        .procs
-        .iter()
-        .enumerate()
-        .map(|(pid, p)| {
-            let t = triple(&p.fetch_wait, &p.lock_wait, &p.barrier_wait);
-            format!("    {{\"pid\": {pid}, {t}}}")
-        })
-        .collect();
-    let merged = triple(&f, &l, &b);
-    format!(
-        "{{\n  \"merged\": {{{merged}}},\n  \"procs\": [\n{}\n  ]\n}}",
-        procs.join(",\n")
-    )
+    let mut s = format!(
+        "{{\n  \"merged\": {{{}}},\n  \"procs\": ",
+        triple(&f, &l, &b)
+    );
+    json_rows(&mut s, tr.procs.iter().enumerate(), |s, (pid, p)| {
+        let t = triple(&p.fetch_wait, &p.lock_wait, &p.barrier_wait);
+        let _ = write!(s, "{{\"pid\": {pid}, {t}}}");
+    });
+    s.push_str("\n}");
+    s
 }

@@ -29,7 +29,7 @@ use crate::metrics::{MetricsReport, PageTrajectory};
 use crate::sharing::{SharingClass, SharingProfile};
 use crate::stats::RunStats;
 use crate::trace::{DepKind, RunTrace};
-use crate::util::{insert_sorted, json_escape};
+use crate::util::{insert_sorted, joined, json_escape, json_rows};
 use std::fmt::Write as _;
 
 /// A recommendation must account for at least this fraction of the
@@ -924,12 +924,8 @@ impl AdvisorReport {
             ("sharing", self.has_sharing),
             ("trace/critpath", self.has_trace),
             ("metrics", self.has_metrics),
-        ]
-        .iter()
-        .filter(|(_, on)| *on)
-        .map(|(n, _)| *n)
-        .collect::<Vec<_>>()
-        .join(" + ");
+        ];
+        let layers = joined(layers.iter().filter(|(_, on)| *on).map(|(n, _)| n), " + ");
         let _ = writeln!(
             out,
             "advisor [{}]: {} recommendations from {} over {} cycles",
@@ -961,23 +957,11 @@ impl AdvisorReport {
                 let _ = writeln!(out, "        - {n}");
             }
             if !r.evidence.pages.is_empty() {
-                let pages = r
-                    .evidence
-                    .pages
-                    .iter()
-                    .map(|p| format!("{p:#x}"))
-                    .collect::<Vec<_>>()
-                    .join(", ");
+                let pages = joined(r.evidence.pages.iter().map(|p| format!("{p:#x}")), ", ");
                 let _ = writeln!(out, "        - example pages: {pages}");
             }
             if !r.evidence.phases.is_empty() {
-                let phases = r
-                    .evidence
-                    .phases
-                    .iter()
-                    .map(|p| p.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
+                let phases = joined(&r.evidence.phases, ", ");
                 let _ = writeln!(out, "        - phases touched: {phases}");
             }
         }
@@ -1008,10 +992,9 @@ impl AdvisorReport {
             "  \"layers\": {{\"sharing\": {}, \"trace\": {}, \"metrics\": {}}},",
             self.has_sharing, self.has_trace, self.has_metrics
         );
-        out.push_str("  \"recommendations\": [");
-        for (i, r) in self.recs.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    {");
+        out.push_str("  \"recommendations\": ");
+        json_rows(&mut out, &self.recs, |out, r| {
+            out.push('{');
             let _ = write!(
                 out,
                 "\"kind\": \"{}\", \"family\": \"{}\", \"severity\": \"{}\", ",
@@ -1044,27 +1027,15 @@ impl AdvisorReport {
                 "\"describe\": \"{}\", ",
                 json_escape(&r.action.describe())
             );
-            let pages = r
-                .evidence
-                .pages
-                .iter()
-                .map(|p| p.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            let phases = r
-                .evidence
-                .phases
-                .iter()
-                .map(|p| p.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            let notes = r
-                .evidence
-                .notes
-                .iter()
-                .map(|n| format!("\"{}\"", json_escape(n)))
-                .collect::<Vec<_>>()
-                .join(", ");
+            let pages = joined(&r.evidence.pages, ", ");
+            let phases = joined(&r.evidence.phases, ", ");
+            let notes = joined(
+                r.evidence
+                    .notes
+                    .iter()
+                    .map(|n| format!("\"{}\"", json_escape(n))),
+                ", ",
+            );
             let _ = write!(
                 out,
                 "\"evidence\": {{\"pages\": [{pages}], \"phases\": [{phases}], \
@@ -1084,14 +1055,12 @@ impl AdvisorReport {
                 None => out.push_str("\"false_share\": null, "),
             }
             let _ = write!(out, "\"notes\": [{notes}]}}}}");
-        }
-        out.push_str("\n  ],\n");
-        out.push_str("  \"families\": [");
-        for (i, f) in self.families.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
+        });
+        out.push_str(",\n  \"families\": ");
+        json_rows(&mut out, &self.families, |out, f| {
             let _ = write!(
                 out,
-                "    {{\"family\": \"{}\", \"recs\": {}, \"path_cycles\": {}, \
+                "{{\"family\": \"{}\", \"recs\": {}, \"path_cycles\": {}, \
                  \"projected\": {}, \"speedup\": {:.4}}}",
                 f.family.label(),
                 f.recs,
@@ -1099,8 +1068,8 @@ impl AdvisorReport {
                 f.projected,
                 f.speedup
             );
-        }
-        out.push_str("\n  ]\n}\n");
+        });
+        out.push_str("\n}\n");
         out
     }
 }

@@ -36,7 +36,7 @@
 use std::fmt::Write as _;
 
 use crate::probe::ProtoEvent;
-use crate::util::{insert_sorted, json_escape, Capped, FxMap};
+use crate::util::{insert_sorted, joined, json_escape, json_rows, Capped, FxMap};
 
 /// Default sampling interval in virtual cycles
 /// ([`crate::RunConfig::with_metrics`] takes an explicit one; figure
@@ -654,12 +654,10 @@ impl MetricsReport {
         let mut s = String::from("{\n");
         let _ = writeln!(s, "  \"interval\": {},", self.interval);
         let _ = writeln!(s, "  \"total_dropped\": {},", self.total_dropped());
-        s.push_str("  \"procs\": [\n");
-        for (pid, p) in self.procs.iter().enumerate() {
-            let samples: Vec<String> = p
-                .samples
-                .iter()
-                .map(|x| {
+        s.push_str("  \"procs\": ");
+        json_rows(&mut s, self.procs.iter().enumerate(), |s, (pid, p)| {
+            let samples = joined(
+                p.samples.iter().map(|x| {
                     format!(
                         "[{},{},{},{},{},{},{}]",
                         x.interval,
@@ -670,90 +668,72 @@ impl MetricsReport {
                         x.barrier_wait,
                         x.remote_fetches
                     )
-                })
-                .collect();
-            let _ = writeln!(
-                s,
-                "    {{\"pid\": {}, \"dropped\": {}, \"samples\": [{}]}}{}",
-                pid,
-                p.dropped,
-                samples.join(", "),
-                if pid + 1 < self.procs.len() { "," } else { "" },
+                }),
+                ", ",
             );
-        }
-        s.push_str("  ],\n  \"pages\": [\n");
-        for (i, p) in self.pages.iter().enumerate() {
-            let ivals: Vec<String> = p
-                .intervals
-                .iter()
-                .map(|x| {
-                    let w: Vec<String> = x.writers.iter().map(|w| w.to_string()).collect();
-                    format!(
-                        "[{},{},{},{},[{}]]",
-                        x.interval,
-                        x.fetches,
-                        x.diff_words,
-                        x.invalidations,
-                        w.join(",")
-                    )
-                })
-                .collect();
-            let writers: Vec<String> = p.writers.iter().map(|w| w.to_string()).collect();
-            let _ = writeln!(
+            let _ = write!(
                 s,
-                "    {{\"page_base\": {}, \"label\": \"{}\", \"trajectory\": \"{}\", \
+                "{{\"pid\": {pid}, \"dropped\": {}, \"samples\": [{samples}]}}",
+                p.dropped
+            );
+        });
+        s.push_str(",\n  \"pages\": ");
+        json_rows(&mut s, &self.pages, |s, p| {
+            let ivals = joined(
+                p.intervals.iter().map(|x| {
+                    let w = joined(&x.writers, ",");
+                    let (iv, f, dw, inv) = (x.interval, x.fetches, x.diff_words, x.invalidations);
+                    format!("[{iv},{f},{dw},{inv},[{w}]]")
+                }),
+                ", ",
+            );
+            let _ = write!(
+                s,
+                "{{\"page_base\": {}, \"label\": \"{}\", \"trajectory\": \"{}\", \
                  \"single_intervals\": {}, \"multi_intervals\": {}, \"overlap\": {}, \
-                 \"writers\": [{}], \"dropped\": {}, \"intervals\": [{}]}}{}",
+                 \"writers\": [{}], \"dropped\": {}, \"intervals\": [{ivals}]}}",
                 p.page_base,
                 json_escape(p.label),
                 p.trajectory.label(),
                 p.single_intervals,
                 p.multi_intervals,
                 p.overlap,
-                writers.join(", "),
+                joined(&p.writers, ", "),
                 p.dropped,
-                ivals.join(", "),
-                if i + 1 < self.pages.len() { "," } else { "" },
             );
-        }
-        s.push_str("  ],\n  \"locks\": [\n");
-        for (i, l) in self.locks.iter().enumerate() {
-            let ivals: Vec<String> = l
-                .intervals
-                .iter()
-                .map(|&(iv, n)| format!("[{iv},{n}]"))
-                .collect();
-            let _ = writeln!(
+        });
+        s.push_str(",\n  \"locks\": ");
+        json_rows(&mut s, &self.locks, |s, l| {
+            let _ = write!(
                 s,
-                "    {{\"lock\": {}, \"total\": {}, \"dropped\": {}, \"intervals\": [{}]}}{}",
+                "{{\"lock\": {}, \"total\": {}, \"dropped\": {}, \"intervals\": [{}]}}",
                 l.lock,
                 l.total(),
                 l.dropped,
-                ivals.join(", "),
-                if i + 1 < self.locks.len() { "," } else { "" },
+                joined(
+                    l.intervals.iter().map(|&(iv, n)| format!("[{iv},{n}]")),
+                    ", "
+                ),
             );
-        }
-        s.push_str("  ],\n  \"events\": [\n");
-        for (i, e) in self.events.iter().enumerate() {
-            let procs: Vec<String> = e
-                .procs
-                .iter()
-                .map(|p| {
-                    let v: Vec<String> = p.iter().map(|&(iv, n)| format!("[{iv},{n}]")).collect();
-                    format!("[{}]", v.join(","))
-                })
-                .collect();
-            let _ = writeln!(
+        });
+        s.push_str(",\n  \"events\": ");
+        json_rows(&mut s, &self.events, |s, e| {
+            let procs = joined(
+                e.procs.iter().map(|p| {
+                    let v = joined(p.iter().map(|&(iv, n)| format!("[{iv},{n}]")), ",");
+                    format!("[{v}]")
+                }),
+                ", ",
+            );
+            let _ = write!(
                 s,
-                "    {{\"name\": \"{}\", \"total\": {}, \"dropped\": {}, \"procs\": [{}]}}{}",
+                "{{\"name\": \"{}\", \"total\": {}, \"dropped\": {}, \"procs\": [{procs}]}}",
                 json_escape(e.name),
                 e.total(),
                 e.dropped,
-                procs.join(", "),
-                if i + 1 < self.events.len() { "," } else { "" },
             );
-        }
-        s.push_str("  ]\n}\n");
+        });
+        s.push_str("\n}\n");
         s
     }
 }

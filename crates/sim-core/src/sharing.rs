@@ -23,7 +23,8 @@
 //! post-`stop_timing` verification read-back (DESIGN.md §8).
 
 use crate::probe::ProtoEvent;
-use crate::util::{insert_sorted, json_escape, FxMap};
+use crate::util::{insert_sorted, joined, json_escape, json_rows, FxMap};
+use std::fmt::Write as _;
 
 /// How a page was shared during the profiled region, judged from the
 /// word-granularity write footprints of the diffs it generated.
@@ -355,14 +356,11 @@ impl SharingProfile {
 
     /// Machine-readable JSON (hand-rolled; the workspace is dependency-free).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"page_bytes\": {},\n", self.page_bytes));
-        s.push_str("  \"pages\": [\n");
-        for (i, p) in self.pages.iter().enumerate() {
-            let writers: Vec<String> = p.writers.iter().map(|w| w.to_string()).collect();
-            let readers: Vec<String> = p.readers.iter().map(|r| r.to_string()).collect();
-            s.push_str(&format!(
-                "    {{\"page_base\": {}, \"label\": \"{}\", \"class\": \"{}\", \"fetches\": {}, \"diff_words\": {}, \"diff_runs\": {}, \"wire_bytes\": {}, \"invalidations\": {}, \"writers\": [{}], \"readers\": [{}]}}{}\n",
+        let mut s = format!("{{\n  \"page_bytes\": {},\n  \"pages\": ", self.page_bytes);
+        json_rows(&mut s, &self.pages, |s, p| {
+            let _ = write!(
+                s,
+                "{{\"page_base\": {}, \"label\": \"{}\", \"class\": \"{}\", \"fetches\": {}, \"diff_words\": {}, \"diff_runs\": {}, \"wire_bytes\": {}, \"invalidations\": {}, \"writers\": [{}], \"readers\": [{}]}}",
                 p.page_base,
                 json_escape(p.label),
                 p.class.label(),
@@ -371,16 +369,15 @@ impl SharingProfile {
                 p.diff_runs,
                 p.wire_bytes,
                 p.invalidations,
-                writers.join(", "),
-                readers.join(", "),
-                if i + 1 < self.pages.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ],\n  \"labels\": [\n");
-        let labels = self.labels();
-        for (i, l) in labels.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"label\": \"{}\", \"pages\": {}, \"false_pages\": {}, \"true_pages\": {}, \"fetches\": {}, \"diff_words\": {}, \"false_diff_words\": {}, \"true_diff_words\": {}, \"false_share\": {:.4}, \"wire_bytes\": {}, \"invalidations\": {}}}{}\n",
+                joined(&p.writers, ", "),
+                joined(&p.readers, ", "),
+            );
+        });
+        s.push_str(",\n  \"labels\": ");
+        json_rows(&mut s, self.labels(), |s, l| {
+            let _ = write!(
+                s,
+                "{{\"label\": \"{}\", \"pages\": {}, \"false_pages\": {}, \"true_pages\": {}, \"fetches\": {}, \"diff_words\": {}, \"false_diff_words\": {}, \"true_diff_words\": {}, \"false_share\": {:.4}, \"wire_bytes\": {}, \"invalidations\": {}}}",
                 json_escape(l.label),
                 l.pages,
                 l.false_pages,
@@ -392,10 +389,9 @@ impl SharingProfile {
                 l.false_share(),
                 l.wire_bytes,
                 l.invalidations,
-                if i + 1 < labels.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ]\n}\n");
+            );
+        });
+        s.push_str("\n}\n");
         s
     }
 }

@@ -225,11 +225,7 @@ impl RunStats {
 
     /// Render all race reports, one per line (empty string if none).
     pub fn race_summary(&self) -> String {
-        self.races
-            .iter()
-            .map(|r| r.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
+        crate::util::joined(&self.races, "\n")
     }
 
     /// Execution time of the run: the maximum final clock.

@@ -1,7 +1,7 @@
 //! Small utilities: a fast deterministic hasher for hot protocol tables, a
 //! seedable xorshift RNG used by workload generators that must not depend
-//! on global state, and the JSON string escaper, the sorted insert and the
-//! capped buffer of the diagnostic layers.
+//! on global state, and the JSON string escaper and array writer, the list
+//! joiner, the sorted insert and the capped buffer of the diagnostic layers.
 //!
 //! We re-implement the well-known Fx hash function (as used by rustc) rather
 //! than pulling in an extra dependency; protocol page tables and directories
@@ -10,7 +10,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 /// `s` as the body of a JSON string: quote, backslash and control
@@ -30,6 +30,36 @@ pub(crate) fn json_escape(s: &str) -> String {
             }
             c => out.push(c),
         }
+    }
+    out
+}
+
+/// Append `rows` as the array shape every diagnostic JSON document
+/// prints under a top-level key, one element per line:
+/// `[\n    row,\n    row\n  ]` (`[\n  ]` when empty). `row` writes one
+/// element.
+pub fn json_rows<T>(
+    out: &mut String,
+    rows: impl IntoIterator<Item = T>,
+    mut row: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, x) in rows.into_iter().enumerate() {
+        out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        row(out, x);
+    }
+    out.push_str("\n  ]");
+}
+
+/// `items` joined by `sep`: the inline lists inside a row (writers,
+/// pages, intervals).
+pub(crate) fn joined<T: Display>(items: impl IntoIterator<Item = T>, sep: &str) -> String {
+    let mut out = String::new();
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(sep);
+        }
+        let _ = write!(out, "{x}");
     }
     out
 }
