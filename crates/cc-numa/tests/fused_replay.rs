@@ -1,7 +1,7 @@
 //! Differential check of the fused replay engine on the DSM platform:
-//! a sharded run — under both the fused (single-thread event-loop) replay
-//! engine and the classic (coroutine-per-processor) one — must produce
-//! bit-identical `RunStats`, traces included, to the sequential oracle.
+//! a sharded run — replayed by the fused (single-thread event-loop)
+//! engine — must produce bit-identical `RunStats`, traces included, to the
+//! sequential oracle.
 //!
 //! The cross-platform grid lives in `tests/shard_equivalence.rs`; this is
 //! the platform crate's own smoke check so a protocol change that breaks
@@ -41,19 +41,14 @@ fn kernel(p: &mut Proc) {
     p.barrier(999);
 }
 
-fn cfg(shards: usize, fused: bool) -> RunConfig {
-    RunConfig::new(4)
-        .with_shards(shards)
-        .with_shard_fused(fused)
-        .with_trace()
+fn cfg(shards: usize) -> RunConfig {
+    RunConfig::new(4).with_shards(shards).with_trace()
 }
 
 #[test]
 fn fused_replay_is_bit_identical_on_dsm() {
     let mk = || DsmPlatform::boxed(DsmConfig::paper(4));
-    let oracle = run(mk(), cfg(1, true), kernel);
-    let fused = run(mk(), cfg(4, true), kernel);
-    let classic = run(mk(), cfg(4, false), kernel);
+    let oracle = run(mk(), cfg(1), kernel);
+    let fused = run(mk(), cfg(4), kernel);
     assert_eq!(oracle, fused, "fused replay diverged on dsm");
-    assert_eq!(oracle, classic, "classic sharded replay diverged on dsm");
 }

@@ -610,10 +610,10 @@ fn table1(e: &Experiment, p: &Parsed) -> Result<(), String> {
     println!();
     println!(
         "Our experience reproducing them matches: the per-processor\n\
-         breakdowns (figs 3-15 binaries) were exactly the 'detailed\n\
-         simulator as performance debugging tool' the paper describes —\n\
-         Volrend's and Raytrace's lock pathologies and Barnes' tree-build\n\
-         blow-up are invisible without them."
+         breakdowns (`figures fig03`–`fig15` rows) were exactly the\n\
+         'detailed simulator as performance debugging tool' the paper\n\
+         describes — Volrend's and Raytrace's lock pathologies and\n\
+         Barnes' tree-build blow-up are invisible without them."
     );
     println!();
 

@@ -40,29 +40,29 @@ pub struct RunConfig {
     /// of "phase 3"); indexed by phase id, may be shorter than the number of
     /// phases used.
     pub phase_names: Vec<String>,
-    /// Host parallelism for the run. `1` (the default) selects the classic
+    /// Host parallelism for the run. `1` (the default) selects the
     /// sequential engine — the oracle. `n > 1` selects the pipelined
-    /// generate/replay engine (see [`crate::shard`]) with up to `n`
-    /// application threads generating concurrently; the resulting
-    /// [`RunStats`] are bit-identical to `shards = 1` for data-race-free
-    /// programs (asserted by `tests/shard_equivalence.rs`). Platforms that
-    /// do not report a [`Platform::min_cross_node_latency`] fall back to
-    /// the classic engine.
+    /// generate/replay engine (DESIGN.md §2b) with up to `n` application
+    /// threads generating concurrently; the resulting [`RunStats`] are
+    /// bit-identical to `shards = 1` for data-race-free programs (asserted
+    /// by `tests/shard_equivalence.rs`). Platforms that do not report a
+    /// [`Platform::min_cross_node_latency`] fall back to the sequential
+    /// engine.
     pub shards: usize,
     /// Replay engine for sharded runs (`shards > 1`). `true` (the default)
-    /// selects the fused engine (`crate::fused`): every replay
-    /// interpreter is a stackless state machine driven by one host
-    /// thread's virtual-time event loop. `false` falls back to the classic
-    /// replay side (the sequential engine, one coroutine per simulated
-    /// processor, running the interpreters). Both are bit-identical to the
-    /// sequential oracle.
+    /// is the fused engine (DESIGN.md §2c), the only one left: every
+    /// processor's replay is a stackless state machine driven by one host
+    /// thread's virtual-time event loop. The classic replay side that
+    /// `false` selected was removed, so a sharded run with `false` panics
+    /// when it starts.
     pub shard_fused: bool,
     /// Descriptors per channel message in the sharded engine: the
     /// granularity at which generation threads hand operation streams to
     /// replay. Bigger batches amortize channel costs; smaller ones start
     /// replay earlier and tighten the event-bounded lookahead window
-    /// (capacity is counted in batches). Defaults to
-    /// `crate::shard::DEFAULT_BATCH`. Invisible in the statistics
+    /// (capacity is counted in batches). Defaults to the engine's
+    /// `DEFAULT_BATCH` (512). Must be in `1..=`[`MAX_SHARD_BATCH`]; a
+    /// sharded run checks it when it starts. Invisible in the statistics
     /// (asserted across values by `tests/shard_equivalence.rs`).
     pub shard_batch: usize,
     /// Interval metrics sampling period in virtual cycles (see
@@ -82,6 +82,15 @@ pub struct RunConfig {
 /// Largest accepted [`RunConfig::shard_batch`]: past ~a million descriptors
 /// per message the channel stops being a pipeline at all.
 pub const MAX_SHARD_BATCH: usize = 1 << 20;
+
+/// The one range check on [`RunConfig::shard_batch`], shared by its
+/// builder and the sharded engine's start (the field is public).
+pub(crate) fn check_shard_batch(n: usize) {
+    assert!(
+        (1..=MAX_SHARD_BATCH).contains(&n),
+        "shard_batch must be in 1..={MAX_SHARD_BATCH}, got {n}"
+    );
+}
 
 impl RunConfig {
     /// Default configuration for `nprocs` processors.
@@ -103,18 +112,19 @@ impl RunConfig {
         }
     }
 
-    /// Select the engine: `1` = the classic sequential scheduler (exact
-    /// current behaviour, and the oracle the differential tests compare
-    /// against); `n > 1` = the pipelined parallel engine with up to `n`
-    /// concurrently generating application threads.
+    /// Select the engine: `1` = the sequential scheduler (the oracle the
+    /// differential tests compare against); `n > 1` = the pipelined
+    /// parallel engine with up to `n` concurrently generating application
+    /// threads.
     pub fn with_shards(mut self, n: usize) -> Self {
         self.shards = n.max(1);
         self
     }
 
-    /// Select the replay side of the sharded engine: `true` = the fused
-    /// single-threaded event loop (default), `false` = the classic
-    /// coroutine-per-processor scheduler. No effect when `shards = 1`.
+    /// Select the replay side of the sharded engine. Only `true`, the
+    /// fused event loop and the default, is left; a sharded run with
+    /// `false` panics when it starts (see [`RunConfig::shard_fused`]). No
+    /// effect when `shards = 1`.
     pub fn with_shard_fused(mut self, fused: bool) -> Self {
         self.shard_fused = fused;
         self
@@ -126,10 +136,7 @@ impl RunConfig {
     /// # Panics
     /// If `n` is zero or exceeds [`MAX_SHARD_BATCH`].
     pub fn with_shard_batch(mut self, n: usize) -> Self {
-        assert!(
-            (1..=MAX_SHARD_BATCH).contains(&n),
-            "shard_batch must be in 1..={MAX_SHARD_BATCH}, got {n}"
-        );
+        check_shard_batch(n);
         self.shard_batch = n;
         self
     }

@@ -1,40 +1,40 @@
-//! The fused replay engine: every replay interpreter as a stackless state
-//! machine, all of them driven by ONE host thread's virtual-time event loop.
+//! The fused replay engine, the sharded engine's only replay side
+//! (`crate::shard`, DESIGN.md §2c): every processor's replay is a
+//! stackless state machine, and ONE host thread's virtual-time event loop
+//! drives them all.
 //!
-//! ## Why fuse?
+//! ## Why a state machine?
 //!
-//! The sharded engine's replay side (see [`crate::shard`]) originally ran
-//! the *unmodified* classic scheduler: a full execution context per
-//! simulated processor (an OS thread then, a 16 MiB coroutine stack now).
-//! That machinery exists so arbitrary application code — with its real
-//! call stack — can suspend mid-computation. But a replay interpreter has
-//! no application stack: its entire continuation is "which descriptor
-//! comes next plus at most one partially-consumed bulk operation". That
-//! continuation fits in a small enum, so the interpreters can be stackless
-//! state machines in one loop: a hand-off is an index assignment.
+//! The sequential engine gives each simulated processor a full execution
+//! context (a 16 MiB coroutine stack) so that arbitrary application code —
+//! with its real call stack — can suspend mid-computation. Replay runs no
+//! application code: a processor's entire continuation is "which
+//! descriptor comes next plus at most one partially-consumed bulk
+//! operation". That fits in a small enum, so the processors can be
+//! stackless machines in one loop, and a hand-off is an index assignment.
 //!
 //! ## Bit-identity argument
 //!
 //! The loop drives the *same* scheduler state ([`Inner`]) through the
-//! *same* reentrant step API (`Inner::op_*`) as the classic engine; the
-//! only thing replaced is how the returned [`Step`] is realized. The
-//! classic engine switches coroutines such that exactly one processor
-//! runs at a time, chosen as: keep the current processor until
-//! an op requests a yield check and some ready processor has fallen more
-//! than a quantum behind (then switch to the min-clock ready processor),
-//! or until it blocks (then dispatch the min-clock ready processor). The
-//! event loop below implements precisely that policy on machine indices
-//! instead of coroutines — same transitions, same FCFS resource pricing
-//! order, same trace/edge/sharing/detector hook sequence, and therefore
-//! bit-identical `RunStats`. `tests/shard_equivalence.rs` runs the full
-//! differential grid against both replay engines.
+//! *same* reentrant step API (`Inner::op_*`) as the sequential engine's
+//! `Proc` methods; the only thing replaced is how the returned [`Step`] is
+//! realized. The sequential engine switches coroutines such that exactly
+//! one processor runs at a time, chosen as: keep the current processor
+//! until an op requests a yield check and some ready processor has fallen
+//! more than a quantum behind (then switch to the min-clock ready
+//! processor), or until it blocks (then dispatch the min-clock ready
+//! processor). The event loop below implements precisely that policy on
+//! machine indices instead of coroutines — same transitions, same FCFS
+//! resource pricing order, same trace/edge/sharing/detector hook sequence,
+//! and therefore bit-identical `RunStats`. `tests/shard_equivalence.rs`
+//! runs the full differential grid against the sequential oracle.
 //!
 //! A machine whose descriptor batch runs dry blocks on its channel *while
-//! holding the turn* — exactly as the classic interpreter does on `recv`. This is deterministic (virtual time must advance through this
-//! processor; which host thread produces the bytes does not matter) and
-//! deadlock-free (round-trip replies owed by this machine are sent before
-//! the receive, and every other generation thread keeps streaming
-//! independently).
+//! holding the turn*: virtual time cannot advance past this processor
+//! anyway. This is deterministic (which host thread produces the bytes does
+//! not matter) and deadlock-free (round-trip replies owed by this machine
+//! are sent before the receive, and every other generation thread keeps
+//! streaming independently).
 
 use std::sync::mpsc::{Receiver, Sender};
 
@@ -46,15 +46,16 @@ use crate::shard::{Desc, Reply};
 use crate::stats::RunStats;
 use crate::RunConfig;
 
-/// Mid-operation continuation of one interpreter: everything the classic
-/// interpreter would keep on its call stack between scheduler entries.
+/// Mid-operation continuation of one processor's replay: what the
+/// sequential engine keeps on the processor's stack between scheduler
+/// entries of one `Proc` call.
 enum MState {
     /// Ready to consume the next descriptor.
     Idle,
     /// A round-trip descriptor completed; the reply is sent the next time
-    /// this machine runs — the moment the classic interpreter thread,
-    /// rescheduled after the blocking `Proc` call returned, would execute
-    /// its `send`.
+    /// this machine runs — the moment the sequential engine's blocking
+    /// `Proc` call (`lock`, `barrier`, `start_timing`, ...) would return to
+    /// the application.
     OweReply(Reply),
     /// Partially consumed bulk load: `done` of `n` words performed.
     LoadSlice {
@@ -76,7 +77,7 @@ enum MState {
     WorkFused { per_elem: u64, left: u64 },
 }
 
-/// One replay interpreter as a state machine: its descriptor channel, the
+/// One processor's replay as a state machine: its descriptor channel, the
 /// batch being drained, and the mid-operation continuation.
 struct Machine {
     rx: Receiver<Vec<Desc>>,
@@ -103,15 +104,16 @@ impl Machine {
 
     /// Advance this machine by one scheduler entry: finish an owed reply
     /// or a bulk chunk, else consume the next descriptor. Mirrors exactly
-    /// one `Proc`-method scheduler entry of the classic interpreter; `None`
-    /// when the stream has ended (the classic body returning).
+    /// one scheduler entry of the sequential engine's `Proc` method for
+    /// that operation; `None` when the stream has ended (the body
+    /// returning).
     fn step(&mut self, inner: &mut Inner, pid: usize) -> Option<Step> {
         match std::mem::replace(&mut self.st, MState::Idle) {
             MState::Idle => {}
             MState::OweReply(r) => {
                 // A send error means the generation thread already died
-                // (app panic being forwarded); replay just keeps draining,
-                // as the classic interpreter's ignored send result does.
+                // (app panic being forwarded); replay just keeps draining
+                // the stream.
                 let _ = self.reply_tx.send(r);
                 return Some(Step::Run);
             }
@@ -215,7 +217,7 @@ impl Machine {
         done: usize,
     ) -> Option<Step> {
         if n == 0 {
-            return Some(Step::Run); // classic: zero-length slice never enters the loop
+            return Some(Step::Run); // `Proc::load_slice` never enters its loop
         }
         let base = addr + done as u64 * stride;
         let k = if self.bulk {
@@ -311,7 +313,7 @@ fn event_loop(inner: &mut Inner, machines: &mut [Machine], cur_cell: &std::cell:
         match machines[cur].step(inner, cur) {
             Some(Step::Run) => {}
             Some(Step::MaybeYield) => {
-                // Classic `maybe_yield`: hand over only if some runnable
+                // `Proc::maybe_yield`: hand over only if some runnable
                 // processor has fallen more than a quantum behind.
                 if let Some(next) = inner.yield_target(cur) {
                     cur = next;
@@ -332,12 +334,12 @@ fn event_loop(inner: &mut Inner, machines: &mut [Machine], cur_cell: &std::cell:
     }
 }
 
-/// Run the fused replay engine over the claimed replay channel ends and
-/// harvest the run exactly as the classic engine would.
+/// Run the fused replay engine over the replay channel ends and harvest
+/// the run exactly as the sequential engine would.
 ///
 /// # Panics
-/// Reproduces the classic engine's outer panic protocol: application
-/// panics forwarded via `Desc::Poison` (and interpreter-side assertion
+/// Reproduces the sequential engine's outer panic protocol: application
+/// panics forwarded via `Desc::Poison` (and replay-side assertion
 /// failures) re-raise as `simulated processor panicked: p{pid}: {msg}`;
 /// simulated deadlock re-raises its message unprefixed.
 pub(crate) fn replay_fused(

@@ -33,16 +33,16 @@ enum Status {
 
 /// What a processor does next after one of the [`Inner`] step methods: the
 /// engine-independent contract between the per-op state transitions and
-/// whichever engine drives them (the classic blocking scheduler or the
+/// whichever engine drives them (the sequential engine's coroutines or the
 /// fused event loop in [`crate::fused`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Step {
     /// Keep running, with no quantum yield check (lock fast path,
-    /// allocation, rendezvous release — exactly the classic paths that
-    /// dropped the guard without calling `maybe_yield`).
+    /// allocation, rendezvous release — exactly the `Proc` paths that
+    /// drop the guard without calling `maybe_yield`).
     Run,
     /// Keep running, but first check whether a runnable processor has
-    /// fallen more than a quantum behind (the classic `maybe_yield` sites).
+    /// fallen more than a quantum behind (the `Proc::maybe_yield` sites).
     MaybeYield,
     /// The processor blocked; its status is already `Blocked` and the
     /// engine must hand the turn to the min-clock runnable processor.
@@ -375,10 +375,11 @@ impl Inner {
     // ---- the reentrant step API ----
     //
     // Every simulated operation is a non-blocking state transition on
-    // `Inner`, shared verbatim by both engines: the classic scheduler
-    // calls them holding the turn and then switches coroutines per the
-    // returned `Step`, while the fused event loop ([`crate::fused`]) owns
-    // the `Inner` outright and just switches state machines. One
+    // `Inner`, shared verbatim by both engines: the sequential engine's
+    // `Proc` methods call them holding the turn and then switch coroutines
+    // per the returned `Step`, while the fused event loop
+    // ([`crate::fused`]) owns the `Inner` outright and just switches state
+    // machines. One
     // implementation of the transitions — clock advance, FCFS lock
     // queues, barrier membership, resource pricing, the events every
     // diagnostic layer consumes — is what makes the engines bit-identical

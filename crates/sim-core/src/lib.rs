@@ -57,7 +57,7 @@ pub mod probe;
 mod proc;
 pub mod resource;
 mod run;
-pub mod shard;
+mod shard;
 pub mod sharing;
 pub mod stats;
 pub mod trace;

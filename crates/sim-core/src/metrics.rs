@@ -28,9 +28,9 @@
 //! **invisible** (the argument is in [`crate::probe`]): a metrics-on run
 //! produces a `RunStats` bit-identical to the metrics-off run apart from
 //! the [`crate::RunStats::metrics`] field, and — because samples are taken
-//! inside the shared step API at virtual times all three engines reproduce
-//! exactly — reports are identical across the sequential, sharded-classic
-//! and fused engines (asserted in `tests/metrics.rs`). All buffers are
+//! inside the shared step API at virtual times both engines reproduce
+//! exactly — reports are identical across the sequential and fused
+//! engines (asserted in `tests/metrics.rs`). All buffers are
 //! fixed-capacity and drop-counted.
 
 use std::fmt::Write as _;

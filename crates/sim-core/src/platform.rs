@@ -344,10 +344,10 @@ pub trait Platform: Send {
     /// the conservative lower bound the sharded engine
     /// ([`crate::RunConfig::with_shards`]) relies on when it lets
     /// application threads run ahead of the replayed virtual-time order —
-    /// see [`crate::shard`] for how the bound and the event-bounded
+    /// see DESIGN.md §2b for how the bound and the event-bounded
     /// lookahead window interact. Platforms that keep hidden
     /// zero-latency side channels must return `None` (the default), which
-    /// pins them to the classic sequential engine.
+    /// pins them to the sequential engine.
     fn min_cross_node_latency(&self) -> Option<u64> {
         None
     }

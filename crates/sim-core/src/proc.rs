@@ -45,10 +45,10 @@ pub struct Proc {
     words: Vec<u64>,
 }
 
-/// What a [`Proc`] handle is attached to: the classic scheduler (both the
-/// sequential engine and the replay half of the sharded engine), or a
-/// generation context of the sharded engine (see [`crate::shard`]), which
-/// records the operation stream instead of simulating it.
+/// What a [`Proc`] handle is attached to: the sequential engine's
+/// scheduler, which simulates each operation, or a generation context of
+/// the sharded engine (`crate::shard`, DESIGN.md §2b), which records the
+/// operation stream for the fused replay loop instead.
 pub(crate) enum Backend {
     Classic(Arc<Shared>),
     Gen(Box<GenCtx>),
@@ -78,8 +78,8 @@ impl Proc {
         self.backend
     }
 
-    /// The classic scheduler state. Reachable only from methods (or arms)
-    /// that are never entered in generation mode.
+    /// The sequential engine's scheduler state. Reachable only from methods
+    /// (or arms) that are never entered in generation mode.
     #[inline(always)]
     fn shared(&self) -> &Arc<Shared> {
         match &self.backend {

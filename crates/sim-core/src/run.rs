@@ -38,7 +38,7 @@ where
     // The sharded engine requires the platform to certify (via the
     // min-cross-node-latency hook) that all cross-processor interactions
     // are mediated by replayed protocol actions; platforms that do not
-    // fall back to the classic engine.
+    // fall back to the sequential engine.
     if cfg.shards > 1 && platform.min_cross_node_latency().is_some() {
         crate::shard::run_sharded(platform, cfg, body)
     } else {
@@ -46,8 +46,8 @@ where
     }
 }
 
-/// Build the scheduler state both engines drive, its platform wired to
-/// the run's probe.
+/// Build the scheduler state both engines (sequential and fused replay)
+/// drive, its platform wired to the run's probe.
 pub(crate) fn build_inner(mut platform: Box<dyn Platform>, cfg: &RunConfig) -> Inner {
     assert_eq!(
         platform.nprocs(),
@@ -90,8 +90,8 @@ pub(crate) fn collect_stats(mut inner: Inner, cfg: &RunConfig) -> RunStats {
 
 /// The sequential engine: one coroutine per simulated processor, all on the
 /// calling host thread, exactly one running at a time, every simulated
-/// event priced inline. Both the `shards = 1` oracle and the classic replay
-/// half of the sharded engine.
+/// event priced inline: the `shards = 1` oracle, and the engine every run
+/// on a platform without a cross-node latency bound uses.
 pub(crate) fn run_classic<F>(platform: Box<dyn Platform>, cfg: RunConfig, body: F) -> RunStats
 where
     F: Fn(&mut Proc) + Sync,

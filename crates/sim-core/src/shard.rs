@@ -1,8 +1,7 @@
 //! The sharded (pipelined generate/replay) engine behind
-//! [`RunConfig::with_shards`]: the generation side, its descriptor
-//! channels, and the run driver with its classic replay interpreter (the
-//! fused replay loop is `crate::fused`). The scheduler reaches it only
-//! through `GenCtx::record`.
+//! `RunConfig::with_shards`: the generation side, its descriptor channels
+//! and the run driver (the replay side is the fused event loop in
+//! `crate::fused`). The scheduler reaches it only through `GenCtx::record`.
 //!
 //! ## Why not per-node lookahead windows?
 //!
@@ -11,10 +10,10 @@
 //! interaction latency — cannot reproduce this simulator's statistics bit
 //! for bit. Contended resources ([`crate::Resource`]) price requests in
 //! first-come-first-served *execution* order, and under the quantum
-//! run-ahead of the classic scheduler the execution order is deliberately
-//! not the timestamp order. Any engine that reorders platform calls,
-//! however latency-safe, perturbs `busy-until` chains and with them every
-//! downstream cycle count.
+//! run-ahead of the sequential scheduler the execution order is
+//! deliberately not the timestamp order. Any engine that reorders platform
+//! calls, however latency-safe, perturbs `busy-until` chains and with them
+//! every downstream cycle count.
 //!
 //! So the parallel engine splits each simulated processor differently, in
 //! *pipeline* rather than *space*:
@@ -23,37 +22,37 @@
 //!   against a process-wide `ValuePlane` (the flat values of simulated
 //!   memory) and emits its sequence of simulated operations as a
 //!   descriptor stream (`Desc`);
-//! * the **replay** engine — the unmodified classic scheduler — consumes
-//!   the streams, one interpreter per processor, re-issuing exactly the
-//!   same `Proc` calls the application would have made, in exactly the
-//!   order the classic engine would have chosen.
+//! * the **replay** side (`crate::fused`) consumes the streams and drives
+//!   the sequential engine's scheduler state through the same `Inner::op_*`
+//!   transitions the application's own `Proc` calls would have made, in
+//!   the order the sequential engine would have chosen.
 //!
 //! All virtual time, statistics, resource arbitration, tracing, race
-//! detection and protocol state live in replay, which is the classic
-//! engine; the statistics are therefore a pure function of the streams.
-//! The streams themselves are deterministic for data-race-free programs:
-//! every value a generation thread reads from the `ValuePlane` is fixed
-//! by the happens-before order that the round-trip synchronization
-//! descriptors (lock, barrier, timing rendezvous, allocation) enforce on
-//! the host, mirroring the virtual-time order replay computes. The
-//! `tests/shard_equivalence.rs` harness asserts the resulting bit-identity
-//! across shard counts, platforms, applications and diagnostics.
+//! detection and protocol state live in replay; the statistics are
+//! therefore a pure function of the streams. The streams themselves are
+//! deterministic for data-race-free programs: every value a generation
+//! thread reads from the `ValuePlane` is fixed by the happens-before order
+//! that the round-trip synchronization descriptors (lock, barrier, timing
+//! rendezvous, allocation) enforce on the host, mirroring the virtual-time
+//! order replay computes. The `tests/shard_equivalence.rs` harness asserts
+//! the resulting bit-identity across shard counts, platforms, applications
+//! and diagnostics.
 //!
 //! The lookahead window here is **event-bounded** rather than
-//! virtual-time-bounded: a generation thread may run ahead of its replay
-//! interpreter by at most the descriptor-channel capacity, and blocks at
-//! every cross-processor interaction (which each platform certifies is
-//! mediated by the replayed protocol — see
-//! [`Platform::min_cross_node_latency`]).
+//! virtual-time-bounded: a generation thread may run ahead of replay by at
+//! most the descriptor-channel capacity, and blocks at every
+//! cross-processor interaction (which each platform certifies is mediated
+//! by the replayed protocol — see [`Platform::min_cross_node_latency`]).
 
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Condvar, Mutex};
 
 use crate::addr::Addr;
 use crate::alloc::Placement;
+use crate::config::check_shard_batch;
 use crate::platform::Platform;
 use crate::proc::{Backend, Proc};
-use crate::run::{panic_message, run_classic};
+use crate::run::panic_message;
 use crate::stats::RunStats;
 use crate::util::FxMap;
 use crate::RunConfig;
@@ -76,11 +75,11 @@ const CHUNK: u64 = 4096;
 /// Number of independently locked map shards in the value plane.
 const PLANE_WAYS: usize = 64;
 
-/// One simulated operation, recorded by a generation thread and re-issued
-/// verbatim by its replay interpreter. Loads carry no values (replay's
-/// platform state reproduces them); stores carry the generated values so
-/// the platform's frames — and hence diff contents, wire bytes and sharing
-/// footprints — match the classic engine byte for byte.
+/// One simulated operation, recorded by a generation thread and replayed
+/// by its processor's machine in `crate::fused`. Loads carry no values
+/// (replay's platform state reproduces them); stores carry the generated
+/// values so the platform's frames — and hence diff contents, wire bytes
+/// and sharing footprints — match the sequential engine byte for byte.
 pub(crate) enum Desc {
     Work(u64),
     /// `(per_elem, count)`.
@@ -107,8 +106,8 @@ pub(crate) enum Desc {
     /// to builds that predate it.
     MetricEvent(&'static str, u64),
     /// The application body panicked in generation; replay re-raises the
-    /// message so the classic poison protocol unwinds the run exactly as a
-    /// direct panic would have.
+    /// message so the run unwinds with the panic the sequential engine
+    /// would have raised.
     Poison(String),
 }
 
@@ -380,7 +379,7 @@ impl GenCtx {
             Op::MetricEvent(..) => {}
             Op::SetPhase(phase) => self.emit(Desc::SetPhase(phase)),
             // Round trip: bump addresses depend on allocation order, which
-            // only replay (running the classic scheduler) can decide.
+            // only replay (running the scheduler) can decide.
             Op::Alloc(label, bytes, align, placement) => {
                 match self.roundtrip(Desc::Alloc(label, bytes, align, placement)) {
                     Reply::Addr(a) => return a,
@@ -515,39 +514,45 @@ impl GenCtx {
 
 /// The sharded engine: the application bodies run concurrently on
 /// generation threads (at most `cfg.shards` executing at once) against the
-/// host-side value plane, streaming operation descriptors to the
-/// *unmodified* classic engine, whose per-processor bodies are interpreters
-/// re-issuing the identical `Proc` calls. Statistics are therefore
-/// bit-identical to `shards = 1` for data-race-free programs — see
-/// [`crate::shard`] for the full argument and `tests/shard_equivalence.rs`
-/// for the proof harness.
+/// host-side value plane, streaming operation descriptors to the fused
+/// replay loop, which drives the sequential engine's scheduler state
+/// through the same transitions. Statistics are therefore bit-identical to
+/// `shards = 1` for data-race-free programs — see the module docs for the
+/// full argument and `tests/shard_equivalence.rs` for the proof harness.
+///
+/// # Panics
+/// Before any thread starts, if `cfg.shard_fused` is `false` (the classic
+/// replay side it selected is gone) or `cfg.shard_batch` is out of range.
 pub(crate) fn run_sharded<F>(platform: Box<dyn Platform>, cfg: RunConfig, body: F) -> RunStats
 where
     F: Fn(&mut Proc) + Sync,
 {
-    /// The interpreter-side halves of one processor's channel pair.
-    type ReplayEnd = (Receiver<Vec<Desc>>, Sender<Reply>);
-
-    let nprocs = cfg.nprocs;
+    assert!(
+        cfg.shard_fused,
+        "shard_fused = false selected the classic replay engine, which was removed; \
+         sharded runs replay on the fused engine only"
+    );
+    check_shard_batch(cfg.shard_batch);
     let plane = Arc::new(ValuePlane::new());
     let gate = Arc::new(Gate::new(cfg.shards));
 
-    // Per-processor descriptor and reply channels. The generation ends are
-    // moved into the generation threads; the replay ends sit in mutexed
-    // slots the interpreter bodies claim by pid (channel halves are `Send`
-    // but not `Sync`).
-    let mut gen_ends = Vec::with_capacity(nprocs);
-    let mut replay_ends: Vec<Mutex<Option<ReplayEnd>>> = Vec::with_capacity(nprocs);
-    for _ in 0..nprocs {
-        let (desc_tx, desc_rx) = sync_channel::<Vec<Desc>>(CHANNEL_BATCHES);
-        let (reply_tx, reply_rx) = channel::<Reply>();
-        gen_ends.push(Some((desc_tx, reply_rx)));
-        replay_ends.push(Mutex::new(Some((desc_rx, reply_tx))));
-    }
+    // Per-processor descriptor and reply channels: the generation ends are
+    // moved into the generation threads, the replay ends into the fused
+    // loop.
+    let (gen_ends, replay_ends): (Vec<_>, Vec<_>) = (0..cfg.nprocs)
+        .map(|_| {
+            let (desc_tx, desc_rx) = sync_channel::<Vec<Desc>>(CHANNEL_BATCHES);
+            let (reply_tx, reply_rx) = channel::<Reply>();
+            ((desc_tx, reply_rx), (desc_rx, reply_tx))
+        })
+        .unzip();
 
-    let result = std::thread::scope(|s| {
-        for (pid, end) in gen_ends.iter_mut().enumerate() {
-            let (tx, reply_rx) = end.take().expect("generation end claimed once");
+    // A panic out of replay (forwarded poison, deadlock) drops the replay
+    // ends on its way out, so every generation thread's sends and
+    // reply-waits error out and it aborts; the scope joins them and then
+    // re-raises the panic unchanged.
+    std::thread::scope(|s| {
+        for (pid, (tx, reply_rx)) in gen_ends.into_iter().enumerate() {
             let plane = Arc::clone(&plane);
             let gate = Arc::clone(&gate);
             let (body, cfg) = (&body, &cfg);
@@ -572,104 +577,18 @@ where
                             return;
                         }
                         // A real application panic: forward it so replay
-                        // re-raises it through the classic poison protocol,
-                        // producing the same outer panic a non-sharded run
-                        // would.
+                        // re-raises it, producing the same outer panic a
+                        // non-sharded run would.
                         ctx.batch.push(Desc::Poison(panic_message(&*payload)));
                     }
                     ctx.flush_quiet();
-                    // Dropping `tx` here closes the stream: the interpreter
-                    // returns after draining it.
+                    // Dropping `tx` here closes the stream: replay finishes
+                    // this processor after draining it.
                 })
                 .expect("spawn generation thread");
         }
-
-        let slots = &replay_ends;
-        let out = if cfg.shard_fused {
-            // The fused replay engine: all interpreter state machines run in
-            // THIS thread's virtual-time event loop (see [`crate::fused`]).
-            // Claim every replay end upfront; on unwind the machines drop
-            // their channel halves, aborting the generation threads before
-            // the scope joins them.
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let ends: Vec<ReplayEnd> = slots
-                    .iter()
-                    .map(|s| {
-                        s.lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .take()
-                            .expect("replay end claimed once")
-                    })
-                    .collect();
-                crate::fused::replay_fused(platform, &cfg, ends)
-            }))
-        } else {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_classic(platform, cfg.clone(), move |p: &mut Proc| {
-                    let (rx, reply_tx) = slots[p.pid()]
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .take()
-                        .expect("interpreter body entered twice");
-                    let mut scratch: Vec<u64> = Vec::new();
-                    // Blocks while holding the turn when the stream runs dry:
-                    // virtual time cannot advance past this processor anyway,
-                    // and its generation thread runs on regardless.
-                    while let Ok(batch) = rx.recv() {
-                        for d in batch {
-                            let sync = matches!(
-                                d,
-                                Desc::Lock(_)
-                                    | Desc::Barrier(_)
-                                    | Desc::StartTiming
-                                    | Desc::StopTiming
-                            );
-                            match d {
-                                Desc::Work(c) => p.work(c),
-                                Desc::WorkFused(per_elem, count) => p.work_fused(per_elem, count),
-                                Desc::SetPhase(ph) => p.set_phase(ph),
-                                Desc::Alloc(label, bytes, align, placement) => {
-                                    let a = p.alloc_shared_labeled(label, bytes, align, placement);
-                                    let _ = reply_tx.send(Reply::Addr(a));
-                                }
-                                Desc::Load(addr, len) => drop(p.load(addr, len)),
-                                Desc::Store(addr, len, val) => p.store(addr, len, val),
-                                Desc::LoadSlice(addr, stride, len, n) => {
-                                    scratch.resize(n, 0);
-                                    p.load_slice(addr, stride, len, &mut scratch[..n]);
-                                }
-                                Desc::StoreSlice(addr, stride, len, vals) => {
-                                    p.store_slice(addr, stride, len, &vals)
-                                }
-                                Desc::Lock(id) => p.lock(id),
-                                Desc::Unlock(id) => p.unlock(id),
-                                Desc::Barrier(id) => p.barrier(id),
-                                Desc::StartTiming => p.start_timing(),
-                                Desc::StopTiming => p.stop_timing(),
-                                Desc::MetricEvent(name, n) => p.metric_add(name, n),
-                                Desc::Poison(msg) => panic!("{msg}"),
-                            }
-                            if sync {
-                                let _ = reply_tx.send(Reply::Sync);
-                            }
-                        }
-                    }
-                })
-            }))
-        };
-        // Drop any unclaimed replay ends (a poisoned run can kill a
-        // processor before its interpreter starts) so every generation
-        // thread's sends and reply-waits error out and it aborts — the
-        // scope is about to join them.
-        for slot in slots.iter() {
-            slot.lock().unwrap_or_else(PoisonError::into_inner).take();
-        }
-        out
-    });
-    match result {
-        Ok(out) => out,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
+        crate::fused::replay_fused(platform, &cfg, replay_ends)
+    })
 }
 
 #[cfg(test)]

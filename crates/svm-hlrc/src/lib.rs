@@ -35,7 +35,7 @@ pub mod machine;
 mod page;
 
 pub use config::SvmConfig;
-pub use page::{Diff, DiffWords, PState, PageEntry, PageTable};
+pub use page::{Diff, PState, PageEntry, PageTable};
 
 use machine::Machine;
 use sim_core::mem::{load_le, store_le};

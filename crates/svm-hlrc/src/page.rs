@@ -207,21 +207,12 @@ impl Diff {
 
     /// Reference apply: one 4-byte copy per word. Kept as the oracle the
     /// randomized unit tests compare [`Diff::apply`] against.
-    pub fn apply_word_at_a_time(&self, target: &mut [u8]) {
-        for (w, v) in self.words() {
+    #[cfg(test)]
+    fn apply_word_at_a_time(&self, target: &mut [u8]) {
+        let words = self.runs.iter().flat_map(|&(w, n)| w..w + n);
+        for (w, v) in words.zip(self.data.chunks_exact(4)) {
             let i = w as usize * 4;
-            target[i..i + 4].copy_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    /// Iterate the differing words as `(word_index, new_value)` pairs, in
-    /// ascending word order.
-    pub fn words(&self) -> DiffWords<'_> {
-        DiffWords {
-            diff: self,
-            run: 0,
-            idx: 0,
-            off: 0,
+            target[i..i + 4].copy_from_slice(v);
         }
     }
 
@@ -250,31 +241,6 @@ impl Diff {
     /// run plus 4 bytes per word.
     pub fn wire_bytes(&self) -> u64 {
         (self.runs.len() * 8 + self.data.len()) as u64
-    }
-}
-
-/// Iterator over a [`Diff`]'s `(word_index, new_value)` pairs.
-pub struct DiffWords<'a> {
-    diff: &'a Diff,
-    run: usize,
-    idx: u32,
-    off: usize,
-}
-
-impl Iterator for DiffWords<'_> {
-    type Item = (u32, u32);
-
-    fn next(&mut self) -> Option<(u32, u32)> {
-        let &(start, len) = self.diff.runs.get(self.run)?;
-        let w = start + self.idx;
-        let v = u32::from_le_bytes(self.diff.data[self.off..self.off + 4].try_into().unwrap());
-        self.off += 4;
-        self.idx += 1;
-        if self.idx == len {
-            self.run += 1;
-            self.idx = 0;
-        }
-        Some((w, v))
     }
 }
 
@@ -466,12 +432,17 @@ mod tests {
             d.apply_word_at_a_time(&mut slow);
             assert_eq!(fast, slow, "case {case}");
             assert_eq!(fast, dirty, "case {case}");
-            // The iterator agrees with the encoding's own invariants.
-            assert_eq!(d.words().count(), d.len(), "case {case}");
+            // The runs keep the encoding's own invariants: nonempty,
+            // ascending and maximal (a clean word between any two), their
+            // lengths summing to the differing words.
+            let runs = d.runs();
+            assert!(runs.iter().all(|&(_, n)| n > 0), "case {case}: empty run");
             assert!(
-                d.words().zip(d.words().skip(1)).all(|(a, b)| a.0 < b.0),
-                "case {case}: words not ascending"
+                runs.windows(2).all(|r| r[0].0 + r[0].1 < r[1].0),
+                "case {case}: runs not ascending and maximal"
             );
+            let words: usize = runs.iter().map(|&(_, n)| n as usize).sum();
+            assert_eq!(words, d.len(), "case {case}");
         }
     }
 }

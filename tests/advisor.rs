@@ -5,8 +5,8 @@
 //! the seeded migratory/false-sharing twins on the page-based platforms),
 //! its projected bounds must be true upper bounds (>= 1.0, family unions
 //! dominating each member's critpath bound), and the report must be
-//! field-identical across the sequential, sharded-classic and fused
-//! engines and byte-identical as JSON across repeated runs.
+//! field-identical across the sequential and fused engines and
+//! byte-identical as JSON across repeated runs.
 
 use apps::{App, AppSpec, OptClass};
 use sim_core::advisor::{advise, Action, AdvisorReport, Family};
@@ -332,7 +332,7 @@ fn seeded_lock_kernels_split_vs_batch() {
 #[test]
 fn report_is_engine_identical_and_json_deterministic() {
     // The advisor is a pure function of RunStats, and RunStats is pinned
-    // bit-identical across the three engines — so the report (and its
+    // bit-identical across the two engines — so the report (and its
     // JSON) must be too. Byte-identical JSON across repeated runs is the
     // determinism half of the satellite.
     let cfg = || layered(4, IV);
@@ -340,22 +340,11 @@ fn report_is_engine_identical_and_json_deterministic() {
     let rep = advise(&seq);
     assert!(!rep.recs.is_empty());
     for shards in [2usize, 4] {
-        let classic = run_cell(
-            PlatformKind::Svm,
-            App::Kv,
-            OptClass::Orig,
-            cfg().with_shards(shards).with_shard_fused(false),
-        );
         let fused = run_cell(
             PlatformKind::Svm,
             App::Kv,
             OptClass::Orig,
-            cfg().with_shards(shards).with_shard_fused(true),
-        );
-        assert_eq!(
-            rep,
-            advise(&classic),
-            "shards={shards}: sharded-classic advisor report differs"
+            cfg().with_shards(shards),
         );
         assert_eq!(
             rep,

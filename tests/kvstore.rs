@@ -1,8 +1,7 @@
 //! End-to-end grid for the KV-store workload (the suite's server-shaped
 //! member): the Orig → P/A → DS → Alg journey must actually pay off at
 //! default scale on every platform model, the workload must be bit-identical
-//! under the sharded engine (fused and classic) against the sequential
-//! oracle, and the race detector must hold the line — zero races on the
+//! under the sharded engine against the sequential oracle, and the race detector must hold the line — zero races on the
 //! data-race-free configuration, a guaranteed catch on the seeded racy twin.
 
 use apps::kvstore::{self, KvParams, KvVersion};
@@ -48,9 +47,8 @@ fn default_scale_journey_improves_on_every_platform() {
     }
 }
 
-/// The tentpole differential criterion: every class on every platform,
-/// shards ∈ {2, 4}, fused and classic replay engines — all bit-identical
-/// to the sequential oracle.
+/// The differential criterion: every class on every platform, shards ∈
+/// {2, 4} — all bit-identical to the sequential oracle.
 #[test]
 fn shard_engines_are_bit_identical_for_every_class_and_platform() {
     for pf in ALL_FOUR {
@@ -61,19 +59,15 @@ fn shard_engines_are_bit_identical_for_every_class_and_platform() {
             };
             let oracle = spec.run_cfg(pf, 4, Scale::Test, RunConfig::new(4).with_shards(1));
             for shards in [2, 4] {
-                for fused in [true, false] {
-                    let cfg = RunConfig::new(4)
-                        .with_shards(shards)
-                        .with_shard_fused(fused);
-                    let sharded = spec.run_cfg(pf, 4, Scale::Test, cfg);
-                    assert_eq!(
-                        oracle,
-                        sharded,
-                        "KV/{} on {}: shards={shards} fused={fused} diverged from oracle",
-                        class.label(),
-                        pf.name()
-                    );
-                }
+                let cfg = RunConfig::new(4).with_shards(shards);
+                let sharded = spec.run_cfg(pf, 4, Scale::Test, cfg);
+                assert_eq!(
+                    oracle,
+                    sharded,
+                    "KV/{} on {}: shards={shards} diverged from oracle",
+                    class.label(),
+                    pf.name()
+                );
             }
         }
     }

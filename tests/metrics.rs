@@ -1,7 +1,7 @@
 //! Interval-metrics invariants (diagnostics layer 4): the metrics engine
 //! must be invisible (statistics bit-identical with it on or off, even when
 //! its buffers overflow), deterministic, identical field-for-field across
-//! the sequential, sharded-classic and fused engines at equal caps, and its
+//! the sequential and fused engines at equal caps, and its
 //! trajectory classifier must tell seeded migratory pages from their
 //! false-sharing twins on the page-based platforms.
 
@@ -61,16 +61,14 @@ fn metrics_runs_are_deterministic() {
 
 #[test]
 fn reports_are_identical_across_engines() {
-    // Samples are taken inside the shared step API at virtual times all
-    // three engines reproduce exactly, so the whole RunStats — report
-    // included — must agree.
+    // Samples are taken inside the shared step API at virtual times both
+    // engines reproduce exactly, so the whole RunStats — report included —
+    // must agree.
     for pf in PLATFORMS {
         let cfg = || RunConfig::new(4).with_metrics(IV);
         let seq = run_cell(pf, App::Ocean, cfg());
-        let classic = run_cell(pf, App::Ocean, cfg().with_shards(4).with_shard_fused(false));
-        let fused = run_cell(pf, App::Ocean, cfg().with_shards(4).with_shard_fused(true));
+        let fused = run_cell(pf, App::Ocean, cfg().with_shards(4));
         assert!(seq.metrics.is_some());
-        assert_eq!(seq, classic, "{pf:?}: sharded-classic report differs");
         assert_eq!(seq, fused, "{pf:?}: fused report differs");
     }
 }

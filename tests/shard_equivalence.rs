@@ -1,15 +1,15 @@
 //! Differential proof harness for the sharded (generate/replay) engine:
 //! `RunConfig::with_shards(n)` must produce **bit-identical** `RunStats` —
 //! clocks, every bucket and counter, sharing profiles, full trace event
-//! streams — to the classic sequential engine (`shards = 1`), for every
+//! streams — to the sequential engine (`shards = 1`), for every
 //! application × optimization class × platform cell, for every shard
 //! count, with every diagnostic layer enabled, and across randomized
 //! platform/scheduler configuration points.
 //!
-//! The argument for *why* this holds (the replay side *is* the classic
-//! engine, consuming operation streams that are deterministic for
-//! data-race-free programs) lives in `sim_core::shard`; this file is the
-//! evidence.
+//! The argument for *why* this holds (the fused replay loop drives the
+//! sequential engine's scheduler transitions, consuming operation streams
+//! that are deterministic for data-race-free programs) is in DESIGN.md
+//! §2b–2c; this file is the evidence.
 
 use apps::{App, AppSpec, OptClass};
 use sim_core::critpath::analyze;
@@ -29,31 +29,24 @@ fn cell(app: App, class: OptClass, pf: PlatformKind, cfg: RunConfig) -> RunStats
     AppSpec { app, class }.run_cfg(pf, cfg.nprocs, Scale::Test, cfg)
 }
 
-/// The headline acceptance criterion: the full grid — all 7 applications,
+/// The headline acceptance criterion: the full grid — every application,
 /// all 4 optimization classes, all 4 platform models — with shards ∈
-/// {2, 4 = P} on both replay engines, each compared structurally against
-/// the sequential oracle.
+/// {2, 4 = P}, each compared structurally against the sequential oracle.
 #[test]
 fn full_grid_is_bit_identical_across_shard_counts() {
     for pf in PLATFORMS {
         for app in App::ALL {
             for class in OptClass::ALL {
                 let oracle = cell(app, class, pf, RunConfig::new(4));
-                for fused in [true, false] {
-                    for shards in [2, 4] {
-                        let cfg = RunConfig::new(4)
-                            .with_shards(shards)
-                            .with_shard_fused(fused);
-                        assert_eq!(
-                            oracle,
-                            cell(app, class, pf, cfg),
-                            "{}/{} on {}: shards={shards} fused={fused} diverged from the \
-                             sequential oracle",
-                            app.name(),
-                            class.label(),
-                            pf.name()
-                        );
-                    }
+                for shards in [2, 4] {
+                    assert_eq!(
+                        oracle,
+                        cell(app, class, pf, RunConfig::new(4).with_shards(shards)),
+                        "{}/{} on {}: shards={shards} diverged from the sequential oracle",
+                        app.name(),
+                        class.label(),
+                        pf.name()
+                    );
                 }
             }
         }
@@ -127,7 +120,7 @@ fn diagnostics_laden_runs_are_bit_identical_under_sharding() {
 
 /// The critical-path analyzer's defining invariant (`total == end`) holds
 /// on traces recorded under sharding — the dependency-edge stream is the
-/// classic engine's, bit for bit.
+/// sequential engine's, bit for bit.
 #[test]
 fn critpath_invariant_holds_on_sharded_traces() {
     for pf in PLATFORMS {
@@ -195,37 +188,24 @@ fn stress_body(seed: u64, words: u64, iters: u64) -> impl Fn(&mut sim_core::Proc
     }
 }
 
-/// The fused (single-thread event-loop) and classic (coroutine-per-processor)
-/// replay engines, explicitly selected, against the sequential oracle with
-/// every diagnostic layer stacked: the engines must be mutually — and
-/// oracle- — bit-identical on every platform.
+/// The fused replay engine against the sequential oracle with every
+/// diagnostic layer stacked, on two cells the other grids run bare: it
+/// must be bit-identical on every platform.
 #[test]
-fn fused_and_classic_replay_engines_are_bit_identical() {
-    let instrumented = |shards: usize, fused: bool| {
+fn fused_replay_with_every_layer_is_bit_identical() {
+    let instrumented = |shards: usize| {
         RunConfig::new(4)
             .with_shards(shards)
-            .with_shard_fused(fused)
             .with_race_detection()
             .with_sharing_profile()
             .with_trace()
     };
     for pf in PLATFORMS {
         for (app, class) in [(App::Lu, OptClass::Algorithm), (App::Radix, OptClass::Orig)] {
-            let oracle = cell(app, class, pf, instrumented(1, true));
-            let fused = cell(app, class, pf, instrumented(4, true));
-            let classic = cell(app, class, pf, instrumented(4, false));
             assert_eq!(
-                oracle,
-                fused,
+                cell(app, class, pf, instrumented(1)),
+                cell(app, class, pf, instrumented(4)),
                 "{}/{} on {}: fused replay diverged from the oracle",
-                app.name(),
-                class.label(),
-                pf.name()
-            );
-            assert_eq!(
-                oracle,
-                classic,
-                "{}/{} on {}: classic sharded replay diverged from the oracle",
                 app.name(),
                 class.label(),
                 pf.name()
@@ -236,37 +216,25 @@ fn fused_and_classic_replay_engines_are_bit_identical() {
 
 /// The descriptor batch size is a pure channel-granularity knob: sweeping
 /// it from degenerate (1 descriptor per message) through large must be
-/// invisible in the statistics, under both replay engines.
+/// invisible in the statistics.
 #[test]
 fn shard_batch_size_is_invisible() {
     let body = stress_body(0xBA7C4, 256, 2);
-    let build = |batch: Option<usize>, fused: bool| {
-        let mut c = RunConfig::new(4)
-            .with_shards(4)
-            .with_shard_fused(fused)
-            .with_trace();
-        if let Some(b) = batch {
-            c = c.with_shard_batch(b);
-        }
-        c
-    };
     let oracle = run(
         SvmPlatform::boxed(SvmConfig::paper(4)),
         RunConfig::new(4).with_shards(1).with_trace(),
         &body,
     );
     for batch in [None, Some(1), Some(7), Some(512), Some(16384)] {
-        for fused in [true, false] {
-            let sharded = run(
-                SvmPlatform::boxed(SvmConfig::paper(4)),
-                build(batch, fused),
-                &body,
-            );
-            assert_eq!(
-                oracle, sharded,
-                "batch={batch:?} fused={fused}: batch size leaked into the statistics"
-            );
+        let mut cfg = RunConfig::new(4).with_shards(4).with_trace();
+        if let Some(b) = batch {
+            cfg = cfg.with_shard_batch(b);
         }
+        let sharded = run(SvmPlatform::boxed(SvmConfig::paper(4)), cfg, &body);
+        assert_eq!(
+            oracle, sharded,
+            "batch={batch:?}: batch size leaked into the statistics"
+        );
     }
 }
 
@@ -278,88 +246,121 @@ fn zero_shard_batch_is_rejected() {
     let _ = RunConfig::new(4).with_shard_batch(0);
 }
 
+/// A sharded run with the public fields set directly, past the builders.
+fn sharded_run_with(edit: impl FnOnce(&mut RunConfig)) -> RunStats {
+    let mut cfg = RunConfig::new(2).with_shards(2);
+    edit(&mut cfg);
+    run(SvmPlatform::boxed(SvmConfig::paper(2)), cfg, |p| {
+        p.barrier(0)
+    })
+}
+
+/// `shard_batch` is a public field: a zero set past the builder is caught
+/// when the engine starts instead of behaving like 1.
+#[test]
+#[should_panic(expected = "shard_batch must be in")]
+fn directly_set_zero_shard_batch_is_rejected_at_run_start() {
+    sharded_run_with(|c| c.shard_batch = 0);
+}
+
+/// A huge batch set past the builder is caught before any generation
+/// thread starts, instead of every one of them failing to allocate it.
+#[test]
+#[should_panic(expected = "shard_batch must be in")]
+fn directly_set_huge_shard_batch_is_rejected_at_run_start() {
+    sharded_run_with(|c| c.shard_batch = usize::MAX);
+}
+
+/// The classic replay side `shard_fused = false` selected is gone; asking
+/// for it fails loudly rather than running the fused engine instead.
+#[test]
+#[should_panic(expected = "classic replay engine, which was removed")]
+fn classic_replay_request_names_its_removal() {
+    let _ = run(
+        SvmPlatform::boxed(SvmConfig::paper(2)),
+        RunConfig::new(2).with_shards(2).with_shard_fused(false),
+        |p| p.barrier(0),
+    );
+}
+
 // ---- teardown: panics, poison, deadlock ----
 //
 // A replay engine that leaks parked generation threads turns an
 // application panic into a process hang. These tests pass only if `run`
 // unwinds promptly (the harness would time out otherwise) with the same
-// panic message the classic engine produces.
+// panic message the sequential engine produces.
 
 /// An application panic mid-timed-phase under the fused engine: the
 /// `Poison` descriptor must propagate through replay, unwind the event
-/// loop, abort every generation thread, and re-raise with the classic
-/// message format.
+/// loop, abort every generation thread, and re-raise with the sequential
+/// engine's message format.
 #[test]
 fn app_panic_mid_phase_unwinds_cleanly_under_fused_replay() {
-    for fused in [true, false] {
-        let result = std::panic::catch_unwind(|| {
-            run(
-                SvmPlatform::boxed(SvmConfig::paper(4)),
-                RunConfig::new(4).with_shards(2).with_shard_fused(fused),
-                |p| {
-                    p.barrier(0);
-                    p.start_timing();
-                    p.work(500);
-                    p.barrier(1);
-                    if p.pid() == 2 {
-                        panic!("injected failure in phase");
-                    }
-                    // The survivors head for a barrier the panicked
-                    // processor will never reach.
-                    p.barrier(2);
-                    p.stop_timing();
-                },
-            )
-        });
-        let payload = result.expect_err("the simulated panic must propagate");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(
-            msg.contains("simulated processor panicked") && msg.contains("injected failure"),
-            "fused={fused}: unexpected panic message: {msg}"
-        );
-        assert!(
-            msg.contains("p2"),
-            "fused={fused}: panic not attributed to the failing processor: {msg}"
-        );
-    }
+    let result = std::panic::catch_unwind(|| {
+        run(
+            SvmPlatform::boxed(SvmConfig::paper(4)),
+            RunConfig::new(4).with_shards(2),
+            |p| {
+                p.barrier(0);
+                p.start_timing();
+                p.work(500);
+                p.barrier(1);
+                if p.pid() == 2 {
+                    panic!("injected failure in phase");
+                }
+                // The survivors head for a barrier the panicked
+                // processor will never reach.
+                p.barrier(2);
+                p.stop_timing();
+            },
+        )
+    });
+    let payload = result.expect_err("the simulated panic must propagate");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(
+        msg.contains("simulated processor panicked") && msg.contains("injected failure"),
+        "unexpected panic message: {msg}"
+    );
+    assert!(
+        msg.contains("p2"),
+        "panic not attributed to the failing processor: {msg}"
+    );
 }
 
 /// A simulated deadlock (lock held by a finished processor) under the
-/// fused engine: detected, reported with the classic message, and all
-/// generation threads released.
+/// fused engine: detected, reported with the sequential engine's message,
+/// and all generation threads released.
 #[test]
 fn deadlock_is_detected_under_fused_replay() {
-    for fused in [true, false] {
-        let result = std::panic::catch_unwind(|| {
-            run(
-                SvmPlatform::boxed(SvmConfig::paper(2)),
-                RunConfig::new(2).with_shards(2).with_shard_fused(fused),
-                |p| {
-                    p.barrier(0);
-                    p.start_timing(); // clocks live: the order below is forced
-                    if p.pid() == 0 {
-                        p.lock(1); // acquired at clock 0, never unlocked
-                    } else {
-                        p.work(10_000); // guarantees p0 wins the lock race
-                        p.lock(1); // waits forever: the holder is done
-                        p.unlock(1);
-                    }
-                },
-            )
-        });
-        let payload = result.expect_err("the deadlock must be detected");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(
-            msg.contains("simulated deadlock: no runnable processor"),
-            "fused={fused}: unexpected deadlock message: {msg}"
-        );
-    }
+    let result = std::panic::catch_unwind(|| {
+        run(
+            SvmPlatform::boxed(SvmConfig::paper(2)),
+            RunConfig::new(2).with_shards(2),
+            |p| {
+                p.barrier(0);
+                p.start_timing(); // clocks live: the order below is forced
+                if p.pid() == 0 {
+                    p.lock(1); // acquired at clock 0, never unlocked
+                } else {
+                    p.work(10_000); // guarantees p0 wins the lock race
+                    p.lock(1); // waits forever: the holder is done
+                    p.unlock(1);
+                }
+            },
+        )
+    });
+    let payload = result.expect_err("the deadlock must be detected");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(
+        msg.contains("simulated deadlock: no runnable processor"),
+        "unexpected deadlock message: {msg}"
+    );
 }
 
 /// A panic before the application emits a single descriptor (early drop of
@@ -367,34 +368,32 @@ fn deadlock_is_detected_under_fused_replay() {
 /// unwind without stranding the other generation threads mid-stream.
 #[test]
 fn immediate_panic_unwinds_cleanly_under_fused_replay() {
-    for fused in [true, false] {
-        let result = std::panic::catch_unwind(|| {
-            run(
-                SvmPlatform::boxed(SvmConfig::paper(4)),
-                RunConfig::new(4).with_shards(4).with_shard_fused(fused),
-                |p| {
-                    if p.pid() == 0 {
-                        panic!("failed before first op");
-                    }
-                    // The other generators keep streaming large batches so
-                    // the unwind races live channel traffic.
-                    for i in 0..50_000u64 {
-                        p.store(HEAP_BASE + (i % 512) * 8, 8, i);
-                    }
-                    p.barrier(0);
-                },
-            )
-        });
-        let payload = result.expect_err("the simulated panic must propagate");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(
-            msg.contains("simulated processor panicked") && msg.contains("failed before first op"),
-            "fused={fused}: unexpected panic message: {msg}"
-        );
-    }
+    let result = std::panic::catch_unwind(|| {
+        run(
+            SvmPlatform::boxed(SvmConfig::paper(4)),
+            RunConfig::new(4).with_shards(4),
+            |p| {
+                if p.pid() == 0 {
+                    panic!("failed before first op");
+                }
+                // The other generators keep streaming large batches so
+                // the unwind races live channel traffic.
+                for i in 0..50_000u64 {
+                    p.store(HEAP_BASE + (i % 512) * 8, 8, i);
+                }
+                p.barrier(0);
+            },
+        )
+    });
+    let payload = result.expect_err("the simulated panic must propagate");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(
+        msg.contains("simulated processor panicked") && msg.contains("failed before first op"),
+        "unexpected panic message: {msg}"
+    );
 }
 
 /// Seeded randomized sweep over platform and scheduler configuration

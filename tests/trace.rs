@@ -161,7 +161,7 @@ fn chrome_export_is_well_formed_for_ocean_on_svm() {
 fn tracing_is_invisible_under_sharding() {
     // The trace layer must stay an observer on the generate/replay engine:
     // a traced sharded run, trace stripped, equals the untraced sharded
-    // run — and the trace itself is the classic engine's (asserted
+    // run — and the trace itself is the sequential engine's (asserted
     // stream-for-stream in tests/shard_equivalence.rs).
     for pf in [
         PlatformKind::Svm,
