@@ -1,8 +1,11 @@
 //! Optimization advisor — diagnostics layer 4+: fuse the sharing profile
-//! (page-keyed), the trace/critical-path analysis (edge-keyed) and the
+//! (page-keyed), the critical-path analysis (resource-keyed) and the
 //! interval metrics (interval-keyed) into one label/phase-keyed model, run
 //! a rule engine over it, and emit ranked, typed restructuring
 //! recommendations with evidence and critpath-derived upper-bound speedups.
+//! The trace's stall model belongs to [`crate::critpath`]: the advisor
+//! reads its [`CritPath`] and asks [`what_if`] and [`waits`] in [`WhatIf`]
+//! targets, and never reads a dependency edge itself.
 //!
 //! The paper (§6) restructured each application by hand, reading exactly
 //! these diagnostics and inferring the fix; the advisor closes that loop.
@@ -24,11 +27,11 @@
 //! advisor is invisible by construction — it only *reads* reports other
 //! layers already produced.
 
-use crate::critpath::{analyze, phase_timelines, what_if_edges, CritPath, PathCat, WhatIf};
+use crate::critpath::{analyze, waits, what_if, CritPath, PathCat, WhatIf};
 use crate::metrics::{MetricsReport, PageTrajectory};
 use crate::sharing::{SharingClass, SharingProfile};
 use crate::stats::RunStats;
-use crate::trace::{DepKind, RunTrace};
+use crate::trace::RunTrace;
 use crate::util::{insert_sorted, joined, json_escape, json_rows};
 use std::fmt::Write as _;
 
@@ -282,7 +285,7 @@ pub struct FamilyBound {
     /// Projected end-to-end time with every member target zeroed.
     pub projected: u64,
     /// Upper-bound speedup `end / projected`; dominates every member's
-    /// individual bound because the union zeroes a superset of edges.
+    /// individual bound because the union zeroes a superset of stalls.
     pub speedup: f64,
 }
 
@@ -348,21 +351,13 @@ impl LabelJoin {
     }
 }
 
-/// The phase active on one timeline at time `t` (0 before any begin).
-fn phase_at(tl: &[(u64, usize)], t: u64) -> usize {
-    match tl.partition_point(|&(ts, _)| ts <= t) {
-        0 => 0,
-        i => tl[i - 1].1,
-    }
-}
-
 /// Join the three reports into per-label entries, keyed by label in
 /// first-seen-by-the-critical-path order, then sharing order, then
 /// metrics order (deterministic: all three sources are themselves
 /// deterministically ordered).
 fn join_labels(
     sharing: Option<&SharingProfile>,
-    trace: Option<&(&RunTrace, CritPath)>,
+    trace: Option<(&RunTrace, &CritPath)>,
     metrics: Option<&MetricsReport>,
 ) -> Vec<(String, LabelJoin)> {
     let mut out: Vec<(String, LabelJoin)> = Vec::new();
@@ -384,23 +379,10 @@ fn join_labels(
                     PathCat::RemoteMiss => e.miss_cycles += r.cycles,
                     _ => {}
                 }
+                for &phase in &r.phases {
+                    insert_sorted(&mut e.phases, phase);
+                }
             }
-        }
-        let timelines = phase_timelines(tr);
-        for s in &cp.steps {
-            let Some(ei) = s.edge else { continue };
-            let page = match tr.edges[ei].kind {
-                DepKind::PageFetch { page, .. } => page,
-                DepKind::Diff { page } => page,
-                DepKind::RemoteMiss { line } => line,
-                _ => continue,
-            };
-            let lbl = tr.label_of(page).to_string();
-            let phase = timelines
-                .get(s.pid)
-                .map(|tl| phase_at(tl, s.t0))
-                .unwrap_or(0);
-            insert_sorted(&mut entry(&mut out, &lbl).phases, phase);
         }
         for a in &tr.allocs {
             entry(&mut out, a.label).bytes += a.last - a.first + 1;
@@ -460,42 +442,23 @@ fn join_labels(
 // ---------------------------------------------------------------------------
 // The rule engine.
 
-/// What a recommendation's bound zeroes: either a real what-if target, or
-/// the protocol stalls landing in one phase.
-enum BoundTarget {
-    Target(WhatIf),
-    PhaseProtocol(usize),
-}
-
 /// Run the advisor on a finished run. Tolerates missing layers — the
 /// report records which were present — but bounds (and most rules) need
 /// the trace; with no layers at all the report is empty.
 pub fn advise(stats: &RunStats) -> AdvisorReport {
     let trace = stats.trace.as_ref();
     let cp = trace.map(analyze);
+    let tr_cp = trace.zip(cp.as_ref());
     let end = trace
         .map(|t| t.end())
         .unwrap_or_else(|| stats.total_cycles());
     let total_path = cp.as_ref().map(|c| c.total).unwrap_or(0);
-    let tr_cp = match (trace, cp.as_ref()) {
-        (Some(t), Some(c)) => Some((t, c.clone())),
-        _ => None,
-    };
-    let joined = join_labels(
-        stats.sharing.as_ref(),
-        tr_cp.as_ref(),
-        stats.metrics.as_ref(),
-    );
+    let joined = join_labels(stats.sharing.as_ref(), tr_cp, stats.metrics.as_ref());
 
-    let share = |cycles: u64| {
-        if total_path == 0 {
-            0.0
-        } else {
-            cycles as f64 / total_path as f64
-        }
-    };
+    // Every cycle shared out is a path cycle, so an empty path shares 0.
+    let share = |cycles: u64| cycles as f64 / total_path.max(1) as f64;
 
-    let mut pending: Vec<(Action, u64, BoundTarget, Evidence)> = Vec::new();
+    let mut pending: Vec<(Action, u64, WhatIf, Evidence)> = Vec::new();
 
     // --- Label rules -------------------------------------------------------
     for (label, j) in &joined {
@@ -555,7 +518,7 @@ pub fn advise(stats: &RunStats) -> AdvisorReport {
         let concurrent_multi =
             j.multi_writer_pages > 0 || matches!(j.trajectory, Some(PageTrajectory::SteadyTrue));
 
-        let target = BoundTarget::Target(WhatIf::Label(label.clone()));
+        let target = WhatIf::Label(label.clone());
         let action = match j.trajectory {
             Some(PageTrajectory::Migratory) => {
                 ev.notes.push(
@@ -618,7 +581,7 @@ pub fn advise(stats: &RunStats) -> AdvisorReport {
 
         let primary_is_pad = matches!(action, Some(Action::PadAllocation { .. }));
         if let Some(a) = action {
-            pending.push((a, cycles, target, ev.clone()));
+            pending.push((a, cycles, target.clone(), ev.clone()));
         }
         // Padding fixes grain amplification, but records genuinely
         // communicated through by many nodes (word overlap / true
@@ -635,44 +598,14 @@ pub fn advise(stats: &RunStats) -> AdvisorReport {
                     label: label.clone(),
                 },
                 cycles,
-                BoundTarget::Target(WhatIf::Label(label.clone())),
+                target,
                 ev2,
             ));
         }
     }
 
     // --- Lock rules --------------------------------------------------------
-    if let Some((tr, cp)) = &tr_cp {
-        // The critical path only carries the cross-processor *lag* of each
-        // handoff; the convoy-vs-chatter call needs the full wait
-        // durations, which every recorded handoff edge carries.
-        struct LockWaits {
-            lock: u64,
-            stalls: u64,
-            cycles: u64,
-            first_grant: u64,
-            last_grant: u64,
-        }
-        let mut waits: Vec<LockWaits> = Vec::new();
-        for e in &tr.edges {
-            if let DepKind::LockHandoff { lock } = e.kind {
-                match waits.iter_mut().find(|w| w.lock == lock) {
-                    Some(w) => {
-                        w.stalls += 1;
-                        w.cycles += e.t1 - e.t0;
-                        w.first_grant = w.first_grant.min(e.t1);
-                        w.last_grant = w.last_grant.max(e.t1);
-                    }
-                    None => waits.push(LockWaits {
-                        lock,
-                        stalls: 1,
-                        cycles: e.t1 - e.t0,
-                        first_grant: e.t1,
-                        last_grant: e.t1,
-                    }),
-                }
-            }
-        }
+    if let Some((tr, cp)) = tr_cp {
         for r in &cp.resources {
             let WhatIf::Lock(lock) = r.target else {
                 continue;
@@ -686,18 +619,19 @@ pub fn advise(stats: &RunStats) -> AdvisorReport {
                 .and_then(|m| m.locks.iter().find(|l| l.lock as u64 == lock))
                 .map(|l| l.total())
                 .unwrap_or(r.count);
-            let w = waits.iter().find(|w| w.lock == lock);
-            let (stalls, wait_cycles) = w
-                .map(|w| (w.stalls, w.cycles))
-                .unwrap_or((r.count, r.cycles));
-            let mean_wait = wait_cycles / stalls.max(1);
+            // The critical path only carries the cross-processor *lag* of
+            // each handoff; the convoy-vs-chatter call needs the full wait
+            // of every handoff, on the path or off it.
+            let w = waits(tr, &r.target);
+            let mean_wait = w.cycles / w.count.max(1);
             // Under saturation queueing inflates every wait, cheap holds
             // included; the spacing of consecutive grants estimates the
             // true per-service (hold + transfer) time instead. Take the
             // smaller of the two as the effective service estimate.
-            let mean_gap = match w {
-                Some(w) if w.stalls >= 2 => (w.last_grant - w.first_grant) / (w.stalls - 1),
-                _ => mean_wait,
+            let mean_gap = if w.count >= 2 {
+                (w.last_end - w.first_end) / (w.count - 1)
+            } else {
+                mean_wait
             };
             let service = mean_wait.min(mean_gap);
             let mut ev = Evidence {
@@ -709,7 +643,7 @@ pub fn advise(stats: &RunStats) -> AdvisorReport {
                  {} waits of mean {} cycles, ~{} cycles per service",
                 r.cycles,
                 100.0 * share(r.cycles),
-                stalls,
+                w.count,
                 mean_wait,
                 service
             ));
@@ -723,17 +657,12 @@ pub fn advise(stats: &RunStats) -> AdvisorReport {
                 ));
                 Action::BatchLock { lock }
             };
-            pending.push((
-                action,
-                r.cycles,
-                BoundTarget::Target(WhatIf::Lock(lock)),
-                ev,
-            ));
+            pending.push((action, r.cycles, r.target.clone(), ev));
         }
     }
 
     // --- Phase rule --------------------------------------------------------
-    if let Some((tr, cp)) = &tr_cp {
+    if let Some((tr, cp)) = tr_cp {
         for (phase, cats) in &cp.by_phase {
             let phase_total: u64 = cats.iter().sum();
             let protocol = cats[PathCat::PageFetch.index()]
@@ -749,7 +678,7 @@ pub fn advise(stats: &RunStats) -> AdvisorReport {
             let best_label_speedup = joined
                 .iter()
                 .filter(|(_, j)| j.phases.contains(phase))
-                .map(|(l, _)| what_if_edges(tr, |e| WhatIf::Label(l.clone()).matches(tr, e)))
+                .map(|(l, _)| what_if(tr, &[WhatIf::Label(l.clone())]))
                 .map(|proj| end as f64 / proj.max(1) as f64)
                 .fold(1.0f64, f64::max);
             if best_label_speedup >= SINGLE_FIX_SPEEDUP {
@@ -774,37 +703,19 @@ pub fn advise(stats: &RunStats) -> AdvisorReport {
             pending.push((
                 Action::RestructureTraversal { phase: *phase },
                 protocol,
-                BoundTarget::PhaseProtocol(*phase),
+                WhatIf::Phase(*phase),
                 ev,
             ));
         }
     }
 
     // --- Bounds, ranking, family aggregation -------------------------------
-    let timelines = tr_cp.as_ref().map(|(tr, _)| phase_timelines(tr));
-    let project = |bt: &BoundTarget| -> u64 {
-        let Some((tr, _)) = &tr_cp else { return end };
-        match bt {
-            BoundTarget::Target(w) => what_if_edges(tr, |e| w.matches(tr, e)),
-            BoundTarget::PhaseProtocol(phase) => {
-                let tls = timelines.as_ref().unwrap();
-                what_if_edges(tr, |e| {
-                    matches!(
-                        PathCat::of(&e.kind),
-                        PathCat::PageFetch | PathCat::Diff | PathCat::RemoteMiss
-                    ) && tls
-                        .get(e.dst)
-                        .map(|tl| phase_at(tl, e.t0) == *phase)
-                        .unwrap_or(false)
-                })
-            }
-        }
-    };
+    let project = |targets: &[WhatIf]| tr_cp.map_or(end, |(tr, _)| what_if(tr, targets));
 
-    let mut recs: Vec<(Recommendation, BoundTarget)> = pending
+    let mut recs: Vec<(Recommendation, WhatIf)> = pending
         .into_iter()
-        .map(|(action, path_cycles, bt, evidence)| {
-            let projected = project(&bt);
+        .map(|(action, path_cycles, target, evidence)| {
+            let projected = project(std::slice::from_ref(&target));
             let speedup = end as f64 / projected.max(1) as f64;
             let path_share = share(path_cycles);
             (
@@ -818,7 +729,7 @@ pub fn advise(stats: &RunStats) -> AdvisorReport {
                     speedup,
                     evidence,
                 },
-                bt,
+                target,
             )
         })
         .collect();
@@ -832,51 +743,24 @@ pub fn advise(stats: &RunStats) -> AdvisorReport {
 
     let mut families: Vec<FamilyBound> = Vec::new();
     for fam in Family::ALL {
-        let members: Vec<&(Recommendation, BoundTarget)> =
-            recs.iter().filter(|(r, _)| r.family == fam).collect();
-        if members.is_empty() {
+        // Distinct targets only: two recs on one label share the cycles.
+        let mut members = 0;
+        let mut targets: Vec<WhatIf> = Vec::new();
+        let mut path_cycles = 0u64;
+        for (r, target) in recs.iter().filter(|(r, _)| r.family == fam) {
+            members += 1;
+            if !targets.contains(target) {
+                path_cycles += r.path_cycles;
+                targets.push(target.clone());
+            }
+        }
+        if members == 0 {
             continue;
         }
-        let projected = match &tr_cp {
-            Some((tr, _)) => {
-                let tls = timelines.as_ref().unwrap();
-                what_if_edges(tr, |e| {
-                    members.iter().any(|(_, bt)| match bt {
-                        BoundTarget::Target(w) => w.matches(tr, e),
-                        BoundTarget::PhaseProtocol(phase) => {
-                            matches!(
-                                PathCat::of(&e.kind),
-                                PathCat::PageFetch | PathCat::Diff | PathCat::RemoteMiss
-                            ) && tls
-                                .get(e.dst)
-                                .map(|tl| phase_at(tl, e.t0) == *phase)
-                                .unwrap_or(false)
-                        }
-                    })
-                })
-            }
-            None => end,
-        };
-        // Distinct targets only: two recs on one label share the cycles.
-        let mut seen: Vec<&BoundTarget> = Vec::new();
-        let mut path_cycles = 0u64;
-        for (r, bt) in &recs {
-            if r.family != fam {
-                continue;
-            }
-            let dup = seen.iter().any(|s| match (s, bt) {
-                (BoundTarget::Target(a), BoundTarget::Target(b)) => a == b,
-                (BoundTarget::PhaseProtocol(a), BoundTarget::PhaseProtocol(b)) => a == b,
-                _ => false,
-            });
-            if !dup {
-                path_cycles += r.path_cycles;
-                seen.push(bt);
-            }
-        }
+        let projected = project(&targets);
         families.push(FamilyBound {
             family: fam,
-            recs: members.len(),
+            recs: members,
             path_cycles,
             projected,
             speedup: end as f64 / projected.max(1) as f64,

@@ -15,18 +15,23 @@
 //! to the end-to-end virtual time — the analyzer's core invariant.
 //!
 //! [`what_if`] answers the complementary question: how fast could the run
-//! have been if a chosen cost were free? It replays every processor's
-//! timeline forward in resume order with the targeted edges zeroed,
-//! re-propagating cross-processor enabling times, and returns the new
-//! end-to-end time. With nothing zeroed the replay reproduces the original
-//! time exactly (a structural check that the recorded edges are sane), and
-//! zeroing can only shrink it, so every projected speedup is an upper bound
-//! `>= 1.0`.
+//! have been if a chosen set of costs were free? It replays every
+//! processor's timeline forward in resume order with the stalls the
+//! [`WhatIf`] targets cover zeroed, re-propagating cross-processor enabling
+//! times, and returns the new end-to-end time. With no target the replay
+//! reproduces the original time exactly (a structural check that the
+//! recorded edges are sane), and zeroing can only shrink it, so every
+//! projected speedup is an upper bound `>= 1.0`. [`waits`] counts every
+//! stall a target covers, on the path or off it.
 //!
-//! Everything here is post-hoc on a frozen [`RunTrace`]: clocks and
-//! [`crate::RunStats`] are never touched, so tracing stays invisible.
+//! This module is the one consumer of the dependency-edge format: the
+//! advisor ([`crate::advise`]) asks its questions as [`WhatIf`] targets and
+//! reads [`CritPath`], and never touches an edge. Everything here is
+//! post-hoc on a frozen [`RunTrace`]: clocks and [`crate::RunStats`] are
+//! never touched, so tracing stays invisible.
 
 use crate::trace::{DepEdge, DepKind, EventKind, RunTrace};
+use crate::util::insert_sorted;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -61,16 +66,10 @@ impl PathCat {
         PathCat::RemoteMiss,
     ];
 
-    /// Stable index into `[u64; NCATS]` accumulators.
+    /// Stable index into `[u64; NCATS]` accumulators: the position in
+    /// [`PathCat::ALL`].
     pub fn index(self) -> usize {
-        match self {
-            PathCat::Compute => 0,
-            PathCat::LockWait => 1,
-            PathCat::BarrierImbalance => 2,
-            PathCat::PageFetch => 3,
-            PathCat::Diff => 4,
-            PathCat::RemoteMiss => 5,
-        }
+        self as usize
     }
 
     /// Human label.
@@ -133,6 +132,8 @@ pub struct CritResource {
     pub cycles: u64,
     /// Number of path segments on this resource.
     pub count: u64,
+    /// The phases in which those segments begin, ascending.
+    pub phases: Vec<usize>,
     /// The what-if target that zeroes exactly this resource's stalls.
     pub target: WhatIf,
 }
@@ -176,6 +177,9 @@ pub enum WhatIf {
     /// Zero every intrinsic protocol stall (page fetch, diff, remote miss)
     /// on addresses under one allocation label.
     Label(String),
+    /// Zero every intrinsic protocol stall that begins in one phase on its
+    /// processor's timeline.
+    Phase(usize),
 }
 
 impl WhatIf {
@@ -187,12 +191,8 @@ impl WhatIf {
             WhatIf::Barrier(b) => format!("barrier {b} imbalance"),
             WhatIf::Label(l) if l.is_empty() => "traffic on unlabeled data".into(),
             WhatIf::Label(l) => format!("traffic on `{l}`"),
+            WhatIf::Phase(p) => format!("protocol stalls in phase {p}"),
         }
-    }
-
-    /// Whether `e`'s stall would be zeroed by this target.
-    pub fn matches(&self, tr: &RunTrace, e: &DepEdge) -> bool {
-        does_match(tr, e, self)
     }
 }
 
@@ -209,47 +209,79 @@ pub struct Projection {
     pub speedup: f64,
 }
 
-fn does_match(tr: &RunTrace, e: &DepEdge, w: &WhatIf) -> bool {
-    match w {
-        WhatIf::Category(c) => PathCat::of(&e.kind) == *c,
-        WhatIf::Lock(l) => e.kind == DepKind::LockHandoff { lock: *l },
-        WhatIf::Barrier(b) => e.kind == DepKind::BarrierRelease { barrier: *b },
-        WhatIf::Label(lbl) => match e.kind {
-            DepKind::PageFetch { page, .. } => tr.label_of(page) == lbl,
-            DepKind::Diff { page } => tr.label_of(page) == lbl,
-            DepKind::RemoteMiss { line } => tr.label_of(line) == lbl,
-            _ => false,
-        },
+/// The one predicate deciding which stalls the union of `targets` covers.
+/// The phase timelines are built only when a [`WhatIf::Phase`] target asks
+/// for them.
+fn cover<'a>(tr: &'a RunTrace, targets: &'a [WhatIf]) -> impl Fn(&DepEdge) -> bool + 'a {
+    let timelines = if targets.iter().any(|w| matches!(w, WhatIf::Phase(_))) {
+        phase_timelines(tr)
+    } else {
+        Vec::new()
+    };
+    move |e| {
+        targets.iter().any(|w| match w {
+            WhatIf::Category(c) => PathCat::of(&e.kind) == *c,
+            WhatIf::Lock(l) => e.kind == DepKind::LockHandoff { lock: *l },
+            WhatIf::Barrier(b) => e.kind == DepKind::BarrierRelease { barrier: *b },
+            WhatIf::Label(lbl) => matches!(Res::of(tr, &e.kind), Res::Label(l) if l == lbl),
+            WhatIf::Phase(p) => {
+                !e.kind.is_cross()
+                    && timelines
+                        .get(e.dst)
+                        .is_some_and(|tl| phase_at(tl, e.t0) == *p)
+            }
+        })
     }
 }
 
-fn resource_of(tr: &RunTrace, e: &DepEdge) -> (String, WhatIf) {
-    let named = |s: &str| {
-        if s.is_empty() {
-            ("(unlabeled)".to_string(), WhatIf::Label(String::new()))
-        } else {
-            (s.to_string(), WhatIf::Label(s.to_string()))
+/// What a critical-path stall is charged to, borrowed from the trace so
+/// the walk builds no name per step.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum Res {
+    Lock(u64),
+    Barrier(u64),
+    Settle,
+    Label(&'static str),
+}
+
+impl Res {
+    fn of(tr: &RunTrace, kind: &DepKind) -> Res {
+        match *kind {
+            DepKind::LockHandoff { lock } => Res::Lock(lock),
+            DepKind::BarrierRelease { barrier } => Res::Barrier(barrier),
+            DepKind::Settle => Res::Settle,
+            DepKind::PageFetch { page, .. }
+            | DepKind::Diff { page }
+            | DepKind::RemoteMiss { line: page } => Res::Label(tr.label_of(page)),
         }
-    };
-    match e.kind {
-        DepKind::LockHandoff { lock } => (format!("lock {lock}"), WhatIf::Lock(lock)),
-        DepKind::BarrierRelease { barrier } => {
-            (format!("barrier {barrier}"), WhatIf::Barrier(barrier))
-        }
-        DepKind::Settle => (
-            "final settle".to_string(),
-            WhatIf::Category(PathCat::BarrierImbalance),
-        ),
-        DepKind::PageFetch { page, .. } => named(tr.label_of(page)),
-        DepKind::Diff { page } => named(tr.label_of(page)),
-        DepKind::RemoteMiss { line } => named(tr.label_of(line)),
     }
+
+    /// Display name, and the what-if target that zeroes exactly this
+    /// resource's stalls.
+    fn name_target(self) -> (String, WhatIf) {
+        match self {
+            Res::Lock(lock) => (format!("lock {lock}"), WhatIf::Lock(lock)),
+            Res::Barrier(b) => (format!("barrier {b}"), WhatIf::Barrier(b)),
+            Res::Settle => (
+                "final settle".to_string(),
+                WhatIf::Category(PathCat::BarrierImbalance),
+            ),
+            Res::Label("") => ("(unlabeled)".to_string(), WhatIf::Label(String::new())),
+            Res::Label(l) => (l.to_string(), WhatIf::Label(l.to_string())),
+        }
+    }
+}
+
+/// The phase active on one timeline at time `t` (0 before any begin).
+fn phase_at(tl: &[(u64, usize)], t: u64) -> usize {
+    let i = tl.partition_point(|&(ts, _)| ts <= t);
+    i.checked_sub(1).map_or(0, |i| tl[i].1)
 }
 
 /// Per-processor `(begin_ts, phase)` timelines from the trace events: the
 /// phase active at time t is the last `PhaseBegin` at or before t, and 0
 /// before any.
-pub(crate) fn phase_timelines(tr: &RunTrace) -> Vec<Vec<(u64, usize)>> {
+fn phase_timelines(tr: &RunTrace) -> Vec<Vec<(u64, usize)>> {
     tr.procs
         .iter()
         .map(|p| {
@@ -292,15 +324,7 @@ pub fn analyze(tr: &RunTrace) -> CritPath {
         .find(|e| matches!(e.kind, DepKind::Settle))
         .map(|e| e.src)
         .filter(|&s| s < n)
-        .unwrap_or_else(|| {
-            let mut best = 0usize;
-            for q in 1..n {
-                if tr.procs[q].end > tr.procs[best].end {
-                    best = q;
-                }
-            }
-            best
-        });
+        .unwrap_or_else(|| (0..n).rev().max_by_key(|&q| tr.procs[q].end).unwrap_or(0));
 
     let mut steps_rev: Vec<PathStep> = Vec::new();
     let mut p = start;
@@ -363,34 +387,37 @@ pub fn analyze(tr: &RunTrace) -> CritPath {
 
     let mut by_cat = [0u64; NCATS];
     let mut by_phase: BTreeMap<usize, [u64; NCATS]> = BTreeMap::new();
-    let mut resources: BTreeMap<(usize, String), (u64, u64, WhatIf)> = BTreeMap::new();
+    // (cycles, count, phases) per (category, resource).
+    let mut resources: BTreeMap<(usize, Res), (u64, u64, Vec<usize>)> = BTreeMap::new();
     let mut total = 0u64;
     for s in &steps {
         let cycles = s.cycles();
         total += cycles;
         by_cat[s.cat.index()] += cycles;
-        if let Some(tl) = timelines.get(s.pid) {
-            split_phases(tl, s.t0, s.t1, |phase, c| {
-                by_phase.entry(phase).or_insert([0; NCATS])[s.cat.index()] += c;
-            });
-        }
+        let tl = &timelines[s.pid];
+        split_phases(tl, s.t0, s.t1, |phase, c| {
+            by_phase.entry(phase).or_insert([0; NCATS])[s.cat.index()] += c;
+        });
         if let Some(ei) = s.edge {
-            let (name, target) = resource_of(tr, &tr.edges[ei]);
-            let entry = resources
-                .entry((s.cat.index(), name))
-                .or_insert((0, 0, target));
+            let res = Res::of(tr, &tr.edges[ei].kind);
+            let entry = resources.entry((s.cat.index(), res)).or_default();
             entry.0 += cycles;
             entry.1 += 1;
+            insert_sorted(&mut entry.2, phase_at(tl, s.t0));
         }
     }
     let mut resources: Vec<CritResource> = resources
         .into_iter()
-        .map(|((ci, name), (cycles, count, target))| CritResource {
-            cat: PathCat::ALL[ci],
-            name,
-            cycles,
-            count,
-            target,
+        .map(|((ci, res), (cycles, count, phases))| {
+            let (name, target) = res.name_target();
+            CritResource {
+                cat: PathCat::ALL[ci],
+                name,
+                cycles,
+                count,
+                phases,
+                target,
+            }
         })
         .collect();
     resources.sort_by(|a, b| {
@@ -403,7 +430,7 @@ pub fn analyze(tr: &RunTrace) -> CritPath {
     CritPath {
         total,
         end: tr.end(),
-        baseline: recompute(tr, |_| false),
+        baseline: what_if(tr, &[]),
         by_cat,
         by_phase: by_phase.into_iter().collect(),
         resources,
@@ -472,18 +499,43 @@ fn recompute(tr: &RunTrace, zero: impl Fn(&DepEdge) -> bool) -> u64 {
     t_new.max(0) as u64
 }
 
-/// Projected end-to-end time with `target`'s stalls zeroed (an upper-bound
-/// best case: serialization behind the eliminated stalls is ignored).
-pub fn what_if(tr: &RunTrace, target: &WhatIf) -> u64 {
-    recompute(tr, |e| does_match(tr, e, target))
+/// Projected end-to-end time with the union of `targets`' stalls zeroed
+/// (an upper-bound best case: serialization behind the eliminated stalls
+/// is ignored). `&[]` reproduces the run's end time.
+pub fn what_if(tr: &RunTrace, targets: &[WhatIf]) -> u64 {
+    recompute(tr, cover(tr, targets))
 }
 
-/// Projected end-to-end time with an arbitrary set of edges zeroed —
-/// the generalized form of [`what_if`] for callers (like the advisor)
-/// whose targets are not expressible as a single [`WhatIf`], e.g. "all
-/// protocol stalls landing in phase 2".
-pub fn what_if_edges(tr: &RunTrace, zero: impl Fn(&DepEdge) -> bool) -> u64 {
-    recompute(tr, zero)
+/// Every stall one [`WhatIf`] target covers, on the critical path or off
+/// it (ends are 0 when there is none).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Waits {
+    /// Number of covered stalls.
+    pub count: u64,
+    /// Their summed length in cycles.
+    pub cycles: u64,
+    /// The earliest end of a covered stall.
+    pub first_end: u64,
+    /// The latest end of a covered stall.
+    pub last_end: u64,
+}
+
+/// Count every stall `target` covers. The critical path carries only the
+/// part of a stall that lies on it (a handoff's cross-processor lag);
+/// this sees each whole stall, including those off the path.
+pub fn waits(tr: &RunTrace, target: &WhatIf) -> Waits {
+    let covers = cover(tr, std::slice::from_ref(target));
+    let mut w = Waits::default();
+    // Edges are sorted by end, so the first covered end is the earliest.
+    for e in tr.edges.iter().filter(|e| covers(e)) {
+        if w.count == 0 {
+            w.first_end = e.t1;
+        }
+        w.count += 1;
+        w.cycles += e.t1 - e.t0;
+        w.last_end = e.t1;
+    }
+    w
 }
 
 /// Ranked what-if projections: every non-compute category with
@@ -505,7 +557,7 @@ pub fn what_if_report(tr: &RunTrace, cp: &CritPath, top: usize) -> Vec<Projectio
     let mut out: Vec<Projection> = targets
         .into_iter()
         .map(|(target, path_cycles)| {
-            let projected = what_if(tr, &target);
+            let projected = what_if(tr, std::slice::from_ref(&target));
             Projection {
                 speedup: end as f64 / projected.max(1) as f64,
                 target,
@@ -533,15 +585,11 @@ impl CritPath {
         }
     }
 
-    /// The dominant (largest-share) category of the path.
+    /// The dominant (largest-share) category of the path, the first in
+    /// [`PathCat::ALL`] order on ties.
     pub fn dominant(&self) -> PathCat {
-        let mut best = PathCat::Compute;
-        for cat in PathCat::ALL {
-            if self.by_cat[cat.index()] > self.by_cat[best.index()] {
-                best = cat;
-            }
-        }
-        best
+        let cats = PathCat::ALL.into_iter().rev();
+        cats.max_by_key(|c| self.by_cat[c.index()]).unwrap()
     }
 
     /// Human-readable report: composition, per-phase breakdown, and the
@@ -618,17 +666,26 @@ mod tests {
     use super::*;
     use crate::trace::{AllocSpan, TraceSink, DEFAULT_EDGE_CAP};
 
+    const FETCH: DepKind = DepKind::PageFetch {
+        page: 0x2000,
+        bytes: 4096,
+    };
+
     /// Two procs: p0 computes to 100 and releases a lock; p1 blocks at 50,
-    /// resumes at 120 via the handoff, then computes to 200.
-    fn handoff_trace() -> RunTrace {
+    /// resumes at 120 via the handoff, then computes to 200. `extra` edges
+    /// are `(kind, dst, t0, t1, src, src_ts)`.
+    fn handoff_trace(extra: &[(DepKind, usize, u64, u64, usize, u64)]) -> RunTrace {
         let mut s = TraceSink::new(2, 64, DEFAULT_EDGE_CAP);
         s.push_edge(DepKind::LockHandoff { lock: 7 }, 1, 50, 120, 0, 100);
+        for &(kind, dst, t0, t1, src, src_ts) in extra {
+            s.push_edge(kind, dst, t0, t1, src, src_ts);
+        }
         s.into_trace("t".into(), vec![], &[150, 200], vec![])
     }
 
     #[test]
     fn backward_walk_telescopes_exactly() {
-        let tr = handoff_trace();
+        let tr = handoff_trace(&[]);
         let cp = analyze(&tr);
         assert_eq!(cp.total, 200);
         assert_eq!(cp.end, 200);
@@ -647,13 +704,14 @@ mod tests {
 
     #[test]
     fn what_if_zeroing_is_monotone_and_exact() {
-        let tr = handoff_trace();
+        let tr = handoff_trace(&[]);
         // Zeroing the lock: p1's stall (50..120) vanishes, its 80 cycles of
         // trailing compute follow directly: end = max(150, 50+80) = 150.
-        assert_eq!(what_if(&tr, &WhatIf::Lock(7)), 150);
-        assert_eq!(what_if(&tr, &WhatIf::Category(PathCat::LockWait)), 150);
-        // Zeroing something absent changes nothing.
-        assert_eq!(what_if(&tr, &WhatIf::Barrier(0)), 200);
+        assert_eq!(what_if(&tr, &[WhatIf::Lock(7)]), 150);
+        assert_eq!(what_if(&tr, &[WhatIf::Category(PathCat::LockWait)]), 150);
+        // Zeroing something absent, or nothing, changes nothing.
+        assert_eq!(what_if(&tr, &[WhatIf::Barrier(0)]), 200);
+        assert_eq!(what_if(&tr, &[]), tr.end());
         let cp = analyze(&tr);
         for p in what_if_report(&tr, &cp, 8) {
             assert!(p.speedup >= 1.0, "{:?}", p);
@@ -680,17 +738,7 @@ mod tests {
     #[test]
     fn intrinsic_stalls_attribute_by_allocation_label() {
         let mut s = TraceSink::new(2, 64, DEFAULT_EDGE_CAP);
-        s.push_edge(
-            DepKind::PageFetch {
-                page: 0x2000,
-                bytes: 4096,
-            },
-            0,
-            100,
-            400,
-            1,
-            100,
-        );
+        s.push_edge(FETCH, 0, 100, 400, 1, 100);
         let allocs = vec![AllocSpan {
             first: 0x2000,
             last: 0x2fff,
@@ -704,7 +752,60 @@ mod tests {
         assert_eq!(cp.resources[0].name, "psi");
         assert_eq!(cp.resources[0].target, WhatIf::Label("psi".into()));
         // Zeroing psi traffic removes the whole fetch.
-        assert_eq!(what_if(&tr, &WhatIf::Label("psi".into())), 200);
+        assert_eq!(what_if(&tr, &[WhatIf::Label("psi".into())]), 200);
+    }
+
+    #[test]
+    fn union_of_targets_zeroes_at_least_each_alone() {
+        // A page fetch on the releaser (20..60) delays the release too.
+        let tr = handoff_trace(&[(FETCH, 0, 20, 60, 0, 20)]);
+        let targets = [WhatIf::Lock(7), WhatIf::Category(PathCat::PageFetch)];
+        let a = what_if(&tr, &targets[..1]);
+        let b = what_if(&tr, &targets[1..]);
+        let both = what_if(&tr, &targets);
+        assert_eq!((a, b, both), (150, 160, 130));
+        assert!(both <= a.min(b));
+    }
+
+    #[test]
+    fn waits_count_handoffs_off_the_path() {
+        // A second lock-7 handoff on p0 (120..140, enabled by p1 at 130):
+        // the path leaves p0 at 100, so it carries one handoff; `waits`
+        // sees both.
+        let tr = handoff_trace(&[(DepKind::LockHandoff { lock: 7 }, 0, 120, 140, 1, 130)]);
+        let cp = analyze(&tr);
+        assert_eq!((cp.baseline, cp.resources.len()), (200, 1));
+        assert_eq!(cp.resources[0].count, 1);
+        let w = waits(&tr, &WhatIf::Lock(7));
+        assert_eq!(
+            (w.count, w.cycles, w.first_end, w.last_end),
+            (2, 90, 120, 140)
+        );
+        assert_eq!(waits(&tr, &WhatIf::Lock(8)), Waits::default());
+    }
+
+    #[test]
+    fn phase_targets_and_resource_phases() {
+        // One labeled page fetched in phase 0 (20..50) and, after the
+        // phase-1 begin at 100, in phase 1 (150..200); the run ends at 300.
+        let mut s = TraceSink::new(1, 64, DEFAULT_EDGE_CAP);
+        s.push(0, 100, EventKind::PhaseBegin { phase: 1 });
+        s.push_edge(FETCH, 0, 20, 50, 0, 20);
+        s.push_edge(FETCH, 0, 150, 200, 0, 150);
+        let allocs = vec![AllocSpan {
+            first: 0x2000,
+            last: 0x2fff,
+            label: "psi",
+        }];
+        let tr = s.into_trace("t".into(), vec![], &[300], allocs);
+        assert_eq!(what_if(&tr, &[]), 300);
+        // Each phase zeroes only its own fetch.
+        assert_eq!(what_if(&tr, &[WhatIf::Phase(1)]), 250);
+        assert_eq!(what_if(&tr, &[WhatIf::Phase(0)]), 270);
+        assert_eq!(what_if(&tr, &[WhatIf::Phase(0), WhatIf::Phase(1)]), 220);
+        let cp = analyze(&tr);
+        assert_eq!((cp.resources.len(), cp.resources[0].count), (1, 2));
+        assert_eq!(cp.resources[0].phases, vec![0, 1]);
     }
 
     #[test]

@@ -277,9 +277,8 @@ impl RaceDetector {
     }
 
     /// Consume one event of the run's stream: accesses are checked,
-    /// lock grants and releases and rendezvous joins move the clocks. An
-    /// access of one word takes the scalar path, the oracle the run forms
-    /// are checked against.
+    /// lock grants and releases and rendezvous joins move the clocks. Every
+    /// access, one word or a whole run, takes the run check.
     #[inline]
     pub(crate) fn on_event(&mut self, ev: &ProtoEvent<'_>) {
         use ProtoEvent as P;
@@ -291,12 +290,13 @@ impl RaceDetector {
                 len,
                 words,
                 write,
-            } => match (words, write) {
-                (1, true) => self.on_write(pid, base, len),
-                (1, false) => self.on_read(pid, base, len),
-                (_, true) => self.on_write_run(pid, base, stride, len, words),
-                (_, false) => self.on_read_run(pid, base, stride, len, words),
-            },
+            } => {
+                if write {
+                    self.on_write_run(pid, base, stride, len, words)
+                } else {
+                    self.on_read_run(pid, base, stride, len, words)
+                }
+            }
             P::LockGrant { pid, lock, .. } => self.on_acquire(pid, lock),
             P::LockRelease { pid, lock, .. } => self.on_release(pid, lock),
             P::Join => self.on_barrier(),
@@ -304,7 +304,9 @@ impl RaceDetector {
         }
     }
 
-    /// A shared-memory write of `len` bytes at `addr` by `pid`.
+    /// A shared-memory write of `len` bytes at `addr` by `pid`: the per-word
+    /// oracle of [`RaceDetector::on_write_run`].
+    #[cfg(test)]
     fn on_write(&mut self, pid: usize, addr: Addr, len: u8) {
         let (first, last) = Self::word_span(addr, len);
         self.cover(last);
@@ -336,7 +338,9 @@ impl RaceDetector {
         }
     }
 
-    /// A shared-memory read of `len` bytes at `addr` by `pid`.
+    /// A shared-memory read of `len` bytes at `addr` by `pid`: the per-word
+    /// oracle of [`RaceDetector::on_read_run`].
+    #[cfg(test)]
     fn on_read(&mut self, pid: usize, addr: Addr, len: u8) {
         let (first, last) = Self::word_span(addr, len);
         self.cover(last);
@@ -370,22 +374,22 @@ impl RaceDetector {
         }
     }
 
-    // ---- batched (run) checks for the bulk fast path ----
+    // ---- run checks: the one access check of a run ----
     //
     // The bulk access path performs a chunk of a slice's words under one
     // scheduler entry; feeding the detector one `on_read`/`on_write` call
     // per word made the detector the dominant cost of detector-on bulk
-    // runs. The run variants below check an entire `base + i*stride`,
-    // `i in 0..count` batch in one call: the shadow map is grown once for
-    // the whole span, the accessor's epoch and clock are read once (data
-    // accesses never advance the detector's clocks, so they are loop
-    // constants), words this processor already owns in the current epoch
-    // are skipped, and the rare race hits are recorded after the scan.
+    // runs. The run checks below take a whole `base + i*stride`,
+    // `i in 0..count` batch (a scalar access is a run of one): the shadow
+    // map is grown once for the whole span, the accessor's epoch and clock
+    // are read once (data accesses never advance the detector's clocks, so
+    // they are loop constants), words this processor already owns in the
+    // current epoch are skipped, and race hits are recorded after the scan.
     //
-    // Both must stay *observably identical* to the per-word path — same
-    // shadow state, same reports in the same order, same counts —
-    // `tests/equivalence.rs` sweeps detector-on runs on the scalar and bulk
-    // paths and asserts bit-identical `RunStats` including race reports.
+    // Both must stay *observably identical* to the per-word oracles — same
+    // shadow state, same reports in the same order, same counts. The unit
+    // tests below check that on random access mixes; `tests/equivalence.rs`
+    // sweeps detector-on runs on the scalar and bulk paths.
 
     /// Batched equivalent of calling [`RaceDetector::on_write`] once per
     /// access at `base + i*stride` for `i in 0..count` (`count >= 1`), in

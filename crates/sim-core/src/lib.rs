@@ -70,9 +70,7 @@ pub use advisor::{
 pub use alloc::{GlobalAlloc, Placement, PlacementMap};
 pub use cache::{Cache, CacheGeom, LineState, Lookup};
 pub use config::{RunConfig, MAX_SHARD_BATCH};
-pub use critpath::{
-    analyze, what_if, what_if_edges, what_if_report, CritPath, PathCat, PathStep, WhatIf,
-};
+pub use critpath::{analyze, what_if, what_if_report, CritPath, PathCat, PathStep, WhatIf};
 pub use detector::{RaceKind, RaceReport};
 pub use mem::FlatMem;
 pub use metrics::{

@@ -603,6 +603,11 @@ impl MetricsReport {
                 m = m.max(iv);
             }
         }
+        for p in self.events.iter().flat_map(|e| &e.procs) {
+            if let Some(&(iv, _)) = p.last() {
+                m = m.max(iv);
+            }
+        }
         m
     }
 

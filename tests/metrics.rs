@@ -107,6 +107,23 @@ fn cap_drops_are_counted_and_shard_count_independent() {
     }
 }
 
+#[test]
+fn max_interval_counts_the_event_series() {
+    // One sample per processor fits the cap, so the processor series ends
+    // at interval 0; only the event series reaches interval 10. Sparklines
+    // are sized from `max_interval`, so it must see the event.
+    let cfg = RunConfig::new(1).with_metrics(10).with_diag_cap(1);
+    let stats = sim_core::run(Box::new(sim_core::NullPlatform::new(1)), cfg, |p| {
+        p.start_timing();
+        p.work(100);
+        p.metric_add("x", 1);
+    });
+    let m = stats.metrics.expect("metrics were requested");
+    assert_eq!(m.events.len(), 1);
+    assert_eq!(m.events[0].procs[0], vec![(10, 1)]);
+    assert_eq!(m.max_interval(), 10);
+}
+
 /// Seeded trajectory kernels on one shared labeled page: in the migratory
 /// version, rounds take turns — exactly one processor rewrites the page per
 /// round — while in the false-sharing twin every processor writes its own
