@@ -7,13 +7,20 @@
 //! * There is **no home copy**. Writers create diffs at releases but keep
 //!   them; a faulting reader must *gather diffs from every writer* whose
 //!   intervals it has not yet applied, then apply them in causal order.
-//! * Diffs accumulate until a garbage-collection point. We fold a page's
-//!   diff chain into its canonical base copy at barriers (TreadMarks ran
-//!   periodic GC for the same reason) — the memory- and message-overhead
-//!   this protocol pays for multiple-writer pages is exactly the weakness
-//!   HLRC was designed to fix, and it reproduces here: page faults on
+//! * Diffs accumulate until a garbage-collection point. A faulting reader
+//!   is priced for the chain suffix it misses, so a page's chain is kept
+//!   until it grows past a threshold at a barrier (TreadMarks ran periodic
+//!   GC for the same reason) — the memory- and message-overhead this
+//!   protocol pays for multiple-writer pages is exactly the weakness HLRC
+//!   was designed to fix, and it reproduces here: page faults on
 //!   multi-writer pages cost one round-trip **per writer** instead of one
 //!   fetch from the home.
+//!
+//! The simulator keeps each page's *head* — its current contents, every
+//! archived diff already applied — as one shared version: a fault maps it
+//! without copying or replaying anything, and the chain is read only by
+//! the cost model (who wrote, how many words and runs). GC therefore only
+//! truncates the chain.
 //!
 //! The protocol is a *data policy* over the machine it shares with HLRC:
 //! this crate owns page tables, diff chains, the gathering fault and chain
@@ -31,8 +38,9 @@ use sim_core::probe::{self, ProbeHandle, ProtoEvent};
 use sim_core::stats::{Bucket, ProcStats};
 use sim_core::util::{FxMap, FxSet};
 use sim_core::{Addr, PlacementMap};
+use std::sync::Arc;
 use svm_hlrc::machine::Machine;
-use svm_hlrc::{Diff, PState, PageEntry, PageTable, SvmConfig};
+use svm_hlrc::{Diff, Frame, PState, PageEntry, PageTable, SvmConfig};
 
 /// One archived diff: who wrote it and what changed.
 struct ArchivedDiff {
@@ -40,12 +48,19 @@ struct ArchivedDiff {
     diff: Diff,
 }
 
-/// Global (conceptually distributed) per-page diff chain plus the folded
-/// base copy.
+/// Global (conceptually distributed) per-page diff chain plus the page's
+/// current contents.
 struct PageLog {
-    base: Box<[u8]>,
+    /// The head: the page with every diff ever archived applied, in archive
+    /// order. Faulting readers share its version.
+    head: Frame,
+    /// The diffs archived since the last GC, oldest first — read only to
+    /// price a fault.
     chain: Vec<ArchivedDiff>,
 }
+
+/// A page's chain is truncated at a barrier once it holds this many diffs.
+const GC_THRESHOLD: usize = 8;
 
 /// One node's protocol state; resources and caches are the [`Machine`]'s.
 struct Node {
@@ -123,16 +138,25 @@ impl TmkPlatform {
     fn log_entry(&mut self, page: u64) -> &mut PageLog {
         let ps = self.m.cfg.page_size as usize;
         self.logs_by_page.entry(page).or_insert_with(|| PageLog {
-            base: vec![0u8; ps].into_boxed_slice(),
+            head: Frame::zeroed(ps),
             chain: Vec::new(),
         })
     }
 
-    /// Reconstruct the current contents of `page` (base + full chain).
-    fn current_contents(&mut self, page: u64) -> Box<[u8]> {
-        let log = self.log_entry(page);
-        let mut buf = log.base.clone();
-        for a in &log.chain {
+    /// The current contents of `page`: its head's version, shared with
+    /// every other holder of the same bytes (one copy if the head changed
+    /// since it was last shared).
+    fn current_contents(&mut self, page: u64) -> Arc<[u8]> {
+        self.log_entry(page).head.share()
+    }
+
+    /// Reference reconstruction: `base` with `chain` applied in order, as a
+    /// fault rebuilt a page before the head was kept current. Kept as the
+    /// oracle the property test compares the head against.
+    #[cfg(test)]
+    fn replay(base: &[u8], chain: &[ArchivedDiff]) -> Box<[u8]> {
+        let mut buf: Box<[u8]> = base.into();
+        for a in chain {
             a.diff.apply(&mut buf);
         }
         buf
@@ -143,8 +167,8 @@ impl TmkPlatform {
     fn fetch_page(&mut self, t: &mut Timing, page: u64) {
         let pid = t.pid;
         let t0 = *t.now;
-        // State first: compute the fresh contents and remember how much of
-        // the chain we now reflect.
+        // State first: share the page's head and remember how much of the
+        // chain it reflects.
         let contents = self.current_contents(page);
         let chain = &self.logs_by_page[&page].chain;
         // Cost: if the node has never had this page, it also needs a full
@@ -219,7 +243,7 @@ impl TmkPlatform {
         );
         self.nodes[pid]
             .pages
-            .insert(page, PageEntry::read_only(contents));
+            .insert(page, PageEntry::read_only(Frame::Shared(contents)));
         self.nodes[pid].applied.insert(page, chain_len);
         // Unmapped until now, so no line of the page is cached here
         // (`machine`'s invariant): nothing to drop.
@@ -252,7 +276,8 @@ impl TmkPlatform {
                 Bucket::HandlerCompute,
                 cfg.fault_trap + cfg.page_size / 2 * cfg.memcpy_cyc_per_2bytes,
             );
-            e.twin = Some(e.frame.clone());
+            e.twin = Some(e.frame.share());
+            e.frame.own_mut();
             e.state = PState::ReadWrite;
             self.nodes[t.pid].write_set.insert(page);
             t.stats.counters.twins_created += 1;
@@ -261,10 +286,18 @@ impl TmkPlatform {
 
     /// The bytes of `pid`'s copy of the (mapped) page from `addr` on.
     #[inline]
-    fn frame_at(&mut self, pid: usize, addr: Addr) -> &mut [u8] {
+    fn frame_at(&self, pid: usize, addr: Addr) -> &[u8] {
         let off = (addr & (self.m.cfg.page_size - 1)) as usize;
         let page = addr >> self.m.page_shift;
-        &mut self.nodes[pid].pages.get_mut(page).unwrap().frame[off..]
+        &self.nodes[pid].pages.get(page).unwrap().frame[off..]
+    }
+
+    /// [`TmkPlatform::frame_at`] for a store: `pid`'s own buffer.
+    #[inline]
+    fn frame_at_mut(&mut self, pid: usize, addr: Addr) -> &mut [u8] {
+        let off = (addr & (self.m.cfg.page_size - 1)) as usize;
+        let page = addr >> self.m.page_shift;
+        &mut self.nodes[pid].pages.get_mut(page).unwrap().frame.own_mut()[off..]
     }
 
     /// Write-protect `pid`'s dirty copy of `page` and diff it against its
@@ -276,11 +309,11 @@ impl TmkPlatform {
         Diff::create(&twin, &entry.frame)
     }
 
-    /// Archive `pid`'s `diff` of `page` into the page's chain, reporting it
-    /// created and (archival being this protocol's application) applied at
-    /// `at`. Wire cost 0: the chain is kept at the writer; bytes move at
-    /// the faulting reader's gather, accounted in `fetch_page`. Returns the
-    /// new chain length.
+    /// Archive `pid`'s `diff` of `page` into the page's chain and apply it
+    /// to the page's head, reporting it created and (archival being this
+    /// protocol's application) applied at `at`. Wire cost 0: the chain is
+    /// kept at the writer; bytes move at the faulting reader's gather,
+    /// accounted in `fetch_page`. Returns the new chain length.
     fn archive(
         &mut self,
         pid: usize,
@@ -311,6 +344,7 @@ impl TmkPlatform {
         };
         probe::emit(&self.probe, timing_on, applied);
         let log = self.log_entry(page);
+        diff.apply(log.head.own_mut());
         log.chain.push(ArchivedDiff { writer: pid, diff });
         log.chain.len() as u32
     }
@@ -393,22 +427,21 @@ impl TmkPlatform {
     }
 
     /// Barrier-time garbage collection. TreadMarks collected diffs lazily;
-    /// we fold a page's chain into its base copy once it grows past a
-    /// threshold (folding eagerly would hide the protocol's signature
-    /// multi-writer gather cost, which is exactly what the HLRC comparison
-    /// is about). At a barrier every node has consumed every notice, so
-    /// surviving copies equal base+chain and folding is safe.
+    /// we drop a page's chain once it grows past [`GC_THRESHOLD`]
+    /// (dropping eagerly would hide the protocol's signature multi-writer
+    /// gather cost, which is exactly what the HLRC comparison is about).
+    /// The head already holds every diff, so GC only truncates the chain.
+    /// At a barrier every node has consumed every notice, so surviving
+    /// copies equal the head and truncating is safe.
     fn gc_chains(&mut self) {
-        const GC_THRESHOLD: usize = 8;
         for (page, log) in &mut self.logs_by_page {
             if log.chain.len() < GC_THRESHOLD {
                 continue;
             }
-            for a in std::mem::take(&mut log.chain) {
-                a.diff.apply(&mut log.base);
-            }
-            // Applied counters now refer to a folded chain: reset them for
-            // every node still holding a copy (their frames equal base).
+            log.chain = Vec::new();
+            // Applied counters now refer to a truncated chain: reset them
+            // for every node still holding a copy (their frames equal the
+            // head).
             for node in &mut self.nodes {
                 if node.pages.contains(*page) {
                     node.applied.insert(*page, 0);
@@ -447,7 +480,7 @@ impl Platform for TmkPlatform {
             self.ensure_writable(t, page);
         }
         self.m.cache_access(t, addr, true);
-        store_le(self.frame_at(t.pid, addr), len, val);
+        store_le(self.frame_at_mut(t.pid, addr), len, val);
     }
 
     #[inline]
@@ -743,6 +776,64 @@ mod tests {
         assert_eq!(r.on(1, |p, t| p.load(t, a, 8)), 8);
         check(&r, true);
         assert_eq!(r.stats[1].counters.remote_fetches, 2);
+    }
+
+    #[test]
+    fn the_head_is_the_folded_base_plus_the_chain() {
+        // Random archives by random writers over three pages, random GCs
+        // and reader faults: the head always equals the base the chain
+        // would have been folded into, replayed with the chain; and a
+        // head shared twice without an archive between is one version.
+        let mut p = TmkPlatform::new(SvmConfig::paper(4));
+        let first = HEAP_BASE >> p.m.page_shift;
+        let words = (PAGE_SIZE / 4) as usize;
+        let mut rng = sim_core::util::XorShift64::new(0x7E4D);
+        let mut folded: FxMap<u64, Box<[u8]>> = FxMap::default();
+        for step in 0..600u64 {
+            let page = first + rng.below(3);
+            match rng.below(10) {
+                0 => {
+                    for (pg, log) in &p.logs_by_page {
+                        if log.chain.len() >= GC_THRESHOLD {
+                            let base = TmkPlatform::replay(&folded[pg], &log.chain);
+                            folded.insert(*pg, base);
+                        }
+                    }
+                    p.gc_chains();
+                }
+                1 => {
+                    let (v1, v2) = (p.current_contents(page), p.current_contents(page));
+                    assert!(Arc::ptr_eq(&v1, &v2), "step {step}");
+                }
+                _ => {
+                    let twin = p.current_contents(page);
+                    let (before, mut dirty) = (twin.to_vec(), twin.to_vec());
+                    for _ in 0..1 + rng.below(12) {
+                        let w = rng.below(words as u64) as usize;
+                        let n = (1 + rng.below(6) as usize).min(words - w);
+                        for b in &mut dirty[w * 4..(w + n) * 4] {
+                            *b = rng.next_u64() as u8;
+                        }
+                    }
+                    let diff = Diff::create(&twin, &dirty);
+                    let writer = rng.below(4) as usize;
+                    p.archive(writer, page, diff, step, None, false);
+                    folded
+                        .entry(page)
+                        .or_insert_with(|| vec![0; words * 4].into());
+                    assert_eq!(&p.logs_by_page[&page].head[..], &dirty[..], "step {step}");
+                    assert_eq!(
+                        &twin[..],
+                        &before[..],
+                        "step {step}: a version is never written"
+                    );
+                }
+            }
+            for (pg, log) in &p.logs_by_page {
+                let replayed = TmkPlatform::replay(&folded[pg], &log.chain);
+                assert_eq!(&log.head[..], &replayed[..], "step {step} page {pg:#x}");
+            }
+        }
     }
 
     #[test]

@@ -276,10 +276,36 @@ impl Cache {
         false
     }
 
-    /// Invalidate every cached line inside `[base, base+len)` — used when a
-    /// virtual memory page is refetched under SVM, since the new page
-    /// contents supersede anything cached from the stale copy.
+    /// Invalidate every cached line that overlaps `[base, base+len)` — used
+    /// when an SVM page's contents change under a node, since they
+    /// supersede anything cached from the stale copy. An empty range
+    /// (`len == 0`) invalidates nothing. Visits only the sets the range's
+    /// lines map to (every set once, if the range spans the cache), and
+    /// in each invalidates the valid ways whose tag lies in the range: one
+    /// sweep of the set window instead of a tag search per line.
     pub fn invalidate_range(&mut self, base: Addr, len: u64) {
+        if len == 0 {
+            return;
+        }
+        let (first, last) = (self.tag_of(base), self.tag_of(base + len - 1));
+        let sets = (last - first).min(self.set_mask) + 1;
+        let ways = self.geom.ways as usize;
+        for k in 0..sets {
+            let set = (((first + k) & self.set_mask) * ways as u64) as usize;
+            for w in &mut self.ways[set..set + ways] {
+                if w.state != LineState::Invalid && (first..=last).contains(&w.tag) {
+                    w.state = LineState::Invalid;
+                    w.tag = INVALID_TAG;
+                }
+            }
+        }
+    }
+
+    /// Reference [`Cache::invalidate_range`]: one [`Cache::set_state`] per
+    /// line of the range. Kept as the oracle the randomized unit test
+    /// compares the set sweep against.
+    #[cfg(test)]
+    fn invalidate_range_per_line(&mut self, base: Addr, len: u64) {
         let mut a = self.line_base(base);
         while a < base + len {
             self.set_state(a, LineState::Invalid);
@@ -374,6 +400,73 @@ mod tests {
         assert_eq!(c.state_of(0x000), LineState::Invalid);
         assert_eq!(c.state_of(0x020), LineState::Invalid);
         assert_eq!(c.state_of(0x040), LineState::Invalid);
+    }
+
+    #[test]
+    fn invalidate_range_sweep_matches_the_per_line_oracle() {
+        // The LRC caches (a 1-way 8 KiB L1, a 2-way 512 KiB L2, 32-byte
+        // lines) under page-sized ranges of 1, 4 and 16 KiB — the last
+        // wider than the L1's 8 KiB set span, so the sweep wraps the whole
+        // array — plus unaligned bases and short ranges.
+        let geoms = [
+            CacheGeom {
+                size: 8 << 10,
+                line: 32,
+                ways: 1,
+            },
+            CacheGeom {
+                size: 512 << 10,
+                line: 32,
+                ways: 2,
+            },
+        ];
+        let mut rng = crate::util::XorShift64::new(0x1A7E);
+        for geom in geoms {
+            for case in 0..200 {
+                let mut a = Cache::new(geom);
+                // Lines of a 64 KiB window, each filled only if absent (a
+                // line lives in at most one way, as every caller keeps it).
+                for _ in 0..rng.below(4096) {
+                    let addr = 0x10_0000 + rng.below(64 << 10);
+                    if a.state_of(addr) == LineState::Invalid {
+                        a.fill(addr, [LineState::Shared, LineState::Modified][case % 2]);
+                    }
+                }
+                let page = [1u64 << 10, 4 << 10, 16 << 10][rng.below(3) as usize];
+                let base = 0x10_0000 + rng.below(48 << 10) / page * page;
+                let (base, len) = match rng.below(4) {
+                    0 => (base, page),
+                    1 => (base + rng.below(page), page),
+                    2 => (base + rng.below(page), 1 + rng.below(100)),
+                    _ => (base + rng.below(page), 1 + rng.below(3 * page)),
+                };
+                let mut b = a.clone();
+                a.invalidate_range(base, len);
+                b.invalidate_range_per_line(base, len);
+                let what = format!("{geom:?} case {case}: base {base:#x} len {len}");
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}");
+                let (lo, hi) = (a.line_base(base), base + len);
+                assert!(
+                    (lo..hi)
+                        .step_by(32)
+                        .all(|l| a.state_of(l) == LineState::Invalid),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_range_invalidates_nothing() {
+        // The per-line loop dropped the line holding an unaligned base even
+        // when `len == 0`; an empty range now leaves every line alone.
+        let mut c = small();
+        c.fill(0x40, LineState::Modified);
+        c.invalidate_range(0x44, 0);
+        c.invalidate_range(0x40, 0);
+        assert_eq!(c.state_of(0x40), LineState::Modified);
+        c.invalidate_range(0x5f, 1);
+        assert_eq!(c.state_of(0x40), LineState::Invalid);
     }
 
     #[test]

@@ -59,8 +59,28 @@ pub struct Extent<'a> {
     /// The accessing processor's first-level cache.
     pub l1: &'a mut Cache,
     /// Host bytes backing simulated memory from the queried address to the
-    /// extent's end.
-    pub bytes: &'a mut [u8],
+    /// extent's end: writable for a store, either for a load.
+    pub bytes: Bytes<'a>,
+}
+
+/// The host bytes an [`Extent`] lends.
+pub enum Bytes<'a> {
+    /// Bytes a load reads and nothing writes (a page version shared with
+    /// other holders).
+    Ro(&'a [u8]),
+    /// Bytes a store may write, or a load read.
+    Rw(&'a mut [u8]),
+}
+
+impl Bytes<'_> {
+    /// The bytes, for reading.
+    #[inline]
+    fn get(&self) -> &[u8] {
+        match self {
+            Self::Ro(b) => b,
+            Self::Rw(b) => b,
+        }
+    }
 }
 
 impl<'a> Extent<'a> {
@@ -68,20 +88,21 @@ impl<'a> Extent<'a> {
     /// whose L1 hits touch nothing else: the `span` bytes from `addr`.
     #[inline]
     pub fn flat(l1: &'a mut Cache, mem: &'a mut FlatMem, addr: Addr, span: usize) -> Self {
-        let bytes = mem.window(addr, span);
+        let bytes = Bytes::Rw(mem.window(addr, span));
         Self { l1, bytes }
     }
 
     /// Perform the free words from `addr`, the extent's start, at `stride`,
     /// `left` words of the slice remaining, handing `words` each line's run
-    /// as its first word's index, its length and the bytes from its first
-    /// word. Probes the L1 once per line (one tag search) and stamps the
-    /// line once for its words, then counts them and charges `Compute` a
-    /// cycle each, as that many scalar hits would. Stops at the extent's
-    /// end, at the first word that leaves `*t.now > budget` (timing on),
-    /// where the scalar path would yield, or before the first word whose
-    /// line would miss. Returns how many words it performed and whether the
-    /// next one needs the scalar path: it missed, or none fitted.
+    /// as its first word's index, its length, the extent's bytes and the
+    /// offset of its first word in them. Probes the L1 once per line (one
+    /// tag search) and stamps the line once for its words, then counts them
+    /// and charges `Compute` a cycle each, as that many scalar hits would.
+    /// Stops at the extent's end, at the first word that leaves `*t.now >
+    /// budget` (timing on), where the scalar path would yield, or before the
+    /// first word whose line would miss. Returns how many words it performed
+    /// and whether the next one needs the scalar path: it missed, or none
+    /// fitted.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn run(
@@ -93,7 +114,7 @@ impl<'a> Extent<'a> {
         write: bool,
         left: usize,
         budget: u64,
-        mut words: impl FnMut(usize, usize, &mut [u8]),
+        mut words: impl FnMut(usize, usize, &mut Bytes<'a>, usize),
     ) -> (usize, bool) {
         let mut cap = left as u64;
         if t.timing_on {
@@ -102,7 +123,7 @@ impl<'a> Extent<'a> {
         let (cap, stride) = (cap as usize, stride as usize);
         let line = self.l1.geom().line;
         // Offsets a word may start at without running past the extent.
-        let room = (self.bytes.len() + 1).saturating_sub(len as usize);
+        let room = (self.bytes.get().len() + 1).saturating_sub(len as usize);
         let (mut k, mut off, mut missed) = (0, 0, false);
         while k < cap && off < room {
             let a = addr + off as u64;
@@ -120,7 +141,7 @@ impl<'a> Extent<'a> {
             } else {
                 avail.div_ceil(stride).min(cap - k)
             };
-            words(k, n, &mut self.bytes[off..]);
+            words(k, n, &mut self.bytes, off);
             self.l1.hit_run_at(way, write, n as u64);
             k += n;
             off += n * stride;
@@ -168,7 +189,9 @@ pub trait Platform: Send {
     /// straddles a line or a page). A side effect the scalar path repeats
     /// idempotently per word (sibling-line invalidation on multi-processor
     /// SVM nodes) is performed here, for the extent's first line, and the
-    /// extent ends with that line.
+    /// extent ends with that line. A store's extent lends writable bytes
+    /// ([`Bytes::Rw`]); a load's may lend read-only ones ([`Bytes::Ro`]),
+    /// as an LRC node does for a page version it shares with others.
     ///
     /// The default — `None`, every word takes the scalar path — is always
     /// correct; a wrong `Some` is what `tests/equivalence.rs` catches.
@@ -217,7 +240,8 @@ pub trait Platform: Send {
         while done < out.len() {
             let (a, left) = (addr + done as u64 * stride, out.len() - done);
             let (k, scalar) = match self.free_extent(t.pid, a, false, span(stride, len, left)) {
-                Some(mut e) => e.run(t, a, stride, len, false, left, budget, |i, n, b| {
+                Some(mut e) => e.run(t, a, stride, len, false, left, budget, |i, n, b, off| {
+                    let b = &b.get()[off..];
                     for (j, slot) in out[done + i..done + i + n].iter_mut().enumerate() {
                         *slot = load_le(&b[j * stride as usize..], len);
                     }
@@ -252,7 +276,11 @@ pub trait Platform: Send {
         while done < vals.len() {
             let (a, left) = (addr + done as u64 * stride, vals.len() - done);
             let (k, scalar) = match self.free_extent(t.pid, a, true, span(stride, len, left)) {
-                Some(mut e) => e.run(t, a, stride, len, true, left, budget, |i, n, b| {
+                Some(mut e) => e.run(t, a, stride, len, true, left, budget, |i, n, b, off| {
+                    let Bytes::Rw(b) = b else {
+                        unreachable!("a store extent lends writable bytes")
+                    };
+                    let b = &mut b[off..];
                     for (j, &v) in vals[done + i..done + i + n].iter().enumerate() {
                         store_le(&mut b[j * stride as usize..], len, v);
                     }

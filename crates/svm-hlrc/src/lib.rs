@@ -35,7 +35,7 @@ pub mod machine;
 mod page;
 
 pub use config::SvmConfig;
-pub use page::{Diff, PState, PageEntry, PageTable};
+pub use page::{Diff, Frame, PState, PageEntry, PageTable};
 
 use machine::Machine;
 use sim_core::mem::{load_le, store_le};
@@ -143,8 +143,10 @@ impl SvmPlatform {
             let in_end = self.m.round_trip(nd, *t.now, home, cfg.handler_cost, pg);
             t.advance_to(Bucket::DataWait, in_end + copy);
         }
-        // State: install a read-only copy of the home frame.
-        let entry = PageEntry::copy_of(&self.home_frame_entry(home, page).frame);
+        // State: map the home frame's current version read-only — shared,
+        // not copied, with every other reader of it.
+        let version = self.home_frame_entry(home, page).frame.share();
+        let entry = PageEntry::read_only(Frame::Shared(version));
         self.nodes[nd].pages.insert(page, entry);
         // The page was unmapped until now, so none of the node's processors
         // caches a line of it (`machine`'s invariant): nothing to drop.
@@ -185,7 +187,8 @@ impl SvmPlatform {
     }
 
     /// Make `page` writable at `t.pid`'s node: fault in if absent, twin on
-    /// the node's first write of the interval.
+    /// the node's first write of the interval. The twin is the frame's
+    /// version; the frame becomes the node's own buffer.
     fn ensure_writable(&mut self, t: &mut Timing, page: u64, home: usize) {
         self.ensure_readable(t, page, home);
         let nd = self.m.cfg.node_of(t.pid);
@@ -198,12 +201,13 @@ impl SvmPlatform {
                     Bucket::HandlerCompute,
                     cfg.fault_trap + cfg.page_size / 2 * cfg.memcpy_cyc_per_2bytes,
                 );
-                e.twin = Some(e.frame.clone());
+                e.twin = Some(e.frame.share());
                 t.stats.counters.twins_created += 1;
             } else {
                 // Home writes in place; only the protection trap.
                 t.charge(Bucket::HandlerCompute, cfg.fault_trap / 4);
             }
+            e.frame.own_mut();
             e.state = PState::ReadWrite;
             self.nodes[nd].write_set.insert(page);
         }
@@ -211,10 +215,18 @@ impl SvmPlatform {
 
     /// The bytes of node `nd`'s copy of the (mapped) page from `addr` on.
     #[inline]
-    fn frame_at(&mut self, nd: usize, addr: Addr) -> &mut [u8] {
+    fn frame_at(&self, nd: usize, addr: Addr) -> &[u8] {
         let off = (addr & (self.m.cfg.page_size - 1)) as usize;
         let page = addr >> self.m.page_shift;
-        &mut self.nodes[nd].pages.get_mut(page).unwrap().frame[off..]
+        &self.nodes[nd].pages.get(page).unwrap().frame[off..]
+    }
+
+    /// [`SvmPlatform::frame_at`] for a store: the node's own buffer.
+    #[inline]
+    fn frame_at_mut(&mut self, nd: usize, addr: Addr) -> &mut [u8] {
+        let off = (addr & (self.m.cfg.page_size - 1)) as usize;
+        let page = addr >> self.m.page_shift;
+        &mut self.nodes[nd].pages.get_mut(page).unwrap().frame.own_mut()[off..]
     }
 
     /// Flush one dirty page's diff to its home: state transfer plus cost
@@ -249,7 +261,7 @@ impl SvmPlatform {
         let nruns = diff.run_count() as u64;
         // Apply to home frame (state). The applier is remote: count the
         // application at the home via its debt counter, drained at finalize.
-        diff.apply(&mut self.home_frame_entry(home, page).frame);
+        diff.apply(self.home_frame_entry(home, page).frame.own_mut());
         self.nodes[home].diffs_applied_debt += 1;
         // The home's processors may hold stale lines for the words just
         // patched; conservatively drop the page's lines there.
@@ -437,7 +449,7 @@ impl Platform for SvmPlatform {
             self.ensure_writable(t, page, home);
         }
         self.m.cache_access(t, addr, true);
-        store_le(self.frame_at(nd, addr), len, val);
+        store_le(self.frame_at_mut(nd, addr), len, val);
     }
 
     #[inline]
@@ -877,6 +889,43 @@ mod tests {
         check(&r, true);
         assert_eq!(r.stats[2].counters.remote_fetches, 1);
         assert_eq!(r.stats[3].counters.remote_fetches, 1);
+    }
+
+    #[test]
+    fn readers_of_a_page_share_one_version() {
+        // Three nodes read a page homed at node 0: one version among them.
+        // The home then writes; on re-fault they share the new version and
+        // the old one keeps the bytes it had.
+        use std::sync::Arc;
+        let mut r = Rig::new(SvmConfig::paper(4));
+        let a = r.alloc.alloc(PAGE_SIZE, 8, Placement::Node(0));
+        let page = a >> r.p.m.page_shift;
+        r.on(0, |p, t| p.store(t, a, 8, 1));
+        r.barrier();
+        let versions = |r: &Rig| -> Vec<Arc<[u8]>> {
+            (1..4)
+                .map(|nd| match &r.p.nodes[nd].pages.get(page).unwrap().frame {
+                    Frame::Shared(v) => v.clone(),
+                    Frame::Own(..) => panic!("node {nd} copied the page"),
+                })
+                .collect()
+        };
+        let one_version = |vs: &[Arc<[u8]>]| vs.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1]));
+        for pid in 1..4 {
+            assert_eq!(r.on(pid, |p, t| p.load(t, a, 8)), 1);
+        }
+        let old = versions(&r);
+        assert!(one_version(&old), "one allocation for three readers");
+        r.on(0, |p, t| p.store(t, a, 8, 2));
+        r.barrier();
+        for pid in 1..4 {
+            assert_eq!(r.on(pid, |p, t| p.load(t, a, 8)), 2);
+        }
+        let new = versions(&r);
+        assert!(one_version(&new), "the new version is shared too");
+        assert!(!Arc::ptr_eq(&old[0], &new[0]));
+        assert_eq!(load_le(&old[0], 8), 1, "the old version is unchanged");
+        assert_eq!(r.stats[1].counters.remote_fetches, 2);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use crate::page::{PState, PageEntry};
 use crate::SvmConfig;
 use sim_core::cache::{Cache, LineState, Lookup};
-use sim_core::platform::{Extent, Timing};
+use sim_core::platform::{Bytes, Extent, Timing};
 use sim_core::stats::Bucket;
 use sim_core::util::FxMap;
 use sim_core::{Addr, Resource};
@@ -178,12 +178,13 @@ impl Machine {
     /// `None`). The scalar path does no protocol work for an L1 hit on the
     /// page when no interrupt debt is pending and, for a store, the page is
     /// ReadWrite (so no fault or twin): the extent is then the rest of the
-    /// frame. A store on a multi-processor node invalidates the siblings'
-    /// copies of its line, which the scalar path repeats per word: done
-    /// here, the extent ends with that line. Takes the entry so the
-    /// caller's one page-table `get_mut` serves both check and extent; page
-    /// table and caches are disjoint fields, which lets both borrows live
-    /// in the result.
+    /// frame — read-only for a load, the node's own buffer for a store. A
+    /// store on a multi-processor node invalidates the siblings' copies of
+    /// its line, which the scalar path repeats per word: done here, the
+    /// extent ends with that line. Takes the entry so the caller's one
+    /// page-table `get_mut` serves both check and extent; page table and
+    /// caches are disjoint fields, which lets both borrows live in the
+    /// result.
     #[inline]
     pub fn free_extent<'a>(
         &'a mut self,
@@ -202,9 +203,14 @@ impl Machine {
             let line = self.cfg.l1.line;
             end = off + (line - (addr & (line - 1))) as usize;
         }
+        let bytes = if write {
+            Bytes::Rw(&mut e.frame.own_mut()[off..end])
+        } else {
+            Bytes::Ro(&e.frame[off..end])
+        };
         Some(Extent {
             l1: &mut self.caches[pid].0,
-            bytes: &mut e.frame[off..end],
+            bytes,
         })
     }
 

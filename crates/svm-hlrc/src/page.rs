@@ -1,5 +1,16 @@
 //! Per-node page tables, page frames, twins and word-granularity diffs —
 //! the data plane of the HLRC protocol.
+//!
+//! A page's bytes are shared, not copied, wherever they are the same: a
+//! fetched copy, a twin and a TreadMarks page's head are one immutable,
+//! reference-counted *version* ([`Frame::share`]), and a buffer is copied
+//! only when someone writes it ([`Frame::own_mut`]). Three invariants keep
+//! that sound: a `ReadWrite` page's frame is [`Frame::Own`]; every
+//! mutation of a frame goes through [`Frame::own_mut`]; a shared version
+//! is never written.
+
+use std::ops::Deref;
+use std::sync::Arc;
 
 use sim_core::HEAP_BASE;
 
@@ -13,21 +24,89 @@ pub enum PState {
     ReadWrite,
 }
 
+/// A page's bytes at one holder: a buffer it writes in place, or a shared
+/// version it has not written.
+#[derive(Clone, Debug)]
+pub enum Frame {
+    /// Written in place. The `Option` is the version this buffer last
+    /// shared ([`Frame::share`]), remembered until its next write so that
+    /// sharing the same bytes again is free.
+    Own(Box<[u8]>, Option<Arc<[u8]>>),
+    /// A shared version, never written: the first write copies it.
+    Shared(Arc<[u8]>),
+}
+
+impl Frame {
+    /// A zeroed buffer of `len` bytes.
+    pub fn zeroed(len: usize) -> Self {
+        Self::Own(vec![0u8; len].into_boxed_slice(), None)
+    }
+
+    /// The frame's bytes as a shared version: free when it holds a current
+    /// one, one copy otherwise (then remembered).
+    pub fn share(&mut self) -> Arc<[u8]> {
+        match self {
+            Self::Shared(v) | Self::Own(_, Some(v)) => Arc::clone(v),
+            Self::Own(b, v @ None) => Arc::clone(v.insert(Arc::from(&b[..]))),
+        }
+    }
+
+    /// The frame's bytes for writing: a shared frame is copied into a
+    /// buffer of its own first, and an own buffer forgets the version it
+    /// shared (whose holders keep the bytes as they were).
+    #[inline]
+    pub fn own_mut(&mut self) -> &mut [u8] {
+        if let Self::Shared(_) = self {
+            self.unshare();
+        }
+        match self {
+            Self::Own(b, v) => {
+                *v = None;
+                b
+            }
+            Self::Shared(_) => unreachable!("unshared above"),
+        }
+    }
+
+    /// Replace a shared frame by a copy of its version: once per write
+    /// fault, off the store path.
+    #[cold]
+    #[inline(never)]
+    fn unshare(&mut self) {
+        if let Self::Shared(v) = self {
+            *self = Self::Own(Box::from(&v[..]), None);
+        }
+    }
+}
+
+impl Deref for Frame {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        match self {
+            Self::Own(b, _) => b,
+            Self::Shared(v) => v,
+        }
+    }
+}
+
 /// A page's local copy at one node.
 #[derive(Clone, Debug)]
 pub struct PageEntry {
     /// Current access state.
     pub state: PState,
-    /// The node's working copy of the page.
-    pub frame: Box<[u8]>,
-    /// Clean copy captured at the first write of the interval (absent at the
-    /// home node, which applies writes in place).
-    pub twin: Option<Box<[u8]>>,
+    /// The node's working copy of the page ([`Frame::Own`] while
+    /// `ReadWrite`).
+    pub frame: Frame,
+    /// The version captured at the first write of the interval (absent at
+    /// the home node, which applies writes in place).
+    pub twin: Option<Arc<[u8]>>,
 }
 
 impl PageEntry {
-    /// A read-only page over `frame`, taking the buffer as it is.
-    pub fn read_only(frame: Box<[u8]>) -> Self {
+    /// A read-only page over `frame`, taking it as it is.
+    pub fn read_only(frame: Frame) -> Self {
         Self {
             state: PState::ReadOnly,
             frame,
@@ -37,12 +116,7 @@ impl PageEntry {
 
     /// A fresh zeroed read-only page.
     pub fn zeroed(page_size: u64) -> Self {
-        Self::read_only(vec![0u8; page_size as usize].into_boxed_slice())
-    }
-
-    /// A read-only copy of an existing frame (page fetch).
-    pub fn copy_of(frame: &[u8]) -> Self {
-        Self::read_only(frame.into())
+        Self::read_only(Frame::zeroed(page_size as usize))
     }
 }
 
@@ -257,7 +331,8 @@ mod tests {
         for shift in SHIFTS {
             let mut pt = PageTable::new(shift);
             let first = HEAP_BASE >> shift;
-            let page = |fill: u8| PageEntry::read_only(vec![fill; 1 << shift].into());
+            let page =
+                |fill: u8| PageEntry::read_only(Frame::Own(vec![fill; 1 << shift].into(), None));
             assert!(!pt.contains(first) && pt.slots.is_empty());
             pt.insert(first, page(1));
             assert_eq!(pt.slots.len(), 1, "the first heap page is slot 0");
@@ -277,6 +352,45 @@ mod tests {
             assert_eq!(pt.slots.len(), 10);
             assert!(pt.remove(first + 99).is_none());
         }
+    }
+
+    #[test]
+    fn sharing_twice_without_a_write_is_free() {
+        let mut f = Frame::zeroed(64);
+        let (v1, v2) = (f.share(), f.share());
+        assert!(Arc::ptr_eq(&v1, &v2), "the remembered version is reused");
+        let mut g = Frame::Shared(v1.clone());
+        assert!(
+            Arc::ptr_eq(&g.share(), &v1),
+            "a shared frame is its version"
+        );
+    }
+
+    #[test]
+    fn writing_after_sharing_leaves_the_version_alone() {
+        let mut f = Frame::zeroed(64);
+        let v = f.share();
+        f.own_mut()[3] = 9;
+        assert_eq!((f[3], v[3]), (9, 0));
+        assert!(matches!(f, Frame::Own(_, None)), "the write forgets it");
+        let w = f.share();
+        assert!(!Arc::ptr_eq(&v, &w) && w[3] == 9, "a new version");
+    }
+
+    #[test]
+    fn writing_a_shared_frame_copies_it() {
+        let v: Arc<[u8]> = Arc::from(vec![5u8; 64]);
+        let mut f = Frame::Shared(v.clone());
+        f.own_mut()[0] = 6;
+        assert!(matches!(f, Frame::Own(_, None)));
+        assert_eq!((f[0], f[1], v[0]), (6, 5, 5));
+        assert_eq!(Arc::strong_count(&v), 1, "the frame let go of it");
+    }
+
+    #[test]
+    fn a_page_table_slot_is_56_bytes() {
+        // DESIGN.md §2 quotes this figure: a slot per heap page per node.
+        assert_eq!(std::mem::size_of::<Option<PageEntry>>(), 56);
     }
 
     #[test]
@@ -338,15 +452,15 @@ mod tests {
     fn disjoint_diffs_merge_at_home() {
         // Two writers modify different words of the same page; applying both
         // diffs to the home yields the union — the multiple-writer protocol.
-        let base = vec![0u8; 64];
-        let mut w1 = base.clone();
+        let twin = vec![0u8; 64];
+        let mut w1 = twin.clone();
         w1[0..8].copy_from_slice(&1u64.to_le_bytes());
-        let mut w2 = base.clone();
+        let mut w2 = twin.clone();
         w2[8..16].copy_from_slice(&2u64.to_le_bytes());
-        let d1 = Diff::create(&base, &w1);
-        let d2 = Diff::create(&base, &w2);
+        let d1 = Diff::create(&twin, &w1);
+        let d2 = Diff::create(&twin, &w2);
         assert!(!d1.is_empty() && !d2.is_empty());
-        let mut home = base.clone();
+        let mut home = twin.clone();
         d1.apply(&mut home);
         d2.apply(&mut home);
         assert_eq!(u64::from_le_bytes(home[0..8].try_into().unwrap()), 1);
