@@ -1,27 +1,16 @@
-//! The machine both lazy-release-consistency protocols run on.
-//!
-//! HLRC ([`crate::SvmPlatform`]) and TreadMarks (`lrc-tmk`) differ in their
-//! *data policy* — where a page's current contents live, what a fault
-//! fetches, where a diff goes — and in nothing else. [`Machine`] is the
-//! rest, a plain struct each protocol owns one of: the nodes' network
-//! interfaces and caches, the vector-time write-notice log, and the price
-//! of every synchronisation message. A protocol keeps its page tables,
-//! fetch, twin, flush-home or archive-in-chain, invalidation, chain GC and
-//! counter attribution, and composes its `Platform` methods from these.
-//!
-//! Nothing here may know which protocol is calling: where the two differ
-//! (HLRC emits `Invalidation` after unmapping, TreadMarks before;
-//! TreadMarks' base-copy fetch ignores `memcpy_cyc_per_2bytes`) the piece
-//! stays in the protocol's crate.
+//! The part of the LRC platform ([`crate::lrc::LrcPlatform`]) that neither
+//! policy touches: the nodes' network interfaces and caches, the
+//! vector-time write-notice log, and the price of every synchronisation
+//! message.
 //!
 //! **Cached lines ⊆ mapped pages.** A node's processors cache lines only of
 //! pages mapped at that node, and the home's copy, once touched, is never
 //! unmapped: a line enters a cache only through [`Machine::cache_access`],
-//! which a protocol reaches only with the page in the node's table, and a
-//! protocol's only unmap drops the page's lines from the node's caches. So
-//! a fault, and a write notice for a page the node does not map, have no
-//! lines to drop — both protocols skip the sweep there and `debug_assert!`
-//! [`Machine::caches_page`] false instead.
+//! which the platform reaches only with the page in the node's table, and
+//! the platform's only unmap drops the page's lines from the node's caches.
+//! So a fault, and a write notice for a page the node does not map, have no
+//! lines to drop — the platform skips the sweep there and `debug_assert!`s
+//! [`Machine::caches_page`] false instead, under either policy.
 
 use crate::page::{PState, PageEntry};
 use crate::SvmConfig;
@@ -47,8 +36,8 @@ pub struct Nic {
     pub debt: u64,
 }
 
-/// Nodes, caches, write-notice log and synchronisation pricing shared by the
-/// LRC protocols.
+/// Nodes, caches, write-notice log and synchronisation pricing of the LRC
+/// platform.
 pub struct Machine {
     /// The configuration in use.
     pub cfg: SvmConfig,
@@ -338,21 +327,30 @@ impl Machine {
         self.ctrl_msg(nd, send_start, mgr, self.cfg.handler_cost)
     }
 
-    /// Everyone has arrived at `barrier` (`arrivals[pid]` = arrival at the
-    /// manager): the manager merges the interval information and starts
-    /// the release fan-out.
-    pub fn barrier_merge(&self, barrier: u32, arrivals: &[u64], timing_on: bool) -> Fanout {
+    /// Everyone has arrived at a barrier (`arrivals[pid]` = arrival at
+    /// the manager): when the manager has merged the interval information,
+    /// and the vector time it brings every node up to.
+    pub fn barrier_merge(&self, arrivals: &[u64], timing_on: bool) -> (u64, Vec<u32>) {
         let start = arrivals.iter().copied().max().unwrap_or(0);
         let merge = self.cfg.nprocs as u64 * self.cfg.barrier_merge_per_proc;
-        let at = start + if timing_on { merge } else { 0 };
-        Fanout {
-            at,
-            upto: self.vt.clone(),
-            mgr: self.cfg.barrier_manager(barrier),
-            cursor: at,
-            mgr_cycles: 0,
-            resumes: arrivals.to_vec(),
-            timing_on,
+        (start + if timing_on { merge } else { 0 }, self.vt.clone())
+    }
+
+    /// Node `nd`'s processors resume from `at`, one bus hop per sibling
+    /// apart (the intra-node release fan-out).
+    pub fn resume_node(&self, resumes: &mut [u64], nd: usize, at: u64) {
+        for (k, q) in self.node_procs(nd).enumerate() {
+            resumes[q] = at + k as u64 * (self.cfg.intra_node_cost / 4);
+        }
+    }
+
+    /// After a barrier everyone has consumed everything: collect the log,
+    /// timed or not (an untimed initialisation phase must not leave it
+    /// growing).
+    pub fn collect_log(&mut self) {
+        for r in 0..self.nics.len() {
+            self.log_base[r] = self.vt[r];
+            self.logs[r].clear();
         }
     }
 
@@ -360,66 +358,5 @@ impl Machine {
     /// region.
     pub fn reset_timing(&mut self) {
         self.nics.fill_with(Nic::default);
-    }
-}
-
-/// A barrier manager's release fan-out, begun by [`Machine::barrier_merge`].
-/// The protocol walks the nodes in order: for each it consumes the node's
-/// write notices up to [`Fanout::upto`] at time [`Fanout::at`], then calls
-/// [`Fanout::release`] with what that cost; [`Fanout::finish`] after the
-/// last. Consume-then-release *per node* is load-bearing: `Resource::serve`
-/// is FCFS and order-dependent, and a flush forced by an invalidation at
-/// the manager's node serves the same `io_out` the release messages leave
-/// through — so never all consumes first, then all sends.
-pub struct Fanout {
-    /// When the manager finished merging: the time notices are consumed at.
-    pub at: u64,
-    /// The merged vector time every node is brought up to.
-    pub upto: Vec<u32>,
-    mgr: usize,
-    /// When the manager's `io_out` finished the latest release message.
-    cursor: u64,
-    mgr_cycles: u64,
-    resumes: Vec<u64>,
-    timing_on: bool,
-}
-
-impl Fanout {
-    /// Node `nd` spent `cycles` consuming its notices: send it its release
-    /// message (the manager's own node just remembers the work).
-    pub fn release(&mut self, m: &mut Machine, nd: usize, cycles: u64) {
-        if nd == self.mgr {
-            self.mgr_cycles = cycles;
-        } else if self.timing_on {
-            let ctrl = m.cfg.ctrl_msg_bytes * m.cfg.io_cyc_per_byte;
-            self.cursor = m.nics[self.mgr].io_out.serve(self.cursor, ctrl).1;
-            let resume = self.cursor + m.cfg.wire_latency + m.cfg.handler_cost + cycles;
-            self.resume_node(m, nd, resume);
-        }
-    }
-
-    /// Node `nd`'s processors resume from `at`, one bus hop per sibling
-    /// apart (the intra-node release fan-out).
-    fn resume_node(&mut self, m: &Machine, nd: usize, at: u64) {
-        for (k, q) in m.node_procs(nd).enumerate() {
-            self.resumes[q] = at + k as u64 * (m.cfg.intra_node_cost / 4);
-        }
-    }
-
-    /// End the episode: each processor's resume time (its arrival, untimed).
-    pub fn finish(mut self, m: &mut Machine) -> Vec<u64> {
-        // The manager node resumes after finishing all its sends plus its
-        // own invalidation work — the paper's "barrier manager" imbalance.
-        if self.timing_on {
-            self.resume_node(m, self.mgr, self.cursor + self.mgr_cycles);
-        }
-        // After a barrier everyone has consumed everything: collect the
-        // log, timed or not (an untimed initialisation phase must not leave
-        // it growing).
-        for r in 0..m.nics.len() {
-            m.log_base[r] = m.vt[r];
-            m.logs[r].clear();
-        }
-        self.resumes
     }
 }

@@ -1,5 +1,5 @@
 //! Per-node page tables, page frames, twins and word-granularity diffs —
-//! the data plane of the HLRC protocol.
+//! the data plane of the LRC platform, under either policy.
 //!
 //! A page's bytes are shared, not copied, wherever they are the same: a
 //! fetched copy, a twin and a TreadMarks page's head are one immutable,
