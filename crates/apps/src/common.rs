@@ -4,10 +4,9 @@
 //! rest (the analogue of SPLASH-2's C globals).
 
 use cc_numa::{DsmConfig, DsmPlatform};
-use lrc_tmk::TmkPlatform;
 use sim_core::{Platform as PlatformTrait, RunStats};
 use smp_bus::{SmpConfig, SmpPlatform};
-use svm_hlrc::{SvmConfig, SvmPlatform};
+use svm_hlrc::{SvmConfig, SvmPlatform, TmkPlatform};
 
 /// The three platforms of the study.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
