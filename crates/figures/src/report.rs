@@ -151,7 +151,7 @@ fn run_cell(p: &Parsed, o: &Opts, (app, class, pf): (App, OptClass, Platform)) -
     if let Some(pr) = what_ifs.iter().find(|pr| pr.speedup < 1.0) {
         panic!("{what}: zeroing a cost slowed the DAG: {pr:?}");
     }
-    let dropped = tr.dropped_events() + tr.edges_dropped + m.total_dropped();
+    let dropped = tr.dropped_events() + m.total_dropped();
     if o.strict {
         assert_eq!(dropped, 0, "--strict: {what} dropped diagnostics");
         check_invariants(&rep, &what);
@@ -283,7 +283,7 @@ fn run_cell(p: &Parsed, o: &Opts, (app, class, pf): (App, OptClass, Platform)) -
 /// Assert every rule invariant the advisor promises: bounds ≥ 1 and
 /// within the run, evidence behind every recommendation, and each tier's
 /// bound dominating its members' (the union zeroes a superset of their
-/// edges).
+/// stalls).
 fn check_invariants(rep: &AdvisorReport, what: &str) {
     for r in &rep.recs {
         let ok = r.speedup >= 1.0

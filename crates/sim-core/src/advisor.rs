@@ -5,7 +5,7 @@
 //! recommendations with evidence and critpath-derived upper-bound speedups.
 //! The trace's stall model belongs to [`crate::critpath`]: the advisor
 //! reads its [`CritPath`] and asks [`what_if`] and [`waits`] in [`WhatIf`]
-//! targets, and never reads a dependency edge itself.
+//! targets, and never reads a stall off the trace itself.
 //!
 //! The paper (§6) restructured each application by hand, reading exactly
 //! these diagnostics and inferring the fix; the advisor closes that loop.
@@ -622,7 +622,7 @@ pub fn advise(stats: &RunStats) -> AdvisorReport {
             // The critical path only carries the cross-processor *lag* of
             // each handoff; the convoy-vs-chatter call needs the full wait
             // of every handoff, on the path or off it.
-            let w = waits(tr, &r.target);
+            let w = waits(tr, cp, &r.target);
             let mean_wait = w.cycles / w.count.max(1);
             // Under saturation queueing inflates every wait, cheap holds
             // included; the spacing of consecutive grants estimates the
@@ -678,7 +678,7 @@ pub fn advise(stats: &RunStats) -> AdvisorReport {
             let best_label_speedup = joined
                 .iter()
                 .filter(|(_, j)| j.phases.contains(phase))
-                .map(|(l, _)| what_if(tr, &[WhatIf::Label(l.clone())]))
+                .map(|(l, _)| what_if(tr, cp, &[WhatIf::Label(l.clone())]))
                 .map(|proj| end as f64 / proj.max(1) as f64)
                 .fold(1.0f64, f64::max);
             if best_label_speedup >= SINGLE_FIX_SPEEDUP {
@@ -710,7 +710,7 @@ pub fn advise(stats: &RunStats) -> AdvisorReport {
     }
 
     // --- Bounds, ranking, family aggregation -------------------------------
-    let project = |targets: &[WhatIf]| tr_cp.map_or(end, |(tr, _)| what_if(tr, targets));
+    let project = |targets: &[WhatIf]| tr_cp.map_or(end, |(tr, cp)| what_if(tr, cp, targets));
 
     let mut recs: Vec<(Recommendation, WhatIf)> = pending
         .into_iter()

@@ -72,8 +72,8 @@ pub struct RunConfig {
     /// barrier boundaries), attached as [`RunStats::metrics`]. Timing
     /// statistics are bit-identical either way.
     pub metrics: u64,
-    /// A limit on every diagnostic buffer (trace events per processor and
-    /// edges, each metrics collection, race reports): each holds at most
+    /// A limit on every diagnostic buffer (trace events per processor,
+    /// each metrics collection, race reports): each holds at most
     /// its default or this, whichever is lower, and counts what it drops.
     /// `None` (the default) keeps every default.
     pub diag_cap: Option<usize>,

@@ -25,7 +25,7 @@
 //! processor), or until it blocks (then dispatch the min-clock ready
 //! processor). The event loop below implements precisely that policy on
 //! machine indices instead of coroutines — same transitions, same FCFS
-//! resource pricing order, same trace/edge/sharing/detector hook sequence,
+//! resource pricing order, same trace/sharing/detector hook sequence,
 //! and therefore bit-identical `RunStats`. `tests/shard_equivalence.rs`
 //! runs the full differential grid against the sequential oracle.
 //!

@@ -60,8 +60,8 @@ struct LockSt {
     held_by: Option<usize>,
     avail_at: u64,
     waiters: Vec<Waiter>,
-    /// Last releaser and its clock at release — the provenance for a
-    /// handoff edge when the next acquire finds the lock free but still
+    /// Last releaser and its clock at release — the provenance of a
+    /// handoff stall when the next acquire finds the lock free but still
     /// pays for `avail_at`.
     last_release: Option<(usize, u64)>,
 }
@@ -663,7 +663,7 @@ impl Inner {
             );
             debug_assert_eq!(resumes.len(), nprocs);
             // The last arriver (earliest pid on ties) gates every exit: it
-            // is the provenance of the barrier-release edges.
+            // is the provenance of the barrier-release stalls.
             let mut last = 0usize;
             for q in 1..nprocs {
                 if arr[q] > arr[last] {

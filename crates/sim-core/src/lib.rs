@@ -84,4 +84,4 @@ pub use resource::Resource;
 pub use run::run;
 pub use sharing::{LabelSharing, PageSharing, SharingClass, SharingProfile};
 pub use stats::{Bucket, Counter, ProcStats, RunStats, MAX_PHASES};
-pub use trace::{AllocSpan, DepEdge, DepKind, Event, EventKind, ProcTrace, RunTrace, WaitHist};
+pub use trace::{AllocSpan, Event, EventKind, ProcTrace, RunTrace, WaitHist};

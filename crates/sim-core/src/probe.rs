@@ -45,7 +45,7 @@ use crate::addr::Addr;
 use crate::detector::{RaceDetector, MAX_REPORTS};
 use crate::metrics::{MetricsSink, ProcSample, DEFAULT_SERIES_CAP};
 use crate::sharing::SharingTracker;
-use crate::trace::{TraceSink, DEFAULT_EDGE_CAP, DEFAULT_EVENT_CAP};
+use crate::trace::{TraceSink, DEFAULT_EVENT_CAP};
 use crate::RunConfig;
 
 /// One protocol or scheduler action. `pid`s are processor ids, `*_node`s
@@ -210,9 +210,7 @@ impl Probe {
         let n = cfg.nprocs;
         let cap = |default: usize| cfg.diag_cap.map_or(default, |c| c.min(default));
         let sinks = Sinks {
-            trace: cfg
-                .trace
-                .then(|| TraceSink::new(n, cap(DEFAULT_EVENT_CAP), cap(DEFAULT_EDGE_CAP))),
+            trace: cfg.trace.then(|| TraceSink::new(n, cap(DEFAULT_EVENT_CAP))),
             metrics: (cfg.metrics > 0)
                 .then(|| MetricsSink::new(n, cfg.metrics, cap(DEFAULT_SERIES_CAP))),
             sharing: cfg.sharing_profile.then(SharingTracker::default),

@@ -1,15 +1,15 @@
 //! Virtual-time protocol event tracing.
 //!
 //! When a run is configured with [`crate::RunConfig::with_trace`], every
-//! simulated processor records virtual-time-stamped [`Event`]s into a
-//! bounded per-proc buffer: phase transitions, lock and barrier episodes,
-//! page fetches, diff creation/application, invalidations and remote
-//! misses. The tracer is a consumer of the protocol event stream
-//! ([`crate::probe`]): `TraceSink::on_event` turns each
-//! [`ProtoEvent`] the scheduler and the platform crates report into trace
-//! events, a dependency edge and a wait sample. All timestamps are virtual
-//! cycles — no host clocks — so traces are bit-identical across repeated
-//! runs.
+//! simulated processor records virtual-time-stamped [`Event`]s into one
+//! bounded buffer: phase transitions, lock and barrier episodes, page
+//! fetches, diffs, invalidations, hardware misses and the final settle.
+//! The tracer is a consumer of the protocol event stream ([`crate::probe`]):
+//! `TraceSink::on_event` turns each [`ProtoEvent`] into trace events and a
+//! wait sample. An event that ends a wait carries its start and, if another
+//! processor enabled it, which one and when: [`crate::critpath`] reads every
+//! stall from this one record. All timestamps are virtual cycles — no host
+//! clocks — so traces are bit-identical across repeated runs.
 //!
 //! Tracing is **off by default** and **invisible**: a traced run produces a
 //! `RunStats` identical to the untraced run apart from the
@@ -38,12 +38,6 @@ use crate::util::{joined, json_escape as esc, Capped, FxMap};
 /// leave 3.5 MiB per processor of never-touched heap behind.
 pub const DEFAULT_EVENT_CAP: usize = 1 << 16;
 
-/// Default run-wide dependency-edge capacity (edges beyond this are counted
-/// in [`RunTrace::edges_dropped`], not stored). Lower it with
-/// [`crate::RunConfig::with_diag_cap`]. The buffer grows on demand up to
-/// this cap rather than preallocating it.
-pub const DEFAULT_EDGE_CAP: usize = 1 << 20;
-
 /// Number of log2 latency buckets (bucket `i` holds waits with bit-length
 /// `i`, i.e. `2^(i-1) <= wait < 2^i`; bucket 0 holds zero-cycle waits, and
 /// the last bucket is open-ended: every wait of `2^(HIST_BUCKETS - 2)`
@@ -60,30 +54,59 @@ pub enum EventKind {
     PhaseEnd { phase: usize },
     /// Lock acquire requested (queueing may follow).
     LockAcquireStart { lock: u64 },
-    /// Lock acquire granted; the wait since `LockAcquireStart` is also
-    /// recorded in the lock-wait histogram.
-    LockAcquireGranted { lock: u64 },
+    /// Lock acquire granted after waiting over `(t0, ts]`; `from` is the
+    /// releaser and the instant on its timeline that enabled the grant (a
+    /// hand-off iff that is another processor). The wait is also recorded
+    /// in the lock-wait histogram.
+    LockAcquireGranted {
+        lock: u64,
+        t0: u64,
+        from: (usize, u64),
+    },
     /// Lock released.
     LockRelease { lock: u64 },
     /// Arrived at a barrier.
     BarrierEnter { barrier: u64 },
-    /// Released from a barrier.
-    BarrierExit { barrier: u64 },
+    /// Released from a barrier after waiting over `(t0, ts]`; `from` is
+    /// the last arriver and the instant on its timeline that enabled the
+    /// release.
+    BarrierExit {
+        barrier: u64,
+        t0: u64,
+        from: (usize, u64),
+    },
     /// Remote page fetch initiated (SVM platforms).
     PageFetchStart { page: u64, home: usize, bytes: u64 },
-    /// Remote page fetch complete; latency also recorded in the fetch-wait
-    /// histogram.
-    PageFetchDone { page: u64, home: usize, bytes: u64 },
-    /// A diff was computed for `page` (SVM platforms).
-    DiffCreated { page: u64 },
+    /// Remote page fetch begun at `t0` complete; latency also recorded in
+    /// the fetch-wait histogram.
+    PageFetchDone {
+        page: u64,
+        home: usize,
+        bytes: u64,
+        t0: u64,
+    },
+    /// A diff was computed for `page` (SVM platforms), charged to this
+    /// processor over `(t0, ts]` (empty when a write notice forced the
+    /// flush and the grant absorbed it).
+    DiffCreated { page: u64, t0: u64 },
     /// A diff was applied for `page` (at the HLRC home, or archived at the
     /// writer under TreadMarks-LRC).
     DiffApplied { page: u64 },
     /// A write notice invalidated the local copy of `page`.
     Invalidation { page: u64 },
-    /// A hardware coherence miss serviced remotely (directory CC-NUMA) or
-    /// cache-to-cache over the bus (SMP).
-    RemoteMiss { line: u64, home: usize },
+    /// A hardware miss that stalled the processor for `stall` cycles,
+    /// served by `home`'s side. `traced` marks the remote ones — serviced
+    /// by the directory (CC-NUMA) or cache-to-cache over the bus (SMP) —
+    /// and only those are drawn; every miss is in the fetch-wait histogram.
+    RemoteMiss {
+        line: u64,
+        home: usize,
+        stall: u64,
+        traced: bool,
+    },
+    /// `stop_timing` settled the processor from `t0` to the clock of the
+    /// overall straggler `straggler` (the event's time).
+    Settle { t0: u64, straggler: usize },
 }
 
 /// One trace record: virtual timestamp, global sequence number (total order
@@ -96,65 +119,6 @@ pub struct Event {
     pub seq: u64,
     /// What happened.
     pub kind: EventKind,
-}
-
-/// The kind of a dependency edge — the provenance of one stall interval on
-/// a processor's timeline. *Cross* kinds (lock handoffs, barrier releases,
-/// the final settle) name the remote processor whose progress enabled this
-/// one to resume; *intrinsic* kinds (page fetches, diffs, remote misses)
-/// are protocol service intervals whose `src` is provenance only (the
-/// server is a node resource, not a processor timeline).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DepKind {
-    /// Lock handoff: the releaser's unlock enabled this acquire.
-    LockHandoff { lock: u64 },
-    /// Barrier release: the last arriver enabled this exit.
-    BarrierRelease { barrier: u64 },
-    /// End-of-run settle at `stop_timing`: the overall straggler enabled
-    /// everyone else's final clock.
-    Settle,
-    /// Remote page fetch service (SVM platforms). `page` is the byte base
-    /// address, `bytes` the wire traffic.
-    PageFetch { page: u64, bytes: u64 },
-    /// Diff creation/application work charged at interval close (SVM).
-    Diff { page: u64 },
-    /// Remote miss service (directory CC-NUMA, or any bus-serviced miss on
-    /// SMP). `line` is the byte base address.
-    RemoteMiss { line: u64 },
-}
-
-impl DepKind {
-    /// True for edges whose `src`/`src_ts` name an enabling point on
-    /// another processor's timeline (see [`DepKind`]).
-    pub fn is_cross(&self) -> bool {
-        matches!(
-            self,
-            DepKind::LockHandoff { .. } | DepKind::BarrierRelease { .. } | DepKind::Settle
-        )
-    }
-}
-
-/// One dependency edge: processor `dst` was stalled over `(t0, t1]` of its
-/// own timeline, and (for cross kinds) could not have resumed before
-/// `src_ts` on processor `src`'s timeline. Edges with `t1 <= t0` are never
-/// recorded.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DepEdge {
-    /// What kind of dependence this is.
-    pub kind: DepKind,
-    /// The stalled (resuming) processor.
-    pub dst: usize,
-    /// Start of the stall on `dst`'s timeline (virtual cycles).
-    pub t0: u64,
-    /// End of the stall on `dst`'s timeline (resume point).
-    pub t1: u64,
-    /// The enabling processor (cross kinds) or serving node's proc-0
-    /// (intrinsic kinds, provenance only).
-    pub src: usize,
-    /// The enabling instant on `src`'s timeline (cross kinds).
-    pub src_ts: u64,
-    /// Global emission sequence number (deterministic tie-breaker).
-    pub seq: u64,
 }
 
 /// One labeled allocation span in the simulated address space (byte
@@ -328,8 +292,6 @@ impl WaitHist {
 pub(crate) struct TraceSink {
     seq: u64,
     procs: Vec<SinkProc>,
-    eseq: u64,
-    edges: Capped<Vec<DepEdge>>,
 }
 
 #[derive(Debug)]
@@ -342,9 +304,8 @@ struct SinkProc {
 
 impl TraceSink {
     /// Create a sink for `nprocs` processors with a per-proc event cap of
-    /// `cap` and a run-wide dependency-edge cap of `edge_cap` (all buffers
-    /// grow on demand up to their caps).
-    pub(crate) fn new(nprocs: usize, cap: usize, edge_cap: usize) -> Self {
+    /// `cap` (the buffers grow on demand up to it).
+    pub(crate) fn new(nprocs: usize, cap: usize) -> Self {
         Self {
             seq: 0,
             procs: (0..nprocs)
@@ -355,8 +316,6 @@ impl TraceSink {
                     barrier: WaitHist::default(),
                 })
                 .collect(),
-            eseq: 0,
-            edges: Capped::new(edge_cap),
         }
     }
 
@@ -368,55 +327,31 @@ impl TraceSink {
         self.procs[pid].events.push(Event { ts, seq, kind });
     }
 
-    /// Record a dependency edge (counted as dropped past the edge cap;
-    /// edges with `t1 <= t0` are silently skipped — no stall, no edge).
-    #[inline]
-    pub(crate) fn push_edge(
-        &mut self,
-        kind: DepKind,
-        dst: usize,
-        t0: u64,
-        t1: u64,
-        src: usize,
-        src_ts: u64,
-    ) {
-        if t1 <= t0 {
-            return;
-        }
-        let seq = self.eseq;
-        self.eseq += 1;
-        self.edges.push(DepEdge {
-            kind,
-            dst,
-            t0,
-            t1,
-            src,
-            src_ts,
-            seq,
-        });
-    }
-
-    /// Consume one protocol event: the trace events, dependency edge and
-    /// wait-histogram sample it stands for. Called by the probe only while
-    /// the timed region is active.
+    /// Consume one protocol event: the trace events and wait-histogram
+    /// sample it stands for. Called by the probe only while the timed
+    /// region is active.
     pub(crate) fn on_event(&mut self, ev: &ProtoEvent<'_>) {
+        use EventKind as K;
         use ProtoEvent as P;
         match *ev {
             P::PageFetch {
                 pid,
                 page,
                 home,
-                src,
                 bytes,
                 t0,
                 t1,
                 ..
             } => {
-                self.push(pid, t0, EventKind::PageFetchStart { page, home, bytes });
-                self.push(pid, t1, EventKind::PageFetchDone { page, home, bytes });
+                self.push(pid, t0, K::PageFetchStart { page, home, bytes });
+                let done = K::PageFetchDone {
+                    page,
+                    home,
+                    bytes,
+                    t0,
+                };
+                self.push(pid, t1, done);
                 self.procs[pid].fetch.record(t1 - t0);
-                // The serving node's stand-in processor is provenance only.
-                self.push_edge(DepKind::PageFetch { page, bytes }, pid, t0, t1, src, t0);
             }
             P::DiffCreated {
                 pid,
@@ -426,13 +361,10 @@ impl TraceSink {
                 ..
             } => {
                 let (t0, t1) = span.unwrap_or((at, at));
-                self.push_edge(DepKind::Diff { page }, pid, t0, t1, pid, t0);
-                self.push(pid, t1, EventKind::DiffCreated { page });
+                self.push(pid, t1, K::DiffCreated { page, t0 });
             }
-            P::DiffApplied { pid, page, at } => self.push(pid, at, EventKind::DiffApplied { page }),
-            P::Invalidation { pid, page, at } => {
-                self.push(pid, at, EventKind::Invalidation { page })
-            }
+            P::DiffApplied { pid, page, at } => self.push(pid, at, K::DiffApplied { page }),
+            P::Invalidation { pid, page, at } => self.push(pid, at, K::Invalidation { page }),
             P::RemoteMiss {
                 pid,
                 line,
@@ -441,17 +373,19 @@ impl TraceSink {
                 stall,
                 traced,
             } => {
-                if traced {
-                    self.push(pid, at, EventKind::RemoteMiss { line, home: src });
-                }
+                let miss = K::RemoteMiss {
+                    line,
+                    home: src,
+                    stall,
+                    traced,
+                };
+                self.push(pid, at, miss);
                 self.procs[pid].fetch.record(stall);
-                // The caller charges `stall` from `at`.
-                self.push_edge(DepKind::RemoteMiss { line }, pid, at, at + stall, src, at);
             }
-            P::PhaseBegin { pid, at, phase } => self.push(pid, at, EventKind::PhaseBegin { phase }),
-            P::PhaseEnd { pid, at, phase } => self.push(pid, at, EventKind::PhaseEnd { phase }),
+            P::PhaseBegin { pid, at, phase } => self.push(pid, at, K::PhaseBegin { phase }),
+            P::PhaseEnd { pid, at, phase } => self.push(pid, at, K::PhaseEnd { phase }),
             P::LockRequest { pid, lock, at } => {
-                self.push(pid, at, EventKind::LockAcquireStart { lock: lock as u64 })
+                self.push(pid, at, K::LockAcquireStart { lock: lock as u64 })
             }
             P::LockGrant {
                 pid,
@@ -461,21 +395,17 @@ impl TraceSink {
                 src,
                 src_ts,
             } => {
-                let lock = lock as u64;
-                self.push_edge(DepKind::LockHandoff { lock }, pid, t0, t1, src, src_ts);
-                self.push(pid, t1, EventKind::LockAcquireGranted { lock });
+                let (lock, from) = (lock as u64, (src, src_ts));
+                self.push(pid, t1, K::LockAcquireGranted { lock, t0, from });
                 self.procs[pid].lock.record(t1 - t0);
             }
             P::LockRelease { pid, lock, at } => {
-                self.push(pid, at, EventKind::LockRelease { lock: lock as u64 })
+                self.push(pid, at, K::LockRelease { lock: lock as u64 })
             }
-            P::BarrierEnter { pid, barrier, at } => self.push(
-                pid,
-                at,
-                EventKind::BarrierEnter {
-                    barrier: barrier as u64,
-                },
-            ),
+            P::BarrierEnter { pid, barrier, at } => {
+                let barrier = barrier as u64;
+                self.push(pid, at, K::BarrierEnter { barrier })
+            }
             P::BarrierExit {
                 pid,
                 barrier,
@@ -484,24 +414,16 @@ impl TraceSink {
                 last,
                 last_ts,
             } => {
-                let barrier = barrier as u64;
-                self.push(pid, t1, EventKind::BarrierExit { barrier });
+                let (barrier, from) = (barrier as u64, (last, last_ts));
+                self.push(pid, t1, K::BarrierExit { barrier, t0, from });
                 self.procs[pid].barrier.record(t1 - t0);
-                self.push_edge(
-                    DepKind::BarrierRelease { barrier },
-                    pid,
-                    t0,
-                    t1,
-                    last,
-                    last_ts,
-                );
             }
             P::Settle {
                 pid,
                 t0,
                 t1,
                 straggler,
-            } => self.push_edge(DepKind::Settle, pid, t0, t1, straggler, t1),
+            } => self.push(pid, t1, K::Settle { t0, straggler }),
             // Not traced: geometry and samples feed other consumers, and
             // accesses and rendezvous joins feed the race detector.
             P::PageGeometry { .. }
@@ -522,8 +444,6 @@ impl TraceSink {
             p.lock = WaitHist::default();
             p.barrier = WaitHist::default();
         }
-        self.eseq = 0;
-        self.edges.reset();
     }
 
     /// Freeze into a [`RunTrace`]. `clocks` are the final per-proc virtual
@@ -536,15 +456,9 @@ impl TraceSink {
         clocks: &[u64],
         allocs: Vec<AllocSpan>,
     ) -> RunTrace {
-        let (mut edges, edges_dropped) = self.edges.into_parts();
-        // Edges arrive in emission order; (t1, seq) sorting gives the
-        // deterministic resume-time order the critical-path DP needs.
-        edges.sort_by_key(|e| (e.t1, e.seq));
         RunTrace {
             label,
             phase_names,
-            edges,
-            edges_dropped,
             allocs,
             procs: self
                 .procs
@@ -600,11 +514,6 @@ pub struct RunTrace {
     pub phase_names: Vec<String>,
     /// Per-processor traces, indexed by pid.
     pub procs: Vec<ProcTrace>,
-    /// Dependency edges in (resume time, seq) order — the provenance the
-    /// critical-path analyzer ([`crate::critpath`]) walks.
-    pub edges: Vec<DepEdge>,
-    /// Edges discarded because the run-wide edge cap was reached.
-    pub edges_dropped: u64,
     /// Labeled allocation spans (sorted by first byte) for attributing
     /// page/line addresses to data structures.
     pub allocs: Vec<AllocSpan>,
@@ -728,7 +637,7 @@ impl RunTrace {
             if let EventKind::LockRelease { lock } = e.kind {
                 last_release.insert(lock, (pid, e.ts));
             }
-            let EventKind::LockAcquireGranted { lock } = e.kind else {
+            let EventKind::LockAcquireGranted { lock, .. } = e.kind else {
                 continue;
             };
             let Some((rpid, rts)) = last_release.remove(&lock) else {
@@ -748,25 +657,21 @@ impl RunTrace {
         // Counter tracks from the interval-metrics report: Perfetto draws
         // one stacked area chart per distinct counter name.
         if let Some(m) = metrics {
-            let ivlen = m.interval.max(1);
+            let (o, ivlen) = (&mut out, m.interval.max(1));
             for (pid, p) in m.procs.iter().enumerate() {
                 let mut prev = crate::metrics::ProcSample::default();
                 for s in &p.samples {
-                    let _ = write!(
-                        out,
-                        ",\n {{\"name\":\"proc {pid} cycles\",\"cat\":\"metrics\",\"ph\":\"C\",\
-                         \"pid\":0,\"tid\":{pid},\"ts\":{},\"args\":{{\"compute\":{},\
-                         \"data_wait\":{},\"lock_wait\":{},\"barrier_wait\":{}}}}}\
-                         ,\n {{\"name\":\"proc {pid} fetches\",\"cat\":\"metrics\",\"ph\":\"C\",\
-                         \"pid\":0,\"tid\":{pid},\"ts\":{},\"args\":{{\"fetches\":{}}}}}",
-                        s.ts,
+                    let args = format_args!(
+                        "\"compute\":{},\"data_wait\":{},\"lock_wait\":{},\"barrier_wait\":{}",
                         s.compute.saturating_sub(prev.compute),
                         s.data_wait.saturating_sub(prev.data_wait),
                         s.lock_wait.saturating_sub(prev.lock_wait),
                         s.barrier_wait.saturating_sub(prev.barrier_wait),
-                        s.ts,
-                        s.remote_fetches.saturating_sub(prev.remote_fetches),
                     );
+                    counter(o, format_args!("proc {pid} cycles"), pid, s.ts, args);
+                    let fetches = s.remote_fetches.saturating_sub(prev.remote_fetches);
+                    let name = format_args!("proc {pid} fetches");
+                    counter(o, name, pid, s.ts, format_args!("\"fetches\":{fetches}"));
                     prev = *s;
                 }
             }
@@ -782,27 +687,20 @@ impl RunTrace {
                 };
                 let name = format!("page {:#x}{label} [{}]", p.page_base, p.trajectory.label());
                 for iv in &p.intervals {
-                    let _ = write!(
-                        out,
-                        ",\n {{\"name\":\"{name}\",\"cat\":\"metrics\",\"ph\":\"C\",\"pid\":0,\
-                         \"tid\":0,\"ts\":{},\"args\":{{\"fetches\":{},\"diff_words\":{},\
-                         \"invalidations\":{},\"writers\":{}}}}}",
-                        iv.interval * ivlen,
+                    let args = format_args!(
+                        "\"fetches\":{},\"diff_words\":{},\"invalidations\":{},\"writers\":{}",
                         iv.fetches,
                         iv.diff_words,
                         iv.invalidations,
                         iv.writers.len(),
                     );
+                    counter(o, &name, 0, iv.interval * ivlen, args);
                 }
             }
             for l in &m.locks {
                 for &(iv, n) in &l.intervals {
-                    let (lock, ts) = (l.lock, iv * ivlen);
-                    let _ = write!(
-                        out,
-                        ",\n {{\"name\":\"lock {lock} handoffs\",\"cat\":\"metrics\",\"ph\":\"C\",\
-                         \"pid\":0,\"tid\":0,\"ts\":{ts},\"args\":{{\"handoffs\":{n}}}}}"
-                    );
+                    let name = format_args!("lock {} handoffs", l.lock);
+                    counter(o, name, 0, iv * ivlen, format_args!("\"handoffs\":{n}"));
                 }
             }
             for e in &m.events {
@@ -814,12 +712,7 @@ impl RunTrace {
                 }
                 let name = esc(e.name);
                 for (iv, n) in byiv {
-                    let ts = iv * ivlen;
-                    let _ = write!(
-                        out,
-                        ",\n {{\"name\":\"{name}\",\"cat\":\"metrics\",\"ph\":\"C\",\"pid\":0,\
-                         \"tid\":0,\"ts\":{ts},\"args\":{{\"count\":{n}}}}}"
-                    );
+                    counter(o, &name, 0, iv * ivlen, format_args!("\"count\":{n}"));
                 }
             }
         }
@@ -859,7 +752,7 @@ impl RunTrace {
             p.walk(|step| match step {
                 Step::Event(e) => match e.kind {
                     EventKind::PhaseBegin { .. } => paint(e.ts, e.ts, b'|', 4),
-                    EventKind::RemoteMiss { .. } => paint(e.ts, e.ts, b'F', 1),
+                    EventKind::RemoteMiss { traced: true, .. } => paint(e.ts, e.ts, b'F', 1),
                     _ => {}
                 },
                 Step::Span(Span::Barrier(_), t0, t1) => paint(t0, t1, b'B', 3),
@@ -942,9 +835,9 @@ impl ProcTrace {
                 EventKind::PhaseBegin { phase } => (Span::Phase(phase), true),
                 EventKind::PhaseEnd { phase } => (Span::Phase(phase), false),
                 EventKind::LockAcquireStart { lock } => (Span::Lock(lock), true),
-                EventKind::LockAcquireGranted { lock } => (Span::Lock(lock), false),
+                EventKind::LockAcquireGranted { lock, .. } => (Span::Lock(lock), false),
                 EventKind::BarrierEnter { barrier } => (Span::Barrier(barrier), true),
-                EventKind::BarrierExit { barrier } => (Span::Barrier(barrier), false),
+                EventKind::BarrierExit { barrier, .. } => (Span::Barrier(barrier), false),
                 EventKind::PageFetchStart { .. } => (Span::Fetch, true),
                 EventKind::PageFetchDone { .. } => (Span::Fetch, false),
                 _ => continue,
@@ -981,12 +874,14 @@ fn instant(kind: EventKind, f: impl FnOnce(fmt::Arguments, &str, fmt::Arguments)
             "fetch",
             format_args!("\"page\":\"{page:#x}\",\"home\":{home},\"bytes\":{bytes}"),
         ),
-        K::PageFetchDone { page, home, bytes } => f(
+        K::PageFetchDone {
+            page, home, bytes, ..
+        } => f(
             format_args!("fetched {page:#x}"),
             "fetch",
             format_args!("\"page\":\"{page:#x}\",\"home\":{home},\"bytes\":{bytes}"),
         ),
-        K::DiffCreated { page } => f(
+        K::DiffCreated { page, .. } => f(
             format_args!("diff created {page:#x}"),
             "diff",
             format_args!("\"page\":\"{page:#x}\""),
@@ -1001,13 +896,27 @@ fn instant(kind: EventKind, f: impl FnOnce(fmt::Arguments, &str, fmt::Arguments)
             "inval",
             format_args!("\"page\":\"{page:#x}\""),
         ),
-        K::RemoteMiss { line, home } => f(
+        K::RemoteMiss {
+            line,
+            home,
+            traced: true,
+            ..
+        } => f(
             format_args!("remote miss {line:#x}"),
             "miss",
             format_args!("\"line\":\"{line:#x}\",\"home\":{home}"),
         ),
         _ => {}
     }
+}
+
+/// Append a Chrome counter record (`"ph":"C"`) at `ts` on track `tid`.
+fn counter(out: &mut String, name: impl fmt::Display, tid: usize, ts: u64, args: fmt::Arguments) {
+    let _ = write!(
+        out,
+        ",\n {{\"name\":\"{name}\",\"cat\":\"metrics\",\"ph\":\"C\",\"pid\":0,\"tid\":{tid},\
+         \"ts\":{ts},\"args\":{{{args}}}}}"
+    );
 }
 
 /// Append a Chrome duration record for `[t0, t1]` on track `pid`.
@@ -1107,28 +1016,8 @@ mod tests {
     }
 
     #[test]
-    fn sink_records_and_caps_edges() {
-        let mut s = TraceSink::new(2, 8, 2);
-        // Zero-length edges are skipped outright.
-        s.push_edge(DepKind::Settle, 0, 5, 5, 1, 5);
-        s.push_edge(DepKind::LockHandoff { lock: 1 }, 1, 4, 9, 0, 8);
-        s.push_edge(DepKind::PageFetch { page: 0, bytes: 64 }, 0, 1, 3, 1, 1);
-        // Past the cap: counted, not stored.
-        s.push_edge(DepKind::Diff { page: 0 }, 0, 10, 12, 0, 10);
-        let tr = s.into_trace("t".into(), vec![], &[12, 12], vec![]);
-        assert_eq!(tr.edges.len(), 2);
-        assert_eq!(tr.edges_dropped, 1);
-        // Sorted by resume time, not emission order.
-        assert_eq!(tr.edges[0].t1, 3);
-        assert_eq!(tr.edges[1].t1, 9);
-        assert!(tr.edges[0].kind == DepKind::PageFetch { page: 0, bytes: 64 });
-        assert!(tr.edges[1].kind.is_cross());
-        assert!(!tr.edges[0].kind.is_cross());
-    }
-
-    #[test]
     fn alloc_labels_resolve_by_address() {
-        let s = TraceSink::new(1, 8, 8);
+        let s = TraceSink::new(1, 8);
         let allocs = vec![
             AllocSpan {
                 first: 0x1000,
@@ -1151,9 +1040,9 @@ mod tests {
 
     #[test]
     fn sink_caps_and_counts_drops() {
-        let mut s = TraceSink::new(2, 3, DEFAULT_EDGE_CAP);
+        let mut s = TraceSink::new(2, 3);
         for i in 0..5 {
-            s.push(0, i, EventKind::DiffCreated { page: i });
+            s.push(0, i, EventKind::DiffCreated { page: i, t0: i });
         }
         s.push(1, 9, EventKind::DiffApplied { page: 9 });
         let tr = s.into_trace("t".into(), vec![], &[10, 10], vec![]);
@@ -1167,12 +1056,13 @@ mod tests {
 
     #[test]
     fn chrome_json_shape() {
-        let mut s = TraceSink::new(2, 64, DEFAULT_EDGE_CAP);
+        let mut s = TraceSink::new(2, 64);
         s.push(0, 0, EventKind::PhaseBegin { phase: 0 });
         s.push(0, 5, EventKind::LockAcquireStart { lock: 1 });
-        s.push(0, 9, EventKind::LockAcquireGranted { lock: 1 });
+        let granted = |t0, from| EventKind::LockAcquireGranted { lock: 1, t0, from };
+        s.push(0, 9, granted(5, (0, 5)));
         s.push(0, 20, EventKind::LockRelease { lock: 1 });
-        s.push(1, 22, EventKind::LockAcquireGranted { lock: 1 });
+        s.push(1, 22, granted(22, (0, 20)));
         s.push(0, 30, EventKind::PhaseEnd { phase: 0 });
         let tr = s.into_trace("unit \"q\"".into(), vec!["init".into()], &[30, 30], vec![]);
         let json = tr.to_chrome_json();
@@ -1210,7 +1100,7 @@ mod tests {
         m.page_fetch(10, 0x1000);
         m.event(LABEL, 0, 10, 1);
         let metrics = m.into_report(|_| LABEL);
-        let tr = TraceSink::new(1, 8, 8).into_trace(LABEL.into(), vec![], &[20], vec![]);
+        let tr = TraceSink::new(1, 8).into_trace(LABEL.into(), vec![], &[20], vec![]);
         let json = tr.to_chrome_json_with(Some(&metrics));
         let escaped = "a\\\"b\\\\c\\u0001";
         // The run label, the page's label and the event name.

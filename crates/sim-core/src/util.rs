@@ -74,8 +74,8 @@ pub(crate) fn insert_sorted<T: Ord>(v: &mut Vec<T>, x: T) {
 
 /// A collection that holds at most `cap` entries and counts what it turned
 /// away: the one bounded buffer behind every diagnostic layer (trace
-/// events and edges, metrics series, race reports). Entries already held
-/// stay reachable; only a *new* entry past the cap is dropped.
+/// events, metrics series, race reports). Entries already held stay
+/// reachable; only a *new* entry past the cap is dropped.
 #[derive(Debug)]
 pub(crate) struct Capped<C> {
     items: C,

@@ -6,9 +6,10 @@
 //!
 //! Where the definitions legitimately differ:
 //! * **smp-bus** has no `remote_fetches` (memory is centralized): it
-//!   reports a `RemoteMiss` event only for cache-to-cache transfers, while
-//!   *every* bus-serviced miss lands in the fetch-wait histogram. The test
-//!   pins exactly that.
+//!   marks a `RemoteMiss` event `traced` only for cache-to-cache
+//!   transfers, while *every* bus-serviced miss is recorded (it is a stall
+//!   for the critical path) and lands in the fetch-wait histogram. The
+//!   test pins exactly that.
 //! * **svm-hlrc** home-node writes happen in place: no diff, no event, no
 //!   counter — consistent on both sides, so the sums still agree.
 
@@ -110,7 +111,8 @@ fn page_platforms_report_every_counted_action() {
 
 #[test]
 fn hardware_platforms_report_every_counted_miss() {
-    let is_miss = |k: &EventKind| matches!(k, EventKind::RemoteMiss { .. });
+    let is_miss = |k: &EventKind| matches!(k, EventKind::RemoteMiss { traced: true, .. });
+    let any_miss = |k: &EventKind| matches!(k, EventKind::RemoteMiss { .. });
     for shards in [1, 2] {
         let dsm = traced(PlatformKind::Dsm, shards);
         let remote = dsm.sum_counters().remote_fetches;
@@ -118,12 +120,18 @@ fn hardware_platforms_report_every_counted_miss() {
         assert_eq!(events(&dsm, is_miss), remote, "DSM shards={shards}");
         assert_eq!(fetch_samples(&dsm), remote, "DSM shards={shards}");
 
-        // See the module docs: the bus reports cache-to-cache transfers,
-        // samples every bus-serviced miss, and counts no remote fetches.
+        // See the module docs: the bus marks cache-to-cache transfers,
+        // records and samples every bus-serviced miss, and counts no
+        // remote fetches.
         let smp = traced(PlatformKind::Smp, shards);
         let c2c = events(&smp, is_miss);
         assert_eq!(smp.sum_counters().remote_fetches, 0);
         assert!(c2c > 0, "SMP shards={shards}: no cache-to-cache transfer");
         assert!(c2c < fetch_samples(&smp), "SMP shards={shards}");
+        assert_eq!(
+            events(&smp, any_miss),
+            fetch_samples(&smp),
+            "SMP shards={shards}"
+        );
     }
 }
